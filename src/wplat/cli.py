@@ -1,7 +1,8 @@
 """Command-line front end: every computation and verification as a
 reproducible command with text/JSON/CSV/DOT output.
 
-Exit codes: 0 success, 1 assertion or cross-route mismatch, 2 size guard.
+Exit codes: 0 success, 1 assertion or cross-route mismatch, 2 size guard
+or usage error.
 """
 
 from __future__ import annotations
@@ -18,36 +19,37 @@ from . import wpartition as wp
 
 GUARD_EXIT = 2
 FAIL_EXIT = 1
+FORCED_GUARD = 10 ** 12
 
 
-def _emit(text: str, args) -> None:
-    if getattr(args, "out", None):
+def _emit(args, **formats) -> None:
+    """Render only the requested format and write it to --out or stdout.
+
+    Each keyword maps a format name to a zero-argument renderer returning
+    either text or an object, which is printed as indented JSON.
+    """
+    rendered = formats[args.format]()
+    text = rendered if isinstance(rendered, str) else json.dumps(rendered, indent=2)
+    if not text.endswith("\n"):
+        text += "\n"
+    if args.out:
         with open(args.out, "w") as fh:
-            fh.write(text if text.endswith("\n") else text + "\n")
+            fh.write(text)
     else:
-        sys.stdout.write(text if text.endswith("\n") else text + "\n")
+        sys.stdout.write(text)
 
 
-def _guard(args) -> int | None:
-    return None if not getattr(args, "force", False) else 10 ** 12
-
-
-def _jdump(obj) -> str:
-    return json.dumps(obj, indent=2)
+def _grid(rows, sep: str) -> str:
+    return "\n".join(sep.join(map(str, row)) for row in rows)
 
 
 # ---------------------------------------------------------------------------
 
 def cmd_count(args) -> int:
     n, k = args.n, args.k
-    estimate = sum(st.T_def(n, k, r) for r in range(n + 1))
-    limit = _guard(args) or lat.DEFAULT_GUARD
-    if estimate > limit:
-        print(f"guard: {estimate} elements over limit {limit}", file=sys.stderr)
-        return GUARD_EXIT
-    everything = wp.enumerate_all(n, k)
+    lat.check_guard(n, k, args.guard)
     counts = {}
-    for pi in everything:
+    for pi in wp.enumerate_all(n, k):
         r = len(pi.layers[0])
         counts[r] = counts.get(r, 0) + 1
     rs = [args.r] if args.r is not None else sorted(counts)
@@ -58,18 +60,14 @@ def cmd_count(args) -> int:
             print(f"mismatch at r={r}: enumerated {got}, T(n,k,r) {want}",
                   file=sys.stderr)
         return FAIL_EXIT
-    if args.format == "json":
-        _emit(_jdump({"n": n, "k": k,
-                      "counts": {str(r): counts.get(r, 0) for r in rs},
-                      "total": sum(counts.get(r, 0) for r in rs)}), args)
-    elif args.format == "csv":
-        lines = ["r,count"] + [f"{r},{counts.get(r, 0)}" for r in rs]
-        _emit("\n".join(lines), args)
-    else:
-        parts = [f"r={r}:{counts.get(r, 0)}" for r in rs]
-        if len(rs) > 1:
-            parts.append(f"total {sum(counts.get(r, 0) for r in rs)}")
-        _emit(", ".join(parts), args)
+    pairs = [(r, counts.get(r, 0)) for r in rs]
+    total = sum(c for _, c in pairs)
+    total_part = [f"total {total}"] if len(rs) > 1 else []
+    _emit(args,
+          text=lambda: ", ".join([f"r={r}:{c}" for r, c in pairs] + total_part),
+          json=lambda: {"n": n, "k": k, "counts": {str(r): c for r, c in pairs},
+                        "total": total},
+          csv=lambda: _grid([("r", "count")] + pairs, ","))
     return 0
 
 
@@ -103,63 +101,51 @@ def _table_rows(kind: str, n_max: int, k: int) -> list[list[int]]:
 def cmd_table(args) -> int:
     if args.kind == "bell":
         values = [st.bell(n) for n in range(args.n_max + 1)]
-        if args.format == "json":
-            _emit(_jdump({"kind": "bell", "values": values}), args)
-        elif args.format == "csv":
-            _emit("\n".join(f"{n},{v}" for n, v in enumerate(values)), args)
-        else:
-            _emit(", ".join(map(str, values)), args)
+        _emit(args,
+              text=lambda: _grid([values], ", "),
+              json=lambda: {"kind": "bell", "values": values},
+              csv=lambda: _grid(enumerate(values), ","))
         return 0
     try:
         rows = _table_rows(args.kind, args.n_max, args.k)
     except AssertionError as exc:
         print(str(exc), file=sys.stderr)
         return FAIL_EXIT
-    if args.format == "json":
-        _emit(_jdump({"kind": args.kind, "k": args.k, "rows": rows}), args)
-    elif args.format == "csv":
-        _emit("\n".join(",".join(map(str, row)) for row in rows), args)
-    else:
-        _emit("\n".join(", ".join(map(str, row)) for row in rows), args)
+    _emit(args,
+          text=lambda: _grid(rows, ", "),
+          json=lambda: {"kind": args.kind, "k": args.k, "rows": rows},
+          csv=lambda: _grid(rows, ","))
     return 0
 
 
 def cmd_series(args) -> int:
     fn = ser.exp_k_xy if args.which == "exp" else ser.log_k_xy
     rows = fn(args.k, args.order).rows_int()
-    if args.format == "json":
-        _emit(_jdump({"which": args.which, "k": args.k, "order": args.order,
-                      "rows": rows}), args)
-    elif args.format == "csv":
-        _emit("\n".join(",".join(map(str, row)) for row in rows), args)
-    else:
-        _emit("\n".join(", ".join(map(str, row)) for row in rows), args)
+    _emit(args,
+          text=lambda: _grid(rows, ", "),
+          json=lambda: {"which": args.which, "k": args.k, "order": args.order,
+                        "rows": rows},
+          csv=lambda: _grid(rows, ","))
     return 0
 
 
 def cmd_mobius(args) -> int:
     n, k = args.n, args.k
     values = {}
-    try:
-        if args.method in ("closed", "all"):
-            values["closed"] = lat.mobius_closed_form(n, k)
-        if args.method in ("recursive", "chains", "all"):
-            poset = lat.build_poset(n, k, guard=_guard(args))
-            if args.method in ("recursive", "all"):
-                values["recursive"] = poset.mobius_recursive(
-                    poset.bottom_idx, poset.top_idx)
-            if args.method in ("chains", "all"):
-                values["chains"] = poset.mobius_via_chains()
-    except lat.GuardExceeded as exc:
-        print(str(exc), file=sys.stderr)
-        return GUARD_EXIT
+    if args.method in ("closed", "all"):
+        values["closed"] = lat.mobius_closed_form(n, k)
+    if args.method != "closed":
+        poset = lat.build_poset(n, k, guard=args.guard)
+        if args.method in ("recursive", "all"):
+            values["recursive"] = poset.mobius_recursive(
+                poset.bottom_idx, poset.top_idx)
+        if args.method in ("chains", "all"):
+            values["chains"] = poset.mobius_via_chains()
     if len(set(values.values())) > 1:
         print(f"mobius methods disagree: {values}", file=sys.stderr)
         return FAIL_EXIT
-    if args.method == "all":
-        _emit("\n".join(f"{m}: {v}" for m, v in sorted(values.items())), args)
-    else:
-        _emit(str(next(iter(values.values()))), args)
+    _emit(args, text=lambda: "\n".join(f"{m}: {v}" for m, v in sorted(values.items()))
+          if args.method == "all" else str(values[args.method]))
     return 0
 
 
@@ -182,55 +168,40 @@ def _poly_str(coeffs: list[int]) -> str:
 def cmd_charpoly(args) -> int:
     n, k = args.n, args.k
     coeffs = lat.char_poly_product(n, k)
-    estimate = sum(st.T_def(n, k, r) for r in range(n + 1)) + 1
-    limit = _guard(args) or lat.DEFAULT_GUARD
-    if estimate <= limit:
-        summed = lat.char_poly_summation(n, k)
-        if summed != coeffs:
-            print(f"characteristic polynomial routes disagree: "
-                  f"summation {summed}, product {coeffs}", file=sys.stderr)
-            return FAIL_EXIT
-    factors = "".join("x" if root == 0 else f"(x-{root})"
-                      for root in lat.char_poly_roots(n, k))
+    summed = lat.char_poly_summation(n, k, lat.build_poset(n, k, guard=args.guard))
+    if summed != coeffs:
+        print(f"characteristic polynomial routes disagree: "
+              f"summation {summed}, product {coeffs}", file=sys.stderr)
+        return FAIL_EXIT
+    roots = lat.char_poly_roots(n, k)
+    factors = "".join("x" if root == 0 else f"(x-{root})" for root in roots)
     text = f"{factors} = {_poly_str(coeffs)}"
-    if args.format == "json":
-        _emit(_jdump({"n": n, "k": k, "roots": lat.char_poly_roots(n, k),
-                      "coefficients": coeffs, "display": text}), args)
-    else:
-        _emit(text, args)
+    _emit(args,
+          text=lambda: text,
+          json=lambda: {"n": n, "k": k, "roots": roots, "coefficients": coeffs,
+                        "display": text})
     return 0
 
 
 def cmd_hasse(args) -> int:
-    try:
-        poset = lat.build_poset(args.n, args.k, guard=_guard(args))
-    except lat.GuardExceeded as exc:
-        print(str(exc), file=sys.stderr)
-        return GUARD_EXIT
-    _emit(lat.hasse_dot(poset), args)
+    poset = lat.build_poset(args.n, args.k, guard=args.guard)
+    _emit(args, dot=lambda: lat.hasse_dot(poset))
     return 0
 
 
 def cmd_chains(args) -> int:
-    try:
-        poset = lat.build_poset(args.n, args.k, guard=_guard(args))
-    except lat.GuardExceeded as exc:
-        print(str(exc), file=sys.stderr)
-        return GUARD_EXIT
+    poset = lat.build_poset(args.n, args.k, guard=args.guard)
     if args.filter == "decreasing":
         listing = list(poset.decreasing_chains(poset.bottom_idx, poset.top_idx))
     else:
         listing = list(poset.maximal_chains(poset.bottom_idx, poset.top_idx))
         if args.filter == "rising":
             listing = [c for c in listing if poset.is_rising(c)]
-    if args.format == "json":
-        _emit(_jdump({"n": args.n, "k": args.k, "filter": args.filter,
-                      "count": len(listing),
-                      "chains": [[str(l) for l in c] for c in listing]}), args)
-    else:
-        lines = [" ".join(str(l) for l in c) for c in listing]
-        lines.append(f"total {len(listing)}")
-        _emit("\n".join(lines), args)
+    _emit(args,
+          text=lambda: _grid(listing + [("total", len(listing))], " "),
+          json=lambda: {"n": args.n, "k": args.k, "filter": args.filter,
+                        "count": len(listing),
+                        "chains": [[str(l) for l in c] for c in listing]})
     return 0
 
 
@@ -258,29 +229,22 @@ def _lbt_dot(trees: list) -> str:
 
 
 def cmd_trees(args) -> int:
+    lat.check_guard(args.n, args.k, args.guard)
     trees = ch.enumerate_lbt(args.n, args.k)
-    if args.format == "dot":
-        _emit(_lbt_dot(trees), args)
-    elif args.format == "text":
-        lines = [json.dumps(t.to_nested()) for t in trees]
-        lines.append(f"total {len(trees)}")
-        _emit("\n".join(lines), args)
-    else:
-        _emit(_jdump({"n": args.n, "k": args.k, "count": len(trees),
-                      "trees": [t.to_nested() for t in trees]}), args)
+    _emit(args,
+          json=lambda: {"n": args.n, "k": args.k, "count": len(trees),
+                        "trees": [t.to_nested() for t in trees]},
+          dot=lambda: _lbt_dot(trees),
+          text=lambda: "\n".join([json.dumps(t.to_nested()) for t in trees]
+                                 + [f"total {len(trees)}"]))
     return 0
 
 
 # ---------------------------------------------------------------------------
 # verification suites
 
-def _verify_el(n: int, k: int, guard) -> list[dict]:
-    poset = lat.build_poset(n, k, guard=guard)
-    return [poset.verify_el()]
-
-
-def _verify_structure(n: int, k: int, guard) -> list[dict]:
-    poset = lat.build_poset(n, k, guard=guard)
+def _verify_structure(poset: lat.Poset) -> list[dict]:
+    n, k = poset.n, poset.k
     checks = lat.structural_checks(poset)
     expected = k * n * (n - 1) // 2
     got = len(wp.atoms(n, k))
@@ -291,11 +255,14 @@ def _verify_structure(n: int, k: int, guard) -> list[dict]:
     return checks
 
 
-def _verify_bijections(n: int, k: int, guard) -> list[dict]:
+def _verify_bijections(poset: lat.Poset) -> list[dict]:
+    n, k = poset.n, poset.k
     checks = []
 
     bad = []
-    for pi in wp.enumerate_all(n, k):
+    for pi in poset.elements:
+        if pi is lat.TOP:
+            continue
         if wp.from_rooted_tree(wp.to_rooted_tree(pi)) != pi:
             bad.append({"pi": wp.one_line_print(pi), "issue": "rooted-tree round trip"})
         if wp.edge_set_inverse(wp.edge_set(pi), n, k) != pi:
@@ -306,7 +273,6 @@ def _verify_bijections(n: int, k: int, guard) -> list[dict]:
                    "status": "pass" if not bad else "fail", "witnesses": bad})
 
     if n >= 2:
-        poset = lat.build_poset(n, k, guard=guard)
         chains_list = list(poset.decreasing_chains(poset.bottom_idx, poset.top_idx))
         bad = []
         for labels in chains_list:
@@ -327,23 +293,32 @@ def _verify_bijections(n: int, k: int, guard) -> list[dict]:
 
 
 def cmd_verify(args) -> int:
-    n, k, guard = args.n, args.k, _guard(args)
+    poset = lat.build_poset(args.n, args.k, guard=args.guard)
     checks: list[dict] = []
-    try:
-        if args.suite in ("el", "all"):
-            checks += _verify_el(n, k, guard)
-        if args.suite in ("structure", "all"):
-            checks += _verify_structure(n, k, guard)
-        if args.suite in ("bijections", "all"):
-            checks += _verify_bijections(n, k, guard)
-    except lat.GuardExceeded as exc:
-        print(str(exc), file=sys.stderr)
-        return GUARD_EXIT
-    _emit(_jdump({"n": n, "k": k, "suite": args.suite, "checks": checks}), args)
+    if args.suite in ("el", "all"):
+        checks.append(poset.verify_el())
+    if args.suite in ("structure", "all"):
+        checks += _verify_structure(poset)
+    if args.suite in ("bijections", "all"):
+        checks += _verify_bijections(poset)
+    _emit(args, json=lambda: {"n": args.n, "k": args.k, "suite": args.suite,
+                              "checks": checks})
     return FAIL_EXIT if any(c["status"] == "fail" for c in checks) else 0
 
 
 # ---------------------------------------------------------------------------
+
+def _at_least(low: int):
+    """argparse type: an integer no smaller than ``low``."""
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+
+    parse.__name__ = "int"  # argparse names the type in "invalid int value"
+    return parse
+
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -351,71 +326,69 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact computations on the lattice of weighted partitions")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, fn, **kwargs):
+    def add(name, fn, formats=("text",), n_min=1, **kwargs):
+        """A subcommand taking --n >= n_min and --k >= 1 unless n_min is
+        None; its first format is the default, and --format is offered
+        only when there is a choice."""
         p = sub.add_parser(name, **kwargs)
-        p.set_defaults(fn=fn)
+        p.set_defaults(fn=fn, format=formats[0])
+        if n_min is not None:
+            p.add_argument("--n", type=_at_least(n_min), required=True)
+            p.add_argument("--k", type=_at_least(1), required=True)
+        if len(formats) > 1:
+            p.add_argument("--format", choices=formats, default=formats[0])
         p.add_argument("--out", help="write output to a file")
-        p.add_argument("--force", action="store_true",
-                       help="override the poset size guard")
+        p.add_argument("--force", dest="guard", action="store_const",
+                       const=FORCED_GUARD, help="override the size guard")
         return p
 
-    p = add("count", cmd_count, help="per-rank element counts, two routes")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--k", type=int, required=True)
+    table_formats = ("text", "json", "csv")
+
+    p = add("count", cmd_count, table_formats,
+            help="per-rank element counts, two routes")
     p.add_argument("--r", type=int)
-    p.add_argument("--format", choices=["text", "json", "csv"], default="text")
 
-    p = add("table", cmd_table, help="number triangles with cross-checks")
+    p = add("table", cmd_table, table_formats, n_min=None,
+            help="number triangles with cross-checks")
     p.add_argument("--kind", choices=["T", "t", "s", "S", "bell"], required=True)
-    p.add_argument("--n-max", type=int, required=True)
-    p.add_argument("--k", type=int, default=1)
-    p.add_argument("--format", choices=["text", "json", "csv"], default="text")
+    p.add_argument("--n-max", type=_at_least(0), required=True)
+    p.add_argument("--k", type=_at_least(1), default=1)
 
-    p = add("series", cmd_series, help="iterated exp/log series coefficients")
+    p = add("series", cmd_series, table_formats, n_min=None,
+            help="iterated exp/log series coefficients")
     p.add_argument("--which", choices=["exp", "log"], required=True)
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--order", type=int, required=True)
-    p.add_argument("--format", choices=["text", "json", "csv"], default="text")
+    p.add_argument("--k", type=_at_least(1), required=True)
+    p.add_argument("--order", type=_at_least(0), required=True)
 
     p = add("mobius", cmd_mobius, help="Möbius function of the lattice")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--k", type=int, required=True)
     p.add_argument("--method", choices=["recursive", "chains", "closed", "all"],
                    default="all")
 
-    p = add("charpoly", cmd_charpoly, help="characteristic polynomial")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--format", choices=["text", "json"], default="text")
+    add("charpoly", cmd_charpoly, ("text", "json"), help="characteristic polynomial")
+    add("hasse", cmd_hasse, ("dot",), help="Hasse diagram as DOT")
 
-    p = add("hasse", cmd_hasse, help="Hasse diagram as DOT")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--k", type=int, required=True)
-
-    p = add("chains", cmd_chains, help="maximal chains of the full interval")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--k", type=int, required=True)
+    p = add("chains", cmd_chains, ("text", "json"),
+            help="maximal chains of the full interval")
     p.add_argument("--filter", choices=["all", "rising", "decreasing"],
                    default="all")
-    p.add_argument("--format", choices=["text", "json"], default="text")
 
-    p = add("trees", cmd_trees, help="labeled binary trees")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--format", choices=["json", "dot", "text"], default="json")
+    add("trees", cmd_trees, ("json", "dot", "text"), n_min=2,
+        help="labeled binary trees")
 
-    p = add("verify", cmd_verify, help="verification suites, JSON report")
+    p = add("verify", cmd_verify, ("json",), help="verification suites, JSON report")
     p.add_argument("--suite", choices=["el", "structure", "bijections", "all"],
                    default="all")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--k", type=int, required=True)
 
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    return args.fn(args)
+    try:
+        return args.fn(args)
+    except lat.GuardExceeded as exc:
+        print(str(exc), file=sys.stderr)
+        return GUARD_EXIT
 
 
 if __name__ == "__main__":

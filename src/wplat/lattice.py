@@ -19,6 +19,7 @@ from typing import Iterator, Sequence
 
 from .wpartition import (
     WeightedPartition,
+    _components,
     atom_decomposition,
     bottom,
     enumerate_all,
@@ -35,6 +36,7 @@ __all__ = [
     "admissible_covers",
     "Poset",
     "build_poset",
+    "check_guard",
     "mobius_closed_form",
     "paper_join",
     "paper_meet",
@@ -50,7 +52,26 @@ DEFAULT_GUARD = 200_000
 
 
 class GuardExceeded(RuntimeError):
-    """The requested poset would exceed the element-count guard."""
+    """The requested (n, k) would exceed the size guard."""
+
+
+def check_guard(n: int, k: int, guard: int | None = None) -> None:
+    """Raise :class:`GuardExceeded` before any enumeration when (n, k) is
+    too large.
+
+    The estimate is max(sum_r T(n, k, r) + 1, |mu|): the poset's elements
+    (with the adjoined top) and its decreasing chains, which are as many as
+    the labeled binary trees.  Every guarded command enumerates one or both.
+    The limit is ``guard``, else WPLAT_GUARD, else DEFAULT_GUARD.
+    """
+    if guard is None:
+        guard = int(os.environ.get("WPLAT_GUARD", DEFAULT_GUARD))
+    estimate = max(sum(T_def(n, k, r) for r in range(n + 1)) + 1,
+                   abs(mobius_closed_form(n, k)))
+    if estimate > guard:
+        raise GuardExceeded(
+            f"(n={n}, k={k}) needs about {estimate} elements or decreasing "
+            f"chains, over the guard of {guard}; raise the guard to proceed")
 
 
 @total_ordering
@@ -143,7 +164,7 @@ class Poset:
         self.covers = covers      # (lower index, upper index, CoverLabel)
         self.bottom_idx = bottom_idx
         self.top_idx = top_idx
-        self.index = {el.canonical_json(): i for i, el in enumerate(elements)
+        self.index = {el: i for i, el in enumerate(elements)
                       if isinstance(el, WeightedPartition)}
         self.rank = [n if el is TOP else el.rank for el in elements]
         self.up: list[list[tuple[int, CoverLabel]]] = [[] for _ in elements]
@@ -171,7 +192,7 @@ class Poset:
         return len(self.elements)
 
     def index_of(self, pi: WeightedPartition) -> int:
-        return self.index[pi.canonical_json()]
+        return self.index[pi]
 
     def element_name(self, i: int) -> str:
         el = self.elements[i]
@@ -314,25 +335,19 @@ class Poset:
 def build_poset(n: int, k: int, guard: int | None = None) -> Poset:
     """Construct the lattice for (n, k) explicitly.
 
-    The element-count guard (default 200000, or WPLAT_GUARD) aborts with
+    :func:`check_guard` (with ``guard``) aborts with
     :class:`GuardExceeded` before any enumeration.
     """
     if n < 1 or k < 1:
         raise ValueError("need n >= 1 and k >= 1")
-    if guard is None:
-        guard = int(os.environ.get("WPLAT_GUARD", DEFAULT_GUARD))
-    estimate = sum(T_def(n, k, r) for r in range(n + 1)) + 1
-    if estimate > guard:
-        raise GuardExceeded(
-            f"poset for (n={n}, k={k}) has about {estimate} elements, "
-            f"over the guard of {guard}; raise the guard to proceed")
+    check_guard(n, k, guard)
 
     elements: list = list(enumerate_all(n, k))
-    index = {el.canonical_json(): i for i, el in enumerate(elements)}
+    index = {el: i for i, el in enumerate(elements)}
     covers = []
     for i, el in enumerate(elements):
         for lab, res in admissible_covers(el):
-            covers.append((i, index[res.canonical_json()], lab))
+            covers.append((i, index[res], lab))
 
     add_top = k >= 2 and n >= 2
     if add_top:
@@ -346,7 +361,7 @@ def build_poset(n: int, k: int, guard: int | None = None) -> Poset:
         assert len(tops) == 1
         top_idx = tops[0]
 
-    bottom_idx = index[bottom(n, k).canonical_json()]
+    bottom_idx = index[bottom(n, k)]
     poset = Poset(n, k, elements, covers, bottom_idx, top_idx)
 
     # sanity: grading and reachability
@@ -375,27 +390,6 @@ def mobius_closed_form(n: int, k: int) -> int:
 
 # ---------------------------------------------------------------------------
 # join / meet, Whitney numbers, characteristic polynomial
-
-def _components(blocks: list[tuple[int, ...]]) -> list[tuple[int, ...]]:
-    """Connected components of the union graph of the given blocks."""
-    parent: dict[int, int] = {}
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for b in blocks:
-        for e in b:
-            parent.setdefault(e, e)
-        for e in b[1:]:
-            parent[find(b[0])] = find(e)
-    comps: dict[int, list[int]] = {}
-    for e in parent:
-        comps.setdefault(find(e), []).append(e)
-    return [tuple(sorted(c)) for c in comps.values()]
-
 
 def paper_join(x: WeightedPartition, y: WeightedPartition) -> WeightedPartition:
     """Layerwise join: blocks are the crossing-component unions."""

@@ -143,9 +143,9 @@ def _index_tuples(n: int, k: int, r: int) -> Iterator[tuple[int, ...]]:
     yield from rec(1, n, (n,))
 
 
-def T_def(n: int, k: int, r: int) -> int:
-    """T(n, k, r) by direct summation of prod_j S(i_{j-1}, i_j) over the
-    weakly decreasing index tuples."""
+def _transform_def(n: int, k: int, r: int, kernel) -> int:
+    """Sum of prod_j kernel(i_{j-1}, i_j) over the weakly decreasing index
+    tuples n = i_0 >= ... >= i_k = r."""
     if k < 1:
         raise ValueError("k must be >= 1")
     if n < 0 or r < 0 or r > n:
@@ -154,28 +154,22 @@ def T_def(n: int, k: int, r: int) -> int:
     for tup in _index_tuples(n, k, r):
         prod = 1
         for a, b in zip(tup, tup[1:]):
-            prod *= stirling2(a, b)
+            prod *= kernel(a, b)
             if prod == 0:
                 break
         total += prod
     return total
+
+
+def T_def(n: int, k: int, r: int) -> int:
+    """T(n, k, r) by direct summation of prod_j S(i_{j-1}, i_j) over the
+    weakly decreasing index tuples."""
+    return _transform_def(n, k, r, stirling2)
 
 
 def t_def(n: int, k: int, r: int) -> int:
     """t(n, k, r): as T_def but with signed Stirling numbers of the first kind."""
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    if n < 0 or r < 0 or r > n:
-        return 0
-    total = 0
-    for tup in _index_tuples(n, k, r):
-        prod = 1
-        for a, b in zip(tup, tup[1:]):
-            prod *= stirling1(a, b)
-            if prod == 0:
-                break
-        total += prod
-    return total
+    return _transform_def(n, k, r, stirling1)
 
 
 @lru_cache(maxsize=None)
@@ -214,9 +208,10 @@ def _T_first_column(n: int, k: int) -> int:
 
 
 @lru_cache(maxsize=None)
-def T_rec_split(n: int, k: int, r: int) -> int:
-    """T(n, k, r) via the split recurrence
-    T(n,k,r) = sum_p C(n-1,p) T(p+1,k,1) T(n-p-1,k,r-1)."""
+def _split(n: int, k: int, r: int, first_column) -> int:
+    """The split recurrence
+    X(n,k,r) = sum_p C(n-1,p) X(p+1,k,1) X(n-p-1,k,r-1),
+    with the first column X(n,k,1) given by ``first_column(n, k)``."""
     if k < 1:
         raise ValueError("k must be >= 1")
     if n < 0 or r < 0 or r > n:
@@ -226,11 +221,17 @@ def T_rec_split(n: int, k: int, r: int) -> int:
     if r == 0:
         return 0
     if r == 1:
-        return _T_first_column(n, k)
+        return first_column(n, k)
     return sum(
-        comb(n - 1, p) * _T_first_column(p + 1, k) * T_rec_split(n - p - 1, k, r - 1)
+        comb(n - 1, p) * first_column(p + 1, k) * _split(n - p - 1, k, r - 1, first_column)
         for p in range(n - r + 1)
     )
+
+
+def T_rec_split(n: int, k: int, r: int) -> int:
+    """T(n, k, r) via the split recurrence
+    T(n,k,r) = sum_p C(n-1,p) T(p+1,k,1) T(n-p-1,k,r-1)."""
+    return _split(n, k, r, _T_first_column)
 
 
 @lru_cache(maxsize=None)
@@ -257,24 +258,10 @@ def t_rec_first_column(n: int, k: int) -> int:
     return total
 
 
-@lru_cache(maxsize=None)
 def t_rec_split(n: int, k: int, r: int) -> int:
     """t(n, k, r) via the split recurrence, first column from
     t_rec_first_column."""
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    if n < 0 or r < 0 or r > n:
-        return 0
-    if n == 0:
-        return 1
-    if r == 0:
-        return 0
-    if r == 1:
-        return t_rec_first_column(n, k)
-    return sum(
-        comb(n - 1, p) * t_rec_first_column(p + 1, k) * t_rec_split(n - p - 1, k, r - 1)
-        for p in range(n - r + 1)
-    )
+    return _split(n, k, r, t_rec_first_column)
 
 
 def t_rec_elem_sym(n: int, k: int, r: int) -> int:

@@ -183,30 +183,37 @@ def edge_set(pi: WeightedPartition) -> frozenset[tuple[int, int, int]]:
     return frozenset((i, j, l) for (i, j), l in deepest.items())
 
 
+def _components(blocks: list[tuple[int, ...]]) -> list[tuple[int, ...]]:
+    """Connected components of the union graph of the given blocks."""
+    parent: dict[int, int] = {}
+
+    def find(x: int) -> int:
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for b in blocks:
+        for e in b:
+            parent.setdefault(e, e)
+        for e in b[1:]:
+            parent[find(b[0])] = find(e)
+    comps: dict[int, list[int]] = {}
+    for e in parent:
+        comps.setdefault(find(e), []).append(e)
+    return [tuple(sorted(c)) for c in comps.values()]
+
+
 def edge_set_inverse(edges: Iterable[tuple[int, int, int]], n: int, k: int) -> WeightedPartition:
     """Rebuild the weighted partition whose deepest-common-layer edge set is
     ``edges``: layer l blocks are the size >= 2 connected components of the
     edges with label >= l (layer 1 keeps singletons)."""
     edges = list(edges)
+    singletons = [(e,) for e in range(1, n + 1)]
     layers = []
     for l in range(1, k + 1):
-        parent = {e: e for e in range(1, n + 1)}
-
-        def find(x: int) -> int:
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        for i, j, lab in edges:
-            if lab >= l:
-                parent[find(i)] = find(j)
-        comps: dict[int, list[int]] = {}
-        for e in range(1, n + 1):
-            comps.setdefault(find(e), []).append(e)
-        blocks = [tuple(sorted(c)) for c in comps.values()
-                  if len(c) >= 2 or l == 1]
-        layers.append(blocks)
+        comps = _components(singletons + [(i, j) for i, j, lab in edges if lab >= l])
+        layers.append([c for c in comps if len(c) >= 2 or l == 1])
     return validate(n, k, layers)
 
 

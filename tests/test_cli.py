@@ -1,6 +1,7 @@
 """The command-line interface: output contracts, formats, exit codes, and
 the size guard."""
 
+import hashlib
 import json
 
 import pytest
@@ -151,3 +152,78 @@ class TestGuardAndOut:
         assert code == 0
         assert out == ""
         assert target.read_text().strip() == "r=1:5, r=2:6, r=3:1, total 12"
+
+    @pytest.mark.parametrize("argv", [
+        "count --n 4 --k 2", "charpoly --n 4 --k 2", "trees --n 4 --k 2",
+        "verify --suite bijections --n 4 --k 2",
+    ])
+    def test_guard_covers_command(self, capsys, monkeypatch, argv):
+        monkeypatch.setenv("WPLAT_GUARD", "10")
+        code, out, err = run(capsys, *argv.split())
+        assert code == 2
+        assert "over the guard of 10" in err
+        assert out == ""
+
+    def test_force_builds_charpoly_poset(self, capsys, monkeypatch):
+        monkeypatch.setenv("WPLAT_GUARD", "10")
+        code, out, _ = run(capsys, "charpoly", "--n", "4", "--k", "2", "--force")
+        assert code == 0
+        assert out.strip() == "x(x-2)(x-4)(x-6) = x^4-12x^3+44x^2-48x"
+
+
+@pytest.mark.parametrize("argv", [
+    "count --n 0 --k 2", "count --n 3 --k 0", "trees --n 1 --k 2",
+    "table --kind T --n-max -1", "series --which exp --k 2 --order -1",
+])
+def test_bad_input_is_a_usage_error(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv.split())
+    assert exc.value.code == 2
+    assert "must be at least" in capsys.readouterr().err
+
+
+# stdout sha256 and exit code of every subcommand and --format, pinned from
+# the output before the renderer and the guard were unified
+GOLDEN = [
+    ("count --n 4 --k 2", "87bdc37bdeb38cffc61fecf7303607659aa98b909498f30c106450004fe86109", 0),
+    ("count --n 4 --k 2 --format json", "ee1830aac47edbe5507e215f74cbcc390defb221fc893006509c6ccafd72dc83", 0),
+    ("count --n 4 --k 2 --format csv", "af791cc770a1eb1ea72679c621d3ac9abcb08dd033c14afd656e4edaf01ff689", 0),
+    ("count --n 3 --k 2 --r 2", "9a36ce1fc7456293e5f7e3f416289a0ec5a51203cbe2513e293505a1f3afffeb", 0),
+    ("count --n 3 --k 2 --r 2 --format json", "773a9d6390fc23f1bf2d42487ab6aa56169ce2b7936559e30669437ffca35959", 0),
+    ("count --n 3 --k 2 --r 2 --format csv", "c616911436909bd4d20b902a37eda42c0cf3a6887120253b693bf37193de6816", 0),
+    ("table --kind T --n-max 4 --k 2", "0e2237f17f3b49bd60f6ac21429ffb015dae970e3edce879aab0bdd76ec7118e", 0),
+    ("table --kind t --n-max 4 --k 3 --format json", "0040e3ad25acbfa37f6e242234006adf5bac661cb8e8a1716bcd86d0b7539e10", 0),
+    ("table --kind S --n-max 4 --format csv", "7a7023e4082741d0ee1433969775a29c4ef95478e1052cf5bcf093c4f49cd586", 0),
+    ("table --kind s --n-max 4", "edab322e183f42b93b8a3733621be4d77a6657362e6129fec30fc885e9082e4d", 0),
+    ("table --kind bell --n-max 4", "821efce5f3ddfd6fcb12556c05335204fc07e1fe09d5a069b3fcb4789e2c9712", 0),
+    ("table --kind bell --n-max 4 --format json", "0ae135391f2a531388538bc59bc607d7d027c261b6e572278748a0d7d2f5d8ce", 0),
+    ("table --kind bell --n-max 4 --format csv", "4fda90337db657baf1ccd0fd98467b6d2d4a4c71f4dff93d327e6e74a8702312", 0),
+    ("series --which exp --k 2 --order 4", "2616e2dddf8fc298dad128627829c7f298a2e40914c125282d16b86d81e80fbb", 0),
+    ("series --which log --k 2 --order 4 --format json", "423517d31ae9160623aeb34f3ef83740794eaadff0cda32418067553ae77de1e", 0),
+    ("series --which exp --k 3 --order 4 --format csv", "237a107df32edfa3a642114db8b17ac78479f6859f2511d0c8c048e5a9a20d25", 0),
+    ("mobius --n 4 --k 2", "55dc7590ce62bc9718b041eb4fe81c3a86a856b978489abb54ea1d6e5ca3c048", 0),
+    ("mobius --n 4 --k 2 --method closed", "238903180cc104ec2c5d8b3f20c5bc61b389ec0a967df8cc208cdc7cd454174f", 0),
+    ("mobius --n 3 --k 2 --method recursive", "0f90e0b3538d04df294950dcec75952d7e07f1bb044e73e795c410d677b3c268", 0),
+    ("mobius --n 3 --k 2 --method chains", "0f90e0b3538d04df294950dcec75952d7e07f1bb044e73e795c410d677b3c268", 0),
+    ("charpoly --n 4 --k 2", "fb4c01df1b215b0664f8e45c9b93884be5e3f2d3fb17f37c3753c8dd50d6aa24", 0),
+    ("charpoly --n 4 --k 2 --format json", "ec80d23db509c85516090fce20849c94d85d55be417200f25a44d5a41b4b74c4", 0),
+    ("hasse --n 3 --k 2", "8882fe4af4166abc102c6d47161780d781ee4b7ef5bc10b3655ee798c03b4f43", 0),
+    ("hasse --n 4 --k 1", "797597da8222baee07ab249a0ed0bb104005a7b43e5e96598780175fb94b5252", 0),
+    ("chains --n 3 --k 2", "89e28f26acbebca0e7b356c5ef39f0d978b61d3b2ff533087936590b62479dc2", 0),
+    ("chains --n 3 --k 2 --filter rising", "e441c35798d0b87c8448819997e43707ee7426635917a6654a221611a27da80d", 0),
+    ("chains --n 3 --k 2 --filter decreasing --format json", "c13d2731e02d7b4bba2f28cb379b6ec1875dd5398bb68bc836109a8dbd70000e", 0),
+    ("trees --n 4 --k 2", "2b36bc9761dfd6cd577e969e7f430b02ff4791561c68c27998e35380553beaa2", 0),
+    ("trees --n 3 --k 2 --format dot", "5a6d3f2bfe0e80a32646681011c64d9faee53d7518700782d10d4938c73f43f6", 0),
+    ("trees --n 3 --k 2 --format text", "b0564336ccab83cb0fa55f64726b2c14f563dcdfebf6e4156d3ddf3b39a1d157", 0),
+    ("verify --n 3 --k 2", "cd1944f4fbd2e0adf3c82eb9ac7e1c0161f6b44c99ed7574070ccddfdb3d1e11", 0),
+    ("verify --n 2 --k 3 --suite el", "2325c4f9f98d390075dbde152561a3ba32ec7a65140ca16944895d7fb0fa2c39", 0),
+    ("verify --n 4 --k 1 --suite bijections", "c2270c7c62034979134c14112c0ba1f7757f10465adeb6c67c019fae22886df2", 0),
+    ("verify --n 1 --k 2", "3a8b21cb9ef81e75085530d75058326ad80e4f6eb0a134f367b2db38b1164c05", 0),
+]
+
+
+@pytest.mark.parametrize("argv,digest,exit_code", GOLDEN)
+def test_golden_output(capsys, argv, digest, exit_code):
+    code, out, _ = run(capsys, *argv.split())
+    assert code == exit_code
+    assert hashlib.sha256(out.encode()).hexdigest() == digest

@@ -5,9 +5,11 @@ import os
 
 import pytest
 
+from wplat import lattice
 from wplat import (
     CoverLabel,
     GuardExceeded,
+    T_def,
     admissible_covers,
     bottom,
     build_poset,
@@ -85,6 +87,18 @@ class TestPosetShape:
         monkeypatch.setenv("WPLAT_GUARD", "10")
         with pytest.raises(GuardExceeded):
             build_poset(5, 2)
+
+    def test_guard_counts_decreasing_chains(self, monkeypatch):
+        # (7,3) has 146,116 elements but |mu| = 209,440 decreasing chains
+        assert sum(T_def(7, 3, r) for r in range(8)) + 1 <= 200_000
+        assert abs(mobius_closed_form(7, 3)) == 209_440
+
+        def refuse(*_):
+            raise AssertionError("the guard must not enumerate")
+
+        monkeypatch.setattr(lattice, "enumerate_all", refuse)
+        with pytest.raises(GuardExceeded, match="209440"):
+            lattice.check_guard(7, 3, guard=200_000)
 
 
 class TestEL:
