@@ -107,18 +107,29 @@ class _Top:
 TOP = _Top()
 
 
+def _bits(m: int) -> Iterator[int]:
+    """Positions of the set bits of ``m``, ascending."""
+    while m:
+        low = m & -m
+        yield low.bit_length() - 1
+        m ^= low
+
+
 def _apply_cover(pi: WeightedPartition, alpha: int, beta: int, layer: int) -> WeightedPartition:
-    """Merge the alpha- and beta-blocks at every layer <= ``layer``."""
-    new_layers = []
-    for l in range(1, pi.k + 1):
-        blocks = list(pi.layers[l - 1])
-        if l <= layer:
-            a_blk = pi.block_of(alpha, l)
-            b_blk = pi.block_of(beta, l)
-            blocks = [c for c in blocks if c != a_blk and c != b_blk]
-            blocks.append(tuple(sorted(a_blk + b_blk)))
-        new_layers.append(blocks)
-    return validate(pi.n, pi.k, new_layers)
+    """Merge the alpha- and beta-blocks at every layer <= ``layer``.
+
+    The result is built in canonical form (each block sorted, each layer's
+    disjoint blocks ordered by their minimum), so it needs no ``validate``.
+    """
+    new_layers = list(pi.layers)
+    for l in range(1, layer + 1):
+        a_blk = pi.block_of(alpha, l)
+        b_blk = pi.block_of(beta, l)
+        blocks = [c for c in pi.layers[l - 1] if c != a_blk and c != b_blk]
+        blocks.append(tuple(sorted(a_blk + b_blk)))
+        blocks.sort()
+        new_layers[l - 1] = tuple(blocks)
+    return WeightedPartition(pi.n, pi.k, tuple(new_layers))
 
 
 def admissible_covers(pi: WeightedPartition) -> list[tuple[CoverLabel, WeightedPartition]]:
@@ -174,7 +185,8 @@ class Poset:
             self.down[hi].append((lo, lab))
         for adj in self.up:
             adj.sort(key=lambda t: (t[1].sort_key, t[0]))
-        # strict-ancestor bitmasks, filled in rank order
+        # strict-ancestor (below) and strict-descendant (above) bitmasks,
+        # filled in rank order and in reverse rank order
         order = sorted(range(len(elements)), key=lambda i: self.rank[i])
         self._anc = [0] * len(elements)
         for y in order:
@@ -182,7 +194,14 @@ class Poset:
             for z, _ in self.down[y]:
                 m |= self._anc[z] | (1 << z)
             self._anc[y] = m
+        self._desc = [0] * len(elements)
+        for x in reversed(order):
+            m = 0
+            for z, _ in self.up[x]:
+                m |= self._desc[z] | (1 << z)
+            self._desc[x] = m
         self._rank_order = order
+        self._names: list[str] | None = None
         self._mu0: list[int] | None = None
         self._mu_memo: dict[tuple[int, int], int] = {}
 
@@ -194,9 +213,15 @@ class Poset:
     def index_of(self, pi: WeightedPartition) -> int:
         return self.index[pi]
 
+    def _name_list(self) -> list[str]:
+        """One-line names of all elements, built on first use."""
+        if self._names is None:
+            self._names = [str(el) if el is TOP else one_line_print(el)
+                           for el in self.elements]
+        return self._names
+
     def element_name(self, i: int) -> str:
-        el = self.elements[i]
-        return str(el) if el is TOP else one_line_print(el)
+        return self._name_list()[i]
 
     def leq(self, x: int, y: int) -> bool:
         return x == y or bool(self._anc[y] >> x & 1)
@@ -205,8 +230,7 @@ class Poset:
         """Members of [x, y], ordered by rank then index."""
         if not self.leq(x, y):
             raise ValueError("interval requires x <= y")
-        members = [z for z in range(len(self.elements))
-                   if self.leq(x, z) and self.leq(z, y)]
+        members = list(_bits((self._anc[y] | 1 << y) & (self._desc[x] | 1 << x)))
         members.sort(key=lambda z: (self.rank[z], z))
         return members
 
@@ -257,34 +281,92 @@ class Poset:
     # -- EL verification ----------------------------------------------------
 
     def verify_el(self) -> dict:
-        """Check, for every interval, that exactly one maximal chain is
-        weakly rising and that it is strictly lexicographically first."""
+        """Check that the cover labels are an EL-labeling (Björner–Wachs):
+        in every interval [x, y] exactly one maximal chain is weakly rising,
+        and its label sequence is strictly lexicographically first.
+
+        For each x, one pass up the order counts the weakly rising chains
+        from x to every y; for each interval, a greedy walk finds the
+        lex-first label sequence and how many chains carry it.  [x, y]
+        passes when it has exactly one weakly rising chain, its lex-first
+        sequence is weakly rising, and one chain carries that sequence.
+        Only an interval that fails is enumerated with
+        :meth:`maximal_chains`, to report its witness.
+        """
+        code = {key: c for c, key in
+                enumerate(sorted({lab.sort_key for _, _, lab in self.covers}))}
+        up = [[(z, code[lab.sort_key]) for z, lab in adj] for adj in self.up]
         witnesses = []
-        size = len(self.elements)
-        for x in range(size):
-            for y in range(size):
-                if not self.leq(x, y):
+        for x in range(len(self.elements)):
+            rising = self._rising_counts(x, up)
+            for y in _bits(self._desc[x] | 1 << x):
+                if rising.get(y) == 1 and self._lex_first_is_rising(x, y, up):
                     continue
-                chains = sorted(self.maximal_chains(x, y),
-                                key=lambda ch: [lab.sort_key for lab in ch])
-                rising = [ch for ch in chains if self.is_rising(ch)]
-                if len(rising) != 1:
-                    witnesses.append({
-                        "interval": [self.element_name(x), self.element_name(y)],
-                        "issue": f"{len(rising)} rising chains",
-                        "rising": [[str(l) for l in ch] for ch in rising],
-                    })
-                    continue
-                if chains[0] != rising[0] or (
-                        len(chains) > 1 and chains[1] == chains[0]):
-                    witnesses.append({
-                        "interval": [self.element_name(x), self.element_name(y)],
-                        "issue": "rising chain is not strictly lex-first",
-                        "rising": [str(l) for l in rising[0]],
-                        "lex_first": [str(l) for l in chains[0]],
-                    })
+                witness = self._el_witness(x, y)
+                if witness is not None:
+                    witnesses.append(witness)
         return {"check": "el", "status": "pass" if not witnesses else "fail",
                 "witnesses": witnesses}
+
+    @staticmethod
+    def _rising_counts(x: int, up: list[list[tuple[int, int]]]) -> dict[int, int]:
+        """Number of weakly rising chains from x to each element above it
+        (absent when there are none); ``up`` holds covers with label codes."""
+        counts = {x: 1}
+        level = {x: {-1: 1}}  # element -> {code of the last label: chains}
+        while level:
+            above: dict[int, dict[int, int]] = {}
+            for z, last in level.items():
+                for w, c in up[z]:
+                    chains = sum(m for l, m in last.items() if l <= c)
+                    if chains:
+                        ends = above.setdefault(w, {})
+                        ends[c] = ends.get(c, 0) + chains
+            for w, ends in above.items():
+                counts[w] = sum(ends.values())
+            level = above
+        return counts
+
+    def _lex_first_is_rising(self, x: int, y: int,
+                             up: list[list[tuple[int, int]]]) -> bool:
+        """True when the lex-first label sequence from x to y is weakly
+        rising and exactly one chain carries it."""
+        below_y = self._anc[y] | 1 << y
+        frontier = {x: 1}  # element -> chains reaching it with the lex-first prefix
+        prev = -1
+        for _ in range(self.rank[y] - self.rank[x]):
+            best = None
+            step: dict[int, int] = {}
+            for z, chains in frontier.items():
+                for w, c in up[z]:  # in label order
+                    if best is not None and c > best:
+                        break
+                    if below_y >> w & 1:
+                        if best is None or c < best:
+                            best, step = c, {}
+                        step[w] = step.get(w, 0) + chains
+            if best < prev:
+                return False
+            prev, frontier = best, step
+        return frontier[y] == 1
+
+    def _el_witness(self, x: int, y: int) -> dict | None:
+        """The EL finding for [x, y] by enumerating its maximal chains, or
+        None when the interval passes."""
+        chains = sorted(self.maximal_chains(x, y),
+                        key=lambda ch: [lab.sort_key for lab in ch])
+        rising = [ch for ch in chains if self.is_rising(ch)]
+        interval = [self.element_name(x), self.element_name(y)]
+        if len(rising) != 1:
+            return {"interval": interval,
+                    "issue": f"{len(rising)} rising chains",
+                    "rising": [[str(l) for l in ch] for ch in rising]}
+        if chains[0] != rising[0] or (len(chains) > 1 and chains[1] == chains[0]):
+            return {"interval": interval,
+                    "issue": "rising chain is not strictly lex-first",
+                    "rising": [str(l) for l in rising[0]],
+                    "lex_first": [str(l) for l in chains[0]]}
+        return None
 
     # -- Möbius -------------------------------------------------------------
 
@@ -296,13 +378,7 @@ class Poset:
             for y in self._rank_order:
                 if y == self.bottom_idx:
                     continue
-                total = 0
-                m = self._anc[y]
-                while m:
-                    z = (m & -m).bit_length() - 1
-                    total += mu[z]
-                    m &= m - 1
-                mu[y] = -total
+                mu[y] = -sum(mu[z] for z in _bits(self._anc[y]))
             self._mu0 = mu
         return self._mu0
 
@@ -357,7 +433,8 @@ def build_poset(n: int, k: int, guard: int | None = None) -> Poset:
             if isinstance(el, WeightedPartition) and el.rank == n - 1:
                 covers.append((i, top_idx, CoverLabel(1, n, k)))
     else:
-        tops = [i for i, el in enumerate(elements) if el.rank == max(e.rank for e in elements)]
+        top_rank = max(el.rank for el in elements)
+        tops = [i for i, el in enumerate(elements) if el.rank == top_rank]
         assert len(tops) == 1
         top_idx = tops[0]
 
@@ -468,75 +545,70 @@ def char_poly_product(n: int, k: int) -> list[int]:
 def structural_checks(poset: Poset) -> list[dict]:
     """Semimodularity, atomisticity, and the join/meet existence audit.
 
-    The audit compares least upper bounds / greatest lower bounds under the
-    cover-closure order with paper_join / paper_meet; discrepancies are
-    reported as findings (status "warn"), not failures.
+    Each check runs over every pair of weighted partitions x, y (each
+    unordered pair once, x = y included), computing paper_join and
+    paper_meet once per pair.  Semimodularity asks rank(x) + rank(y) >=
+    rank(join) + rank(meet).  The audit compares the least upper bound /
+    greatest lower bound under the cover-closure order with paper_join /
+    paper_meet; discrepancies are reported as findings (status "warn"), not
+    failures.  Bounds are read from the order's bitmasks: the upper bounds
+    of x and y are U = up(x) & up(y), each up-set including its element,
+    and the minimal ones are the z in U with no other member of U below z
+    (dually for lower bounds).  Only witnesses are rendered as names, from
+    the poset's name list; no interval is enumerated.
     """
+    name = poset.element_name
+    rank, anc, desc = poset.rank, poset._anc, poset._desc
     wps = [(i, el) for i, el in enumerate(poset.elements)
            if isinstance(el, WeightedPartition)]
 
     semi_witnesses = []
+    findings = []
     for i, x in wps:
         for j, y in wps:
             if j < i:
                 continue
-            jn = paper_join(x, y)
-            mt = paper_meet(x, y)
-            if x.rank + y.rank < jn.rank + mt.rank:
-                semi_witnesses.append({
-                    "x": one_line_print(x), "y": one_line_print(y),
-                    "join": one_line_print(jn), "meet": one_line_print(mt)})
+            jn = poset.index_of(paper_join(x, y))
+            mt = poset.index_of(paper_meet(x, y))
+            if rank[i] + rank[j] < rank[jn] + rank[mt]:
+                semi_witnesses.append({"x": name(i), "y": name(j),
+                                       "join": name(jn), "meet": name(mt)})
+
+            ub = (desc[i] | 1 << i) & (desc[j] | 1 << j)
+            min_ub = [z for z in _bits(ub) if not anc[z] & ub]
+            if len(min_ub) != 1:
+                findings.append({"x": name(i), "y": name(j),
+                                 "issue": "no least upper bound",
+                                 "minimal_upper_bounds": [name(z) for z in min_ub]})
+            elif min_ub[0] != jn:
+                findings.append({"x": name(i), "y": name(j),
+                                 "issue": "least upper bound differs from layerwise join",
+                                 "lub": name(min_ub[0]), "paper_join": name(jn)})
+            lb = (anc[i] | 1 << i) & (anc[j] | 1 << j)
+            max_lb = [z for z in _bits(lb) if not desc[z] & lb]
+            if len(max_lb) != 1:
+                findings.append({"x": name(i), "y": name(j),
+                                 "issue": "no greatest lower bound",
+                                 "maximal_lower_bounds": [name(z) for z in max_lb]})
+            elif max_lb[0] != mt:
+                findings.append({"x": name(i), "y": name(j),
+                                 "issue": "greatest lower bound differs from layerwise meet",
+                                 "glb": name(max_lb[0]), "paper_meet": name(mt)})
     semi = {"check": "semimodular", "status": "pass" if not semi_witnesses else "fail",
             "witnesses": semi_witnesses}
 
     atom_witnesses = []
     bot = bottom(poset.n, poset.k)
-    for _, x in wps:
+    for i, x in wps:
         acc = bot
         for a in sorted(atom_decomposition(x), key=WeightedPartition.canonical_json):
             acc = paper_join(acc, a)
         if acc != x:
-            atom_witnesses.append({"x": one_line_print(x),
-                                   "join_of_atoms": one_line_print(acc)})
+            atom_witnesses.append({"x": name(i),
+                                   "join_of_atoms": name(poset.index_of(acc))})
     atomic = {"check": "atomistic", "status": "pass" if not atom_witnesses else "fail",
               "witnesses": atom_witnesses}
 
-    findings = []
-    size = len(poset.elements)
-    for i, x in wps:
-        for j, y in wps:
-            if j < i:
-                continue
-            ub = [z for z in range(size) if poset.leq(i, z) and poset.leq(j, z)]
-            min_ub = [z for z in ub
-                      if not any(w != z and poset.leq(w, z) for w in ub)]
-            jn = paper_join(x, y)
-            jn_idx = poset.index_of(jn)
-            if len(min_ub) != 1:
-                findings.append({"x": one_line_print(x), "y": one_line_print(y),
-                                 "issue": "no least upper bound",
-                                 "minimal_upper_bounds":
-                                     [poset.element_name(z) for z in min_ub]})
-            elif min_ub[0] != jn_idx:
-                findings.append({"x": one_line_print(x), "y": one_line_print(y),
-                                 "issue": "least upper bound differs from layerwise join",
-                                 "lub": poset.element_name(min_ub[0]),
-                                 "paper_join": one_line_print(jn)})
-            lb = [z for z in range(size) if poset.leq(z, i) and poset.leq(z, j)]
-            max_lb = [z for z in lb
-                      if not any(w != z and poset.leq(z, w) for w in lb)]
-            mt = paper_meet(x, y)
-            mt_idx = poset.index_of(mt)
-            if len(max_lb) != 1:
-                findings.append({"x": one_line_print(x), "y": one_line_print(y),
-                                 "issue": "no greatest lower bound",
-                                 "maximal_lower_bounds":
-                                     [poset.element_name(z) for z in max_lb]})
-            elif max_lb[0] != mt_idx:
-                findings.append({"x": one_line_print(x), "y": one_line_print(y),
-                                 "issue": "greatest lower bound differs from layerwise meet",
-                                 "glb": poset.element_name(max_lb[0]),
-                                 "paper_meet": one_line_print(mt)})
     audit = {"check": "bound_audit", "status": "pass" if not findings else "warn",
              "witnesses": findings}
     return [semi, atomic, audit]
@@ -546,8 +618,8 @@ def hasse_dot(poset: Poset) -> str:
     """Hasse diagram in DOT form: one node per element, covers as labeled
     edges, equal ranks clustered."""
     lines = ["digraph hasse {", "  rankdir=BT;", '  node [shape=box];']
-    for i in range(len(poset.elements)):
-        lines.append(f'  e{i} [label="{poset.element_name(i)}"];')
+    for i, name in enumerate(poset._name_list()):
+        lines.append(f'  e{i} [label="{name}"];')
     by_rank: dict[int, list[int]] = {}
     for i, r in enumerate(poset.rank):
         by_rank.setdefault(r, []).append(i)

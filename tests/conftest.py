@@ -111,3 +111,124 @@ def poset_cache():
         return cache[n, k]
 
     return get
+
+
+# -- order oracles: the enumerate-and-scan checks the bitset kernel replaced --
+
+def oracle_leq(poset):
+    """x <= y on a poset, by a search up its cover list from every x (the
+    poset's own bitmasks are not used)."""
+    succ = {}
+    for lo, hi, _ in poset.covers:
+        succ.setdefault(lo, []).append(hi)
+    reach = []
+    for x in range(len(poset.elements)):
+        seen, stack = {x}, [x]
+        while stack:
+            for z in succ.get(stack.pop(), ()):
+                if z not in seen:
+                    seen.add(z)
+                    stack.append(z)
+        reach.append(seen)
+    return lambda x, y: y in reach[x]
+
+
+def oracle_verify_el(poset):
+    """The EL report of ``Poset.verify_el``, by enumerating and sorting every
+    maximal chain of every interval."""
+    leq = oracle_leq(poset)
+    succ = {}
+    for lo, hi, lab in poset.covers:
+        succ.setdefault(lo, []).append((hi, lab))
+
+    def chains(x, y):
+        if x == y:
+            yield ()
+            return
+        for z, lab in succ.get(x, ()):
+            if leq(z, y):
+                for rest in chains(z, y):
+                    yield (lab,) + rest
+
+    def rises(ch):
+        return all(a.sort_key <= b.sort_key for a, b in zip(ch, ch[1:]))
+
+    size = len(poset.elements)
+    witnesses = []
+    for x in range(size):
+        for y in range(size):
+            if not leq(x, y):
+                continue
+            every = sorted(chains(x, y), key=lambda ch: [lab.sort_key for lab in ch])
+            rising = [ch for ch in every if rises(ch)]
+            interval = [str(poset.elements[x]), str(poset.elements[y])]
+            if len(rising) != 1:
+                witnesses.append({"interval": interval,
+                                  "issue": f"{len(rising)} rising chains",
+                                  "rising": [[str(l) for l in ch] for ch in rising]})
+            elif every[0] != rising[0] or (len(every) > 1 and every[1] == every[0]):
+                witnesses.append({"interval": interval,
+                                  "issue": "rising chain is not strictly lex-first",
+                                  "rising": [str(l) for l in rising[0]],
+                                  "lex_first": [str(l) for l in every[0]]})
+    return {"check": "el", "status": "pass" if not witnesses else "fail",
+            "witnesses": witnesses}
+
+
+def oracle_structural_checks(poset):
+    """The report of ``structural_checks``, with the bound audit as a scan of
+    every element against ``leq``."""
+    from wplat import (WeightedPartition, atom_decomposition, bottom, paper_join,
+                       paper_meet)
+
+    leq = oracle_leq(poset)
+    size = len(poset.elements)
+    wps = [(i, el) for i, el in enumerate(poset.elements)
+           if isinstance(el, WeightedPartition)]
+
+    semi = []
+    findings = []
+    for i, x in wps:
+        for j, y in wps:
+            if j < i:
+                continue
+            jn, mt = paper_join(x, y), paper_meet(x, y)
+            if x.rank + y.rank < jn.rank + mt.rank:
+                semi.append({"x": str(x), "y": str(y), "join": str(jn), "meet": str(mt)})
+            ub = [z for z in range(size) if leq(i, z) and leq(j, z)]
+            min_ub = [z for z in ub if not any(w != z and leq(w, z) for w in ub)]
+            if len(min_ub) != 1:
+                findings.append({"x": str(x), "y": str(y), "issue": "no least upper bound",
+                                 "minimal_upper_bounds":
+                                     [str(poset.elements[z]) for z in min_ub]})
+            elif poset.elements[min_ub[0]] != jn:
+                findings.append({"x": str(x), "y": str(y),
+                                 "issue": "least upper bound differs from layerwise join",
+                                 "lub": str(poset.elements[min_ub[0]]),
+                                 "paper_join": str(jn)})
+            lb = [z for z in range(size) if leq(z, i) and leq(z, j)]
+            max_lb = [z for z in lb if not any(w != z and leq(z, w) for w in lb)]
+            if len(max_lb) != 1:
+                findings.append({"x": str(x), "y": str(y), "issue": "no greatest lower bound",
+                                 "maximal_lower_bounds":
+                                     [str(poset.elements[z]) for z in max_lb]})
+            elif poset.elements[max_lb[0]] != mt:
+                findings.append({"x": str(x), "y": str(y),
+                                 "issue": "greatest lower bound differs from layerwise meet",
+                                 "glb": str(poset.elements[max_lb[0]]),
+                                 "paper_meet": str(mt)})
+
+    atomic = []
+    for _, x in wps:
+        acc = bottom(poset.n, poset.k)
+        for a in sorted(atom_decomposition(x), key=WeightedPartition.canonical_json):
+            acc = paper_join(acc, a)
+        if acc != x:
+            atomic.append({"x": str(x), "join_of_atoms": str(acc)})
+
+    return [{"check": "semimodular", "status": "pass" if not semi else "fail",
+             "witnesses": semi},
+            {"check": "atomistic", "status": "pass" if not atomic else "fail",
+             "witnesses": atomic},
+            {"check": "bound_audit", "status": "pass" if not findings else "warn",
+             "witnesses": findings}]

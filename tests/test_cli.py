@@ -219,6 +219,10 @@ GOLDEN = [
     ("verify --n 2 --k 3 --suite el", "2325c4f9f98d390075dbde152561a3ba32ec7a65140ca16944895d7fb0fa2c39", 0),
     ("verify --n 4 --k 1 --suite bijections", "c2270c7c62034979134c14112c0ba1f7757f10465adeb6c67c019fae22886df2", 0),
     ("verify --n 1 --k 2", "3a8b21cb9ef81e75085530d75058326ad80e4f6eb0a134f367b2db38b1164c05", 0),
+    # pinned from the enumerative EL check and the leq-scan bound audit
+    ("verify --suite el --n 4 --k 3", "3491586c270d147d2b9df759fb218d39cb3fc045736bfb7e4321ed4304f2080d", 0),
+    ("verify --suite structure --n 3 --k 3", "9f5ea230b0fd65eab03ff10ac203a39a639612b4a6bba9ae8db6c385614aeff4", 0),
+    ("verify --suite structure --n 4 --k 2", "cf9b647e4482fe1830dfe549e8112f3817fb3b037cf5de079378a7363036dceb", 0),
 ]
 
 

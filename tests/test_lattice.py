@@ -1,9 +1,12 @@
 """The lattice: covers, EL property, Möbius routes, characteristic
 polynomial, Whitney numbers, and the structural audit."""
 
+import json
 import os
+import random
 
 import pytest
+from conftest import oracle_structural_checks, oracle_verify_el
 
 from wplat import lattice
 from wplat import (
@@ -20,10 +23,12 @@ from wplat import (
     hasse_dot,
     mobius_closed_form,
     one_line_parse,
+    one_line_print,
     paper_join,
     paper_meet,
     stirling1,
     structural_checks,
+    validate,
     whitney,
 )
 
@@ -208,3 +213,101 @@ class TestHasse:
         assert dot.startswith("digraph")
         assert "rankdir=BT" in dot
         assert dot.count("->") == 6  # L_3^(1) has 6 cover relations
+
+
+def _relabeled(P, seed):
+    """A copy of P with one to three cover labels replaced by labels drawn
+    from P's own label set."""
+    rng = random.Random(seed)
+    labels = sorted({lab for _, _, lab in P.covers})
+    covers = list(P.covers)
+    for _ in range(rng.randint(1, 3)):
+        c = rng.randrange(len(covers))
+        lo, hi, _ = covers[c]
+        covers[c] = (lo, hi, rng.choice(labels))
+    return lattice.Poset(P.n, P.k, P.elements, covers, P.bottom_idx, P.top_idx)
+
+
+def _cover_dropped(P, seed):
+    """A copy of P without one cover, so that its order changes."""
+    covers = list(P.covers)
+    del covers[random.Random(seed).randrange(len(covers))]
+    return lattice.Poset(P.n, P.k, P.elements, covers, P.bottom_idx, P.top_idx)
+
+
+SMALL = [(n, k) for n in range(1, 5) for k in range(1, 4)]
+
+
+class TestOrderKernel:
+    """The bitset kernel against the enumerate-and-scan oracles."""
+
+    @pytest.mark.parametrize("n,k", SMALL)
+    def test_el_matches_oracle(self, n, k, poset_cache):
+        P = poset_cache(n, k)
+        assert json.dumps(P.verify_el()) == json.dumps(oracle_verify_el(P))
+
+    @pytest.mark.parametrize("n,k", SMALL)
+    def test_structure_matches_oracle(self, n, k, poset_cache):
+        P = poset_cache(n, k)
+        assert json.dumps(structural_checks(P)) == json.dumps(oracle_structural_checks(P))
+
+    @pytest.mark.parametrize("n,k", [(3, 2), (3, 3), (4, 2)])
+    def test_el_matches_oracle_on_relabeled_posets(self, n, k, poset_cache):
+        issues = set()
+        for seed in range(70):
+            Q = _relabeled(poset_cache(n, k), seed)
+            report = Q.verify_el()
+            assert json.dumps(report) == json.dumps(oracle_verify_el(Q)), seed
+            issues.update(w["issue"] for w in report["witnesses"])
+        # both kinds of finding are reached
+        assert "rising chain is not strictly lex-first" in issues
+        assert any(issue.endswith(" rising chains") for issue in issues)
+
+    @pytest.mark.parametrize("n,k", [(3, 2), (3, 3)])
+    def test_structure_matches_oracle_on_cut_orders(self, n, k, poset_cache):
+        for seed in range(10):
+            Q = _cover_dropped(poset_cache(n, k), seed)
+            assert json.dumps(structural_checks(Q)) == \
+                json.dumps(oracle_structural_checks(Q)), seed
+
+    def test_el_enumerates_no_passing_interval(self, monkeypatch):
+        def refuse(*_):
+            raise AssertionError("a passing interval was enumerated")
+
+        monkeypatch.setattr(lattice.Poset, "maximal_chains", refuse)
+        assert build_poset(4, 3).verify_el()["status"] == "pass"
+
+    def test_structure_names_each_element_at_most_once(self, monkeypatch):
+        P = build_poset(4, 2)
+        calls = []
+
+        def counting(pi):
+            calls.append(pi)
+            return one_line_print(pi)
+
+        def refuse(*_):
+            raise AssertionError("the audit must not scan with leq")
+
+        monkeypatch.setattr(lattice, "one_line_print", counting)
+        monkeypatch.setattr(lattice.Poset, "leq", refuse)
+        report = structural_checks(P)
+        assert {c["check"]: c["status"] for c in report}["atomistic"] == "pass"
+        assert len(calls) <= len(P)
+
+    def test_interval_matches_leq_scan(self, poset_cache):
+        P = poset_cache(3, 2)
+        for x in range(len(P)):
+            for y in range(len(P)):
+                if P.leq(x, y):
+                    scan = [z for z in range(len(P)) if P.leq(x, z) and P.leq(z, y)]
+                    assert P.interval(x, y) == sorted(scan, key=lambda z: (P.rank[z], z))
+
+    @pytest.mark.parametrize("n,k", SMALL + [(5, 2)])
+    def test_built_partitions_are_canonical(self, n, k, poset_cache):
+        # _apply_cover builds its result without validate()
+        for el in poset_cache(n, k).elements:
+            if el is lattice.TOP:
+                continue
+            assert validate(n, k, el.layers) == el
+            for _, nxt in admissible_covers(el):
+                assert validate(n, k, nxt.layers) == nxt
