@@ -280,9 +280,9 @@ def _verify_bijections(poset: lat.Poset) -> list[dict]:
             if ch.lbt_to_chain(tree, k) != labels:
                 bad.append({"chain": [str(l) for l in labels],
                             "issue": "chain/tree round trip"})
-            elif ch.lbt_check(tree, n, k):
+            elif problem := ch.lbt_check(tree, n, k):
                 bad.append({"chain": [str(l) for l in labels],
-                            "issue": f"invalid tree: {ch.lbt_check(tree, n, k)}"})
+                            "issue": f"invalid tree: {problem}"})
         trees = ch.enumerate_lbt(n, k)
         if len(trees) != len(chains_list):
             bad.append({"issue": "tree count != decreasing chain count",

@@ -24,7 +24,6 @@ from .wpartition import (
     bottom,
     enumerate_all,
     one_line_print,
-    validate,
 )
 from .stirling import T_def
 
@@ -257,10 +256,6 @@ class Poset:
     def is_rising(labels: Sequence[CoverLabel]) -> bool:
         return all(a.sort_key <= b.sort_key for a, b in zip(labels, labels[1:]))
 
-    @staticmethod
-    def is_decreasing(labels: Sequence[CoverLabel]) -> bool:
-        return all(a.sort_key > b.sort_key for a, b in zip(labels, labels[1:]))
-
     def decreasing_chains(self, x: int, y: int) -> Iterator[tuple[CoverLabel, ...]]:
         """Maximal chains with strictly decreasing labels (pruned search)."""
         if not self.leq(x, y):
@@ -469,36 +464,38 @@ def mobius_closed_form(n: int, k: int) -> int:
 # join / meet, Whitney numbers, characteristic polynomial
 
 def paper_join(x: WeightedPartition, y: WeightedPartition) -> WeightedPartition:
-    """Layerwise join: blocks are the crossing-component unions."""
+    """Layerwise join: the blocks of layer l are the connected components of
+    the union of both partitions' layer-l blocks.
+
+    Layer 1 of each argument already covers [n], and below it a singleton
+    would add nothing to a component of size >= 2, so the stored layers need
+    no singleton padding; the components are sorted and disjoint, so the
+    result is canonical without ``validate``.
+    """
     if (x.n, x.k) != (y.n, y.k):
         raise ValueError("join requires matching (n, k)")
-    layers = []
-    for l in range(1, x.k + 1):
-        blocks = list(x.blocks_at(l, with_singletons=(l == 1)))
-        blocks += list(y.blocks_at(l, with_singletons=(l == 1)))
-        comps = _components(blocks)
-        if l >= 2:
-            comps = [c for c in comps if len(c) >= 2]
-        layers.append(comps)
-    return validate(x.n, x.k, layers)
+    return WeightedPartition(x.n, x.k, tuple(
+        tuple(sorted(_components(xl + yl))) for xl, yl in zip(x.layers, y.layers)))
 
 
 def paper_meet(x: WeightedPartition, y: WeightedPartition) -> WeightedPartition:
-    """Layerwise meet: blocks are the pairwise intersections."""
+    """Layerwise meet: the blocks of layer l are the non-empty pairwise
+    intersections of both partitions' layer-l blocks, of size >= 2 below
+    layer 1.
+
+    A singleton meets any block in at most one element, so below layer 1 the
+    stored blocks (all of size >= 2) suffice without singleton padding; the
+    intersections are sorted and disjoint, so the result is canonical without
+    ``validate``.
+    """
     if (x.n, x.k) != (y.n, y.k):
         raise ValueError("meet requires matching (n, k)")
     layers = []
-    for l in range(1, x.k + 1):
-        xs = x.blocks_at(l, with_singletons=True)
-        ys = y.blocks_at(l, with_singletons=True)
-        blocks = []
-        for a in xs:
-            for b in ys:
-                c = sorted(set(a) & set(b))
-                if c and (l == 1 or len(c) >= 2):
-                    blocks.append(tuple(c))
-        layers.append(blocks)
-    return validate(x.n, x.k, layers)
+    for l, (xl, yl) in enumerate(zip(x.layers, y.layers), start=1):
+        least = 1 if l == 1 else 2
+        cuts = (a.intersection(b) for a in map(set, xl) for b in yl)
+        layers.append(tuple(sorted(tuple(sorted(c)) for c in cuts if len(c) >= least)))
+    return WeightedPartition(x.n, x.k, tuple(layers))
 
 
 def whitney(n: int, k: int, r: int, poset: Poset | None = None) -> int:
@@ -601,7 +598,7 @@ def structural_checks(poset: Poset) -> list[dict]:
     bot = bottom(poset.n, poset.k)
     for i, x in wps:
         acc = bot
-        for a in sorted(atom_decomposition(x), key=WeightedPartition.canonical_json):
+        for a in atom_decomposition(x):
             acc = paper_join(acc, a)
         if acc != x:
             atom_witnesses.append({"x": name(i),

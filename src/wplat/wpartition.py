@@ -72,16 +72,6 @@ class WeightedPartition:
         """n minus the number of first-layer blocks."""
         return self.n - len(self.layers[0])
 
-    def blocks_at(self, layer: int, with_singletons: bool = False) -> Layer:
-        """Blocks of the given layer (1-based); optionally completed with
-        the singletons of elements not covered at that layer."""
-        blocks = self.layers[layer - 1]
-        if not with_singletons:
-            return blocks
-        covered = {e for b in blocks for e in b}
-        extra = tuple((e,) for e in range(1, self.n + 1) if e not in covered)
-        return tuple(sorted(blocks + extra, key=lambda b: b[0]))
-
     def block_of(self, element: int, layer: int) -> Block:
         """The (possibly singleton) block of ``element`` at ``layer``."""
         for b in self.layers[layer - 1]:

@@ -6,7 +6,7 @@ import os
 import random
 
 import pytest
-from conftest import oracle_structural_checks, oracle_verify_el
+from conftest import oracle_join, oracle_meet, oracle_structural_checks, oracle_verify_el
 
 from wplat import lattice
 from wplat import (
@@ -19,6 +19,7 @@ from wplat import (
     char_poly_product,
     char_poly_roots,
     char_poly_summation,
+    edge_set_inverse,
     enumerate_all,
     hasse_dot,
     mobius_closed_form,
@@ -175,6 +176,26 @@ class TestCharPoly:
                 assert whitney(n, k, r, P) == k ** (n - r) * stirling1(n, r)
 
 
+SMALL = [(n, k) for n in range(1, 5) for k in range(1, 4)]
+
+
+def _pairs(n, k):
+    """Every unordered pair of elements for n <= 5; for larger n, 200
+    seeded random pairs, whose blocks hold elements >= 8 (sets of those do
+    not iterate in sorted order)."""
+    if n <= 5:
+        elems = enumerate_all(n, k)
+        return [(x, y) for i, x in enumerate(elems) for y in elems[i:]]
+    rng = random.Random(0)
+
+    def sample():
+        edges = [(i, j, rng.randint(1, k)) for i in range(1, n + 1)
+                 for j in range(i + 1, n + 1) if rng.random() < 0.08]
+        return edge_set_inverse(edges, n, k)
+
+    return [(sample(), sample()) for _ in range(200)]
+
+
 class TestBoundsAndAudit:
     def test_paper_join_meet_idempotent_monotone(self):
         elems = enumerate_all(3, 2)
@@ -187,6 +208,21 @@ class TestBoundsAndAudit:
         for x in enumerate_all(3, 2):
             assert paper_join(x, bot) == x
             assert paper_meet(x, bot) == bot
+
+    @pytest.mark.parametrize("n,k", SMALL + [(5, 2), (10, 3)])
+    def test_join_meet_match_oracle(self, n, k):
+        # built without validate(): the result must already be canonical
+        for x, y in _pairs(n, k):
+            jn, mt = paper_join(x, y), paper_meet(x, y)
+            assert jn == oracle_join(x, y) == validate(n, k, jn.layers), (x, y)
+            assert mt == oracle_meet(x, y) == validate(n, k, mt.layers), (x, y)
+
+    def test_join_meet_reject_mismatched_sizes(self):
+        for x, y in [(bottom(3, 2), bottom(4, 2)), (bottom(3, 2), bottom(3, 3))]:
+            with pytest.raises(ValueError, match="matching"):
+                paper_join(x, y)
+            with pytest.raises(ValueError, match="matching"):
+                paper_meet(x, y)
 
     def test_structural_checks_statuses(self, poset_cache):
         report = structural_checks(poset_cache(3, 2))
@@ -233,9 +269,6 @@ def _cover_dropped(P, seed):
     covers = list(P.covers)
     del covers[random.Random(seed).randrange(len(covers))]
     return lattice.Poset(P.n, P.k, P.elements, covers, P.bottom_idx, P.top_idx)
-
-
-SMALL = [(n, k) for n in range(1, 5) for k in range(1, 4)]
 
 
 class TestOrderKernel:
