@@ -10,7 +10,7 @@ from dataclasses import dataclass
 from itertools import combinations, product
 from typing import Iterator, Mapping, Sequence
 
-from .lattice import CoverLabel, admissible_covers
+from .lattice import CoverLabel, cover
 from .wpartition import WeightedPartition, bottom
 
 __all__ = [
@@ -60,17 +60,6 @@ class CycleDiagram:
 
     def children(self, p: int) -> list[int]:
         return sorted(j for i, j in self.edges if i == p)
-
-    def component_of(self, p: int) -> set[int]:
-        comp = {p}
-        changed = True
-        while changed:
-            changed = False
-            for i, j in self.edges:
-                if (i in comp) != (j in comp):
-                    comp |= {i, j}
-                    changed = True
-        return comp
 
     def to_json_dict(self) -> dict:
         return {"n": self.n, "edges": sorted([i, j] for i, j in self.edges)}
@@ -163,7 +152,8 @@ def diagram_to_decreasing_chain(pairs: frozenset[tuple[int, int]],
 
 def apply_chain(n: int, k: int, labels: Sequence[CoverLabel]
                 ) -> list[WeightedPartition]:
-    """Apply cover labels starting from the bottom element; raises
+    """Apply cover labels starting from the bottom element, taking the one
+    cover each label reaches (:func:`~wplat.lattice.cover`); raises
     ValueError on a non-admissible step.  Returns the visited elements
     (bottom first).  The final (1,n)_k step into the adjoined top, if
     present, must be the last label."""
@@ -174,13 +164,10 @@ def apply_chain(n: int, k: int, labels: Sequence[CoverLabel]
             if k >= 2 and pos == len(labels) - 1 and lab == CoverLabel(1, n, k):
                 return seq
             raise ValueError(f"label {lab} past the top of P")
-        for cand, res in admissible_covers(pi):
-            if cand == lab:
-                pi = res
-                seq.append(pi)
-                break
-        else:
+        pi = cover(pi, lab)
+        if pi is None:
             raise ValueError(f"label {lab} is not admissible at step {pos}")
+        seq.append(pi)
     return seq
 
 
@@ -318,34 +305,44 @@ def lbt_check(tree: LBT, n: int, k: int) -> list[str]:
     return problems
 
 
-def _gen_subtrees(shape, ints: tuple[int, ...], is_right: bool, k: int
-                  ) -> Iterator[LBT]:
+def _gen_subtrees(shape, ints: tuple[int, ...], is_right: bool, k: int,
+                  memo: dict) -> tuple[LBT, ...]:
     """Labeled subtrees of the given shape over the given leaf integers,
-    with the subtree root labeled according to its child position."""
+    with the subtree root labeled according to its child position.
+
+    Each (shape, ints, is_right) is built once and kept in ``memo``, which
+    lives for one :func:`enumerate_lbt` call."""
+    key = (shape, ints, is_right)
+    if key in memo:
+        return memo[key]
     if shape == ():
-        for s in range(1, k + 1):
-            yield LBT(ints[0], s)
-        return
-    ls, rs = shape
+        out = [LBT(ints[0], s) for s in range(1, k + 1)]
+    else:
+        out = []
+        ls, rs = shape
+        for left_ints, right_ints in _splits(ints, _count_leaves(ls)):
+            rights = _gen_subtrees(rs, right_ints, True, k, memo)
+            for lc in _gen_subtrees(ls, left_ints, False, k, memo):
+                for rc in rights:
+                    if not (lc.value < rc.value and lc.sub == rc.sub):
+                        continue
+                    allowed = set(_all_ints(lc)) | set(_all_ints(rc))
+                    if is_right:
+                        allowed -= set(_right_ints(lc, False))
+                        allowed -= set(_right_ints(rc, True))
+                    for s in range(lc.sub, k + 1):
+                        for v in sorted(allowed):
+                            out.append(LBT(v, s, lc, rc))
+    memo[key] = out = tuple(out)
+    return out
 
-    def leaves_of(sh) -> int:
-        return 1 if sh == () else leaves_of(sh[0]) + leaves_of(sh[1])
 
-    nl = leaves_of(ls)
-    rest = list(ints)
-    for left_ints in combinations(rest, nl):
-        right_ints = tuple(v for v in rest if v not in left_ints)
-        for lc in _gen_subtrees(ls, left_ints, False, k):
-            for rc in _gen_subtrees(rs, right_ints, True, k):
-                if not (lc.value < rc.value and lc.sub == rc.sub):
-                    continue
-                allowed = set(_all_ints(lc)) | set(_all_ints(rc))
-                if is_right:
-                    allowed -= set(_right_ints(lc, False))
-                    allowed -= set(_right_ints(rc, True))
-                for s in range(lc.sub, k + 1):
-                    for v in sorted(allowed):
-                        yield LBT(v, s, lc, rc)
+def _splits(ints: tuple[int, ...], nl: int
+            ) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
+    """(left, right) leaf-integer splits with ``nl`` integers on the left,
+    left sets in combination order."""
+    for left_ints in combinations(ints, nl):
+        yield left_ints, tuple(v for v in ints if v not in left_ints)
 
 
 def _shapes(n: int) -> list:
@@ -360,17 +357,19 @@ def _shapes(n: int) -> list:
 
 
 def enumerate_lbt(n: int, k: int) -> list[LBT]:
-    """All labeled binary trees for (n, k); |result| = |mu| of the lattice."""
+    """All labeled binary trees for (n, k); |result| = |mu| of the lattice.
+
+    Labeled subtrees are memoised per call: each (shape, leaf integers,
+    child position) is generated once, however many trees share it."""
     if n < 2 or k < 1:
         raise ValueError("need n >= 2 and k >= 1")
     out = []
-    for shape in _shapes(n):
-        ls, rs = shape
-        nl = _count_leaves(ls)
-        for left_ints in combinations(range(1, n + 1), nl):
-            right_ints = tuple(v for v in range(1, n + 1) if v not in left_ints)
-            for lc in _gen_subtrees(ls, left_ints, False, k):
-                for rc in _gen_subtrees(rs, right_ints, True, k):
+    memo: dict = {}
+    for ls, rs in _shapes(n):
+        for left_ints, right_ints in _splits(tuple(range(1, n + 1)), _count_leaves(ls)):
+            rights = _gen_subtrees(rs, right_ints, True, k, memo)
+            for lc in _gen_subtrees(ls, left_ints, False, k, memo):
+                for rc in rights:
                     if not (lc.value < rc.value and lc.sub == rc.sub):
                         continue
                     tree = LBT(None, None, lc, rc)

@@ -33,6 +33,7 @@ __all__ = [
     "TOP",
     "DEFAULT_GUARD",
     "admissible_covers",
+    "cover",
     "Poset",
     "build_poset",
     "check_guard",
@@ -160,6 +161,25 @@ def admissible_covers(pi: WeightedPartition) -> list[tuple[CoverLabel, WeightedP
                         out.append((label, _apply_cover(pi, alpha, beta, l)))
     out.sort(key=lambda pair: pair[0].sort_key)
     return out
+
+
+def cover(pi: WeightedPartition, label: CoverLabel) -> WeightedPartition | None:
+    """The cover of pi that ``label`` reaches, or None when the label is
+    not admissible at pi.
+
+    (alpha, beta)_l is admissible when 1 <= l <= k and 1 <= alpha < beta
+    <= n, alpha and beta lie in distinct first-layer blocks, beta is the
+    minimum of its first-layer block, and alpha is the minimum of its
+    layer-l block (a singleton counts as its own block): the rule of
+    :func:`admissible_covers`, tested for one label instead of enumerated.
+    """
+    alpha, beta, layer = label.alpha, label.beta, label.layer
+    if not (1 <= layer <= pi.k and 1 <= alpha < beta <= pi.n):
+        return None
+    # alpha < beta = min(beta's block) already puts alpha in another block
+    if pi.block_of(beta, 1)[0] != beta or pi.block_of(alpha, layer)[0] != alpha:
+        return None
+    return _apply_cover(pi, alpha, beta, layer)
 
 
 class Poset:

@@ -280,3 +280,60 @@ def oracle_structural_checks(poset):
              "witnesses": atomic},
             {"check": "bound_audit", "status": "pass" if not findings else "warn",
              "witnesses": findings}]
+
+
+# -- tree oracle: the nested-generator enumeration that the memoised one replaced --
+
+def _oracle_subtrees(shape, ints, is_right, k):
+    """Labeled subtrees of ``shape`` over ``ints``, regenerating the right
+    subtrees for every left subtree (no memo)."""
+    from wplat import LBT
+    from wplat.chains import _all_ints, _right_ints
+
+    if shape == ():
+        for s in range(1, k + 1):
+            yield LBT(ints[0], s)
+        return
+    ls, rs = shape
+
+    def leaves_of(sh) -> int:
+        return 1 if sh == () else leaves_of(sh[0]) + leaves_of(sh[1])
+
+    rest = list(ints)
+    for left_ints in combinations(rest, leaves_of(ls)):
+        right_ints = tuple(v for v in rest if v not in left_ints)
+        for lc in _oracle_subtrees(ls, left_ints, False, k):
+            for rc in _oracle_subtrees(rs, right_ints, True, k):
+                if not (lc.value < rc.value and lc.sub == rc.sub):
+                    continue
+                allowed = set(_all_ints(lc)) | set(_all_ints(rc))
+                if is_right:
+                    allowed -= set(_right_ints(lc, False))
+                    allowed -= set(_right_ints(rc, True))
+                for s in range(lc.sub, k + 1):
+                    for v in sorted(allowed):
+                        yield LBT(v, s, lc, rc)
+
+
+def oracle_enumerate_lbt(n, k):
+    """``enumerate_lbt`` as nested generators, in the same generation order."""
+    from wplat import LBT, count_descents, lbt_check
+    from wplat.chains import _count_leaves, _shapes
+
+    out = []
+    for ls, rs in _shapes(n):
+        for left_ints in combinations(range(1, n + 1), _count_leaves(ls)):
+            right_ints = tuple(v for v in range(1, n + 1) if v not in left_ints)
+            for lc in _oracle_subtrees(ls, left_ints, False, k):
+                for rc in _oracle_subtrees(rs, right_ints, True, k):
+                    if not (lc.value < rc.value and lc.sub == rc.sub):
+                        continue
+                    tree = LBT(None, None, lc, rc)
+                    if k >= 2:
+                        if (lc.value, lc.sub) == (1, k):
+                            continue
+                        if count_descents(tree) > n - 2:
+                            continue
+                    if not lbt_check(tree, n, k):
+                        out.append(tree)
+    return out

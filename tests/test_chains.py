@@ -5,6 +5,7 @@ from itertools import permutations
 from math import factorial
 
 import pytest
+from conftest import oracle_enumerate_lbt
 
 from wplat import (
     CycleDiagram,
@@ -169,6 +170,12 @@ class TestLBT:
         for t in enumerate_lbt(4, 2):
             assert sorted(lbt_leaves(t)) == [1, 2, 3, 4]
 
+    @pytest.mark.parametrize("n,k", [(n, k) for n in range(2, 5) for k in range(1, 4)]
+                             + [(5, 1), (5, 2)])
+    def test_generation_order_matches_oracle(self, n, k):
+        # a list comparison: `trees` prints trees in generation order
+        assert enumerate_lbt(n, k) == oracle_enumerate_lbt(n, k)
+
 
 class TestApplyChain:
     def test_rejects_non_chain(self):
@@ -177,6 +184,42 @@ class TestApplyChain:
         with pytest.raises(ValueError):
             # merging 2,3 twice at the same layer is not a cover sequence
             apply_chain(3, 1, [CoverLabel(2, 3, 1), CoverLabel(2, 3, 1)])
+
+    @pytest.mark.parametrize("n,k,labels", [
+        # beta = 3 is not the minimum of its first-layer block {2, 3}
+        (3, 1, [(2, 3, 1), (1, 3, 1)]),
+        # alpha = 2 is not the minimum of its layer-2 block {1, 2}
+        (3, 2, [(1, 2, 2), (2, 3, 2)]),
+        # alpha and beta share the first-layer block {1, 2}
+        (3, 1, [(1, 2, 1), (1, 2, 1)]),
+        # alpha > beta, alpha = beta
+        (3, 1, [(2, 1, 1)]),
+        (3, 1, [(2, 2, 1)]),
+        # layer 0 and layer k + 1
+        (3, 2, [(1, 2, 0)]),
+        (3, 2, [(1, 2, 3)]),
+        # elements outside [1, n]
+        (3, 1, [(0, 2, 1)]),
+        (3, 1, [(1, 4, 1)]),
+    ])
+    def test_rejects_inadmissible_label(self, n, k, labels):
+        from wplat import CoverLabel
+
+        with pytest.raises(ValueError, match="not admissible"):
+            apply_chain(n, k, [CoverLabel(*lab) for lab in labels])
+
+    @pytest.mark.parametrize("k,labels", [
+        (1, [(2, 3, 1), (1, 2, 1), (1, 3, 1)]),
+        (2, [(2, 3, 1), (1, 2, 1), (1, 2, 2)]),
+        # the (1,n)_k step into the top, but not in last position
+        (2, [(2, 3, 1), (1, 2, 1), (1, 3, 2), (1, 3, 2)]),
+        (2, [(2, 3, 1), (1, 2, 1), (1, 3, 2), (1, 2, 1)]),
+    ])
+    def test_rejects_label_past_the_top(self, k, labels):
+        from wplat import CoverLabel
+
+        with pytest.raises(ValueError, match="past the top"):
+            apply_chain(3, k, [CoverLabel(*lab) for lab in labels])
 
     def test_chain_to_lbt_requires_decreasing(self):
         from wplat import CoverLabel

@@ -223,6 +223,10 @@ GOLDEN = [
     ("verify --suite el --n 4 --k 3", "3491586c270d147d2b9df759fb218d39cb3fc045736bfb7e4321ed4304f2080d", 0),
     ("verify --suite structure --n 3 --k 3", "9f5ea230b0fd65eab03ff10ac203a39a639612b4a6bba9ae8db6c385614aeff4", 0),
     ("verify --suite structure --n 4 --k 2", "cf9b647e4482fe1830dfe549e8112f3817fb3b037cf5de079378a7363036dceb", 0),
+    # pinned from the nested-generator tree enumeration and the all-covers
+    # chain walk
+    ("verify --suite bijections --n 5 --k 2", "684d37af411eb4fdf46660ba00acecf8c2d3deb8e630e2f5cdd1f2496b4701c1", 0),
+    ("trees --n 5 --k 2 --format json", "4569e436eaf6416c32367bb98836144b718730101d344828f5f32bdaebd955a3", 0),
 ]
 
 

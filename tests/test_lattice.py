@@ -344,3 +344,33 @@ class TestOrderKernel:
             assert validate(n, k, el.layers) == el
             for _, nxt in admissible_covers(el):
                 assert validate(n, k, nxt.layers) == nxt
+
+    @pytest.mark.parametrize("n,k", SMALL + [(5, 2)])
+    def test_cover_matches_admissible_covers(self, n, k, poset_cache):
+        # one label at a time, including labels outside [1, n] x [1, k] and
+        # alpha >= beta, against the enumerated covers
+        labels = [CoverLabel(a, b, l) for a in range(n + 2) for b in range(n + 2)
+                  for l in range(k + 2)]
+        for el in poset_cache(n, k).elements:
+            if el is lattice.TOP:
+                continue
+            want = dict(admissible_covers(el))
+            for lab in labels:
+                got = lattice.cover(el, lab)
+                assert got == want.get(lab)
+                if got is not None:
+                    assert validate(n, k, got.layers) == got
+
+    def test_cover_applies_one_merge(self, monkeypatch):
+        calls = []
+        real = lattice._apply_cover
+
+        def counting(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(lattice, "_apply_cover", counting)
+        pi = bottom(4, 2)
+        assert lattice.cover(pi, CoverLabel(1, 3, 2)) is not None
+        assert lattice.cover(pi, CoverLabel(3, 1, 2)) is None
+        assert len(calls) == 1
