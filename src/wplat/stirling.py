@@ -42,6 +42,7 @@ def stirling1(n: int, r: int) -> int:
     return stirling1(n - 1, r - 1) - (n - 1) * stirling1(n - 1, r)
 
 
+@lru_cache(maxsize=None)
 def stirling2(n: int, r: int) -> int:
     """Stirling number of the second kind via the alternating-sum formula
     S(n, r) = (1/r!) sum_i (-1)^i C(r, i) (r - i)^n."""
@@ -129,41 +130,29 @@ def elem_sym_spec(m: int, j: int) -> int:
     return e[j]
 
 
-def _index_tuples(n: int, k: int, r: int) -> Iterator[tuple[int, ...]]:
-    """Weakly decreasing tuples n = i_0 >= i_1 >= ... >= i_{k-1} >= i_k = r,
-    yielded as the full (i_0, ..., i_k)."""
-
-    def rec(pos: int, prev: int, prefix: tuple[int, ...]):
-        if pos == k:
-            yield prefix + (r,)
-            return
-        for i in range(prev, r - 1, -1):
-            yield from rec(pos + 1, i, prefix + (i,))
-
-    yield from rec(1, n, (n,))
-
-
 def _transform_def(n: int, k: int, r: int, kernel) -> int:
     """Sum of prod_j kernel(i_{j-1}, i_j) over the weakly decreasing index
-    tuples n = i_0 >= ... >= i_k = r."""
+    tuples n = i_0 >= ... >= i_k = r, summed one index at a time.
+
+    paths[b] holds the sum of the products over the prefixes
+    n = i_0 >= ... >= i_j = b, and each step sets
+    paths[b] = sum_{a >= b} paths[a] * kernel(a, b).  This is the defining
+    sum regrouped by distributivity: O(k n^2) kernel calls instead of one
+    per tuple and factor, and nothing but the kernel is called."""
     if k < 1:
         raise ValueError("k must be >= 1")
     if n < 0 or r < 0 or r > n:
         return 0
-    total = 0
-    for tup in _index_tuples(n, k, r):
-        prod = 1
-        for a, b in zip(tup, tup[1:]):
-            prod *= kernel(a, b)
-            if prod == 0:
-                break
-        total += prod
-    return total
+    paths = {n: 1}
+    for _ in range(k - 1):
+        paths = {b: sum(p * kernel(a, b) for a, p in paths.items() if a >= b)
+                 for b in range(r, n + 1)}
+    return sum(p * kernel(a, r) for a, p in paths.items())
 
 
 def T_def(n: int, k: int, r: int) -> int:
-    """T(n, k, r) by direct summation of prod_j S(i_{j-1}, i_j) over the
-    weakly decreasing index tuples."""
+    """T(n, k, r) by the defining sum of prod_j S(i_{j-1}, i_j) over the
+    weakly decreasing index tuples, one index at a time."""
     return _transform_def(n, k, r, stirling2)
 
 

@@ -44,6 +44,38 @@ def oracle_stirling2(n: int, r: int) -> int:
                if len(p) == r)
 
 
+def _oracle_index_tuples(n: int, k: int, r: int):
+    """Weakly decreasing tuples n = i_0 >= i_1 >= ... >= i_{k-1} >= i_k = r,
+    yielded as the full (i_0, ..., i_k)."""
+
+    def rec(pos: int, prev: int, prefix: tuple[int, ...]):
+        if pos == k:
+            yield prefix + (r,)
+            return
+        for i in range(prev, r - 1, -1):
+            yield from rec(pos + 1, i, prefix + (i,))
+
+    yield from rec(1, n, (n,))
+
+
+def oracle_transform_def(n: int, k: int, r: int, kernel) -> int:
+    """The k-fold transform by walking every weakly decreasing index tuple
+    and multiplying its k kernel factors."""
+    if k < 1:
+        raise ValueError("k must be >= 1")
+    if n < 0 or r < 0 or r > n:
+        return 0
+    total = 0
+    for tup in _oracle_index_tuples(n, k, r):
+        prod = 1
+        for a, b in zip(tup, tup[1:]):
+            prod *= kernel(a, b)
+            if prod == 0:
+                break
+        total += prod
+    return total
+
+
 def oracle_taylor_exp(coeffs: list[Fraction]) -> list[Fraction]:
     """exp of a univariate EGF-coefficient list (constant term 0) by direct
     Taylor summation of f^m / m!."""

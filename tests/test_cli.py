@@ -6,6 +6,7 @@ import json
 
 import pytest
 
+from wplat import stirling
 from wplat.cli import main
 
 
@@ -70,6 +71,16 @@ class TestTableAndSeries:
                            "--order", "4")
         assert code == 0
         assert out.splitlines()[-1].replace(" ", "") == "0,15,32,12,1"
+
+    def test_split_mismatch_names_split_route(self, capsys, monkeypatch):
+        split = stirling.T_rec_split
+        monkeypatch.setattr(stirling, "T_rec_split",
+                            lambda n, k, r: split(n, k, r) + ((n, k, r) == (3, 2, 2)))
+        code, out, err = run(capsys, "table", "--kind", "T", "--n-max", "4",
+                             "--k", "2")
+        assert code == 1
+        assert out == ""
+        assert "T(3,2,2): def 6, split 7" in err
 
 
 class TestMobius:
@@ -227,6 +238,15 @@ GOLDEN = [
     # chain walk
     ("verify --suite bijections --n 5 --k 2", "684d37af411eb4fdf46660ba00acecf8c2d3deb8e630e2f5cdd1f2496b4701c1", 0),
     ("trees --n 5 --k 2 --format json", "4569e436eaf6416c32367bb98836144b718730101d344828f5f32bdaebd955a3", 0),
+    # the numbers benchmark requests, pinned from the tuple-walking
+    # definition route
+    ("table --kind T --n-max 22 --k 4", "f44f00ba19ad21c66b0a2bab7a3fffb41f564f0dfda6511808037add4bc8d509", 0),
+    ("table --kind t --n-max 24 --k 4", "7e9e5463edb9e6432707a374118da71b70fe05e6546346042e8a1ffc49b850d6", 0),
+    ("table --kind T --n-max 24 --k 2", "62d29d373e95ff6aba2ac59c562cab479de1259bbeb64ebe957fe35be3876097", 0),
+    ("table --kind t --n-max 24 --k 3", "7a25a5668dd16a935d56ec5e0a6e5118fe5c403c0222d561f6688b9d7eb3896f", 0),
+    ("table --kind T --n-max 20 --k 3", "30c23bfa09df407add9cdbb9d19ebc915591adcefcb283277bd325e208aa3afd", 0),
+    ("series --which exp --k 4 --order 30", "06ee81e3a027ade169ccc1dcf4eebe6c99e79189d2572fc9a3e742bea4ec339a", 0),
+    ("series --which log --k 4 --order 30", "1685ff0009b50b81459685442e9b101081239b626450aaf2014b76b8c99791f2", 0),
 ]
 
 

@@ -6,7 +6,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st_
 
-from conftest import oracle_stirling1, oracle_stirling2, oracle_set_partitions
+from conftest import (
+    oracle_set_partitions,
+    oracle_stirling1,
+    oracle_stirling2,
+    oracle_transform_def,
+)
+from wplat import stirling
 from wplat import (
     T_def,
     T_rec_lambda,
@@ -135,3 +141,28 @@ class TestTransformNumbers:
                     v = t_def(n, k, r)
                     assert v != 0
                     assert (v > 0) == ((n - r) % 2 == 0)
+
+    def test_def_matches_tuple_walk(self):
+        for n in range(11):
+            for k in range(1, 5):
+                for r in range(-1, n + 2):
+                    assert T_def(n, k, r) == oracle_transform_def(n, k, r, stirling2)
+                    assert t_def(n, k, r) == oracle_transform_def(n, k, r, stirling1)
+
+    def test_def_rejects_k_below_one(self):
+        for fn in (T_def, t_def):
+            with pytest.raises(ValueError):
+                fn(3, 0, 1)
+
+    def test_def_work_bound(self):
+        calls = 0
+
+        def counting(a, b):
+            nonlocal calls
+            calls += 1
+            return stirling2(a, b)
+
+        n, k = 22, 4
+        assert stirling._transform_def(n, k, 1, counting) == T_def(n, k, 1)
+        assert calls <= k * (n + 1) ** 2
+        assert stirling2.cache_info() is not None
