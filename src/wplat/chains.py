@@ -25,7 +25,6 @@ __all__ = [
     "LBT",
     "lbt_leaves",
     "lbt_check",
-    "count_descents",
     "enumerate_lbt",
     "lbt_to_chain",
     "chain_to_lbt",
@@ -198,9 +197,17 @@ class LBT:
         return [label, self.left.to_nested(), self.right.to_nested()]
 
 
-def _label_lt(v1: int, s1: int, v2: int, s2: int) -> bool:
-    """The linear order on subscripted labels: deeper subscript smaller."""
-    return s1 > s2 or (s1 == s2 and v1 < v2)
+def _merge_label(lc: LBT, rc: LBT) -> CoverLabel:
+    """e(v) of the internal node v with children ``lc`` and ``rc``: the
+    cover label that the read-off emits when it deletes v."""
+    return CoverLabel(lc.value, rc.value, lc.sub)
+
+
+def _heap_ordered(lc: LBT, rc: LBT) -> bool:
+    """S4 at the node with children ``lc`` and ``rc``: every internal child
+    has a larger merge label than the node."""
+    label = _merge_label(lc, rc)
+    return all(c.is_leaf or label < _merge_label(c.left, c.right) for c in (lc, rc))
 
 
 def lbt_leaves(tree: LBT) -> list[int]:
@@ -226,32 +233,19 @@ def _right_ints(tree: LBT, is_right: bool) -> list[int]:
     return out
 
 
-def count_descents(tree: LBT) -> int:
-    """Non-root internal nodes whose label is smaller (in the label order)
-    than their left child's."""
-    if tree.is_leaf:
-        return 0
-    total = count_descents(tree.left) + count_descents(tree.right)
-    if tree.value is not None:
-        lc = tree.left
-        if _label_lt(tree.value, tree.sub, lc.value, lc.sub):
-            total += 1
-    return total
-
-
 def lbt_check(tree: LBT, n: int, k: int) -> list[str]:
     """Violated conditions of the tree definition, empty when valid.
 
-    Structural conditions: leaf integers biject with [n], siblings share a
-    subscript with the left integer smaller, subscripts weakly increase
-    toward the root, and every labeled internal node draws its integer from
-    its subtree (for a right child, from the integers not already used as a
-    right-child label strictly inside).  The two extra conditions (descent
-    bound, root's left child not 1_k) encode the final step into the
-    adjoined top and apply only for k >= 2.  Finally the greedy read-off
-    must be a strictly decreasing admissible chain that reconstructs the
-    tree; this pins down exactly the trees in bijection with the maximal
-    decreasing chains.
+    The root is unlabeled; every other node is labeled a_s, a in [n], s in
+    [k].  S1: the leaf integers biject with [n].  S2: siblings share a
+    subscript, the left integer smaller.  S3: subscripts weakly increase
+    toward the root.  S4 (heap order): each internal child of a node v has
+    a larger merge label than v, where the merge label of a node with
+    children a_s, b_s is the cover label (a,b)_s that :func:`lbt_to_chain`
+    emits when it deletes the node.  S5: each labeled internal node draws
+    its integer from its subtree (a right child only from the integers not
+    used as a right-child label strictly inside it).  Root rule (k >= 2):
+    the root's left child is not 1_k.
     """
     problems: list[str] = []
     if tree.value is not None or tree.sub is not None:
@@ -271,6 +265,8 @@ def lbt_check(tree: LBT, n: int, k: int) -> list[str]:
         lc, rc = node.left, node.right
         if not (lc.value < rc.value and lc.sub == rc.sub):
             problems.append(f"S2: siblings {lc.value}_{lc.sub},{rc.value}_{rc.sub}")
+        elif not _heap_ordered(lc, rc):
+            problems.append(f"S4: a child of {_merge_label(lc, rc)} has a smaller merge label")
         if node is not tree:
             if node.sub < lc.sub or node.sub < rc.sub:
                 problems.append("S3: subscripts must weakly increase to the root")
@@ -290,18 +286,9 @@ def lbt_check(tree: LBT, n: int, k: int) -> list[str]:
 
     walk(tree)
     if k >= 2:
-        if count_descents(tree) > n - 2:
-            problems.append("more than n-2 descents")
         lc = tree.left
         if lc is not None and (lc.value, lc.sub) == (1, k):
             problems.append("left child of the root is labeled 1_k")
-    if not problems:
-        try:
-            chain = lbt_to_chain(tree, k)
-            if chain_to_lbt(chain, n, k) != tree:
-                problems.append("read-off chain does not reconstruct the tree")
-        except ValueError as exc:
-            problems.append(f"read-off chain invalid: {exc}")
     return problems
 
 
@@ -319,22 +306,31 @@ def _gen_subtrees(shape, ints: tuple[int, ...], is_right: bool, k: int,
         out = [LBT(ints[0], s) for s in range(1, k + 1)]
     else:
         out = []
-        ls, rs = shape
-        for left_ints, right_ints in _splits(ints, _count_leaves(ls)):
-            rights = _gen_subtrees(rs, right_ints, True, k, memo)
-            for lc in _gen_subtrees(ls, left_ints, False, k, memo):
-                for rc in rights:
-                    if not (lc.value < rc.value and lc.sub == rc.sub):
-                        continue
-                    allowed = set(_all_ints(lc)) | set(_all_ints(rc))
-                    if is_right:
-                        allowed -= set(_right_ints(lc, False))
-                        allowed -= set(_right_ints(rc, True))
-                    for s in range(lc.sub, k + 1):
-                        for v in sorted(allowed):
-                            out.append(LBT(v, s, lc, rc))
+        for lc, rc in _child_pairs(shape, ints, k, memo):
+            allowed = set(_all_ints(lc)) | set(_all_ints(rc))
+            if is_right:
+                allowed -= set(_right_ints(lc, False))
+                allowed -= set(_right_ints(rc, True))
+            for s in range(lc.sub, k + 1):
+                for v in sorted(allowed):
+                    out.append(LBT(v, s, lc, rc))
     memo[key] = out = tuple(out)
     return out
+
+
+def _child_pairs(shape, ints: tuple[int, ...], k: int, memo: dict
+                 ) -> Iterator[tuple[LBT, LBT]]:
+    """The (left, right) children of a node of the given (non-leaf) shape
+    over the given leaf integers that satisfy S2 and S4 at the node, in
+    generation order.  S4 is hereditary, so no subtree that fails it is
+    ever built."""
+    ls, rs = shape
+    for left_ints, right_ints in _splits(ints, _count_leaves(ls)):
+        rights = _gen_subtrees(rs, right_ints, True, k, memo)
+        for lc in _gen_subtrees(ls, left_ints, False, k, memo):
+            for rc in rights:
+                if lc.value < rc.value and lc.sub == rc.sub and _heap_ordered(lc, rc):
+                    yield lc, rc
 
 
 def _splits(ints: tuple[int, ...], nl: int
@@ -359,28 +355,16 @@ def _shapes(n: int) -> list:
 def enumerate_lbt(n: int, k: int) -> list[LBT]:
     """All labeled binary trees for (n, k); |result| = |mu| of the lattice.
 
-    Labeled subtrees are memoised per call: each (shape, leaf integers,
-    child position) is generated once, however many trees share it."""
+    Only trees that satisfy :func:`lbt_check` are built, so no filter and
+    no lattice code runs.  Labeled subtrees are memoised per call: each
+    (shape, leaf integers, child position) is built once."""
     if n < 2 or k < 1:
         raise ValueError("need n >= 2 and k >= 1")
-    out = []
     memo: dict = {}
-    for ls, rs in _shapes(n):
-        for left_ints, right_ints in _splits(tuple(range(1, n + 1)), _count_leaves(ls)):
-            rights = _gen_subtrees(rs, right_ints, True, k, memo)
-            for lc in _gen_subtrees(ls, left_ints, False, k, memo):
-                for rc in rights:
-                    if not (lc.value < rc.value and lc.sub == rc.sub):
-                        continue
-                    tree = LBT(None, None, lc, rc)
-                    if k >= 2:
-                        if (lc.value, lc.sub) == (1, k):
-                            continue
-                        if count_descents(tree) > n - 2:
-                            continue
-                    if not lbt_check(tree, n, k):
-                        out.append(tree)
-    return out
+    return [LBT(None, None, lc, rc)
+            for shape in _shapes(n)
+            for lc, rc in _child_pairs(shape, tuple(range(1, n + 1)), k, memo)
+            if k == 1 or (lc.value, lc.sub) != (1, k)]
 
 
 def _count_leaves(shape) -> int:
@@ -403,8 +387,7 @@ def lbt_to_chain(tree: LBT, k: int) -> tuple[CoverLabel, ...]:
             return []
         found = []
         if node.left.is_leaf and node.right.is_leaf:
-            found.append((path, CoverLabel(node.left.value, node.right.value,
-                                           node.left.sub)))
+            found.append((path, _merge_label(node.left, node.right)))
         found += deletable(node.left, path + (0,))
         found += deletable(node.right, path + (1,))
         return found

@@ -20,21 +20,27 @@ from . import wpartition as wp
 GUARD_EXIT = 2
 FAIL_EXIT = 1
 FORCED_GUARD = 10 ** 12
+MAX_WITNESSES = 10
 
 
 def _emit(args, **formats) -> None:
     """Render only the requested format and write it to --out or stdout.
 
     Each keyword maps a format name to a zero-argument renderer returning
-    either text or an object, which is printed as indented JSON.
+    either text or an object, which is printed as indented JSON.  An --out
+    file that cannot be written is a usage error: one line on stderr, exit 2.
     """
     rendered = formats[args.format]()
     text = rendered if isinstance(rendered, str) else json.dumps(rendered, indent=2)
     if not text.endswith("\n"):
         text += "\n"
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
+        try:
+            with open(args.out, "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            print(f"wplat: cannot write --out {args.out}: {exc.strerror}", file=sys.stderr)
+            sys.exit(GUARD_EXIT)
     else:
         sys.stdout.write(text)
 
@@ -250,7 +256,7 @@ def _verify_structure(poset: lat.Poset) -> list[dict]:
     n, k = poset.n, poset.k
     checks = lat.structural_checks(poset)
     expected = k * n * (n - 1) // 2
-    got = len(wp.atoms(n, k))
+    got = len(poset.up[poset.bottom_idx])
     checks.append({"check": "atom_count",
                    "status": "pass" if got == expected else "fail",
                    "witnesses": [] if got == expected else
@@ -278,8 +284,8 @@ def _verify_bijections(poset: lat.Poset) -> list[dict]:
     if n >= 2:
         chains_list = list(poset.decreasing_chains(poset.bottom_idx, poset.top_idx))
         bad = []
-        for labels in chains_list:
-            tree = ch.chain_to_lbt(labels, n, k)
+        images = [ch.chain_to_lbt(labels, n, k) for labels in chains_list]
+        for labels, tree in zip(chains_list, images):
             if ch.lbt_to_chain(tree, k) != labels:
                 bad.append({"chain": [str(l) for l in labels],
                             "issue": "chain/tree round trip"})
@@ -290,6 +296,13 @@ def _verify_bijections(poset: lat.Poset) -> list[dict]:
         if len(trees) != len(chains_list):
             bad.append({"issue": "tree count != decreasing chain count",
                         "trees": len(trees), "chains": len(chains_list)})
+        generated, imaged = set(trees), set(images)
+        for issue, missing in (
+                ("chain image not generated", [t for t in images if t not in generated]),
+                ("generated tree not a chain image", [t for t in trees if t not in imaged])):
+            if missing:
+                bad.append({"issue": issue, "count": len(missing),
+                            "trees": [t.to_nested() for t in missing[:MAX_WITNESSES]]})
         checks.append({"check": "chain_tree_round_trips",
                        "status": "pass" if not bad else "fail", "witnesses": bad})
     return checks

@@ -347,25 +347,104 @@ def _oracle_subtrees(shape, ints, is_right, k):
                         yield LBT(v, s, lc, rc)
 
 
-def oracle_enumerate_lbt(n, k):
-    """``enumerate_lbt`` as nested generators, in the same generation order."""
-    from wplat import LBT, count_descents, lbt_check
+def oracle_count_descents(tree):
+    """Non-root internal nodes whose label is smaller (in the label order:
+    deeper subscript smaller) than their left child's."""
+    if tree.is_leaf:
+        return 0
+    total = oracle_count_descents(tree.left) + oracle_count_descents(tree.right)
+    if tree.value is not None:
+        lc = tree.left
+        if tree.sub > lc.sub or (tree.sub == lc.sub and tree.value < lc.value):
+            total += 1
+    return total
+
+
+def oracle_lbt_check(tree, n, k):
+    """``lbt_check`` before heap order: S1-S3 and S5, the root rule, a
+    descent bound, and a greedy read-off that must be a strictly decreasing
+    admissible chain reconstructing the tree (through the lattice's cover
+    step)."""
+    from wplat import chain_to_lbt, lbt_leaves, lbt_to_chain
+    from wplat.chains import _all_ints, _right_ints
+
+    problems = []
+    if tree.value is not None or tree.sub is not None:
+        problems.append("root must be unlabeled")
+    if sorted(lbt_leaves(tree)) != list(range(1, n + 1)):
+        problems.append("S1: leaf integers must be a bijection with [n]")
+
+    def walk(node):
+        if node is not tree:
+            if node.value is None or not 1 <= node.value <= n:
+                problems.append("label integer out of range")
+            if node.sub is None or not 1 <= node.sub <= k:
+                problems.append("label subscript out of range")
+        if node.is_leaf:
+            return
+        lc, rc = node.left, node.right
+        if not (lc.value < rc.value and lc.sub == rc.sub):
+            problems.append(f"S2: siblings {lc.value}_{lc.sub},{rc.value}_{rc.sub}")
+        if node is not tree:
+            if node.sub < lc.sub or node.sub < rc.sub:
+                problems.append("S3: subscripts must weakly increase to the root")
+        for child, is_right in ((lc, False), (rc, True)):
+            if child.is_leaf:
+                continue
+            allowed = set(_all_ints(child.left)) | set(_all_ints(child.right))
+            if is_right:
+                allowed -= set(_right_ints(child.left, False))
+                allowed -= set(_right_ints(child.right, True))
+            if child.value not in allowed:
+                side = "right" if is_right else "left"
+                problems.append(f"S5: {side} child {child.value}_{child.sub} label not allowed")
+        walk(lc)
+        walk(rc)
+
+    walk(tree)
+    if k >= 2:
+        if oracle_count_descents(tree) > n - 2:
+            problems.append("more than n-2 descents")
+        lc = tree.left
+        if lc is not None and (lc.value, lc.sub) == (1, k):
+            problems.append("left child of the root is labeled 1_k")
+    if not problems:
+        try:
+            chain = lbt_to_chain(tree, k)
+            if chain_to_lbt(chain, n, k) != tree:
+                problems.append("read-off chain does not reconstruct the tree")
+        except ValueError as exc:
+            problems.append(f"read-off chain invalid: {exc}")
+    return problems
+
+
+def oracle_root_candidates(n, k):
+    """Every tree with an unlabeled root over two subtrees from
+    ``_oracle_subtrees``, before any test at the root."""
+    from wplat import LBT
     from wplat.chains import _count_leaves, _shapes
 
-    out = []
     for ls, rs in _shapes(n):
         for left_ints in combinations(range(1, n + 1), _count_leaves(ls)):
             right_ints = tuple(v for v in range(1, n + 1) if v not in left_ints)
             for lc in _oracle_subtrees(ls, left_ints, False, k):
                 for rc in _oracle_subtrees(rs, right_ints, True, k):
-                    if not (lc.value < rc.value and lc.sub == rc.sub):
-                        continue
-                    tree = LBT(None, None, lc, rc)
-                    if k >= 2:
-                        if (lc.value, lc.sub) == (1, k):
-                            continue
-                        if count_descents(tree) > n - 2:
-                            continue
-                    if not lbt_check(tree, n, k):
-                        out.append(tree)
+                    yield LBT(None, None, lc, rc)
+
+
+def oracle_enumerate_lbt(n, k):
+    """``enumerate_lbt`` as nested generators filtered by the round-trip
+    checker, in the same generation order."""
+    out = []
+    for tree in oracle_root_candidates(n, k):
+        lc, rc = tree.left, tree.right
+        if not (lc.value < rc.value and lc.sub == rc.sub):
+            continue
+        if k >= 2:
+            if (lc.value, lc.sub) == (1, k):
+                continue
+            if oracle_count_descents(tree) > n - 2:
+                continue
+        if not oracle_lbt_check(tree, n, k):
+            out.append(tree)
     return out

@@ -201,6 +201,8 @@ def test_criterion_9_bijections():
             for ch in decreasing_chains(P):
                 t = chain_to_lbt(ch, n, k)
                 assert lbt_to_chain(t, k) == ch
+    # the trees are generated by heap order, with no lattice code, so their
+    # count is a route to |mu| independent of the lattice
     lbt_cases = [(n, 1) for n in range(2, 6)] + \
                 [(n, k) for n in range(2, 5) for k in (2, 3)]
     for n, k in lbt_cases:

@@ -5,14 +5,20 @@ from itertools import permutations
 from math import factorial
 
 import pytest
-from conftest import oracle_enumerate_lbt
+from conftest import (
+    oracle_count_descents,
+    oracle_enumerate_lbt,
+    oracle_lbt_check,
+    oracle_root_candidates,
+)
 
+import wplat.chains
+import wplat.lattice
 from wplat import (
     CycleDiagram,
     LBT,
     apply_chain,
     chain_to_lbt,
-    count_descents,
     diagram_to_decreasing_chain,
     enumerate_colorings,
     enumerate_cycle_diagrams,
@@ -108,6 +114,7 @@ class TestLBT:
         (2, 1, 1), (3, 1, 2), (4, 1, 6), (5, 1, 24),
         (2, 2, 1), (3, 2, 3), (4, 2, 15),
         (2, 3, 2), (3, 3, 10), (4, 3, 80),
+        (6, 1, 120), (6, 2, 945), (6, 3, 12320),
     ])
     def test_counts_match_mobius(self, n, k, count):
         trees = enumerate_lbt(n, k)
@@ -131,7 +138,7 @@ class TestLBT:
         bad = LBT(None, None,
                   LBT(1, 1, LBT(1, 1), LBT(2, 1)),
                   LBT(3, 1))
-        assert lbt_check(bad, 3, 1)
+        assert any("S4" in p for p in lbt_check(bad, 3, 1))
 
     def test_root_left_child_rule(self):
         # the k >= 2 tree whose root's left child is 1_k cannot extend past
@@ -162,16 +169,32 @@ class TestLBT:
                 assert lbt_to_chain(t, k) == ch
 
     def test_descent_bound(self):
-        for n, k in [(4, 2), (4, 3)]:
-            for t in enumerate_lbt(n, k):
-                assert count_descents(t) <= n - 2
+        # implied by heap order, so the checker no longer tests it
+        for n in range(2, 7):
+            for k in (1, 2, 3):
+                for t in enumerate_lbt(n, k):
+                    assert oracle_count_descents(t) <= n - 2
+
+    @pytest.mark.parametrize("n,k", [(n, k) for n in range(2, 5) for k in range(1, 4)]
+                             + [(5, 2)])
+    def test_checker_accepts_what_the_round_trip_accepts(self, n, k):
+        for t in oracle_root_candidates(n, k):
+            assert (lbt_check(t, n, k) == []) == (oracle_lbt_check(t, n, k) == [])
+
+    def test_enumeration_does_not_use_the_lattice(self, monkeypatch):
+        def refuse(*_):
+            raise AssertionError("the tree generator stepped through the lattice")
+
+        monkeypatch.setattr(wplat.chains, "cover", refuse)
+        monkeypatch.setattr(wplat.lattice, "cover", refuse)
+        assert len(enumerate_lbt(5, 3)) == 880
 
     def test_leaves_biject(self):
         for t in enumerate_lbt(4, 2):
             assert sorted(lbt_leaves(t)) == [1, 2, 3, 4]
 
     @pytest.mark.parametrize("n,k", [(n, k) for n in range(2, 5) for k in range(1, 4)]
-                             + [(5, 1), (5, 2)])
+                             + [(5, 1), (5, 2), (5, 3)])
     def test_generation_order_matches_oracle(self, n, k):
         # a list comparison: `trees` prints trees in generation order
         assert enumerate_lbt(n, k) == oracle_enumerate_lbt(n, k)

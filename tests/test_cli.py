@@ -3,11 +3,16 @@ the size guard."""
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from wplat import stirling
-from wplat.cli import main
+import wplat
+from wplat import build_poset, chains, lattice, stirling
+from wplat.cli import _verify_structure, main
 
 
 def run(capsys, *argv):
@@ -141,6 +146,31 @@ class TestVerify:
         names = {c["check"] for c in data["checks"]}
         assert {"el", "semimodular", "atomistic", "bound_audit"} <= names
 
+    def test_tree_set_mismatch_fails_at_equal_count(self, capsys, monkeypatch):
+        generate = chains.enumerate_lbt
+
+        def duplicated(n, k):
+            trees = generate(n, k)
+            return [trees[1]] + trees[1:]
+
+        monkeypatch.setattr(chains, "enumerate_lbt", duplicated)
+        code, out, _ = run(capsys, "verify", "--suite", "bijections",
+                           "--n", "4", "--k", "2")
+        assert code == 1
+        check, = [c for c in json.loads(out)["checks"]
+                  if c["check"] == "chain_tree_round_trips"]
+        missing = generate(4, 2)[0].to_nested()
+        assert {"issue": "chain image not generated", "count": 1,
+                "trees": [missing]} in check["witnesses"]
+
+    def test_atom_count_reads_the_order(self):
+        P = build_poset(3, 2)
+        covers = list(P.covers)
+        covers.remove(next(c for c in covers if c[0] == P.bottom_idx))
+        Q = lattice.Poset(P.n, P.k, P.elements, covers, P.bottom_idx, P.top_idx)
+        statuses = {c["check"]: c["status"] for c in _verify_structure(Q)}
+        assert statuses["atom_count"] == "fail"
+
 
 class TestGuardAndOut:
     def test_guard_exit_code(self, capsys, monkeypatch):
@@ -163,6 +193,18 @@ class TestGuardAndOut:
         assert code == 0
         assert out == ""
         assert target.read_text().strip() == "r=1:5, r=2:6, r=3:1, total 12"
+
+    def test_unwritable_out_is_a_usage_error(self, tmp_path):
+        src = str(Path(wplat.__file__).parents[1])
+        proc = subprocess.run(
+            [sys.executable, "-m", "wplat.cli", "count", "--n", "3", "--k", "2",
+             "--out", str(tmp_path / "missing" / "x.txt")],
+            capture_output=True, text=True,
+            env=dict(os.environ, PYTHONPATH=src))
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert "Traceback" not in proc.stderr
+        assert len(proc.stderr.splitlines()) == 1
 
     @pytest.mark.parametrize("argv", [
         "count --n 4 --k 2", "charpoly --n 4 --k 2", "trees --n 4 --k 2",
