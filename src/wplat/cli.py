@@ -20,7 +20,6 @@ from . import wpartition as wp
 GUARD_EXIT = 2
 FAIL_EXIT = 1
 FORCED_GUARD = 10 ** 12
-MAX_WITNESSES = 10
 
 
 def _emit(args, **formats) -> None:
@@ -302,7 +301,7 @@ def _verify_bijections(poset: lat.Poset) -> list[dict]:
                 ("generated tree not a chain image", [t for t in trees if t not in imaged])):
             if missing:
                 bad.append({"issue": issue, "count": len(missing),
-                            "trees": [t.to_nested() for t in missing[:MAX_WITNESSES]]})
+                            "trees": [t.to_nested() for t in missing[:lat.MAX_WITNESSES]]})
         checks.append({"check": "chain_tree_round_trips",
                        "status": "pass" if not bad else "fail", "witnesses": bad})
     return checks

@@ -14,6 +14,7 @@ from wplat import (
     GuardExceeded,
     T_def,
     admissible_covers,
+    atom_decomposition,
     bottom,
     build_poset,
     char_poly_product,
@@ -224,23 +225,104 @@ class TestBoundsAndAudit:
             with pytest.raises(ValueError, match="matching"):
                 paper_meet(x, y)
 
+    @pytest.mark.parametrize("n,k", SMALL)
+    def test_layerwise_semimodular_inequality(self, n, k):
+        # what the structure report once printed as "semimodular: pass"
+        for x, y in _pairs(n, k):
+            assert x.rank + y.rank >= paper_join(x, y).rank + paper_meet(x, y).rank, (x, y)
+
+    @pytest.mark.parametrize("n,k", SMALL)
+    def test_layerwise_join_of_atoms(self, n, k):
+        for x in enumerate_all(n, k):
+            acc = bottom(n, k)
+            for a in atom_decomposition(x):
+                acc = paper_join(acc, a)
+            assert acc == x
+
     def test_structural_checks_statuses(self, poset_cache):
         report = structural_checks(poset_cache(3, 2))
-        by_name = {c["check"]: c for c in report}
-        assert by_name["semimodular"]["status"] == "pass"
-        assert by_name["atomistic"]["status"] == "pass"
-        assert by_name["bound_audit"]["status"] in ("pass", "warn")
+        by_name = {c["check"]: (c["status"], c["count"], c["of"]) for c in report}
+        assert by_name == {"least_upper_bounds": ("warn", 1, 78),
+                           "greatest_lower_bounds": ("warn", 1, 78),
+                           "semimodular": ("warn", 5, 23),
+                           "atomistic": ("pass", 0, 13)}
+
+    def test_two_minimal_upper_bounds_3_2(self, poset_cache):
+        # the order built at (3,2) is not a lattice
+        report = structural_checks(poset_cache(3, 2))
+        lub, = [c for c in report if c["check"] == "least_upper_bounds"]
+        assert lub["witnesses"] == [{"x": "13/2", "y": "1/23",
+                                     "minimal_upper_bounds": ["(12)^2 3", "123"]}]
 
     def test_audit_known_finding_4_2(self, poset_cache):
-        # the documented problem pair: reachability gives no least upper
-        # bound for these two elements, which the audit must surface
-        report = structural_checks(poset_cache(4, 2))
-        by_name = {c["check"]: c for c in report}
-        audit = by_name["bound_audit"]
-        assert audit["status"] == "warn"
-        assert audit["witnesses"], "audit must report witnesses"
-        pairs = {(w["x"], w["y"]) for w in audit["witnesses"]}
-        assert ("(1234)^2", "(123)^2 4") in pairs
+        # (123)^2 4 is not below (1234)^2 in the built order: the pair has
+        # the adjoined top as its unique least upper bound, not the layerwise
+        # join, and (123)^2/4 as its greatest lower bound, not the meet
+        P = poset_cache(4, 2)
+        names = [P.element_name(i) for i in range(len(P))]
+        x, y = names.index("(1234)^2"), names.index("(123)^2 4")
+        le = [m | 1 << z for z, m in enumerate(P._anc)]
+        ge = [m | 1 << z for z, m in enumerate(P._desc)]
+        assert lattice._unique_bounds(ge, le, P.down)[x] >> y & 1
+        assert lattice._unique_bounds(le, ge, P.up)[x] >> y & 1
+        assert ge[x] & ge[y] == 1 << P.top_idx
+        lower = le[x] & le[y]
+        assert [names[z] for z in range(len(P)) if lower >> z & 1 and ge[z] & lower == 1 << z] \
+            == ["(123)^2/4"]
+        a, b = P.elements[x], P.elements[y]
+        assert one_line_print(paper_join(a, b)) == "(1234)^2"
+        assert one_line_print(paper_meet(a, b)) == "(123)^2 4"
+
+
+# (n, k): pairs with no least upper bound, pairs with no greatest lower bound,
+# pairs of upper covers of one element with no common upper cover, all such
+# pairs; the order is atomistic at every size
+STRUCTURE_FACTS = [
+    (3, 2, 1, 1, 5, 23),
+    (3, 3, 2, 4, 15, 73),
+    (4, 2, 45, 49, 87, 324),
+    (4, 3, 133, 379, 376, 1_311),
+    (5, 2, 1_772, 2_456, 1_142, 4_076),
+    (5, 3, 7_745, 37_995, 7_221, 22_262),
+]
+
+
+class TestStructureFacts:
+    @pytest.mark.parametrize("n,k,no_lub,no_glb,semi_fail,cover_pairs", STRUCTURE_FACTS)
+    def test_counts(self, n, k, no_lub, no_glb, semi_fail, cover_pairs, poset_cache):
+        P = poset_cache(n, k)
+        by_name = {c["check"]: c for c in structural_checks(P)}
+        assert by_name["least_upper_bounds"]["count"] == no_lub
+        assert by_name["greatest_lower_bounds"]["count"] == no_glb
+        assert (by_name["semimodular"]["count"], by_name["semimodular"]["of"]) == \
+            (semi_fail, cover_pairs)
+        assert by_name["atomistic"]["count"] == 0
+        assert all(c["status"] == "warn" for c in by_name.values()
+                   if c["check"] != "atomistic")
+        assert all(len(c["witnesses"]) == min(c["count"], lattice.MAX_WITNESSES)
+                   for c in by_name.values())
+
+    @pytest.mark.parametrize("n", range(1, 6))
+    def test_partition_lattice_k1(self, n, poset_cache):
+        report = structural_checks(poset_cache(n, 1))
+        assert [(c["status"], c["count"], c["witnesses"]) for c in report] == \
+            [("pass", 0, [])] * 4
+
+    def test_reads_only_the_order(self, monkeypatch):
+        from wplat import wpartition
+
+        P = build_poset(4, 2)
+
+        def refuse(*_):
+            raise AssertionError("the structure report must read only the order")
+
+        for module, attr in [(lattice, "paper_join"), (lattice, "paper_meet"),
+                             (lattice, "_components"), (wpartition, "_components"),
+                             (wpartition, "atom_decomposition")]:
+            monkeypatch.setattr(module, attr, refuse)
+        monkeypatch.setattr(lattice.Poset, "leq", refuse)
+        report = structural_checks(P)
+        assert [c["count"] for c in report] == [45, 49, 87, 0]
 
 
 class TestHasse:
