@@ -233,6 +233,16 @@ def _right_ints(tree: LBT, is_right: bool) -> list[int]:
     return out
 
 
+def _s5_allowed(lc: LBT, rc: LBT, is_right: bool) -> set[int]:
+    """S5: the integers a labeled node with children ``lc`` and ``rc`` may
+    carry: those of its subtree, less, for a right child, those used as a
+    right-child label strictly inside it."""
+    allowed = set(_all_ints(lc)) | set(_all_ints(rc))
+    if is_right:
+        allowed -= set(_right_ints(lc, False)) | set(_right_ints(rc, True))
+    return allowed
+
+
 def lbt_check(tree: LBT, n: int, k: int) -> list[str]:
     """Violated conditions of the tree definition, empty when valid.
 
@@ -274,11 +284,7 @@ def lbt_check(tree: LBT, n: int, k: int) -> list[str]:
         for child, is_right in ((lc, False), (rc, True)):
             if child.is_leaf:
                 continue
-            allowed = set(_all_ints(child.left)) | set(_all_ints(child.right))
-            if is_right:
-                allowed -= set(_right_ints(child.left, False))
-                allowed -= set(_right_ints(child.right, True))
-            if child.value not in allowed:
+            if child.value not in _s5_allowed(child.left, child.right, is_right):
                 side = "right" if is_right else "left"
                 problems.append(f"S5: {side} child {child.value}_{child.sub} label not allowed")
         walk(lc)
@@ -307,12 +313,9 @@ def _gen_subtrees(shape, ints: tuple[int, ...], is_right: bool, k: int,
     else:
         out = []
         for lc, rc in _child_pairs(shape, ints, k, memo):
-            allowed = set(_all_ints(lc)) | set(_all_ints(rc))
-            if is_right:
-                allowed -= set(_right_ints(lc, False))
-                allowed -= set(_right_ints(rc, True))
+            allowed = sorted(_s5_allowed(lc, rc, is_right))
             for s in range(lc.sub, k + 1):
-                for v in sorted(allowed):
+                for v in allowed:
                     out.append(LBT(v, s, lc, rc))
     memo[key] = out = tuple(out)
     return out

@@ -199,12 +199,11 @@ def cmd_hasse(args) -> int:
 
 def cmd_chains(args) -> int:
     poset = lat.build_poset(args.n, args.k, guard=args.guard)
-    if args.filter == "decreasing":
-        listing = list(poset.decreasing_chains(poset.bottom_idx, poset.top_idx))
-    else:
-        listing = list(poset.maximal_chains(poset.bottom_idx, poset.top_idx))
-        if args.filter == "rising":
-            listing = [c for c in listing if poset.is_rising(c)]
+    if args.filter == "all":
+        lat.check_guard(args.n, args.k, args.guard, chains=poset.chain_count())
+    walk = {"all": poset.maximal_chains, "rising": poset.rising_chains,
+            "decreasing": poset.decreasing_chains}[args.filter]
+    listing = list(walk(poset.bottom_idx, poset.top_idx))
     _emit(args,
           text=lambda: _grid(listing + [("total", len(listing))], " "),
           json=lambda: {"n": args.n, "k": args.k, "filter": args.filter,

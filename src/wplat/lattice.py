@@ -62,13 +62,14 @@ class GuardExceeded(RuntimeError):
     """The size guard refuses the request (too large, or a bad WPLAT_GUARD)."""
 
 
-def check_guard(n: int, k: int, guard: int | None = None) -> None:
+def check_guard(n: int, k: int, guard: int | None = None, chains: int = 0) -> None:
     """Raise :class:`GuardExceeded` before any enumeration when (n, k) is
     too large.
 
-    The estimate is max(sum_r T(n, k, r) + 1, |mu|): the poset's elements
-    (with the adjoined top) and its decreasing chains, which are as many as
-    the labeled binary trees.  Every guarded command enumerates one or both.
+    The estimate is max(sum_r T(n, k, r) + 1, |mu|, ``chains``): the poset's
+    elements (with the adjoined top), its decreasing chains, which are as
+    many as the labeled binary trees, and any other chains the caller is
+    about to list.  Every guarded command enumerates one or more of them.
     The limit is ``guard``, else WPLAT_GUARD (an integer), else DEFAULT_GUARD.
     """
     if guard is None:
@@ -79,11 +80,11 @@ def check_guard(n: int, k: int, guard: int | None = None) -> None:
             raise GuardExceeded(
                 f"WPLAT_GUARD must be an integer, got {setting!r}") from None
     estimate = max(sum(T_def(n, k, r) for r in range(n + 1)) + 1,
-                   abs(mobius_closed_form(n, k)))
+                   abs(mobius_closed_form(n, k)), chains)
     if estimate > guard:
         raise GuardExceeded(
-            f"(n={n}, k={k}) needs about {estimate} elements or decreasing "
-            f"chains, over the guard of {guard}; raise the guard to proceed")
+            f"(n={n}, k={k}) needs about {estimate} elements or chains, "
+            f"over the guard of {guard}; raise the guard to proceed")
 
 
 @total_ordering
@@ -144,54 +145,49 @@ def _apply_cover(pi: WeightedPartition, alpha: int, beta: int, layer: int) -> We
     return WeightedPartition(pi.n, pi.k, tuple(new_layers))
 
 
+def _minima(pi: WeightedPartition, l: int) -> list[int]:
+    """The minima of the layer-l blocks of pi, ascending; a singleton counts
+    as its own block."""
+    inner = {e for b in pi.layers[l - 1] for e in b[1:]}
+    return [e for e in range(1, pi.n + 1) if e not in inner]
+
+
 def admissible_covers(pi: WeightedPartition) -> list[tuple[CoverLabel, WeightedPartition]]:
     """All covers of pi inside P_n^(k), sorted by label.
 
-    A label (alpha, beta)_l is admissible when alpha and beta lie in
-    distinct first-layer blocks, beta is the minimum of its first-layer
-    block, and alpha is the minimum of its layer-l block (a singleton
-    counts as its own block).  Rank n-1 elements have no covers inside P.
+    A label (alpha, beta)_l is admissible when alpha < beta, alpha is the
+    minimum of its layer-l block and beta the minimum of its first-layer
+    block (see :func:`_minima`); then alpha lies in another first-layer
+    block.  Rank n-1 elements have no covers inside P.
     """
-    layer1 = pi.layers[0]
-    out = []
-    for B in layer1:
-        beta = B[0]
-        for A in layer1:
-            if A is B:
-                continue
-            for l in range(1, pi.k + 1):
-                covered = set()
-                alphas = []
-                for c in pi.layers[l - 1]:
-                    if c[0] in A:
-                        alphas.append(c[0])
-                        covered.update(c)
-                alphas.extend(e for e in A if e not in covered)
-                for alpha in alphas:
-                    if alpha < beta:
-                        label = CoverLabel(alpha, beta, l)
-                        out.append((label, _apply_cover(pi, alpha, beta, l)))
-    out.sort(key=lambda pair: pair[0].sort_key)
-    return out
+    firsts = _minima(pi, 1)
+    return [(CoverLabel(alpha, beta, l), _apply_cover(pi, alpha, beta, l))
+            for l in range(pi.k, 0, -1) for alpha in _minima(pi, l)
+            for beta in firsts if alpha < beta]
 
 
 def cover(pi: WeightedPartition, label: CoverLabel) -> WeightedPartition | None:
     """The cover of pi that ``label`` reaches, or None when the label is
-    not admissible at pi.
-
-    (alpha, beta)_l is admissible when 1 <= l <= k and 1 <= alpha < beta
-    <= n, alpha and beta lie in distinct first-layer blocks, beta is the
-    minimum of its first-layer block, and alpha is the minimum of its
-    layer-l block (a singleton counts as its own block): the rule of
-    :func:`admissible_covers`, tested for one label instead of enumerated.
-    """
+    not admissible at pi: the rule of :func:`admissible_covers`, tested for
+    one label instead of enumerated."""
     alpha, beta, layer = label.alpha, label.beta, label.layer
-    if not (1 <= layer <= pi.k and 1 <= alpha < beta <= pi.n):
-        return None
-    # alpha < beta = min(beta's block) already puts alpha in another block
-    if pi.block_of(beta, 1)[0] != beta or pi.block_of(alpha, layer)[0] != alpha:
+    if not (1 <= layer <= pi.k and alpha < beta and alpha in _minima(pi, layer)
+            and beta in _minima(pi, 1)):
         return None
     return _apply_cover(pi, alpha, beta, layer)
+
+
+def _closure(order: list[int], adj: list[list[tuple[int, CoverLabel]]]) -> list[int]:
+    """Per element, the mask of the elements reachable from it through
+    ``adj`` (itself excluded), filled along ``order``, in which every
+    element comes after its neighbours."""
+    masks = [0] * len(adj)
+    for y in order:
+        m = 0
+        for z, _ in adj[y]:
+            m |= masks[z] | 1 << z
+        masks[y] = m
+    return masks
 
 
 class Poset:
@@ -215,25 +211,12 @@ class Poset:
             self.down[hi].append((lo, lab))
         for adj in self.up:
             adj.sort(key=lambda t: (t[1].sort_key, t[0]))
-        # strict-ancestor (below) and strict-descendant (above) bitmasks,
-        # filled in rank order and in reverse rank order
+        # strict-ancestor (below) and strict-descendant (above) bitmasks
         order = sorted(range(len(elements)), key=lambda i: self.rank[i])
-        self._anc = [0] * len(elements)
-        for y in order:
-            m = 0
-            for z, _ in self.down[y]:
-                m |= self._anc[z] | (1 << z)
-            self._anc[y] = m
-        self._desc = [0] * len(elements)
-        for x in reversed(order):
-            m = 0
-            for z, _ in self.up[x]:
-                m |= self._desc[z] | (1 << z)
-            self._desc[x] = m
+        self._anc = _closure(order, self.down)
+        self._desc = _closure(order[::-1], self.up)
         self._rank_order = order
         self._names: list[str] | None = None
-        self._mu0: list[int] | None = None
-        self._mu_memo: dict[tuple[int, int], int] = {}
 
     # -- basic queries ------------------------------------------------------
 
@@ -263,9 +246,12 @@ class Poset:
 
     # -- chains -------------------------------------------------------------
 
-    def maximal_chains(self, x: int, y: int) -> Iterator[tuple[CoverLabel, ...]]:
-        """Label sequences of every saturated chain from x to y."""
-        if not self.leq(x, y):
+    def _walk(self, x: int, y: int, step) -> Iterator[tuple[CoverLabel, ...]]:
+        """Label sequences of the saturated chains from x to y in which
+        ``step(previous, next)`` holds for every two consecutive labels, in
+        cover order; a prefix that breaks it is not extended."""
+        below_y = self._anc[y] | 1 << y
+        if not below_y >> x & 1:
             return
 
         def rec(cur: int, prefix: list[CoverLabel]) -> Iterator[tuple[CoverLabel, ...]]:
@@ -273,33 +259,37 @@ class Poset:
                 yield tuple(prefix)
                 return
             for nxt, lab in self.up[cur]:
-                if self.leq(nxt, y):
+                if below_y >> nxt & 1 and (not prefix or step(prefix[-1], lab)):
                     prefix.append(lab)
                     yield from rec(nxt, prefix)
                     prefix.pop()
 
         yield from rec(x, [])
+
+    def maximal_chains(self, x: int, y: int) -> Iterator[tuple[CoverLabel, ...]]:
+        """Label sequences of every saturated chain from x to y."""
+        return self._walk(x, y, lambda a, b: True)
+
+    def rising_chains(self, x: int, y: int) -> Iterator[tuple[CoverLabel, ...]]:
+        """Maximal chains with weakly rising labels."""
+        return self._walk(x, y, lambda a, b: a.sort_key <= b.sort_key)
+
+    def decreasing_chains(self, x: int, y: int) -> Iterator[tuple[CoverLabel, ...]]:
+        """Maximal chains with strictly decreasing labels."""
+        return self._walk(x, y, lambda a, b: b.sort_key < a.sort_key)
 
     @staticmethod
     def is_rising(labels: Sequence[CoverLabel]) -> bool:
         return all(a.sort_key <= b.sort_key for a, b in zip(labels, labels[1:]))
 
-    def decreasing_chains(self, x: int, y: int) -> Iterator[tuple[CoverLabel, ...]]:
-        """Maximal chains with strictly decreasing labels (pruned search)."""
-        if not self.leq(x, y):
-            return
-
-        def rec(cur: int, prefix: list[CoverLabel]) -> Iterator[tuple[CoverLabel, ...]]:
-            if cur == y:
-                yield tuple(prefix)
-                return
-            for nxt, lab in self.up[cur]:
-                if (not prefix or lab.sort_key < prefix[-1].sort_key) and self.leq(nxt, y):
-                    prefix.append(lab)
-                    yield from rec(nxt, prefix)
-                    prefix.pop()
-
-        yield from rec(x, [])
+    def chain_count(self) -> int:
+        """The number of maximal chains from the bottom to the top, counted
+        up the covers in rank order without listing them."""
+        count = [0] * len(self.elements)
+        count[self.bottom_idx] = 1
+        for y in self._rank_order:
+            count[y] += sum(count[z] for z, _ in self.down[y])
+        return count[self.top_idx]
 
     # -- EL verification ----------------------------------------------------
 
@@ -393,36 +383,27 @@ class Poset:
 
     # -- Möbius -------------------------------------------------------------
 
+    def _mobius_from(self, x: int) -> list[int]:
+        """mu(x, z) for every element z (0 unless x <= z), by the defining
+        recursion mu(x, z) = -sum_{x <= w < z} mu(x, w), in rank order."""
+        mu = [0] * len(self.elements)
+        mu[x] = 1
+        above = self._desc[x]
+        from_x = above | 1 << x
+        for z in self._rank_order:
+            if above >> z & 1:
+                mu[z] = -sum(mu[w] for w in _bits(self._anc[z] & from_x))
+        return mu
+
     def mobius_from_bottom(self) -> list[int]:
         """mu(0^, z) for every element z."""
-        if self._mu0 is None:
-            mu = [0] * len(self.elements)
-            mu[self.bottom_idx] = 1
-            for y in self._rank_order:
-                if y == self.bottom_idx:
-                    continue
-                mu[y] = -sum(mu[z] for z in _bits(self._anc[y]))
-            self._mu0 = mu
-        return self._mu0
+        return self._mobius_from(self.bottom_idx)
 
     def mobius_recursive(self, x: int, y: int) -> int:
-        """mu(x, y) by the defining recursion."""
+        """mu(x, y) by the defining recursion (see :meth:`_mobius_from`)."""
         if not self.leq(x, y):
             raise ValueError("mobius requires x <= y")
-        key = (x, y)
-        if key in self._mu_memo:
-            return self._mu_memo[key]
-        if x == self.bottom_idx:
-            val = self.mobius_from_bottom()[y]
-        else:
-            members = self.interval(x, y)
-            mu = {x: 1}
-            for z in members[1:]:
-                mu[z] = -sum(mu[w] for w in members if w in mu and w != z
-                             and self.leq(w, z))
-            val = mu[y]
-        self._mu_memo[key] = val
-        return val
+        return self._mobius_from(x)[y]
 
     def mobius_via_chains(self) -> int:
         """(-1)^{rank of top} times the number of maximal decreasing

@@ -197,8 +197,13 @@ def _components(blocks: list[tuple[int, ...]]) -> list[tuple[int, ...]]:
 def edge_set_inverse(edges: Iterable[tuple[int, int, int]], n: int, k: int) -> WeightedPartition:
     """Rebuild the weighted partition whose deepest-common-layer edge set is
     ``edges``: layer l blocks are the size >= 2 connected components of the
-    edges with label >= l (layer 1 keeps singletons)."""
+    edges with label >= l (layer 1 keeps singletons).  Each edge needs
+    1 <= i < j <= n and 1 <= l <= k."""
     edges = list(edges)
+    bad = sorted(e for e in edges if not (1 <= e[0] < e[1] <= n and 1 <= e[2] <= k))
+    if bad:
+        raise InvalidPartition([("malformed", f"edges outside 1 <= i < j <= {n}, "
+                                              f"1 <= l <= {k}: {bad}")])
     singletons = [(e,) for e in range(1, n + 1)]
     layers = []
     for l in range(1, k + 1):
@@ -448,18 +453,6 @@ def one_line_parse(text: str, n: int, k: int) -> WeightedPartition:
 # ---------------------------------------------------------------------------
 # enumeration
 
-def _set_partitions(universe: Sequence[int]) -> Iterator[list[tuple[int, ...]]]:
-    if not universe:
-        yield []
-        return
-    first, rest = universe[0], list(universe[1:])
-    for mask in range(1 << len(rest)):
-        block = (first,) + tuple(rest[i] for i in range(len(rest)) if mask >> i & 1)
-        remaining = [rest[i] for i in range(len(rest)) if not mask >> i & 1]
-        for others in _set_partitions(remaining):
-            yield [block] + others
-
-
 def _disjoint_families(universe: Sequence[int]) -> Iterator[list[tuple[int, ...]]]:
     """Families of pairwise disjoint subsets of size >= 2 (possibly empty
     family; subsets need not cover the universe)."""
@@ -477,37 +470,25 @@ def _disjoint_families(universe: Sequence[int]) -> Iterator[list[tuple[int, ...]
             yield [block] + others
 
 
-def _deep_entries(block: Sequence[int], d: int, k: int) -> Iterator[list[tuple[int, Block]]]:
-    """All ways to nest layers d..k inside ``block``; yields lists of
-    (layer, block) contributions."""
-    if d > k:
-        yield []
-        return
-    for family in _disjoint_families(list(block)):
-        for combo in product(*(_deep_entries(c, d + 1, k) for c in family)):
-            entries = [(d, c) for c in family]
-            for sub in combo:
-                entries.extend(sub)
-            yield entries
-
-
 def enumerate_all(n: int, k: int) -> list[WeightedPartition]:
     """Every weighted partition of [n] with k layers, in the canonical
-    deterministic order (lexicographic on the canonical JSON form)."""
+    deterministic order (lexicographic on the canonical JSON form).
+
+    Layer 1 is a disjoint family of subsets of size >= 2 plus the
+    singletons it leaves out; each deeper layer is one disjoint family
+    inside each block of the layer above."""
     if n < 1 or k < 1:
         raise ValueError("need n >= 1 and k >= 1")
-    out = []
     universe = list(range(1, n + 1))
-    for p1 in _set_partitions(universe):
-        for combo in product(*(_deep_entries(b, 2, k) for b in p1)):
-            layers: list[list[Block]] = [sorted(p1)] + [[] for _ in range(k - 1)]
-            for entries in combo:
-                for l, c in entries:
-                    layers[l - 1].append(c)
-            for layer in layers[1:]:
-                layer.sort()
-            out.append(WeightedPartition(
-                n, k, tuple(tuple(layer) for layer in layers)))
+    stacks = []
+    for family in _disjoint_families(universe):
+        used = {e for b in family for e in b}
+        stacks.append((tuple(sorted(family + [(e,) for e in universe if e not in used])),))
+    for _ in range(k - 1):
+        stacks = [stack + (tuple(sorted(b for family in choice for b in family)),)
+                  for stack in stacks
+                  for choice in product(*map(_disjoint_families, stack[-1]))]
+    out = [WeightedPartition(n, k, stack) for stack in stacks]
     out.sort(key=WeightedPartition.canonical_json)
     return out
 

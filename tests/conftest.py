@@ -2,7 +2,7 @@
 the library's routes.  They favor obviousness over speed."""
 
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 
@@ -130,6 +130,52 @@ def oracle_taylor_log1p(coeffs: list[Fraction]) -> list[Fraction]:
     return [result[i] * fact[i] for i in range(order + 1)]
 
 
+def _oracle_disjoint_families(universe):
+    """Families of pairwise disjoint subsets of size >= 2 of a list."""
+    universe = list(universe)
+    if len(universe) < 2:
+        yield []
+        return
+    first, rest = universe[0], universe[1:]
+    yield from _oracle_disjoint_families(rest)
+    for size in range(1, len(rest) + 1):
+        for mates in combinations(rest, size):
+            remaining = [e for e in rest if e not in mates]
+            for sub in _oracle_disjoint_families(remaining):
+                yield [(first,) + mates] + sub
+
+
+def _oracle_deep_entries(block, d, k):
+    """All ways to nest layers d..k inside ``block``, as lists of
+    (layer, block) contributions."""
+    if d > k:
+        yield []
+        return
+    for family in _oracle_disjoint_families(block):
+        for combo in product(*(_oracle_deep_entries(c, d + 1, k) for c in family)):
+            entries = [(d, c) for c in family]
+            for sub in combo:
+                entries.extend(sub)
+            yield entries
+
+
+def oracle_enumerate_all(n, k):
+    """``enumerate_all`` from a set partition of [n] and, for each of its
+    blocks, every nesting of the deeper layers inside it."""
+    from wplat import WeightedPartition
+
+    out = []
+    for p1 in oracle_set_partitions(range(1, n + 1)):
+        for combo in product(*(_oracle_deep_entries(b, 2, k) for b in p1)):
+            layers = [sorted(p1)] + [[] for _ in range(k - 1)]
+            for entries in combo:
+                for l, c in entries:
+                    layers[l - 1].append(c)
+            out.append(WeightedPartition(n, k, tuple(tuple(sorted(layer)) for layer in layers)))
+    out.sort(key=WeightedPartition.canonical_json)
+    return out
+
+
 @pytest.fixture(scope="session")
 def poset_cache():
     """Posets are expensive; share them across tests."""
@@ -163,6 +209,54 @@ def oracle_leq(poset):
                     stack.append(z)
         reach.append(seen)
     return lambda x, y: y in reach[x]
+
+
+def oracle_admissible_covers(pi):
+    """The covers of pi sorted by label, by trying every pair of first-layer
+    blocks A, B: beta is the minimum of B, and alpha runs over the minima of
+    the layer-l blocks that start in A and the elements of A no layer-l
+    block covers."""
+    from wplat import CoverLabel
+    from wplat.lattice import _apply_cover
+
+    layer1 = pi.layers[0]
+    out = []
+    for B in layer1:
+        beta = B[0]
+        for A in layer1:
+            if A is B:
+                continue
+            for l in range(1, pi.k + 1):
+                covered = set()
+                alphas = []
+                for c in pi.layers[l - 1]:
+                    if c[0] in A:
+                        alphas.append(c[0])
+                        covered.update(c)
+                alphas.extend(e for e in A if e not in covered)
+                for alpha in alphas:
+                    if alpha < beta:
+                        label = CoverLabel(alpha, beta, l)
+                        out.append((label, _apply_cover(pi, alpha, beta, l)))
+    out.sort(key=lambda pair: pair[0].sort_key)
+    return out
+
+
+def oracle_mobius(poset):
+    """mu(x, y) for every pair x <= y, keyed by (x, y): for each x, the
+    defining recursion over the elements above x in rank order, each summing
+    mu(x, w) over the w found below it by ``oracle_leq``."""
+    leq = oracle_leq(poset)
+    size = len(poset.elements)
+    out = {}
+    for x in range(size):
+        members = sorted((z for z in range(size) if leq(x, z)),
+                         key=lambda z: (poset.rank[z], z))
+        mu = {x: 1}
+        for z in members[1:]:
+            mu[z] = -sum(mu[w] for w in members if w in mu and w != z and leq(w, z))
+        out.update(((x, z), m) for z, m in mu.items())
+    return out
 
 
 def oracle_verify_el(poset):

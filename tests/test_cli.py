@@ -226,6 +226,19 @@ class TestGuardAndOut:
         assert "over the guard of 10" in err
         assert out == ""
 
+    def test_guard_counts_maximal_chains(self, capsys, monkeypatch):
+        # (4,2) has 61 elements and 15 decreasing chains, but 176 maximal chains
+        monkeypatch.setenv("WPLAT_GUARD", "100")
+        code, out, err = run(capsys, "chains", "--n", "4", "--k", "2")
+        assert (code, out) == (2, "")
+        assert "176" in err and "over the guard of 100" in err
+        for filt, digest in [
+                ("rising", "5bcb22df5f82b0627322b7b1aaffe985eb2dabc8b8e7132ae1b4d5bc89d57fde"),
+                ("decreasing", "e103efd94691c7122ae54627e16b6dbb6936393c6294a9888d3874113abbd6ba")]:
+            code, out, _ = run(capsys, "chains", "--n", "4", "--k", "2", "--filter", filt)
+            assert code == 0
+            assert hashlib.sha256(out.encode()).hexdigest() == digest
+
     def test_force_builds_charpoly_poset(self, capsys, monkeypatch):
         monkeypatch.setenv("WPLAT_GUARD", "10")
         code, out, _ = run(capsys, "charpoly", "--n", "4", "--k", "2", "--force")

@@ -6,7 +6,15 @@ import os
 import random
 
 import pytest
-from conftest import oracle_join, oracle_meet, oracle_structural_checks, oracle_verify_el
+from conftest import (
+    oracle_admissible_covers,
+    oracle_join,
+    oracle_leq,
+    oracle_meet,
+    oracle_mobius,
+    oracle_structural_checks,
+    oracle_verify_el,
+)
 
 from wplat import lattice
 from wplat import (
@@ -429,19 +437,50 @@ class TestOrderKernel:
 
     @pytest.mark.parametrize("n,k", SMALL + [(5, 2)])
     def test_cover_matches_admissible_covers(self, n, k, poset_cache):
-        # one label at a time, including labels outside [1, n] x [1, k] and
-        # alpha >= beta, against the enumerated covers
+        # both against the block-pair scan; cover one label at a time,
+        # including labels outside [1, n] x [1, k] and alpha >= beta
         labels = [CoverLabel(a, b, l) for a in range(n + 2) for b in range(n + 2)
                   for l in range(k + 2)]
         for el in poset_cache(n, k).elements:
             if el is lattice.TOP:
                 continue
-            want = dict(admissible_covers(el))
+            want = oracle_admissible_covers(el)
+            assert admissible_covers(el) == want
+            want = dict(want)
             for lab in labels:
                 got = lattice.cover(el, lab)
                 assert got == want.get(lab)
                 if got is not None:
                     assert validate(n, k, got.layers) == got
+
+    @pytest.mark.parametrize("n,k", SMALL + [(5, 2)])
+    def test_mobius_on_every_interval(self, n, k, poset_cache):
+        P = poset_cache(n, k)
+        want = oracle_mobius(P)
+        leq = oracle_leq(P)
+        for x in range(len(P)):
+            for y in range(len(P)):
+                if not leq(x, y):
+                    continue
+                mu = P.mobius_recursive(x, y)
+                assert mu == want[x, y], (x, y)
+                chains = len(list(P.decreasing_chains(x, y)))
+                assert mu == (-1) ** (P.rank[y] - P.rank[x]) * chains, (x, y)
+
+    def _check_rising_chains(self, P):
+        for x in range(len(P)):
+            for y in range(len(P)):
+                assert list(P.rising_chains(x, y)) == \
+                    [ch for ch in P.maximal_chains(x, y) if P.is_rising(ch)], (x, y)
+
+    @pytest.mark.parametrize("n,k", SMALL)
+    def test_rising_chains_match_filter(self, n, k, poset_cache):
+        self._check_rising_chains(poset_cache(n, k))
+
+    @pytest.mark.parametrize("n,k", [(3, 2), (3, 3), (4, 2)])
+    def test_rising_chains_match_filter_on_relabeled_posets(self, n, k, poset_cache):
+        for seed in range(70):
+            self._check_rising_chains(_relabeled(poset_cache(n, k), seed))
 
     def test_cover_applies_one_merge(self, monkeypatch):
         calls = []

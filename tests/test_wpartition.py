@@ -4,6 +4,7 @@ rooted-tree and edge-set encodings."""
 import json
 
 import pytest
+from conftest import oracle_enumerate_all
 from hypothesis import given, settings
 from hypothesis import strategies as st_
 
@@ -126,6 +127,10 @@ class TestEnumeration:
         b = [str(pi) for pi in enumerate_all(4, 2)]
         assert a == b
 
+    @pytest.mark.parametrize("n,k", [(n, k) for n in range(1, 6) for k in range(1, 4)])
+    def test_matches_oracle(self, n, k):
+        assert enumerate_all(n, k) == oracle_enumerate_all(n, k)
+
 
 class TestJsonRoundTrip:
     def test_json_round_trip(self):
@@ -144,6 +149,13 @@ class TestTreesAndEdges:
         for n, k in [(3, 1), (3, 2), (4, 2), (4, 3)]:
             for pi in enumerate_all(n, k):
                 assert edge_set_inverse(edge_set(pi), n, k) == pi
+
+    @pytest.mark.parametrize("edges", [{(1, 2, 0)}, {(1, 2, 5)}, {(2, 1, 1)},
+                                       {(1, 1, 1)}, {(0, 2, 1)}, {(1, 4, 1)}])
+    def test_edge_set_inverse_rejects_malformed_edges(self, edges):
+        with pytest.raises(InvalidPartition) as exc:
+            edge_set_inverse(edges, 3, 2)
+        assert [kind for kind, _ in exc.value.violations] == ["malformed"]
 
     def test_shape_class_sizes_3_2(self):
         shapes = enumerate_tree_shapes(3, 2)
