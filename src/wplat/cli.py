@@ -360,7 +360,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("count", cmd_count, table_formats,
             help="per-rank element counts, two routes")
-    p.add_argument("--r", type=int)
+    p.add_argument("--r", type=_at_least(1))
 
     p = add("table", cmd_table, table_formats, n_min=None,
             help="number triangles with cross-checks")

@@ -152,6 +152,20 @@ def _minima(pi: WeightedPartition, l: int) -> list[int]:
     return [e for e in range(1, pi.n + 1) if e not in inner]
 
 
+def _code(pi: WeightedPartition) -> bytes:
+    """The block-minimum code of pi: for each layer l in turn, the n bytes
+    f_l(1), ..., f_l(n), where f_l(e) is the minimum of e's layer-l block
+    (a singleton is its own minimum, as in :func:`_minima`)."""
+    code = bytearray()
+    for layer in pi.layers:
+        f = bytearray(range(1, pi.n + 1))
+        for b in layer:
+            for e in b[1:]:
+                f[e - 1] = b[0]
+        code += f
+    return bytes(code)
+
+
 def admissible_covers(pi: WeightedPartition) -> list[tuple[CoverLabel, WeightedPartition]]:
     """All covers of pi inside P_n^(k), sorted by label.
 
@@ -182,11 +196,13 @@ def _closure(order: list[int], adj: list[list[tuple[int, CoverLabel]]]) -> list[
     ``adj`` (itself excluded), filled along ``order``, in which every
     element comes after its neighbours."""
     masks = [0] * len(adj)
-    for y in order:
-        m = 0
+    for y in order:  # with y's own bit, so that each neighbour costs one |
+        m = 1 << y
         for z, _ in adj[y]:
-            m |= masks[z] | 1 << z
+            m |= masks[z]
         masks[y] = m
+    for y, m in enumerate(masks):
+        masks[y] = m ^ 1 << y
     return masks
 
 
@@ -413,7 +429,10 @@ class Poset:
 
 
 def build_poset(n: int, k: int, guard: int | None = None) -> Poset:
-    """Construct the poset for (n, k) explicitly.
+    """Construct the poset for (n, k) explicitly: the elements of
+    :func:`enumerate_all` in that order, each with the covers of
+    :func:`admissible_covers` in label order, computed on block-minimum codes
+    (:func:`_code`), then for k >= 2 and n >= 2 the adjoined top.
 
     :func:`check_guard` (with ``guard``) aborts with
     :class:`GuardExceeded` before any enumeration.
@@ -422,35 +441,53 @@ def build_poset(n: int, k: int, guard: int | None = None) -> Poset:
         raise ValueError("need n >= 1 and k >= 1")
     check_guard(n, k, guard)
 
-    elements: list = list(enumerate_all(n, k))
-    index = {el: i for i, el in enumerate(elements)}
+    # The rule of admissible_covers on block-minimum codes: (alpha, beta)_l
+    # is admissible when f_l(alpha) = alpha < beta = f_1(beta).  beta is then
+    # the minimum of its block at every layer, so the cover replaces each
+    # entry beta of f_1, ..., f_l by f_1(alpha), ..., f_l(alpha), all < beta.
+    elements: list = enumerate_all(n, k)
+    codes = [_code(el) for el in elements]
+    index = {code: i for i, code in enumerate(codes)}
+    byte = [bytes((v,)) for v in range(n + 1)]
+    labels = {(a, b, l): CoverLabel(a, b, l) for l in range(1, k + 1)
+              for a in range(1, n + 1) for b in range(a + 1, n + 1)}
     covers = []
-    for i, el in enumerate(elements):
-        for lab, res in admissible_covers(el):
-            covers.append((i, index[res], lab))
+    for i, code in enumerate(codes):
+        f = [code[j:j + n] for j in range(0, n * k, n)]
+        firsts = [e for e in range(1, n + 1) if f[0][e - 1] == e]
+        for l in range(k, 0, -1):
+            rest = code[l * n:]
+            for alpha in range(1, n + 1):
+                if f[l - 1][alpha - 1] != alpha:
+                    continue
+                mins = [byte[fl[alpha - 1]] for fl in f[:l]]
+                for beta in firsts:
+                    if beta > alpha:
+                        b = byte[beta]
+                        up = b"".join([fl.replace(b, m) for fl, m in zip(f, mins)]) + rest
+                        covers.append((i, index[up], labels[alpha, beta, l]))
 
     add_top = k >= 2 and n >= 2
     if add_top:
         top_idx = len(elements)
         elements.append(TOP)
         for i, el in enumerate(elements[:-1]):
-            if isinstance(el, WeightedPartition) and el.rank == n - 1:
-                covers.append((i, top_idx, CoverLabel(1, n, k)))
+            if el.rank == n - 1:
+                covers.append((i, top_idx, labels[1, n, k]))
     else:
         top_rank = max(el.rank for el in elements)
         tops = [i for i, el in enumerate(elements) if el.rank == top_rank]
         assert len(tops) == 1
         top_idx = tops[0]
 
-    bottom_idx = index[bottom(n, k)]
+    bottom_idx = index[_code(bottom(n, k))]
     poset = Poset(n, k, elements, covers, bottom_idx, top_idx)
 
     # sanity: grading and reachability
     for lo, hi, _ in covers:
         assert poset.rank[hi] == poset.rank[lo] + 1, "cover must raise rank by 1"
-    for y in range(len(elements)):
-        assert y == bottom_idx or poset.leq(bottom_idx, y), \
-            "every element must be reachable from the bottom"
+    assert poset._desc[bottom_idx] | 1 << bottom_idx == (1 << len(elements)) - 1, \
+        "every element must be reachable from the bottom"
     return poset
 
 

@@ -488,9 +488,28 @@ def enumerate_all(n: int, k: int) -> list[WeightedPartition]:
         stacks = [stack + (tuple(sorted(b for family in choice for b in family)),)
                   for stack in stacks
                   for choice in product(*map(_disjoint_families, stack[-1]))]
-    out = [WeightedPartition(n, k, stack) for stack in stacks]
-    out.sort(key=WeightedPartition.canonical_json)
-    return out
+    return [WeightedPartition(n, k, stack) for stack in _canonical_order(stacks)]
+
+
+def _canonical_order(stacks: list[tuple[Layer, ...]]) -> list[tuple[Layer, ...]]:
+    """The layer stacks of one (n, k), sorted as their partitions'
+    ``canonical_json``.
+
+    With n and k shared, the order is that of the layers' JSON text alone,
+    since no JSON array is a proper prefix of another; each distinct layer
+    is encoded once."""
+    text: dict[Layer, str] = {}
+
+    def key(stack: tuple[Layer, ...]) -> str:
+        parts = []
+        for layer in stack:
+            part = text.get(layer)
+            if part is None:
+                part = text[layer] = json.dumps(layer, separators=(",", ":"))
+            parts.append(part)
+        return "[" + ",".join(parts) + "]"
+
+    return sorted(stacks, key=key)
 
 
 def enumerate_by_blocks(n: int, k: int, r: int) -> list[WeightedPartition]:

@@ -248,6 +248,7 @@ class TestGuardAndOut:
 
 @pytest.mark.parametrize("argv", [
     "count --n 0 --k 2", "count --n 3 --k 0", "trees --n 1 --k 2",
+    "count --n 3 --k 2 --r -1", "count --n 3 --k 2 --r 0",
     "table --kind T --n-max -1", "series --which exp --k 2 --order -1",
 ])
 def test_bad_input_is_a_usage_error(capsys, argv):

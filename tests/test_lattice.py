@@ -435,6 +435,27 @@ class TestOrderKernel:
             for _, nxt in admissible_covers(el):
                 assert validate(n, k, nxt.layers) == nxt
 
+    @pytest.mark.parametrize("n,k", [(n, k) for n in range(1, 6) for k in range(1, 4)]
+                             + [(6, 2)])
+    def test_build_matches_admissible_covers(self, n, k, poset_cache):
+        # build_poset's block-minimum codes against the per-element route:
+        # the same cover list in the same order, the same bottom and top
+        P = poset_cache(n, k)
+        parts = enumerate_all(n, k)
+        index = {el: i for i, el in enumerate(parts)}
+        want = [(i, index[up], lab) for i, el in enumerate(parts)
+                for lab, up in admissible_covers(el)]
+        if k >= 2 and n >= 2:
+            top = len(parts)
+            want += [(i, top, CoverLabel(1, n, k))
+                     for i, el in enumerate(parts) if el.rank == n - 1]
+            assert P.elements == parts + [lattice.TOP]
+        else:
+            top = max(range(len(parts)), key=lambda i: parts[i].rank)
+            assert P.elements == parts
+        assert P.covers == want
+        assert (P.bottom_idx, P.top_idx) == (index[bottom(n, k)], top)
+
     @pytest.mark.parametrize("n,k", SMALL + [(5, 2)])
     def test_cover_matches_admissible_covers(self, n, k, poset_cache):
         # both against the block-pair scan; cover one label at a time,

@@ -30,6 +30,7 @@ from wplat import (
     tree_shape,
     validate,
 )
+from wplat.wpartition import _canonical_order
 
 
 def wp(n, k, layers):
@@ -131,6 +132,12 @@ class TestEnumeration:
     def test_matches_oracle(self, n, k):
         assert enumerate_all(n, k) == oracle_enumerate_all(n, k)
 
+    @pytest.mark.parametrize("n,k", [(n, k) for n in range(1, 7) for k in range(1, 4)]
+                             + [(7, 2)])
+    def test_canonical_json_order(self, n, k):
+        everything = enumerate_all(n, k)
+        assert everything == sorted(everything, key=WeightedPartition.canonical_json)
+
 
 class TestJsonRoundTrip:
     def test_json_round_trip(self):
@@ -205,3 +212,29 @@ def test_property_print_parse_identity(data):
     pi = data.draw(st_.sampled_from(everything))
     assert one_line_parse(one_line_print(pi), n, k) == pi
     assert from_rooted_tree(to_rooted_tree(pi)) == pi
+
+
+@st_.composite
+def weighted_partitions(draw, n, k):
+    """Element e lies in the layer-l block of the elements whose first l
+    drawn colours equal its own; singletons are dropped below layer 1."""
+    colours = draw(st_.lists(st_.lists(st_.integers(0, 5), min_size=k, max_size=k),
+                             min_size=n, max_size=n))
+    layers = []
+    for l in range(1, k + 1):
+        blocks = {}
+        for e, c in enumerate(colours, start=1):
+            blocks.setdefault(tuple(c[:l]), []).append(e)
+        layers.append([b for b in blocks.values() if l == 1 or len(b) >= 2])
+    return validate(n, k, layers)
+
+
+@given(st_.data())
+@settings(max_examples=60, deadline=None)
+def test_canonical_order_past_nine(data):
+    # from n = 10 on, the JSON text "10" sorts before "2"
+    n = data.draw(st_.integers(10, 12))
+    k = data.draw(st_.integers(1, 3))
+    parts = data.draw(st_.lists(weighted_partitions(n, k), min_size=2, max_size=30))
+    want = sorted(parts, key=WeightedPartition.canonical_json)
+    assert _canonical_order([pi.layers for pi in parts]) == [pi.layers for pi in want]
