@@ -128,34 +128,10 @@ def _bits(m: int) -> Iterator[int]:
         m ^= low
 
 
-def _apply_cover(pi: WeightedPartition, alpha: int, beta: int, layer: int) -> WeightedPartition:
-    """Merge the alpha- and beta-blocks at every layer <= ``layer``.
-
-    The result is built in canonical form (each block sorted, each layer's
-    disjoint blocks ordered by their minimum), so it needs no ``validate``.
-    """
-    new_layers = list(pi.layers)
-    for l in range(1, layer + 1):
-        a_blk = pi.block_of(alpha, l)
-        b_blk = pi.block_of(beta, l)
-        blocks = [c for c in pi.layers[l - 1] if c != a_blk and c != b_blk]
-        blocks.append(tuple(sorted(a_blk + b_blk)))
-        blocks.sort()
-        new_layers[l - 1] = tuple(blocks)
-    return WeightedPartition(pi.n, pi.k, tuple(new_layers))
-
-
-def _minima(pi: WeightedPartition, l: int) -> list[int]:
-    """The minima of the layer-l blocks of pi, ascending; a singleton counts
-    as its own block."""
-    inner = {e for b in pi.layers[l - 1] for e in b[1:]}
-    return [e for e in range(1, pi.n + 1) if e not in inner]
-
-
 def _code(pi: WeightedPartition) -> bytes:
     """The block-minimum code of pi: for each layer l in turn, the n bytes
     f_l(1), ..., f_l(n), where f_l(e) is the minimum of e's layer-l block
-    (a singleton is its own minimum, as in :func:`_minima`)."""
+    (a singleton is its own minimum)."""
     code = bytearray()
     for layer in pi.layers:
         f = bytearray(range(1, pi.n + 1))
@@ -166,29 +142,65 @@ def _code(pi: WeightedPartition) -> bytes:
     return bytes(code)
 
 
-def admissible_covers(pi: WeightedPartition) -> list[tuple[CoverLabel, WeightedPartition]]:
-    """All covers of pi inside P_n^(k), sorted by label.
+def _decode(n: int, k: int, code: bytes) -> WeightedPartition:
+    """The weighted partition with block-minimum code ``code``, canonical as
+    built: each block is grouped under its minimum, which comes first, so
+    blocks are sorted and ordered by minimum without ``validate``."""
+    layers = []
+    for j in range(0, n * k, n):
+        blocks: dict[int, list[int]] = {}
+        for e, m in enumerate(code[j:j + n], 1):
+            if m == e:
+                blocks[m] = [e]
+            else:
+                blocks[m].append(e)
+        layers.append(tuple([tuple(b) for b in blocks.values() if j == 0 or len(b) > 1]))
+    return WeightedPartition(n, k, tuple(layers))
 
-    A label (alpha, beta)_l is admissible when alpha < beta, alpha is the
-    minimum of its layer-l block and beta the minimum of its first-layer
-    block (see :func:`_minima`); then alpha lies in another first-layer
-    block.  Rank n-1 elements have no covers inside P.
+
+def _admissible(code: bytes, n: int, k: int) -> Iterator[tuple[int, int, int]]:
+    """The admissible labels (alpha, beta, l) at the element with code
+    ``code``, in label order: f_l(alpha) = alpha < beta = f_1(beta), that is
+    alpha is the minimum of its layer-l block and beta of its first-layer
+    block, which then differs from alpha's."""
+    firsts = [e for e in range(1, n + 1) if code[e - 1] == e]
+    for l in range(k, 0, -1):
+        f = code[(l - 1) * n:l * n]
+        for alpha in range(1, n + 1):
+            if f[alpha - 1] == alpha:
+                for beta in firsts:
+                    if beta > alpha:
+                        yield alpha, beta, l
+
+
+def _raise(code: bytes, n: int, alpha: int, beta: int, layer: int) -> bytes:
+    """The code of the cover (alpha, beta)_layer: the alpha- and beta-blocks
+    merge at every layer <= ``layer``.  beta is the minimum of its block at
+    every layer, so each byte beta of f_l becomes f_l(alpha) < beta."""
+    b = bytes((beta,))
+    return b"".join([code[j:j + n].replace(b, code[j + alpha - 1:j + alpha])
+                     for j in range(0, layer * n, n)]) + code[layer * n:]
+
+
+def admissible_covers(pi: WeightedPartition) -> list[tuple[CoverLabel, WeightedPartition]]:
+    """All covers of pi inside P_n^(k), sorted by label: the labels of
+    :func:`_admissible`, each with the partition :func:`_raise` reaches.
+    Rank n-1 elements have no covers inside P.
     """
-    firsts = _minima(pi, 1)
-    return [(CoverLabel(alpha, beta, l), _apply_cover(pi, alpha, beta, l))
-            for l in range(pi.k, 0, -1) for alpha in _minima(pi, l)
-            for beta in firsts if alpha < beta]
+    n, k, code = pi.n, pi.k, _code(pi)
+    return [(CoverLabel(a, b, l), _decode(n, k, _raise(code, n, a, b, l)))
+            for a, b, l in _admissible(code, n, k)]
 
 
 def cover(pi: WeightedPartition, label: CoverLabel) -> WeightedPartition | None:
     """The cover of pi that ``label`` reaches, or None when the label is
-    not admissible at pi: the rule of :func:`admissible_covers`, tested for
-    one label instead of enumerated."""
-    alpha, beta, layer = label.alpha, label.beta, label.layer
-    if not (1 <= layer <= pi.k and alpha < beta and alpha in _minima(pi, layer)
-            and beta in _minima(pi, 1)):
+    not admissible at pi (see :func:`admissible_covers`)."""
+    n, k, code, layer = pi.n, pi.k, _code(pi), label.layer
+    step = (label.alpha, label.beta, layer)
+    # the rule at layer l reads layers 1..l only, and lists layer l first
+    if not 1 <= layer <= k or step not in _admissible(code[:layer * n], n, layer):
         return None
-    return _apply_cover(pi, alpha, beta, layer)
+    return _decode(n, k, _raise(code, n, *step))
 
 
 def _closure(order: list[int], adj: list[list[tuple[int, CoverLabel]]]) -> list[int]:
@@ -209,7 +221,11 @@ def _closure(order: list[int], adj: list[list[tuple[int, CoverLabel]]]) -> list[
 class Poset:
     """The explicit order for given (n, k), graded, bounded, EL-labeled and,
     for k >= 2 and n >= 3, not a lattice: indexed elements, labeled covers,
-    rank function, order queries, chains, Möbius values."""
+    rank function, order queries, chains, Möbius values.
+
+    ``up[x]`` and ``down[y]`` list the covers from x and to y in the order of
+    ``covers``, so chains are listed in that order; :func:`build_poset` emits
+    each element's covers in label order."""
 
     def __init__(self, n: int, k: int, elements: list, covers: list,
                  bottom_idx: int, top_idx: int):
@@ -225,8 +241,6 @@ class Poset:
         for lo, hi, lab in covers:
             self.up[lo].append((hi, lab))
             self.down[hi].append((lo, lab))
-        for adj in self.up:
-            adj.sort(key=lambda t: (t[1].sort_key, t[0]))
         # strict-ancestor (below) and strict-descendant (above) bitmasks
         order = sorted(range(len(elements)), key=lambda i: self.rank[i])
         self._anc = _closure(order, self.down)
@@ -314,23 +328,23 @@ class Poset:
         in every interval [x, y] exactly one maximal chain is weakly rising,
         and its label sequence is strictly lexicographically first.
 
-        For each x, one pass up the order counts the weakly rising chains
-        from x to every y; for each interval, a greedy walk finds the
-        lex-first label sequence and how many chains carry it.  [x, y]
-        passes when it has exactly one weakly rising chain, its lex-first
-        sequence is weakly rising, and one chain carries that sequence.
-        Only an interval that fails is enumerated with
-        :meth:`maximal_chains`, to report its witness.
+        For each x, one pass up the order (:meth:`_el_pass`) counts the
+        weakly rising chains from x to every y and finds the lex-first label
+        sequence and how many chains carry it.  [x, y] passes when it has
+        exactly one weakly rising chain, its lex-first sequence is weakly
+        rising, and one chain carries that sequence.  Only an interval that
+        fails is enumerated with :meth:`maximal_chains`, to report its
+        witness.
         """
         code = {key: c for c, key in
                 enumerate(sorted({lab.sort_key for _, _, lab in self.covers}))}
         up = [[(z, code[lab.sort_key]) for z, lab in adj] for adj in self.up]
         witnesses = []
         for x in range(len(self.elements)):
-            rising = self._rising_counts(x, up)
-            for y in _bits(self._desc[x] | 1 << x):
-                if rising.get(y) == 1 and self._lex_first_is_rising(x, y, up):
-                    continue
+            failing = [y for y, (rising, lex, carriers) in self._el_pass(x, up).items()
+                       if not (rising == 1 and carriers == 1
+                               and all(a <= b for a, b in zip(lex, lex[1:])))]
+            for y in sorted(failing):
                 witness = self._el_witness(x, y)
                 if witness is not None:
                     witnesses.append(witness)
@@ -338,46 +352,37 @@ class Poset:
                 "witnesses": witnesses}
 
     @staticmethod
-    def _rising_counts(x: int, up: list[list[tuple[int, int]]]) -> dict[int, int]:
-        """Number of weakly rising chains from x to each element above it
-        (absent when there are none); ``up`` holds covers with label codes."""
-        counts = {x: 1}
-        level = {x: {-1: 1}}  # element -> {code of the last label: chains}
+    def _el_pass(x: int, up: list[list[tuple[int, int]]]
+                 ) -> dict[int, tuple[int, tuple[int, ...], int]]:
+        """Per element y >= x: the number of weakly rising chains from x to
+        y, the lex-first label-code sequence from x to y, and the number of
+        chains that carry it; ``up`` holds covers with label codes.
+
+        One pass up from x, a level at a time.  Every chain from x to y has
+        the same length, so the lex-first sequence to y extends the lex-first
+        sequence to one of y's lower covers, and its carriers are those of
+        the lower covers that reach it; this holds when labels collide too.
+        """
+        found = {}
+        level = {x: ({-1: 1}, (), 1)}  # element -> (rising chains by last code, lex, carriers)
         while level:
-            above: dict[int, dict[int, int]] = {}
-            for z, last in level.items():
+            above: dict[int, list] = {}
+            for z, (last, lex, carriers) in level.items():
+                found[z] = (sum(last.values()), lex, carriers)
                 for w, c in up[z]:
+                    seq = lex + (c,)
+                    node = above.get(w)
+                    if node is None:
+                        node = above[w] = [{}, seq, 0]
                     chains = sum(m for l, m in last.items() if l <= c)
                     if chains:
-                        ends = above.setdefault(w, {})
-                        ends[c] = ends.get(c, 0) + chains
-            for w, ends in above.items():
-                counts[w] = sum(ends.values())
+                        node[0][c] = node[0].get(c, 0) + chains
+                    if seq < node[1]:
+                        node[1], node[2] = seq, carriers
+                    elif seq == node[1]:
+                        node[2] += carriers
             level = above
-        return counts
-
-    def _lex_first_is_rising(self, x: int, y: int,
-                             up: list[list[tuple[int, int]]]) -> bool:
-        """True when the lex-first label sequence from x to y is weakly
-        rising and exactly one chain carries it."""
-        below_y = self._anc[y] | 1 << y
-        frontier = {x: 1}  # element -> chains reaching it with the lex-first prefix
-        prev = -1
-        for _ in range(self.rank[y] - self.rank[x]):
-            best = None
-            step: dict[int, int] = {}
-            for z, chains in frontier.items():
-                for w, c in up[z]:  # in label order
-                    if best is not None and c > best:
-                        break
-                    if below_y >> w & 1:
-                        if best is None or c < best:
-                            best, step = c, {}
-                        step[w] = step.get(w, 0) + chains
-            if best < prev:
-                return False
-            prev, frontier = best, step
-        return frontier[y] == 1
+        return found
 
     def _el_witness(self, x: int, y: int) -> dict | None:
         """The EL finding for [x, y] by enumerating its maximal chains, or
@@ -430,9 +435,10 @@ class Poset:
 
 def build_poset(n: int, k: int, guard: int | None = None) -> Poset:
     """Construct the poset for (n, k) explicitly: the elements of
-    :func:`enumerate_all` in that order, each with the covers of
-    :func:`admissible_covers` in label order, computed on block-minimum codes
-    (:func:`_code`), then for k >= 2 and n >= 2 the adjoined top.
+    :func:`enumerate_all` in that order, each with its covers in label order,
+    computed on block-minimum codes (:func:`_code`) by the one cover rule of
+    :func:`_admissible` and :func:`_raise`, with no partition built per
+    cover; then for k >= 2 and n >= 2 the adjoined top.
 
     :func:`check_guard` (with ``guard``) aborts with
     :class:`GuardExceeded` before any enumeration.
@@ -441,31 +447,13 @@ def build_poset(n: int, k: int, guard: int | None = None) -> Poset:
         raise ValueError("need n >= 1 and k >= 1")
     check_guard(n, k, guard)
 
-    # The rule of admissible_covers on block-minimum codes: (alpha, beta)_l
-    # is admissible when f_l(alpha) = alpha < beta = f_1(beta).  beta is then
-    # the minimum of its block at every layer, so the cover replaces each
-    # entry beta of f_1, ..., f_l by f_1(alpha), ..., f_l(alpha), all < beta.
     elements: list = enumerate_all(n, k)
     codes = [_code(el) for el in elements]
     index = {code: i for i, code in enumerate(codes)}
-    byte = [bytes((v,)) for v in range(n + 1)]
     labels = {(a, b, l): CoverLabel(a, b, l) for l in range(1, k + 1)
               for a in range(1, n + 1) for b in range(a + 1, n + 1)}
-    covers = []
-    for i, code in enumerate(codes):
-        f = [code[j:j + n] for j in range(0, n * k, n)]
-        firsts = [e for e in range(1, n + 1) if f[0][e - 1] == e]
-        for l in range(k, 0, -1):
-            rest = code[l * n:]
-            for alpha in range(1, n + 1):
-                if f[l - 1][alpha - 1] != alpha:
-                    continue
-                mins = [byte[fl[alpha - 1]] for fl in f[:l]]
-                for beta in firsts:
-                    if beta > alpha:
-                        b = byte[beta]
-                        up = b"".join([fl.replace(b, m) for fl, m in zip(f, mins)]) + rest
-                        covers.append((i, index[up], labels[alpha, beta, l]))
+    covers = [(i, index[_raise(code, n, *step)], labels[step])
+              for i, code in enumerate(codes) for step in _admissible(code, n, k)]
 
     add_top = k >= 2 and n >= 2
     if add_top:

@@ -72,13 +72,6 @@ class WeightedPartition:
         """n minus the number of first-layer blocks."""
         return self.n - len(self.layers[0])
 
-    def block_of(self, element: int, layer: int) -> Block:
-        """The (possibly singleton) block of ``element`` at ``layer``."""
-        for b in self.layers[layer - 1]:
-            if element in b:
-                return b
-        return (element,)
-
     def to_json_dict(self) -> dict:
         return {
             "n": self.n,

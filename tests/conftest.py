@@ -211,13 +211,28 @@ def oracle_leq(poset):
     return lambda x, y: y in reach[x]
 
 
+def _oracle_merge(pi, alpha, beta, l):
+    """pi with the blocks of alpha and beta (a singleton where no stored
+    block holds one) merged at layers 1..l, canonicalized by ``validate``."""
+    from wplat import validate
+
+    layers = []
+    for j, layer in enumerate(pi.layers, start=1):
+        blocks = [set(b) for b in layer]
+        if j <= l:
+            a = next((b for b in blocks if alpha in b), {alpha})
+            b = next((b for b in blocks if beta in b), {beta})
+            blocks = [c for c in blocks if c is not a and c is not b] + [a | b]
+        layers.append(blocks)
+    return validate(pi.n, pi.k, layers)
+
+
 def oracle_admissible_covers(pi):
     """The covers of pi sorted by label, by trying every pair of first-layer
     blocks A, B: beta is the minimum of B, and alpha runs over the minima of
     the layer-l blocks that start in A and the elements of A no layer-l
     block covers."""
     from wplat import CoverLabel
-    from wplat.lattice import _apply_cover
 
     layer1 = pi.layers[0]
     out = []
@@ -237,7 +252,7 @@ def oracle_admissible_covers(pi):
                 for alpha in alphas:
                     if alpha < beta:
                         label = CoverLabel(alpha, beta, l)
-                        out.append((label, _apply_cover(pi, alpha, beta, l)))
+                        out.append((label, _oracle_merge(pi, alpha, beta, l)))
     out.sort(key=lambda pair: pair[0].sort_key)
     return out
 
@@ -259,9 +274,10 @@ def oracle_mobius(poset):
     return out
 
 
-def oracle_verify_el(poset):
-    """The EL report of ``Poset.verify_el``, by enumerating and sorting every
-    maximal chain of every interval."""
+def _oracle_chains(poset):
+    """``oracle_leq`` of the poset and a generator function of (x, y) that
+    yields the label sequences of the maximal chains of [x, y], by a search
+    up the poset's cover list."""
     leq = oracle_leq(poset)
     succ = {}
     for lo, hi, lab in poset.covers:
@@ -276,9 +292,17 @@ def oracle_verify_el(poset):
                 for rest in chains(z, y):
                     yield (lab,) + rest
 
-    def rises(ch):
-        return all(a.sort_key <= b.sort_key for a, b in zip(ch, ch[1:]))
+    return leq, chains
 
+
+def _oracle_rises(keys):
+    return all(a <= b for a, b in zip(keys, keys[1:]))
+
+
+def oracle_verify_el(poset):
+    """The EL report of ``Poset.verify_el``, by enumerating and sorting every
+    maximal chain of every interval."""
+    leq, chains = _oracle_chains(poset)
     size = len(poset.elements)
     witnesses = []
     for x in range(size):
@@ -286,7 +310,7 @@ def oracle_verify_el(poset):
             if not leq(x, y):
                 continue
             every = sorted(chains(x, y), key=lambda ch: [lab.sort_key for lab in ch])
-            rising = [ch for ch in every if rises(ch)]
+            rising = [ch for ch in every if _oracle_rises([lab.sort_key for lab in ch])]
             interval = [str(poset.elements[x]), str(poset.elements[y])]
             if len(rising) != 1:
                 witnesses.append({"interval": interval,
@@ -299,6 +323,30 @@ def oracle_verify_el(poset):
                                   "lex_first": [str(l) for l in every[0]]})
     return {"check": "el", "status": "pass" if not witnesses else "fail",
             "witnesses": witnesses}
+
+
+def oracle_label_codes(poset):
+    """Each label's sort key mapped to its rank among the poset's labels."""
+    keys = sorted({lab.sort_key for _, _, lab in poset.covers})
+    return {key: c for c, key in enumerate(keys)}
+
+
+def oracle_el_values(poset):
+    """Per interval [x, y], keyed by (x, y): the number of weakly rising
+    maximal chains, the lex-first label sequence coded by
+    ``oracle_label_codes``, and the number of chains that carry it, by
+    enumerating every maximal chain."""
+    leq, chains = _oracle_chains(poset)
+    code = oracle_label_codes(poset)
+    size = len(poset.elements)
+    out = {}
+    for x in range(size):
+        for y in range(size):
+            if leq(x, y):
+                seqs = [tuple(code[lab.sort_key] for lab in ch) for ch in chains(x, y)]
+                lex = min(seqs)
+                out[x, y] = (sum(map(_oracle_rises, seqs)), lex, seqs.count(lex))
+    return out
 
 
 def _padded(pi, layer):

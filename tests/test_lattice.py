@@ -8,7 +8,9 @@ import random
 import pytest
 from conftest import (
     oracle_admissible_covers,
+    oracle_el_values,
     oracle_join,
+    oracle_label_codes,
     oracle_leq,
     oracle_meet,
     oracle_mobius,
@@ -72,7 +74,7 @@ class TestCovers:
         for label, nxt in admissible_covers(pi):
             assert label.alpha < label.beta
             # beta is the minimum of its first-layer block
-            assert label.beta == min(pi.block_of(label.beta, 1))
+            assert label.beta == min(next(b for b in pi.layers[0] if label.beta in b))
 
 
 class TestPosetShape:
@@ -369,6 +371,30 @@ class TestOrderKernel:
         P = poset_cache(n, k)
         assert json.dumps(P.verify_el()) == json.dumps(oracle_verify_el(P))
 
+    @staticmethod
+    def _check_el_pass(P):
+        """Poset._el_pass from every x against the chain enumeration; the
+        carrier counts seen."""
+        code = oracle_label_codes(P)
+        up = [[] for _ in range(len(P))]
+        for lo, hi, lab in P.covers:
+            up[lo].append((hi, code[lab.sort_key]))
+        got = {(x, y): values for x in range(len(P))
+               for y, values in P._el_pass(x, up).items()}
+        assert got == oracle_el_values(P)
+        return {carriers for _, _, carriers in got.values()}
+
+    @pytest.mark.parametrize("n,k", SMALL)
+    def test_el_pass_matches_chain_enumeration(self, n, k, poset_cache):
+        assert self._check_el_pass(poset_cache(n, k)) == {1}
+
+    @pytest.mark.parametrize("n,k", [(3, 2), (3, 3), (4, 2)])
+    def test_el_pass_matches_chain_enumeration_on_relabeled_posets(self, n, k, poset_cache):
+        carriers = set()
+        for seed in range(70):
+            carriers |= self._check_el_pass(_relabeled(poset_cache(n, k), seed))
+        assert 2 in carriers  # colliding labels: two chains carry one sequence
+
     @pytest.mark.parametrize("n,k", SMALL)
     def test_structure_matches_oracle(self, n, k, poset_cache):
         P = poset_cache(n, k)
@@ -427,7 +453,7 @@ class TestOrderKernel:
 
     @pytest.mark.parametrize("n,k", SMALL + [(5, 2)])
     def test_built_partitions_are_canonical(self, n, k, poset_cache):
-        # _apply_cover builds its result without validate()
+        # admissible_covers decodes its results without validate()
         for el in poset_cache(n, k).elements:
             if el is lattice.TOP:
                 continue
@@ -438,13 +464,14 @@ class TestOrderKernel:
     @pytest.mark.parametrize("n,k", [(n, k) for n in range(1, 6) for k in range(1, 4)]
                              + [(6, 2)])
     def test_build_matches_admissible_covers(self, n, k, poset_cache):
-        # build_poset's block-minimum codes against the per-element route:
-        # the same cover list in the same order, the same bottom and top
+        # build_poset's block-minimum codes against the block-pair scan: the
+        # same cover list in the same order, the same bottom and top, and
+        # each element's up list in strictly rising label order
         P = poset_cache(n, k)
         parts = enumerate_all(n, k)
         index = {el: i for i, el in enumerate(parts)}
         want = [(i, index[up], lab) for i, el in enumerate(parts)
-                for lab, up in admissible_covers(el)]
+                for lab, up in oracle_admissible_covers(el)]
         if k >= 2 and n >= 2:
             top = len(parts)
             want += [(i, top, CoverLabel(1, n, k))
@@ -455,6 +482,9 @@ class TestOrderKernel:
             assert P.elements == parts
         assert P.covers == want
         assert (P.bottom_idx, P.top_idx) == (index[bottom(n, k)], top)
+        for adj in P.up:
+            keys = [lab.sort_key for _, lab in adj]
+            assert all(a < b for a, b in zip(keys, keys[1:]))
 
     @pytest.mark.parametrize("n,k", SMALL + [(5, 2)])
     def test_cover_matches_admissible_covers(self, n, k, poset_cache):
@@ -505,13 +535,13 @@ class TestOrderKernel:
 
     def test_cover_applies_one_merge(self, monkeypatch):
         calls = []
-        real = lattice._apply_cover
+        real = lattice._raise
 
         def counting(*args):
             calls.append(args)
             return real(*args)
 
-        monkeypatch.setattr(lattice, "_apply_cover", counting)
+        monkeypatch.setattr(lattice, "_raise", counting)
         pi = bottom(4, 2)
         assert lattice.cover(pi, CoverLabel(1, 3, 2)) is not None
         assert lattice.cover(pi, CoverLabel(3, 1, 2)) is None
