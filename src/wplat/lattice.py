@@ -29,7 +29,6 @@ from .wpartition import (
     _components,
     bottom,
     enumerate_all,
-    one_line_print,
 )
 from .stirling import T_def
 
@@ -256,8 +255,7 @@ class Poset:
     def _name_list(self) -> list[str]:
         """One-line names of all elements, built on first use."""
         if self._names is None:
-            self._names = [str(el) if el is TOP else one_line_print(el)
-                           for el in self.elements]
+            self._names = [str(el) for el in self.elements]
         return self._names
 
     def element_name(self, i: int) -> str:

@@ -197,33 +197,31 @@ def series_pow_y(f: BivariateSeries) -> BivariateSeries:
     return series_exp(series_log(f).shift_y())
 
 
-def exp_k_xy(k: int, N: int, M: int | None = None) -> BivariateSeries:
-    """The k-fold iterated exponential exp(y·exp(...(e^x - 1)...)).
+def exp_k_xy(k: int, N: int) -> BivariateSeries:
+    """The k-fold iterated exponential exp(y·exp(...(e^x - 1)...)) to order
+    N in x and in y.
 
     Coefficient (n, r) is the k-fold Stirling transform number T(n, k, r).
     """
     if k < 1:
         raise SeriesError("k must be >= 1")
-    if M is None:
-        M = N
     # u = (k-1)-fold iterate of f -> exp(f) - 1 applied to x, starting at e^x - 1
-    u = BivariateSeries(N, M, {(n, 0): 1 for n in range(1, N + 1)})
+    u = BivariateSeries(N, N, {(n, 0): 1 for n in range(1, N + 1)})
     for _ in range(k - 1):
         u = series_exp(u)._with_constant(-1)
     return series_exp(u.shift_y())
 
 
-def log_k_xy(k: int, N: int, M: int | None = None) -> BivariateSeries:
-    """The compositional inverse family (iterated log)^y.
+def log_k_xy(k: int, N: int) -> BivariateSeries:
+    """The compositional inverse family (iterated log)^y to order N in x
+    and in y.
 
     Coefficient (n, r) is the inverse transform number t(n, k, r).
     """
     if k < 1:
         raise SeriesError("k must be >= 1")
-    if M is None:
-        M = N
     # v = k-fold iterate of f -> 1 + log(f) applied to e^x
-    v = BivariateSeries(N, M, {(n, 0): 1 for n in range(0, N + 1)})
+    v = BivariateSeries(N, N, {(n, 0): 1 for n in range(0, N + 1)})
     for _ in range(k):
         v = series_log(v)._with_constant(1)
     return series_pow_y(v)

@@ -208,45 +208,24 @@ def edge_set_inverse(edges: Iterable[tuple[int, int, int]], n: int, k: int) -> W
 # ---------------------------------------------------------------------------
 # one-line notation
 
-def _persistence(pi: WeightedPartition) -> dict[Block, int]:
-    """Map each distinct recorded set (including layer-1 blocks) to the
-    deepest layer through which that exact set is a block."""
-    out: dict[Block, int] = {}
-    for l in range(1, pi.k + 1):
-        for b in pi.layers[l - 1]:
-            out[b] = l
-    # a set must persist through contiguous layers; sanity-check
-    for b, last in out.items():
-        first = next(l for l in range(1, pi.k + 1) if b in pi.layers[l - 1])
-        assert all(b in pi.layers[l - 1] for l in range(first, last + 1))
-    return out
-
-
 def one_line_print(pi: WeightedPartition) -> str:
-    persist = _persistence(pi)
-    sets_by_size = sorted((s for s in persist), key=len)
-
-    def parent_of(s: Block) -> Block | None:
-        cand = [t for t in persist if len(t) > len(s) and set(s) < set(t)]
-        if not cand:
-            return None
-        return min(cand, key=len)
-
-    children: dict[Block | None, list[Block]] = {}
-    for s in sets_by_size:
-        children.setdefault(parent_of(s), []).append(s)
-
+    """Canonical one-line notation, by one descent over the layers: a block
+    of layer l stays a block down to some layer d, written "(items)^d" when
+    d >= 2, and its items are the layer-(d+1) blocks inside it and its
+    elements outside them, in order of their minima."""
     sep = "," if pi.n >= 10 else ""
 
-    def render(s: Block) -> str:
-        kids = sorted(children.get(s, []), key=lambda b: b[0])
+    def render(b: Block, l: int) -> tuple[str, int]:
+        """The items of the layer-l block b, and the deepest layer through
+        which b stays a block."""
+        while l < pi.k and b in pi.layers[l]:
+            l += 1
+        # each layer-(l+1) block lies inside one layer-l block
+        kids = [c for c in pi.layers[l] if c[0] in b] if l < pi.k else []
         in_kid = {e for c in kids for e in c}
-        items: list[tuple[int, str, bool]] = []  # (sort key, text, is_group)
-        for c in kids:
-            items.append((c[0], f"({render(c)})^{persist[c]}", True))
-        for e in s:
-            if e not in in_kid:
-                items.append((e, str(e), False))
+        # (sort key, text, is_group)
+        items = [(c[0], "(%s)^%d" % render(c, l + 1), True) for c in kids]
+        items += [(e, str(e), False) for e in b if e not in in_kid]
         items.sort()
         parts: list[str] = []
         for i, (_, text, _is_group) in enumerate(items):
@@ -255,12 +234,12 @@ def one_line_print(pi: WeightedPartition) -> str:
             elif i and items[i - 1][2] and text[0].isdigit():
                 parts.append(" ")  # keep exponent digits apart from elements
             parts.append(text)
-        return "".join(parts)
+        return "".join(parts), l
 
     pieces = []
     for b in pi.layers[0]:
-        inner = render(b)
-        pieces.append(f"({inner})^{persist[b]}" if persist[b] >= 2 else inner)
+        inner, depth = render(b, 1)
+        pieces.append(f"({inner})^{depth}" if depth >= 2 else inner)
     return "/".join(pieces)
 
 

@@ -1,6 +1,7 @@
 """Cycle diagrams, colorings, and the chain <-> labeled-binary-tree
 bijection."""
 
+import hashlib
 from itertools import permutations
 from math import factorial
 
@@ -160,6 +161,22 @@ class TestLBT:
             got.add(ch)
             assert chain_to_lbt(ch, n, k) == t
         assert got == want
+
+    def test_read_off_matches_pinned_digest(self):
+        # every root candidate at n <= 4, k <= 3, valid or not: the chain's
+        # labels, or the exception the read-off raises
+        def outcome(tree, k):
+            try:
+                return " ".join(map(str, lbt_to_chain(tree, k)))
+            except Exception as exc:
+                return f"{type(exc).__name__}: {exc}"
+
+        outs = [outcome(t, k) for n in (2, 3, 4) for k in (1, 2, 3)
+                for t in oracle_root_candidates(n, k)]
+        assert len(outs) == 3301
+        assert sum(o.startswith("ValueError") for o in outs) == 2380
+        assert hashlib.sha256("\n".join(outs).encode()).hexdigest() == (
+            "ec47763c94fcf01b638fd088d4535051d147aae3853d058b3a104a3c98ba0f6b")
 
     def test_chain_round_trip(self, poset_cache):
         for n, k in [(4, 2), (3, 3)]:

@@ -18,7 +18,7 @@ from conftest import (
     oracle_verify_el,
 )
 
-from wplat import lattice
+from wplat import lattice, wpartition
 from wplat import (
     CoverLabel,
     GuardExceeded,
@@ -284,6 +284,35 @@ class TestBoundsAndAudit:
         assert one_line_print(paper_meet(a, b)) == "(123)^2 4"
 
 
+def refinement_order_mobius(n, k):
+    """mu(0^, 1^) of the layerwise refinement order on the weighted
+    partitions, by brute force: x <= y when each layer-l block of x lies in
+    a layer-l block of y.  Its top is the element with every layer [n]."""
+    elements = enumerate_all(n, k)
+
+    def leq(x, y):
+        return all(any(set(b) <= set(c) for c in y_layer)
+                   for x_layer, y_layer in zip(x.layers, y.layers) for b in x_layer)
+
+    # merging blocks strictly adds same-block pairs, so this sorts x < y first
+    elements.sort(key=lambda x: sum(len(b) * (len(b) - 1) for layer in x.layers for b in layer))
+    mu: list[int] = []
+    for i, y in enumerate(elements):
+        mu.append(1 if i == 0 else -sum(m for x, m in zip(elements, mu) if leq(x, y)))
+    assert all(leq(elements[0], y) and leq(y, elements[-1]) for y in elements)
+    return mu[-1]
+
+
+@pytest.mark.parametrize("n,k,built", [(3, 2, -3), (4, 2, 15), (3, 3, -10), (4, 1, -6)])
+def test_refinement_order_mobius_is_not_the_papers(n, k, built, poset_cache):
+    # paper_join/paper_meet are the bounds of the layerwise refinement order,
+    # whose mu(0^, 1^) is 0 for k >= 2: they cannot be the bounds of the
+    # built order, which has the paper's mu; at k = 1 both are the partition
+    # lattice
+    assert poset_cache(n, k).mobius_via_chains() == mobius_closed_form(n, k) == built
+    assert refinement_order_mobius(n, k) == (built if k == 1 else 0)
+
+
 # (n, k): pairs with no least upper bound, pairs with no greatest lower bound,
 # pairs of upper covers of one element with no common upper cover, all such
 # pairs; the order is atomistic at every size
@@ -437,7 +466,7 @@ class TestOrderKernel:
         def refuse(*_):
             raise AssertionError("the audit must not scan with leq")
 
-        monkeypatch.setattr(lattice, "one_line_print", counting)
+        monkeypatch.setattr(wpartition, "one_line_print", counting)
         monkeypatch.setattr(lattice.Poset, "leq", refuse)
         report = structural_checks(P)
         assert {c["check"]: c["status"] for c in report}["atomistic"] == "pass"

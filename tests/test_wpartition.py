@@ -1,7 +1,10 @@
 """Weighted partitions: validation, printing/parsing, enumeration, and the
 rooted-tree and edge-set encodings."""
 
+import hashlib
 import json
+import random
+from itertools import combinations
 
 import pytest
 from conftest import oracle_enumerate_all
@@ -97,6 +100,21 @@ class TestOneLineNotation:
         for n, k in [(1, 1), (3, 1), (3, 2), (4, 2), (4, 3)]:
             for pi in enumerate_all(n, k):
                 assert one_line_parse(one_line_print(pi), n, k) == pi
+
+    def test_names_match_pinned_digest(self):
+        # every element at (4,4), (5,3) and (6,2), then 500 seeded
+        # partitions at n = 10..12 (comma separators, deeper nesting)
+        rng = random.Random(12)
+        pis = [pi for n, k in [(4, 4), (5, 3), (6, 2)] for pi in enumerate_all(n, k)]
+        for _ in range(500):
+            n, k = rng.randint(10, 12), rng.randint(1, 3)
+            edges = [(i, j, rng.randint(1, k)) for i, j in combinations(range(1, n + 1), 2)
+                     if rng.random() < 2 / n]
+            pis.append(edge_set_inverse(edges, n, k))
+        names = "\n".join(one_line_print(pi) for pi in pis)
+        assert len(pis) == 4590
+        assert hashlib.sha256(names.encode()).hexdigest() == (
+            "61404d390c188443074c6295f0529c5ab84b1336dd64d572bbd7c37c7f23bd6f")
 
 
 class TestEnumeration:
