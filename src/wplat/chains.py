@@ -11,7 +11,7 @@ from itertools import combinations, product
 from operator import attrgetter
 from typing import Iterator, Mapping, Sequence
 
-from .lattice import CoverLabel, cover
+from .lattice import CoverLabel, follow_labels
 from .wpartition import WeightedPartition, bottom
 
 __all__ = [
@@ -153,18 +153,16 @@ def diagram_to_decreasing_chain(pairs: frozenset[tuple[int, int]],
 def apply_chain(n: int, k: int, labels: Sequence[CoverLabel]
                 ) -> list[WeightedPartition]:
     """Apply cover labels starting from the bottom element, taking the one
-    cover each label reaches (:func:`~wplat.lattice.cover`); raises
+    cover each label reaches (:func:`~wplat.lattice.follow_labels`); raises
     ValueError on a non-admissible step.  Returns the visited elements
     (bottom first).  The final (1,n)_k step into the adjoined top, if
     present, must be the last label."""
-    pi = bottom(n, k)
-    seq = [pi]
-    for pos, lab in enumerate(labels):
-        if pi.rank == n - 1:
+    seq = [bottom(n, k)]
+    for pos, (lab, pi) in enumerate(zip(labels, follow_labels(seq[0], labels))):
+        if pos == n - 1:  # each cover raises the rank by one
             if k >= 2 and pos == len(labels) - 1 and lab == CoverLabel(1, n, k):
                 return seq
             raise ValueError(f"label {lab} past the top of P")
-        pi = cover(pi, lab)
         if pi is None:
             raise ValueError(f"label {lab} is not admissible at step {pos}")
         seq.append(pi)

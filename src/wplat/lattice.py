@@ -22,7 +22,7 @@ from functools import reduce, total_ordering
 from itertools import combinations, islice
 from math import factorial
 from operator import and_, or_
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .wpartition import (
     WeightedPartition,
@@ -39,6 +39,7 @@ __all__ = [
     "DEFAULT_GUARD",
     "admissible_covers",
     "cover",
+    "follow_labels",
     "Poset",
     "build_poset",
     "check_guard",
@@ -191,15 +192,27 @@ def admissible_covers(pi: WeightedPartition) -> list[tuple[CoverLabel, WeightedP
             for a, b, l in _admissible(code, n, k)]
 
 
+def follow_labels(pi: WeightedPartition, labels: Iterable[CoverLabel]
+                  ) -> Iterator[WeightedPartition | None]:
+    """The covers that ``labels`` reach one after another from pi, kept as
+    codes between steps; None at the first label that is not admissible
+    there (see :func:`admissible_covers`), which ends the walk."""
+    n, k, code = pi.n, pi.k, _code(pi)
+    for label in labels:
+        layer = label.layer
+        step = (label.alpha, label.beta, layer)
+        # the rule at layer l reads layers 1..l only, and lists layer l first
+        if not 1 <= layer <= k or step not in _admissible(code[:layer * n], n, layer):
+            yield None
+            return
+        code = _raise(code, n, *step)
+        yield _decode(n, k, code)
+
+
 def cover(pi: WeightedPartition, label: CoverLabel) -> WeightedPartition | None:
     """The cover of pi that ``label`` reaches, or None when the label is
-    not admissible at pi (see :func:`admissible_covers`)."""
-    n, k, code, layer = pi.n, pi.k, _code(pi), label.layer
-    step = (label.alpha, label.beta, layer)
-    # the rule at layer l reads layers 1..l only, and lists layer l first
-    if not 1 <= layer <= k or step not in _admissible(code[:layer * n], n, layer):
-        return None
-    return _decode(n, k, _raise(code, n, *step))
+    not admissible at pi."""
+    return next(follow_labels(pi, (label,)))
 
 
 def _closure(order: list[int], adj: list[list[tuple[int, CoverLabel]]]) -> list[int]:

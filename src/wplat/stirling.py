@@ -16,7 +16,6 @@ __all__ = [
     "stirling2",
     "bell",
     "partitions",
-    "partitions_with_length",
     "f_lambda",
     "g_lambda",
     "elem_sym_spec",
@@ -87,12 +86,6 @@ def partitions(n: int) -> Iterator[tuple[int, ...]]:
     yield from rec(n, n, ())
 
 
-def partitions_with_length(n: int, length: int) -> Iterator[tuple[int, ...]]:
-    for lam in partitions(n):
-        if len(lam) == length:
-            yield lam
-
-
 def _multiplicities(lam: Sequence[int]) -> dict[int, int]:
     m: dict[int, int] = {}
     for part in lam:
@@ -161,11 +154,17 @@ def t_def(n: int, k: int, r: int) -> int:
     return _transform_def(n, k, r, stirling1)
 
 
+def _T_row_sum(m: int, k: int) -> int:
+    """sum_{r'=1}^{m} T(m, k, r') by :func:`T_rec_lambda`."""
+    return sum(T_rec_lambda(m, k, rp) for rp in range(1, m + 1))
+
+
 @lru_cache(maxsize=None)
 def T_rec_lambda(n: int, k: int, r: int) -> int:
     """T(n, k, r) via the partition recurrence
     T(n,k,r) = sum_{lambda |- n, l(lambda)=r} f_lambda
-               prod_i sum_{r'=1}^{lambda_i} T(lambda_i, k-1, r').
+               prod_i sum_{r'=1}^{lambda_i} T(lambda_i, k-1, r'),
+    summed by :func:`_split` with the row sums as its first column.
 
     Initial conditions T(0,k,0) = T(1,k,1) = 1; base layer k=1 is S(n, r).
     """
@@ -177,13 +176,7 @@ def T_rec_lambda(n: int, k: int, r: int) -> int:
         return 1
     if k == 1:
         return stirling2(n, r)
-    total = 0
-    for lam in partitions_with_length(n, r):
-        prod = f_lambda(lam)
-        for part in lam:
-            prod *= sum(T_rec_lambda(part, k - 1, rp) for rp in range(1, part + 1))
-        total += prod
-    return total
+    return _split(n, k - 1, r, _T_row_sum)
 
 
 @lru_cache(maxsize=None)
@@ -200,9 +193,13 @@ def _T_first_column(n: int, k: int) -> int:
 def _split(n: int, k: int, r: int, first_column) -> int:
     """The split recurrence
     X(n,k,r) = sum_p C(n-1,p) X(p+1,k,1) X(n-p-1,k,r-1),
-    with the first column X(n,k,1) given by ``first_column(n, k)``."""
-    if k < 1:
-        raise ValueError("k must be >= 1")
+    with the first column X(n,k,1) given by ``first_column(n, k)``.
+
+    p+1 is the size of the block that holds 1, so this is
+    sum_{lambda |- n, l(lambda)=r} f_lambda prod_j first_column(lambda_j, k)
+    regrouped by distributivity, O(n^2) terms per n instead of one per
+    integer partition.  ``first_column`` is a module-level function, so
+    that it is a stable cache key."""
     if n < 0 or r < 0 or r > n:
         return 0
     if n == 0:
@@ -220,13 +217,17 @@ def _split(n: int, k: int, r: int, first_column) -> int:
 def T_rec_split(n: int, k: int, r: int) -> int:
     """T(n, k, r) via the split recurrence
     T(n,k,r) = sum_p C(n-1,p) T(p+1,k,1) T(n-p-1,k,r-1)."""
+    if k < 1:
+        raise ValueError("k must be >= 1")
     return _split(n, k, r, _T_first_column)
 
 
 @lru_cache(maxsize=None)
 def t_rec_first_column(n: int, k: int) -> int:
     """t(n, k, 1) = sum_{lambda |- n} (-1)^{l(lambda)+1} g_lambda
-    prod_i t(lambda_i, k-1, 1); base k=1 gives (-1)^{n-1} (n-1)!.
+    prod_i t(lambda_i, k-1, 1), summed by :func:`_split` one length
+    l(lambda) at a time, as g_lambda = (l(lambda) - 1)! f_lambda; base k=1
+    gives (-1)^{n-1} (n-1)!.
 
     The internal base layer k=0 is the identity transform column delta_{n,1}.
     """
@@ -236,27 +237,23 @@ def t_rec_first_column(n: int, k: int) -> int:
         return 1 if n == 1 else 0
     if k == 1:
         return (-1) ** (n - 1) * factorial(n - 1)
-    total = 0
-    for lam in partitions(n):
-        prod = (-1) ** (len(lam) + 1) * g_lambda(lam)
-        for part in lam:
-            prod *= t_rec_first_column(part, k - 1)
-            if prod == 0:
-                break
-        total += prod
-    return total
+    return sum((-1) ** (l + 1) * factorial(l - 1) * _split(n, k - 1, l, t_rec_first_column)
+               for l in range(1, n + 1))
 
 
 def t_rec_split(n: int, k: int, r: int) -> int:
     """t(n, k, r) via the split recurrence, first column from
     t_rec_first_column."""
+    if k < 1:
+        raise ValueError("k must be >= 1")
     return _split(n, k, r, t_rec_first_column)
 
 
 def t_rec_elem_sym(n: int, k: int, r: int) -> int:
     """t(n, k, r) via elementary symmetric functions:
     t(n,k,r) = sum_{a>=r} (-1)^{a-r} e_{a-r}(1..a-1)
-               sum_{lambda |- n, l(lambda)=a} f_lambda prod_j t(lambda_j, k-1, 1).
+               sum_{lambda |- n, l(lambda)=a} f_lambda prod_j t(lambda_j, k-1, 1),
+    the inner sum by :func:`_split`.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -264,18 +261,6 @@ def t_rec_elem_sym(n: int, k: int, r: int) -> int:
         return 0
     if n == 0:
         return 1
-    total = 0
-    for a in range(r, n + 1):
-        coeff = (-1) ** (a - r) * elem_sym_spec(a - 1, a - r)
-        if coeff == 0:
-            continue
-        inner = 0
-        for lam in partitions_with_length(n, a):
-            prod = f_lambda(lam)
-            for part in lam:
-                prod *= t_rec_first_column(part, k - 1)
-                if prod == 0:
-                    break
-            inner += prod
-        total += coeff * inner
-    return total
+    return sum((-1) ** (a - r) * elem_sym_spec(a - 1, a - r)
+               * _split(n, k - 1, a, t_rec_first_column)
+               for a in range(r, n + 1))

@@ -2,6 +2,7 @@
 the library's routes.  They favor obviousness over speed."""
 
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations, product
 
 import pytest
@@ -74,6 +75,38 @@ def oracle_transform_def(n: int, k: int, r: int, kernel) -> int:
                 break
         total += prod
     return total
+
+
+def oracle_partition_sum(n: int, length: int | None, coeff, weight) -> int:
+    """The literal per-partition sum: over the integer partitions lambda of
+    n (of length ``length`` only, unless it is None), one term
+    coeff(lambda) * prod_j weight(lambda_j) per partition."""
+    from wplat.stirling import partitions
+
+    total = 0
+    for lam in partitions(n):
+        if length is None or len(lam) == length:
+            term = coeff(lam)
+            for part in lam:
+                term *= weight(part)
+            total += term
+    return total
+
+
+@lru_cache(maxsize=None)
+def oracle_t_first_column(n: int, k: int) -> int:
+    """t(n, k, 1) by the paper's recurrence, one integer partition at a
+    time: sum_{lambda |- n} (-1)^{l(lambda)+1} g_lambda prod_i t(lambda_i, k-1, 1),
+    from the identity column delta_{n,1} at k = 0."""
+    from wplat.stirling import g_lambda
+
+    if n < 1:
+        return 0
+    if k == 0:
+        return 1 if n == 1 else 0
+    return oracle_partition_sum(
+        n, None, lambda lam: (-1) ** (len(lam) + 1) * g_lambda(lam),
+        lambda part: oracle_t_first_column(part, k - 1))
 
 
 def oracle_taylor_exp(coeffs: list[Fraction]) -> list[Fraction]:

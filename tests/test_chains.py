@@ -202,7 +202,8 @@ class TestLBT:
         def refuse(*_):
             raise AssertionError("the tree generator stepped through the lattice")
 
-        monkeypatch.setattr(wplat.chains, "cover", refuse)
+        monkeypatch.setattr(wplat.chains, "follow_labels", refuse)
+        monkeypatch.setattr(wplat.lattice, "follow_labels", refuse)
         monkeypatch.setattr(wplat.lattice, "cover", refuse)
         assert len(enumerate_lbt(5, 3)) == 880
 
@@ -217,7 +218,57 @@ class TestLBT:
         assert enumerate_lbt(n, k) == oracle_enumerate_lbt(n, k)
 
 
+def _walk_by_cover(n, k, labels):
+    """apply_chain written one ``lattice.cover`` call per label."""
+    from wplat import CoverLabel, bottom
+    from wplat.lattice import cover
+
+    pi = bottom(n, k)
+    seq = [pi]
+    for pos, lab in enumerate(labels):
+        if pi.rank == n - 1:
+            if k >= 2 and pos == len(labels) - 1 and lab == CoverLabel(1, n, k):
+                return seq
+            raise ValueError(f"label {lab} past the top of P")
+        pi = cover(pi, lab)
+        if pi is None:
+            raise ValueError(f"label {lab} is not admissible at step {pos}")
+        seq.append(pi)
+    return seq
+
+
+def _outcome(walk, n, k, labels):
+    try:
+        return walk(n, k, labels)
+    except ValueError as exc:
+        return str(exc)
+
+
 class TestApplyChain:
+    @pytest.mark.parametrize("n,k", [(n, k) for n in range(1, 5) for k in range(1, 4)])
+    def test_matches_cover_by_cover_walk(self, n, k, poset_cache):
+        from wplat import CoverLabel
+
+        P = poset_cache(n, k)
+        checked = errors = 0
+        for chain in P.maximal_chains(P.bottom_idx, P.top_idx):
+            top = CoverLabel(1, n, k)
+            # the chain, then labels past the top, then one label swapped for
+            # one with alpha > beta, a layer out of range, beta outside [1, n]
+            # or another layer
+            variants = [chain, chain + chain[-1:], chain + (top,), chain + (top, top)]
+            for pos, lab in enumerate(chain):
+                a, b, l = lab.alpha, lab.beta, lab.layer
+                for bad in [(b, a, l), (a, b, 0), (a, b, k + 1), (a, n + 1, l),
+                            (a, b, l % k + 1)]:
+                    variants.append(chain[:pos] + (CoverLabel(*bad),) + chain[pos + 1:])
+            for labels in variants:
+                want = _outcome(_walk_by_cover, n, k, labels)
+                assert _outcome(apply_chain, n, k, labels) == want
+                checked += 1
+                errors += isinstance(want, str)
+        assert errors and checked > errors
+
     def test_rejects_non_chain(self):
         from wplat import CoverLabel
 

@@ -1,5 +1,6 @@
 """Stirling numbers and the layered transform numbers T / t."""
 
+import hashlib
 from fractions import Fraction
 
 import pytest
@@ -7,9 +8,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st_
 
 from conftest import (
+    oracle_partition_sum,
     oracle_set_partitions,
     oracle_stirling1,
     oracle_stirling2,
+    oracle_t_first_column,
     oracle_transform_def,
 )
 from wplat import stirling
@@ -26,8 +29,10 @@ from wplat import (
     stirling2,
     t_def,
     t_rec_elem_sym,
+    t_rec_first_column,
     t_rec_split,
 )
+from wplat.cli import main
 
 
 class TestStirlingOracles:
@@ -115,8 +120,8 @@ class TestTransformNumbers:
         assert t_def(3, 3, 1) == 15
 
     def test_route_agreement_small(self):
-        for n in range(6):
-            for k in (1, 2, 3):
+        for n in range(10):
+            for k in (1, 2, 3, 4):
                 for r in range(n + 1):
                     base = T_def(n, k, r)
                     assert T_rec_lambda(n, k, r) == base
@@ -166,3 +171,75 @@ class TestTransformNumbers:
         assert stirling._transform_def(n, k, 1, counting) == T_def(n, k, 1)
         assert calls <= k * (n + 1) ** 2
         assert stirling2.cache_info() is not None
+
+
+def _one(m: int, k: int) -> int:
+    """Weight 1 on every block: ``_split`` then counts set partitions."""
+    return 1
+
+
+# (first column, level) pairs for ``_split``; k = 0 is the level that
+# t_rec_elem_sym reads at k = 1
+SPLIT_COLUMNS = [(_one, 0), (_one, 2), (t_rec_first_column, 0), (t_rec_first_column, 1),
+                 (t_rec_first_column, 3), (stirling._T_row_sum, 1), (stirling._T_row_sum, 3)]
+
+
+class TestRegroupedSums:
+    """The sums over integer partitions, summed by the block that holds 1
+    (``_split``), against the literal per-partition sums."""
+
+    def test_first_column_matches_partition_sum(self):
+        for n in range(15):
+            for k in range(6):
+                assert t_rec_first_column(n, k) == oracle_t_first_column(n, k)
+
+    @pytest.mark.parametrize("column,k", SPLIT_COLUMNS)
+    def test_split_base_cases(self, column, k):
+        assert stirling._split(0, k, 0, column) == 1
+        for n in range(1, 8):
+            assert stirling._split(n, k, 0, column) == 0
+        for l in range(1, 4):
+            assert stirling._split(0, k, l, column) == 0
+        for n in range(6):
+            for l in range(n + 1, n + 4):
+                assert stirling._split(n, k, l, column) == 0
+
+    @pytest.mark.parametrize("column,k", SPLIT_COLUMNS)
+    def test_split_matches_partition_sum(self, column, k):
+        for n in range(11):
+            for l in range(n + 1):
+                assert stirling._split(n, k, l, column) == oracle_partition_sum(
+                    n, l, f_lambda, lambda part: column(part, k))
+
+    def test_recurrences_match_partition_sums(self):
+        """The paper's per-partition recurrences for T_rec_lambda and
+        t_rec_elem_sym, with the defining sums one level down."""
+        for n in range(1, 10):
+            for k in (2, 3, 4):
+                def row_sum(m):
+                    return sum(T_def(m, k - 1, q) for q in range(1, m + 1))
+
+                def inner(a):
+                    return oracle_partition_sum(n, a, f_lambda, lambda m: t_def(m, k - 1, 1))
+
+                for r in range(n + 1):
+                    assert T_rec_lambda(n, k, r) == oracle_partition_sum(n, r, f_lambda, row_sum)
+                    assert t_rec_elem_sym(n, k, r) == sum(
+                        (-1) ** (a - r) * elem_sym_spec(a - 1, a - r) * inner(a)
+                        for a in range(r, n + 1))
+
+    def test_recurrences_reject_k_below_one(self):
+        for fn in (T_rec_lambda, T_rec_split, t_rec_split, t_rec_elem_sym):
+            with pytest.raises(ValueError):
+                fn(3, 0, 1)
+
+    # stdout sha256 of the benchmark's two t tables, pinned from the output
+    # of the per-partition sums
+    @pytest.mark.parametrize("k,digest", [
+        (3, "7a25a5668dd16a935d56ec5e0a6e5118fe5c403c0222d561f6688b9d7eb3896f"),
+        (4, "7e9e5463edb9e6432707a374118da71b70fe05e6546346042e8a1ffc49b850d6"),
+    ])
+    def test_t_table_matches_pinned_digest(self, capsys, k, digest):
+        assert main(["table", "--kind", "t", "--n-max", "24", "--k", str(k)]) == 0
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
