@@ -13,7 +13,6 @@ from .series import (
 )
 from .stirling import (
     T_def,
-    T_rec_lambda,
     T_rec_split,
     bell,
     elem_sym_spec,
@@ -31,9 +30,6 @@ from .wpartition import (
     InvalidPartition,
     OneLineParseError,
     WeightedPartition,
-    atom,
-    atom_decomposition,
-    atoms,
     bottom,
     edge_set,
     edge_set_inverse,
@@ -63,7 +59,6 @@ from .lattice import (
     paper_join,
     paper_meet,
     structural_checks,
-    whitney,
 )
 from .chains import (
     LBT,

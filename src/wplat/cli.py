@@ -107,22 +107,21 @@ def _table_rows(kind: str, n_max: int, k: int) -> list[list[int]]:
 
 
 def cmd_table(args) -> int:
-    if args.kind == "bell":
-        values = [st.bell(n) for n in range(args.n_max + 1)]
-        _emit(args,
-              text=lambda: _grid([values], ", "),
-              json=lambda: {"kind": "bell", "values": values},
-              csv=lambda: _grid(enumerate(values), ","))
-        return 0
     try:
-        rows = _table_rows(args.kind, args.n_max, args.k)
+        if args.kind == "bell":
+            values = [st.bell(n) for n in range(args.n_max + 1)]
+            lines, records = [values], enumerate(values)
+            doc = {"kind": "bell", "values": values}
+        else:
+            lines = records = _table_rows(args.kind, args.n_max, args.k)
+            doc = {"kind": args.kind, "k": args.k, "rows": lines}
     except AssertionError as exc:
         print(str(exc), file=sys.stderr)
         return FAIL_EXIT
     _emit(args,
-          text=lambda: _grid(rows, ", "),
-          json=lambda: {"kind": args.kind, "k": args.k, "rows": rows},
-          csv=lambda: _grid(rows, ","))
+          text=lambda: _grid(lines, ", "),
+          json=lambda: doc,
+          csv=lambda: _grid(records, ","))
     return 0
 
 

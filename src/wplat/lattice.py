@@ -1,6 +1,6 @@
 """The graded poset of weighted partitions: labeled covers, explicit
-poset construction, EL-labeling verification, Möbius function, Whitney
-numbers, characteristic polynomial, layerwise join/meet, structure report.
+poset construction, EL-labeling verification, Möbius function,
+characteristic polynomial, structure report.
 
 For k >= 2 (and n >= 2) the poset adjoins a top element above the
 single-block weighted partitions; for k = 1 the single-block partition is
@@ -11,7 +11,9 @@ closure of the admissible covers.
 The built order is graded, bounded, EL-labeled and atomistic, with the
 paper's mu and characteristic polynomial.  For k >= 2 and n >= 3 it is not a
 lattice and not upper semimodular: at (3,2), 13/2 and 1/23 have two minimal
-upper bounds, (12)^2 3 and 123; ``paper_join``/``paper_meet`` are layerwise.
+upper bounds, (12)^2 3 and 123.  ``paper_join``/``paper_meet`` are the
+layerwise block union and intersection: the bounds of the layerwise
+refinement order, not of this one.
 """
 
 from __future__ import annotations
@@ -46,7 +48,6 @@ __all__ = [
     "mobius_closed_form",
     "paper_join",
     "paper_meet",
-    "whitney",
     "char_poly_summation",
     "char_poly_product",
     "char_poly_roots",
@@ -506,7 +507,7 @@ def mobius_closed_form(n: int, k: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# join / meet, Whitney numbers, characteristic polynomial
+# layerwise join / meet, characteristic polynomial
 
 def paper_join(x: WeightedPartition, y: WeightedPartition) -> WeightedPartition:
     """Layerwise join: the blocks of layer l are the connected components of
@@ -543,18 +544,11 @@ def paper_meet(x: WeightedPartition, y: WeightedPartition) -> WeightedPartition:
     return WeightedPartition(x.n, x.k, tuple(layers))
 
 
-def whitney(n: int, k: int, r: int, poset: Poset | None = None) -> int:
-    """Whitney number of the first kind: sum of mu(0^, pi) over the
-    weighted partitions with r first-layer blocks."""
-    if poset is None:
-        poset = build_poset(n, k)
-    mu = poset.mobius_from_bottom()
-    return sum(mu[i] for i, el in enumerate(poset.elements)
-               if isinstance(el, WeightedPartition) and len(el.layers[0]) == r)
-
-
 def char_poly_summation(n: int, k: int, poset: Poset | None = None) -> list[int]:
-    """Coefficients [c_0, ..., c_n] of sum_r w_r x^r via Möbius summation."""
+    """Coefficients [c_0, ..., c_n] of the characteristic polynomial by
+    Möbius summation: c_r is the Whitney number of the first kind w_r, the
+    sum of mu(0^, pi) over the weighted partitions with r first-layer
+    blocks."""
     if poset is None:
         poset = build_poset(n, k)
     coeffs = [0] * (n + 1)

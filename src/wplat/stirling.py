@@ -21,7 +21,6 @@ __all__ = [
     "elem_sym_spec",
     "T_def",
     "t_def",
-    "T_rec_lambda",
     "T_rec_split",
     "t_rec_split",
     "t_rec_first_column",
@@ -152,31 +151,6 @@ def T_def(n: int, k: int, r: int) -> int:
 def t_def(n: int, k: int, r: int) -> int:
     """t(n, k, r): as T_def but with signed Stirling numbers of the first kind."""
     return _transform_def(n, k, r, stirling1)
-
-
-def _T_row_sum(m: int, k: int) -> int:
-    """sum_{r'=1}^{m} T(m, k, r') by :func:`T_rec_lambda`."""
-    return sum(T_rec_lambda(m, k, rp) for rp in range(1, m + 1))
-
-
-@lru_cache(maxsize=None)
-def T_rec_lambda(n: int, k: int, r: int) -> int:
-    """T(n, k, r) via the partition recurrence
-    T(n,k,r) = sum_{lambda |- n, l(lambda)=r} f_lambda
-               prod_i sum_{r'=1}^{lambda_i} T(lambda_i, k-1, r'),
-    summed by :func:`_split` with the row sums as its first column.
-
-    Initial conditions T(0,k,0) = T(1,k,1) = 1; base layer k=1 is S(n, r).
-    """
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    if n < 0 or r < 0 or r > n:
-        return 0
-    if n == 0:
-        return 1
-    if k == 1:
-        return stirling2(n, r)
-    return _split(n, k - 1, r, _T_row_sum)
 
 
 @lru_cache(maxsize=None)

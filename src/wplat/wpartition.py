@@ -33,9 +33,6 @@ __all__ = [
     "tree_shape",
     "tree_class_size",
     "enumerate_tree_shapes",
-    "atoms",
-    "atom",
-    "atom_decomposition",
 ]
 
 Block = tuple[int, ...]
@@ -601,30 +598,3 @@ def enumerate_tree_shapes(n: int, k: int) -> dict:
         s = tree_shape(to_rooted_tree(pi))
         counts[s] = counts.get(s, 0) + 1
     return counts
-
-
-# ---------------------------------------------------------------------------
-# atoms
-
-def atom(n: int, k: int, i: int, j: int, layer: int) -> WeightedPartition:
-    """The rank-1 element whose only non-singleton block is {i, j}
-    persisting through ``layer``."""
-    if not (1 <= i < j <= n and 1 <= layer <= k):
-        raise ValueError("need 1 <= i < j <= n and 1 <= layer <= k")
-    layer1 = tuple(sorted([(i, j)] + [(e,) for e in range(1, n + 1) if e not in (i, j)]))
-    rest = tuple(((i, j),) if l <= layer else () for l in range(2, k + 1))
-    return WeightedPartition(n, k, (layer1,) + rest)
-
-
-def atoms(n: int, k: int) -> list[WeightedPartition]:
-    """All k·n·(n-1)/2 rank-1 elements."""
-    if n < 2:
-        return []
-    return [atom(n, k, i, j, l)
-            for i in range(1, n) for j in range(i + 1, n + 1)
-            for l in range(1, k + 1)]
-
-
-def atom_decomposition(pi: WeightedPartition) -> set[WeightedPartition]:
-    """The atoms below pi: one per edge (i, j, l) of its edge set."""
-    return {atom(pi.n, pi.k, i, j, l) for i, j, l in edge_set(pi)}

@@ -224,6 +224,13 @@ def poset_cache():
     return get
 
 
+def order_atoms(poset, x):
+    """The atoms of the built order below element x: the upper covers of
+    the bottom that lie in x's ancestor mask or are x."""
+    below = poset._anc[x] | 1 << x
+    return [a for a, _ in poset.up[poset.bottom_idx] if below >> a & 1]
+
+
 # -- order oracles: the enumerate-and-scan checks the bitset kernel replaced --
 
 def oracle_leq(poset):

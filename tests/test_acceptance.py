@@ -5,13 +5,13 @@ from itertools import permutations
 from math import factorial
 
 import pytest
+from conftest import order_atoms
 
 from wplat import (
+    TOP,
     CycleDiagram,
     T_def,
-    T_rec_lambda,
     T_rec_split,
-    atom_decomposition,
     bottom,
     build_poset,
     chain_to_lbt,
@@ -45,7 +45,6 @@ from wplat import (
     to_rooted_tree,
     tree_class_size,
     tree_shape,
-    whitney,
     wt_k,
 )
 
@@ -102,7 +101,6 @@ def test_criterion_3_route_agreement():
             e, l = exp_k_xy(k, 6), log_k_xy(k, 6)
             for r in range(n + 1):
                 base = T_def(n, k, r)
-                assert T_rec_lambda(n, k, r) == base
                 assert T_rec_split(n, k, r) == base
                 assert e.coefficient(n, r) == base
                 tb = t_def(n, k, r)
@@ -172,10 +170,12 @@ def test_criterion_8_characteristic_polynomial():
         for k in (1, 2, 3):
             P = poset(n, k)
             prod = char_poly_product(n, k)
-            assert char_poly_summation(n, k, P) == prod, (n, k)
+            summed = char_poly_summation(n, k, P)
+            assert summed == prod, (n, k)
             assert char_poly_roots(n, k) == [k * j for j in range(n)]
-            for r in range(n + 1):
-                assert whitney(n, k, r, P) == k ** (n - r) * stirling1(n, r)
+            # the coefficients are the Whitney numbers of the first kind
+            for r, w in enumerate(summed):
+                assert w == k ** (n - r) * stirling1(n, r)
             value_at_one = sum(prod)
             if k >= 2:
                 assert value_at_one == -mobius_closed_form(n, k)
@@ -249,11 +249,12 @@ def test_criterion_11_structural_properties():
                            ("least_upper_bounds", "greatest_lower_bounds", "semimodular"))
             assert counts == _STRUCTURE[n, k], (n, k)
             assert report["atomistic"]["status"] == "pass", (n, k)
-            elems = enumerate_all(n, k)
-            atoms_here = [pi for pi in elems if pi.rank == 1]
-            assert len(atoms_here) == k * n * (n - 1) // 2
-            for pi in elems:
-                merged = set()
-                for a in atom_decomposition(pi):
-                    merged |= set(edge_set(a))
-                assert edge_set_inverse(merged, n, k) == pi
+            # the order's atoms below each element rebuild it
+            assert len(order_atoms(P, P.top_idx)) == k * n * (n - 1) // 2
+            assert order_atoms(P, P.bottom_idx) == []
+            for x, pi in enumerate(P.elements):
+                if pi is not TOP:
+                    merged = set()
+                    for a in order_atoms(P, x):
+                        merged |= edge_set(P.elements[a])
+                    assert edge_set_inverse(merged, n, k) == pi, (n, k, str(pi))

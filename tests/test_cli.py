@@ -57,6 +57,14 @@ class TestCount:
         b = run(capsys, "count", "--n", "4", "--k", "2")
         assert a == b
 
+    def test_mismatch_names_both_counts(self, capsys, monkeypatch):
+        T_def = stirling.T_def
+        monkeypatch.setattr(stirling, "T_def",
+                            lambda n, k, r: T_def(n, k, r) + ((n, k, r) == (3, 2, 2)))
+        code, out, err = run(capsys, "count", "--n", "3", "--k", "2")
+        assert (code, out) == (1, "")
+        assert err == "mismatch at r=2: enumerated 6, T(n,k,r) 7\n"
+
 
 class TestTableAndSeries:
     def test_table_T(self, capsys):
@@ -87,6 +95,14 @@ class TestTableAndSeries:
         assert out == ""
         assert "T(3,2,2): def 6, split 7" in err
 
+    def test_bell_mismatch_is_one_stderr_line(self, capsys, monkeypatch):
+        stirling2 = stirling.stirling2
+        monkeypatch.setattr(stirling, "stirling2",
+                            lambda n, r: stirling2(n, r) + ((n, r) == (3, 2)))
+        code, out, err = run(capsys, "table", "--kind", "bell", "--n-max", "4")
+        assert (code, out) == (1, "")
+        assert err == "Bell formulas disagree: [1, 1, 2, 6] vs [1, 1, 2, 5]\n"
+
 
 class TestMobius:
     def test_all_methods_agree(self, capsys):
@@ -102,12 +118,31 @@ class TestMobius:
         assert code == 0
         assert "-105" in out
 
+    def test_mismatch_names_every_value(self, capsys, monkeypatch):
+        via_chains = lattice.Poset.mobius_via_chains
+        monkeypatch.setattr(lattice.Poset, "mobius_via_chains",
+                            lambda self: via_chains(self) + 1)
+        code, out, err = run(capsys, "mobius", "--n", "4", "--k", "2",
+                             "--method", "all")
+        assert (code, out) == (1, "")
+        assert err == ("mobius methods disagree: "
+                       "{'closed': 15, 'recursive': 15, 'chains': 16}\n")
+
 
 class TestCharpoly:
     def test_paper_string(self, capsys):
         code, out, _ = run(capsys, "charpoly", "--n", "3", "--k", "2")
         assert code == 0
         assert out.strip() == "x(x-2)(x-4) = x^3-6x^2+8x"
+
+    def test_mismatch_names_both_routes(self, capsys, monkeypatch):
+        summation = lattice.char_poly_summation
+        monkeypatch.setattr(lattice, "char_poly_summation", lambda n, k, P: [
+            c + (r == 1) for r, c in enumerate(summation(n, k, P))])
+        code, out, err = run(capsys, "charpoly", "--n", "3", "--k", "2")
+        assert (code, out) == (1, "")
+        assert err == ("characteristic polynomial routes disagree: "
+                       "summation [0, 9, -6, 1], product [0, 8, -6, 1]\n")
 
 
 class TestChainsTreesHasse:

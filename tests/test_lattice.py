@@ -24,12 +24,12 @@ from wplat import (
     GuardExceeded,
     T_def,
     admissible_covers,
-    atom_decomposition,
     bottom,
     build_poset,
     char_poly_product,
     char_poly_roots,
     char_poly_summation,
+    edge_set,
     edge_set_inverse,
     enumerate_all,
     hasse_dot,
@@ -41,7 +41,6 @@ from wplat import (
     stirling1,
     structural_checks,
     validate,
-    whitney,
 )
 
 
@@ -181,13 +180,20 @@ class TestCharPoly:
             assert sum(char_poly_product(n, 1)) == 0
 
     def test_whitney_closed_form(self, poset_cache):
+        # the summation's coefficients are the Whitney numbers w_r
         for n, k in [(3, 1), (4, 1), (3, 2), (4, 2), (3, 3)]:
             P = poset_cache(n, k)
-            for r in range(n + 1):
-                assert whitney(n, k, r, P) == k ** (n - r) * stirling1(n, r)
+            for r, w in enumerate(char_poly_summation(n, k, P)):
+                assert w == k ** (n - r) * stirling1(n, r)
 
 
 SMALL = [(n, k) for n in range(1, 5) for k in range(1, 4)]
+
+
+def _edge_atoms(x):
+    """One rank-1 element per edge (i, j, l) of x: the block {i, j}
+    through layer l."""
+    return [edge_set_inverse([edge], x.n, x.k) for edge in edge_set(x)]
 
 
 def _pairs(n, k):
@@ -245,7 +251,7 @@ class TestBoundsAndAudit:
     def test_layerwise_join_of_atoms(self, n, k):
         for x in enumerate_all(n, k):
             acc = bottom(n, k)
-            for a in atom_decomposition(x):
+            for a in _edge_atoms(x):
                 acc = paper_join(acc, a)
             assert acc == x
 
@@ -356,8 +362,7 @@ class TestStructureFacts:
             raise AssertionError("the structure report must read only the order")
 
         for module, attr in [(lattice, "paper_join"), (lattice, "paper_meet"),
-                             (lattice, "_components"), (wpartition, "_components"),
-                             (wpartition, "atom_decomposition")]:
+                             (lattice, "_components"), (wpartition, "_components")]:
             monkeypatch.setattr(module, attr, refuse)
         monkeypatch.setattr(lattice.Poset, "leq", refuse)
         report = structural_checks(P)

@@ -18,7 +18,6 @@ from conftest import (
 from wplat import stirling
 from wplat import (
     T_def,
-    T_rec_lambda,
     T_rec_split,
     bell,
     elem_sym_spec,
@@ -124,7 +123,6 @@ class TestTransformNumbers:
             for k in (1, 2, 3, 4):
                 for r in range(n + 1):
                     base = T_def(n, k, r)
-                    assert T_rec_lambda(n, k, r) == base
                     assert T_rec_split(n, k, r) == base
                     tb = t_def(n, k, r)
                     assert t_rec_split(n, k, r) == tb
@@ -178,10 +176,16 @@ def _one(m: int, k: int) -> int:
     return 1
 
 
+def _T_row_sum(m: int, k: int) -> int:
+    """sum_{r=1}^{m} T(m, k, r) by the defining sum: ``_split`` with this
+    column at level k gives T(., k+1, .)."""
+    return sum(T_def(m, k, r) for r in range(1, m + 1))
+
+
 # (first column, level) pairs for ``_split``; k = 0 is the level that
 # t_rec_elem_sym reads at k = 1
 SPLIT_COLUMNS = [(_one, 0), (_one, 2), (t_rec_first_column, 0), (t_rec_first_column, 1),
-                 (t_rec_first_column, 3), (stirling._T_row_sum, 1), (stirling._T_row_sum, 3)]
+                 (t_rec_first_column, 3), (_T_row_sum, 1), (_T_row_sum, 3)]
 
 
 class TestRegroupedSums:
@@ -212,24 +216,23 @@ class TestRegroupedSums:
                     n, l, f_lambda, lambda part: column(part, k))
 
     def test_recurrences_match_partition_sums(self):
-        """The paper's per-partition recurrences for T_rec_lambda and
-        t_rec_elem_sym, with the defining sums one level down."""
+        """The paper's per-partition recurrences for T (checked on
+        T_rec_split) and t_rec_elem_sym, with the defining sums one level
+        down."""
         for n in range(1, 10):
             for k in (2, 3, 4):
-                def row_sum(m):
-                    return sum(T_def(m, k - 1, q) for q in range(1, m + 1))
-
                 def inner(a):
                     return oracle_partition_sum(n, a, f_lambda, lambda m: t_def(m, k - 1, 1))
 
                 for r in range(n + 1):
-                    assert T_rec_lambda(n, k, r) == oracle_partition_sum(n, r, f_lambda, row_sum)
+                    assert T_rec_split(n, k, r) == oracle_partition_sum(
+                        n, r, f_lambda, lambda m: _T_row_sum(m, k - 1))
                     assert t_rec_elem_sym(n, k, r) == sum(
                         (-1) ** (a - r) * elem_sym_spec(a - 1, a - r) * inner(a)
                         for a in range(r, n + 1))
 
     def test_recurrences_reject_k_below_one(self):
-        for fn in (T_rec_lambda, T_rec_split, t_rec_split, t_rec_elem_sym):
+        for fn in (T_rec_split, t_rec_split, t_rec_elem_sym):
             with pytest.raises(ValueError):
                 fn(3, 0, 1)
 

@@ -7,19 +7,16 @@ import random
 from itertools import combinations
 
 import pytest
-from conftest import oracle_enumerate_all
+from conftest import oracle_enumerate_all, order_atoms
 from hypothesis import given, settings
 from hypothesis import strategies as st_
 
 from wplat import (
     InvalidPartition,
     OneLineParseError,
+    TOP,
     T_def,
     WeightedPartition,
-    atom,
-    atom_decomposition,
-    atoms,
-    bottom,
     edge_set,
     edge_set_inverse,
     enumerate_all,
@@ -199,26 +196,31 @@ class TestTreesAndEdges:
 
 
 class TestAtoms:
-    def test_atom_count(self):
+    """The atoms of the built order, read from its covers and masks."""
+
+    def test_atom_count(self, poset_cache):
         for n, k in [(2, 1), (3, 1), (3, 2), (4, 2), (4, 3)]:
-            assert len(atoms(n, k)) == k * n * (n - 1) // 2
+            P = poset_cache(n, k)
+            assert len(order_atoms(P, P.top_idx)) == k * n * (n - 1) // 2
 
-    def test_atoms_have_rank_one(self):
-        for a in atoms(4, 2):
-            assert a.rank == 1
+    def test_atoms_have_rank_one(self, poset_cache):
+        P = poset_cache(4, 2)
+        assert sorted(order_atoms(P, P.top_idx)) == [x for x in range(len(P)) if P.rank[x] == 1]
 
-    def test_decomposition_reconstitutes(self):
-        # every element is the reachability-join of its atoms: merging all
-        # the atom edges reproduces the element
-        for n, k in [(3, 2), (4, 2)]:
-            for pi in enumerate_all(n, k):
-                edges = set()
-                for a in atom_decomposition(pi):
-                    edges |= set(edge_set(a))
-                assert edge_set_inverse(edges, n, k) == pi
+    def test_decomposition_reconstitutes(self, poset_cache):
+        # merging the edges of the atoms below an element reproduces it
+        for n, k in [(3, 2), (4, 2), (4, 3)]:
+            P = poset_cache(n, k)
+            for x, pi in enumerate(P.elements):
+                if pi is not TOP:
+                    edges = set()
+                    for a in order_atoms(P, x):
+                        edges |= edge_set(P.elements[a])
+                    assert edge_set_inverse(edges, n, k) == pi, str(pi)
 
-    def test_bottom_has_no_atoms(self):
-        assert atom_decomposition(bottom(4, 2)) == set()
+    def test_bottom_has_no_atoms(self, poset_cache):
+        P = poset_cache(4, 2)
+        assert order_atoms(P, P.bottom_idx) == []
 
 
 @given(st_.data())
