@@ -15,6 +15,7 @@ from .stirling import (
     T_def,
     T_rec_split,
     bell,
+    bell_row,
     elem_sym_spec,
     f_lambda,
     g_lambda,

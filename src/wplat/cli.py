@@ -109,7 +109,7 @@ def _table_rows(kind: str, n_max: int, k: int) -> list[list[int]]:
 def cmd_table(args) -> int:
     try:
         if args.kind == "bell":
-            values = [st.bell(n) for n in range(args.n_max + 1)]
+            values = st.bell_row(args.n_max)
             lines, records = [values], enumerate(values)
             doc = {"kind": "bell", "values": values}
         else:

@@ -2,7 +2,12 @@
 
 A series here is ``sum c[n,r] * x^n/n! * y^r``: exponential in x, ordinary
 in y, truncated to a rectangular box 0 <= n <= x_order, 0 <= r <= y_order.
-Coefficients are :class:`fractions.Fraction`; no floating point anywhere.
+A coefficient is stored as an ``int`` whenever it is integral, and as a
+:class:`fractions.Fraction` only when it is not; no floating point anywhere.
+The exp and log kernels are EGF recurrences that only multiply, add and
+scale by binomials, so on integral input they are integer recurrences.
+The accessors :meth:`BivariateSeries.coefficient` and
+:meth:`BivariateSeries.rows` return ``Fraction`` whatever is stored.
 
 The two series families of interest are the k-fold iterated exponential
 ``iter_exp(k)(x, y) = exp(y * iter_exp(k-1)(x))`` (whose (n, r) coefficient
@@ -31,21 +36,22 @@ class SeriesError(ValueError):
     """A series operation precondition was violated."""
 
 
-# internal representation: rows[n] is a dict {r: Fraction} of the nonzero
-# y-coefficients of x^n/n!.
-Rows = list[dict[int, Fraction]]
+# internal representation: rows[n] is a dict {r: coefficient} of the nonzero
+# y-coefficients of x^n/n!, each an int when integral, else a Fraction.
+Coeff = int | Fraction
+Rows = list[dict[int, Coeff]]
 
 
-def _poly_mul(a: Mapping[int, Fraction], b: Mapping[int, Fraction],
-              y_order: int) -> dict[int, Fraction]:
+def _poly_mul(a: Mapping[int, Coeff], b: Mapping[int, Coeff],
+              y_order: int) -> dict[int, Coeff]:
     """Multiply two polynomials in y, truncating above y_order."""
-    out: dict[int, Fraction] = {}
+    out: dict[int, Coeff] = {}
     for ra, ca in a.items():
         for rb, cb in b.items():
             r = ra + rb
             if r > y_order:
                 continue
-            v = out.get(r, Fraction(0)) + ca * cb
+            v = out.get(r, 0) + ca * cb
             if v:
                 out[r] = v
             elif r in out:
@@ -53,10 +59,10 @@ def _poly_mul(a: Mapping[int, Fraction], b: Mapping[int, Fraction],
     return out
 
 
-def _poly_add_scaled(acc: dict[int, Fraction], p: Mapping[int, Fraction],
+def _poly_add_scaled(acc: dict[int, Coeff], p: Mapping[int, Coeff],
                      scale: int) -> None:
     for r, c in p.items():
-        v = acc.get(r, Fraction(0)) + scale * c
+        v = acc.get(r, 0) + scale * c
         if v:
             acc[r] = v
         elif r in acc:
@@ -81,7 +87,7 @@ class BivariateSeries:
                     continue  # outside the box: absent by convention
                 c = Fraction(c)
                 if c:
-                    rows[n][r] = c
+                    rows[n][r] = c.numerator if c.denominator == 1 else c
         self._rows = rows
 
     @classmethod
@@ -94,21 +100,22 @@ class BivariateSeries:
 
     def coefficient(self, n: int, r: int) -> Fraction:
         if 0 <= n <= self.x_order and 0 <= r <= self.y_order:
-            return self._rows[n].get(r, Fraction(0))
+            return Fraction(self._rows[n].get(r, 0))
         return Fraction(0)
 
     def rows(self) -> list[list[Fraction]]:
         """Dense rows n = 0..x_order of coefficients r = 0..y_order."""
-        return [[self._rows[n].get(r, Fraction(0)) for r in range(self.y_order + 1)]
-                for n in range(self.x_order + 1)]
+        return [[Fraction(row.get(r, 0)) for r in range(self.y_order + 1)]
+                for row in self._rows]
 
     def rows_int(self) -> list[list[int]]:
         """Like :meth:`rows` but as integers; raises if any coefficient
         is not an integer."""
         out = []
-        for row in self.rows():
+        for row in self._rows:
             ints = []
-            for c in row:
+            for r in range(self.y_order + 1):
+                c = row.get(r, 0)
                 if c.denominator != 1:
                     raise SeriesError(f"non-integer coefficient {c}")
                 ints.append(c.numerator)
@@ -136,7 +143,7 @@ class BivariateSeries:
 
     def _with_constant(self, delta: int) -> "BivariateSeries":
         rows = [dict(row) for row in self._rows]
-        v = rows[0].get(0, Fraction(0)) + delta
+        v = rows[0].get(0, 0) + delta
         if v:
             rows[0][0] = v
         else:
@@ -161,9 +168,9 @@ def series_exp(f: BivariateSeries) -> BivariateSeries:
         raise SeriesError("series_exp requires a zero constant term")
     N, M = f.x_order, f.y_order
     g: Rows = [dict() for _ in range(N + 1)]
-    g[0][0] = Fraction(1)
+    g[0][0] = 1
     for n in range(1, N + 1):
-        acc: dict[int, Fraction] = {}
+        acc: dict[int, Coeff] = {}
         for i in range(n):
             prod = _poly_mul(f._rows[i + 1], g[n - 1 - i], M)
             _poly_add_scaled(acc, prod, comb(n - 1, i))
@@ -177,12 +184,12 @@ def series_log(f: BivariateSeries) -> BivariateSeries:
     Solves f' = h'·f for h = log(f):
     h_n = f_n - sum_{i=0}^{n-2} C(n-1, i) h_{i+1} f_{n-1-i}.
     """
-    if f._rows[0] != {0: Fraction(1)}:
+    if f._rows[0] != {0: 1}:
         raise SeriesError("series_log requires constant term exactly 1")
     N, M = f.x_order, f.y_order
     h: Rows = [dict() for _ in range(N + 1)]
     for n in range(1, N + 1):
-        acc: dict[int, Fraction] = dict(f._rows[n])
+        acc: dict[int, Coeff] = dict(f._rows[n])
         for i in range(n - 1):
             prod = _poly_mul(h[i + 1], f._rows[n - 1 - i], M)
             _poly_add_scaled(acc, prod, -comb(n - 1, i))

@@ -15,6 +15,7 @@ __all__ = [
     "stirling1",
     "stirling2",
     "bell",
+    "bell_row",
     "partitions",
     "f_lambda",
     "g_lambda",
@@ -52,18 +53,25 @@ def stirling2(n: int, r: int) -> int:
     return q
 
 
-def bell(n: int) -> int:
-    """Bell number, computed by both B_n = sum_r S(n, r) and the binomial
-    recurrence B_{n+1} = sum_j C(n, j) B_j; the two must agree."""
-    if n < 0:
+def bell_row(n_max: int) -> list[int]:
+    """Bell numbers B_0..B_{n_max}, each computed by both
+    B_n = sum_r S(n, r) and the binomial recurrence
+    B_{n+1} = sum_j C(n, j) B_j; the two must agree."""
+    if n_max < 0:
         raise ValueError("bell requires n >= 0")
-    via_sum = [sum(stirling2(m, r) for r in range(m + 1)) for m in range(n + 1)]
-    via_rec = [1]
-    for m in range(n):
-        via_rec.append(sum(comb(m, j) * via_rec[j] for j in range(m + 1)))
-    if via_sum != via_rec:
-        raise AssertionError(f"Bell formulas disagree: {via_sum} vs {via_rec}")
-    return via_sum[n]
+    via_sum: list[int] = []
+    via_rec: list[int] = []
+    for m in range(n_max + 1):
+        via_sum.append(sum(stirling2(m, r) for r in range(m + 1)))
+        via_rec.append(sum(comb(m - 1, j) * via_rec[j] for j in range(m)) if m else 1)
+        if via_sum[m] != via_rec[m]:
+            raise AssertionError(f"Bell formulas disagree: {via_sum} vs {via_rec}")
+    return via_sum
+
+
+def bell(n: int) -> int:
+    """Bell number B_n, checked by both routes of :func:`bell_row`."""
+    return bell_row(n)[n]
 
 
 def partitions(n: int) -> Iterator[tuple[int, ...]]:
@@ -122,24 +130,37 @@ def elem_sym_spec(m: int, j: int) -> int:
     return e[j]
 
 
+@lru_cache(maxsize=None)
+def _index_paths(n: int, steps: int, kernel) -> tuple[int, ...]:
+    """paths[b] for b = 0..n: the sum of prod_j kernel(i_{j-1}, i_j) over
+    the weakly decreasing prefixes n = i_0 >= ... >= i_steps = b.
+
+    Each step sets paths[b] = sum_{a >= b} paths[a] * kernel(a, b), so
+    paths[b] reads only paths[a] for a >= b and does not depend on where
+    the tuples end: one vector serves a whole row of entries.  The kernel
+    is part of the cache key; the result is a tuple, never mutated."""
+    paths = (0,) * n + (1,)
+    for _ in range(steps):
+        paths = tuple(sum(paths[a] * kernel(a, b) for a in range(b, n + 1))
+                      for b in range(n + 1))
+    return paths
+
+
 def _transform_def(n: int, k: int, r: int, kernel) -> int:
     """Sum of prod_j kernel(i_{j-1}, i_j) over the weakly decreasing index
     tuples n = i_0 >= ... >= i_k = r, summed one index at a time.
 
-    paths[b] holds the sum of the products over the prefixes
-    n = i_0 >= ... >= i_j = b, and each step sets
-    paths[b] = sum_{a >= b} paths[a] * kernel(a, b).  This is the defining
-    sum regrouped by distributivity: O(k n^2) kernel calls instead of one
-    per tuple and factor, and nothing but the kernel is called."""
+    This is sum_{a >= r} paths[a] * kernel(a, r) over the index paths of
+    the first k-1 steps (:func:`_index_paths`), the defining sum regrouped
+    by distributivity.  The paths are summed once per (n, k-1, kernel), so
+    a whole row r = 1..n takes O(k n^2) kernel calls in total instead of
+    one per tuple and factor, and nothing but the kernel is called."""
     if k < 1:
         raise ValueError("k must be >= 1")
     if n < 0 or r < 0 or r > n:
         return 0
-    paths = {n: 1}
-    for _ in range(k - 1):
-        paths = {b: sum(p * kernel(a, b) for a, p in paths.items() if a >= b)
-                 for b in range(r, n + 1)}
-    return sum(p * kernel(a, r) for a, p in paths.items())
+    paths = _index_paths(n, k - 1, kernel)
+    return sum(paths[a] * kernel(a, r) for a in range(r, n + 1))
 
 
 def T_def(n: int, k: int, r: int) -> int:

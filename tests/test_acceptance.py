@@ -12,7 +12,6 @@ from wplat import (
     CycleDiagram,
     T_def,
     T_rec_split,
-    bottom,
     build_poset,
     chain_to_lbt,
     char_poly_product,
@@ -23,7 +22,6 @@ from wplat import (
     edge_set_inverse,
     enumerate_all,
     enumerate_by_blocks,
-    enumerate_colorings,
     enumerate_lbt,
     enumerate_tree_shapes,
     exp_k_xy,
@@ -33,8 +31,6 @@ from wplat import (
     log_k_xy,
     mobius_closed_form,
     one_line_parse,
-    paper_join,
-    paper_meet,
     stirling1,
     stirling2,
     structural_checks,

@@ -6,12 +6,13 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 import wplat
-from wplat import build_poset, chains, lattice, stirling
+from wplat import build_poset, chains, lattice, series, stirling
 from wplat.cli import _verify_structure, main
 
 
@@ -94,6 +95,21 @@ class TestTableAndSeries:
         assert code == 1
         assert out == ""
         assert "T(3,2,2): def 6, split 7" in err
+
+    def test_non_integral_series_coefficient_is_a_mismatch(self, capsys, monkeypatch):
+        exp_k_xy = series.exp_k_xy
+
+        def half_off(k, order):
+            rows = exp_k_xy(k, order).rows()
+            coeff = {(n, r): c for n, row in enumerate(rows) for r, c in enumerate(row)}
+            coeff[(3, 2)] = Fraction(13, 2)
+            return series.BivariateSeries(order, order, coeff)
+
+        monkeypatch.setattr(series, "exp_k_xy", half_off)
+        code, out, err = run(capsys, "table", "--kind", "T", "--n-max", "4",
+                             "--k", "2")
+        assert (code, out) == (1, "")
+        assert err == "route mismatch for T(3,2,2): def 6, series 13/2\n"
 
     def test_bell_mismatch_is_one_stderr_line(self, capsys, monkeypatch):
         stirling2 = stirling.stirling2

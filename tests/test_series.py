@@ -3,12 +3,14 @@ functions."""
 
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st_
 
 from conftest import oracle_taylor_exp, oracle_taylor_log1p
 from wplat import (
     BivariateSeries,
+    SeriesError,
     T_def,
     bell,
     exp_k_xy,
@@ -60,6 +62,63 @@ class TestExpLogOracles:
     def test_exp_inverts_log(self, tail):
         f = univariate(tail, constant=1)
         assert series_exp(series_log(f)) == f
+
+
+fractions = st_.builds(Fraction, st_.integers(-6, 6), st_.integers(1, 4))
+
+
+class TestRationalKernel:
+    """Non-integral coefficients stay Fractions through exp and log."""
+
+    @given(st_.lists(fractions, min_size=1, max_size=6))
+    @settings(max_examples=60, deadline=None)
+    def test_exp_matches_taylor(self, tail):
+        g = series_exp(univariate(tail))
+        want = oracle_taylor_exp([Fraction(0)] + tail)
+        assert [g.coefficient(n, 0) for n in range(len(tail) + 1)] == want
+
+    @given(st_.lists(fractions, min_size=1, max_size=6))
+    @settings(max_examples=60, deadline=None)
+    def test_log_matches_taylor(self, tail):
+        h = series_log(univariate(tail, constant=1))
+        want = oracle_taylor_log1p([Fraction(0)] + tail)
+        assert [h.coefficient(n, 0) for n in range(len(tail) + 1)] == want
+
+    @given(st_.lists(fractions, min_size=1, max_size=6))
+    @settings(max_examples=60, deadline=None)
+    def test_log_inverts_exp(self, tail):
+        f = univariate(tail)
+        assert series_log(series_exp(f)) == f
+
+
+class TestIntKernel:
+    def test_iterated_series_store_ints(self):
+        for k in range(1, 5):
+            for order in range(13):
+                for s in (exp_k_xy(k, order), log_k_xy(k, order)):
+                    assert all(type(c) is int for row in s._rows for c in row.values())
+
+    def test_accessors_return_fractions(self):
+        ints = exp_k_xy(2, 4)
+        halves = univariate([Fraction(1, 2), 3])
+        for s in (ints, halves):
+            assert all(type(s.coefficient(n, r)) is Fraction
+                       for n in range(6) for r in range(6))
+            assert all(type(c) is Fraction for row in s.rows() for c in row)
+        assert ints.coefficient(3, 2) == 6
+        assert halves.coefficient(1, 0) == Fraction(1, 2)
+        assert halves.coefficient(2, 0) == 3
+
+    def test_integral_input_is_stored_as_int(self):
+        s = BivariateSeries(2, 2, {(1, 0): Fraction(4, 2), (2, 1): Fraction(1, 2)})
+        assert type(s._rows[1][0]) is int and s._rows[1][0] == 2
+        assert s._rows[2][1] == Fraction(1, 2)
+        assert s == BivariateSeries(2, 2, {(1, 0): 2, (2, 1): Fraction(1, 2)})
+
+    def test_rows_int_rejects_a_non_integral_coefficient(self):
+        assert exp_k_xy(2, 4).rows_int()[4] == [0, 15, 32, 12, 1]
+        with pytest.raises(SeriesError):
+            univariate([Fraction(1, 2)]).rows_int()
 
 
 PAPER_EXP = {

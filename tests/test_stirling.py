@@ -20,6 +20,7 @@ from wplat import (
     T_def,
     T_rec_split,
     bell,
+    bell_row,
     elem_sym_spec,
     f_lambda,
     g_lambda,
@@ -49,6 +50,12 @@ class TestStirlingOracles:
         for n in range(8):
             expected = sum(1 for _ in oracle_set_partitions(range(n)))
             assert bell(n) == expected
+
+    def test_bell_row_is_bell_of_each_n(self):
+        assert bell_row(0) == [1]
+        assert bell_row(12) == [bell(n) for n in range(13)]
+        with pytest.raises(ValueError):
+            bell_row(-1)
 
     @given(n=st_.integers(1, 25), r=st_.integers(0, 25))
     @settings(max_examples=60, deadline=None)
@@ -158,6 +165,8 @@ class TestTransformNumbers:
                 fn(3, 0, 1)
 
     def test_def_work_bound(self):
+        # the index paths are summed once per (n, k-1, kernel), so the
+        # bound on one entry holds for the whole row r = 1..n
         calls = 0
 
         def counting(a, b):
@@ -167,6 +176,9 @@ class TestTransformNumbers:
 
         n, k = 22, 4
         assert stirling._transform_def(n, k, 1, counting) == T_def(n, k, 1)
+        assert calls <= k * (n + 1) ** 2
+        row = [stirling._transform_def(n, k, r, counting) for r in range(1, n + 1)]
+        assert row == [T_def(n, k, r) for r in range(1, n + 1)]
         assert calls <= k * (n + 1) ** 2
         assert stirling2.cache_info() is not None
 
