@@ -6,12 +6,12 @@ decreasing chains of the lattice.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from functools import lru_cache
 from itertools import combinations, product
 from operator import attrgetter
-from typing import Iterator, Mapping, Sequence
+from typing import Iterator, Mapping, NamedTuple, Sequence
 
-from .lattice import CoverLabel, follow_labels
+from .lattice import CoverLabel, _code, _decode, _follow_codes
 from .wpartition import WeightedPartition, bottom
 
 __all__ = [
@@ -35,19 +35,23 @@ __all__ = [
 # ---------------------------------------------------------------------------
 # cycle diagrams
 
-@dataclass(frozen=True)
-class CycleDiagram:
-    """An increasing forest on points 1..n: directed edges (i -> j) with
-    i < j, every point has at most one incoming edge."""
-
+class _Diagram(NamedTuple):
     n: int
     edges: frozenset[tuple[int, int]]
 
-    def __post_init__(self):
-        targets = [j for _, j in self.edges]
+
+class CycleDiagram(_Diagram):
+    """An increasing forest on points 1..n: directed edges (i -> j) with
+    i < j, every point has at most one incoming edge."""
+
+    __slots__ = ()
+
+    def __new__(cls, n: int, edges: frozenset[tuple[int, int]]):
+        targets = [j for _, j in edges]
         assert len(targets) == len(set(targets)), "at most one incoming edge per point"
-        assert all(1 <= i < j <= self.n for i, j in self.edges)
+        assert all(1 <= i < j <= n for i, j in edges)
         # increasing edges force the minimum of each component to be a root
+        return super().__new__(cls, n, edges)
 
     @property
     def roots(self) -> list[int]:
@@ -150,30 +154,48 @@ def diagram_to_decreasing_chain(pairs: frozenset[tuple[int, int]],
     return tuple(labels)
 
 
+@lru_cache(maxsize=None)
+def _bottom_code(n: int, k: int) -> bytes:
+    return _code(bottom(n, k))
+
+
+def _chain_codes(n: int, k: int, labels: Sequence[CoverLabel], maximal: bool = False
+                 ) -> list[bytes]:
+    """The codes of the elements that ``labels`` visit from the bottom
+    (bottom first), by :func:`~wplat.lattice._follow_codes`.  Raises
+    ValueError on a non-admissible step or a label past the top, and, when
+    ``maximal``, unless the labels are a maximal chain into the top."""
+    codes = [_bottom_code(n, k)]
+    for pos, (lab, code) in enumerate(zip(labels, _follow_codes(codes[0], n, k, labels))):
+        if pos == n - 1:  # each cover raises the rank by one
+            if k >= 2 and pos == len(labels) - 1 and lab == CoverLabel(1, n, k):
+                break
+            raise ValueError(f"label {lab} past the top of P")
+        if code is None:
+            raise ValueError(f"label {lab} is not admissible at step {pos}")
+        codes.append(code)
+    if maximal:
+        if k >= 2 and labels[-1] != CoverLabel(1, n, k):
+            raise ValueError("a maximal chain must end with the (1,n)_k step")
+        if len(labels) - (k >= 2) != n - 1 or len(codes) != n:
+            raise ValueError("chain is not maximal")
+    return codes
+
+
 def apply_chain(n: int, k: int, labels: Sequence[CoverLabel]
                 ) -> list[WeightedPartition]:
     """Apply cover labels starting from the bottom element, taking the one
-    cover each label reaches (:func:`~wplat.lattice.follow_labels`); raises
-    ValueError on a non-admissible step.  Returns the visited elements
+    cover each label reaches (:func:`_chain_codes`); raises ValueError on a
+    non-admissible step.  Returns the visited elements
     (bottom first).  The final (1,n)_k step into the adjoined top, if
     present, must be the last label."""
-    seq = [bottom(n, k)]
-    for pos, (lab, pi) in enumerate(zip(labels, follow_labels(seq[0], labels))):
-        if pos == n - 1:  # each cover raises the rank by one
-            if k >= 2 and pos == len(labels) - 1 and lab == CoverLabel(1, n, k):
-                return seq
-            raise ValueError(f"label {lab} past the top of P")
-        if pi is None:
-            raise ValueError(f"label {lab} is not admissible at step {pos}")
-        seq.append(pi)
-    return seq
+    return [_decode(n, k, code) for code in _chain_codes(n, k, labels)]
 
 
 # ---------------------------------------------------------------------------
 # labeled binary trees
 
-@dataclass(frozen=True)
-class LBT:
+class LBT(NamedTuple):
     """A node of a complete binary tree.  ``value``/``sub`` form the label
     (integer and subscript); the root carries None for both.  Leaves have
     no children."""
@@ -204,9 +226,13 @@ def _merge_label(lc: LBT, rc: LBT) -> CoverLabel:
 
 def _heap_ordered(lc: LBT, rc: LBT) -> bool:
     """S4 at the node with children ``lc`` and ``rc``: every internal child
-    has a larger merge label than the node."""
-    label = _merge_label(lc, rc)
-    return all(c.is_leaf or label < _merge_label(c.left, c.right) for c in (lc, rc))
+    (a leaf has no left child) has a larger merge label than the node,
+    compared as the labels' sort keys (-s, a, b) without building them."""
+    key = (-lc.sub, lc.value, rc.value)
+    for c in (lc, rc):
+        if c.left is not None and not key < (-c.left.sub, c.left.value, c.right.value):
+            return False
+    return True
 
 
 def lbt_leaves(tree: LBT) -> list[int]:
@@ -328,10 +354,12 @@ def _child_pairs(shape, ints: tuple[int, ...], k: int, memo: dict
     ever built."""
     ls, rs = shape
     for left_ints, right_ints in _splits(ints, _count_leaves(ls)):
-        rights = _gen_subtrees(rs, right_ints, True, k, memo)
+        rights: dict[int, list[LBT]] = {}  # by subscript, in generation order
+        for rc in _gen_subtrees(rs, right_ints, True, k, memo):
+            rights.setdefault(rc.sub, []).append(rc)
         for lc in _gen_subtrees(ls, left_ints, False, k, memo):
-            for rc in rights:
-                if lc.value < rc.value and lc.sub == rc.sub and _heap_ordered(lc, rc):
+            for rc in rights.get(lc.sub, ()):
+                if lc.value < rc.value and _heap_ordered(lc, rc):
                     yield lc, rc
 
 
@@ -384,24 +412,29 @@ def lbt_to_chain(tree: LBT, k: int) -> tuple[CoverLabel, ...]:
 
     A node is freed only after every internal node below it, and its two
     subtrees free nodes independently, so a node's read-off is its
-    subtrees' read-offs merged by largest label (the left one first on
-    ties), then its own merge label."""
-    # imported here: loading heapq's C extension at import time adds about
-    # 0.1 MB to the peak RSS of every command, most of which read off no tree
-    import heapq
-
-    def read_off(node: LBT) -> list[CoverLabel]:
+    subtrees' read-offs merged by largest label, then its own merge label.
+    Each read-off is a subsequence of the whole, so the whole is strictly
+    decreasing exactly when every node is heap-ordered (:func:`_heap_ordered`)
+    and the merge labels are distinct and larger than the top step; it is
+    then the merge labels sorted from the largest down."""
+    labels = []
+    ordered = True
+    leaves = 0
+    stack = [tree]
+    while stack:
+        node = stack.pop()
         if node.is_leaf:
-            return []
-        merged = heapq.merge(read_off(node.left), read_off(node.right),
-                             key=attrgetter("sort_key"), reverse=True)
-        return [*merged, _merge_label(node.left, node.right)]
-
-    labels = read_off(tree)
+            leaves += 1
+            continue
+        lc, rc = node.left, node.right
+        labels.append(_merge_label(lc, rc))
+        ordered = ordered and _heap_ordered(lc, rc)
+        stack += (lc, rc)
+    labels.sort(key=attrgetter("sort_key"), reverse=True)
     if k >= 2:
-        labels.append(CoverLabel(1, len(lbt_leaves(tree)), k))
+        labels.append(CoverLabel(1, leaves, k))
     keys = [lab.sort_key for lab in labels]
-    if not all(a > b for a, b in zip(keys, keys[1:])):
+    if not ordered or not all(a > b for a, b in zip(keys, keys[1:])):
         raise ValueError("tree does not yield a strictly decreasing chain")
     return tuple(labels)
 
@@ -412,30 +445,22 @@ def chain_to_lbt(labels: Sequence[CoverLabel], n: int, k: int) -> LBT:
     keys = [lab.sort_key for lab in labels]
     if not all(a > b for a, b in zip(keys, keys[1:])):
         raise ValueError("chain labels must strictly decrease")
-    elements = apply_chain(n, k, labels)  # validates admissibility/maximality
-    merge_labels = list(labels)
-    if k >= 2:
-        if merge_labels[-1] != CoverLabel(1, n, k):
-            raise ValueError("a maximal chain must end with the (1,n)_k step")
-        merge_labels.pop()
-    if len(merge_labels) != n - 1 or len(elements) != n:
-        raise ValueError("chain is not maximal")
+    _chain_codes(n, k, labels, maximal=True)
+    merge_labels = labels[:n - 1]
 
-    # working trees keyed by their current first-layer block
-    pending: dict[frozenset[int], tuple] = {
-        frozenset([e]): ("leaf", e) for e in range(1, n + 1)}
-
-    def close(work, value: int, sub: int) -> LBT:
-        if work[0] == "leaf":
-            assert work[1] == value
-            return LBT(value, sub)
-        return LBT(value, sub, work[1], work[2])
-
+    # the children of each working tree's root (none for a leaf), keyed by
+    # one of its leaves; ``where`` maps each element to the key of its
+    # working tree, ``members`` each key to the elements under it
+    pending: dict[int, tuple] = {e: () for e in range(1, n + 1)}
+    where = list(range(n + 1))
+    members = {e: [e] for e in range(1, n + 1)}
     for lab in merge_labels:
-        a_key = next(key for key in pending if lab.alpha in key)
-        b_key = next(key for key in pending if lab.beta in key)
-        lc = close(pending.pop(a_key), lab.alpha, lab.layer)
-        rc = close(pending.pop(b_key), lab.beta, lab.layer)
-        pending[a_key | b_key] = ("node", lc, rc)
-    (_, lc, rc), = [pending[key] for key in pending]
+        a_key, b_key = where[lab.alpha], where[lab.beta]
+        lc = LBT(lab.alpha, lab.layer, *pending.pop(a_key))
+        rc = LBT(lab.beta, lab.layer, *pending.pop(b_key))
+        pending[a_key] = (lc, rc)
+        for e in members[b_key]:
+            where[e] = a_key
+        members[a_key] += members.pop(b_key)
+    (lc, rc), = pending.values()
     return LBT(None, None, lc, rc)

@@ -19,12 +19,11 @@ refinement order, not of this one.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
-from functools import reduce, total_ordering
+from functools import reduce
 from itertools import combinations, islice
 from math import factorial
-from operator import and_, or_
-from typing import Iterable, Iterator, Sequence
+from operator import and_
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .wpartition import (
     WeightedPartition,
@@ -88,10 +87,12 @@ def check_guard(n: int, k: int, guard: int | None = None, chains: int = 0) -> No
             f"over the guard of {guard}; raise the guard to proceed")
 
 
-@total_ordering
-@dataclass(frozen=True)
-class CoverLabel:
-    """Edge label (alpha, beta)_layer; deeper layers compare smaller."""
+class CoverLabel(NamedTuple):
+    """Edge label (alpha, beta)_layer; deeper layers compare smaller.
+
+    Equality and hashing are those of the field tuple; all four order
+    comparisons go through ``sort_key``, since the tuple's own would order
+    by (alpha, beta, layer)."""
 
     alpha: int
     beta: int
@@ -103,6 +104,15 @@ class CoverLabel:
 
     def __lt__(self, other: "CoverLabel") -> bool:
         return self.sort_key < other.sort_key
+
+    def __le__(self, other: "CoverLabel") -> bool:
+        return self.sort_key <= other.sort_key
+
+    def __gt__(self, other: "CoverLabel") -> bool:
+        return self.sort_key > other.sort_key
+
+    def __ge__(self, other: "CoverLabel") -> bool:
+        return self.sort_key >= other.sort_key
 
     def __str__(self) -> str:
         return f"({self.alpha},{self.beta})_{self.layer}"
@@ -193,12 +203,11 @@ def admissible_covers(pi: WeightedPartition) -> list[tuple[CoverLabel, WeightedP
             for a, b, l in _admissible(code, n, k)]
 
 
-def follow_labels(pi: WeightedPartition, labels: Iterable[CoverLabel]
-                  ) -> Iterator[WeightedPartition | None]:
-    """The covers that ``labels`` reach one after another from pi, kept as
-    codes between steps; None at the first label that is not admissible
-    there (see :func:`admissible_covers`), which ends the walk."""
-    n, k, code = pi.n, pi.k, _code(pi)
+def _follow_codes(code: bytes, n: int, k: int, labels: Iterable[CoverLabel]
+                  ) -> Iterator[bytes | None]:
+    """The codes of the covers that ``labels`` reach one after another from
+    the element with code ``code``; None at the first label that is not
+    admissible there, which ends the walk."""
     for label in labels:
         layer = label.layer
         step = (label.alpha, label.beta, layer)
@@ -207,7 +216,18 @@ def follow_labels(pi: WeightedPartition, labels: Iterable[CoverLabel]
             yield None
             return
         code = _raise(code, n, *step)
-        yield _decode(n, k, code)
+        yield code
+
+
+def follow_labels(pi: WeightedPartition, labels: Iterable[CoverLabel]
+                  ) -> Iterator[WeightedPartition | None]:
+    """The covers that ``labels`` reach one after another from pi, kept as
+    codes between steps (:func:`_follow_codes`); None at the first label
+    that is not admissible there (see :func:`admissible_covers`), which
+    ends the walk."""
+    n, k = pi.n, pi.k
+    for code in _follow_codes(_code(pi), n, k, labels):
+        yield None if code is None else _decode(n, k, code)
 
 
 def cover(pi: WeightedPartition, label: CoverLabel) -> WeightedPartition | None:
@@ -585,12 +605,15 @@ def _unique_bounds(above: list[int], below: list[int],
     covers (lower bounds: swap the masks, use upper covers).  z >= x is a
     minimal upper bound for y when y <= z and y lies below no lower cover
     w >= x of z; bit-sliced "once"/"twice" counters add these masks over z."""
+    lower = [sum(1 << w for w, _ in adj) for adj in down]
     rows = []
     for beyond in above:
         once = twice = 0
         for z in _bits(beyond):
-            hit = below[z] & ~reduce(or_, (below[w] for w, _ in down[z]
-                                           if beyond >> w & 1), 0)
+            blocked = 0
+            for w in _bits(beyond & lower[z]):
+                blocked |= below[w]
+            hit = below[z] & ~blocked
             twice |= once & hit
             once |= hit
         rows.append(once & ~twice)

@@ -174,6 +174,16 @@ def t_def(n: int, k: int, r: int) -> int:
     return _transform_def(n, k, r, stirling1)
 
 
+def _fill_levels(first_column, n: int, k: int) -> None:
+    """Compute ``first_column(m, level)`` for m <= n and the levels below k,
+    lowest level first.  Each value reads only the level below it, so once
+    that level is cached no call recurses through more than one level, and
+    the recursion depth does not grow with k."""
+    for level in range(2, k):
+        for m in range(1, n + 1):
+            first_column(m, level)
+
+
 @lru_cache(maxsize=None)
 def _T_first_column(n: int, k: int) -> int:
     """T(n, k, 1) = sum_r T(n, k-1, r), base T(n, 1, 1) = S(n, 1) = 1."""
@@ -181,6 +191,7 @@ def _T_first_column(n: int, k: int) -> int:
         return 0
     if n == 1 or k == 1:
         return 1
+    _fill_levels(_T_first_column, n, k)
     return sum(T_rec_split(n, k - 1, r) for r in range(1, n + 1))
 
 
@@ -232,6 +243,7 @@ def t_rec_first_column(n: int, k: int) -> int:
         return 1 if n == 1 else 0
     if k == 1:
         return (-1) ** (n - 1) * factorial(n - 1)
+    _fill_levels(t_rec_first_column, n, k)
     return sum((-1) ** (l + 1) * factorial(l - 1) * _split(n, k - 1, l, t_rec_first_column)
                for l in range(1, n + 1))
 

@@ -11,10 +11,10 @@ elements ascending and every layer's blocks by minimum element.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
-from itertools import product
+from itertools import product, repeat
 from math import factorial
-from typing import Iterable, Iterator, Sequence
+from operator import itemgetter
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 __all__ = [
     "InvalidPartition",
@@ -58,8 +58,7 @@ class OneLineParseError(ValueError):
         super().__init__(f"parse error at position {pos} in {text!r}: expected {expected}")
 
 
-@dataclass(frozen=True)
-class WeightedPartition:
+class WeightedPartition(NamedTuple):
     n: int
     k: int
     layers: tuple[Layer, ...]
@@ -100,6 +99,7 @@ def validate(n: int, k: int, layers: Iterable[Iterable[Iterable[int]]]) -> Weigh
 
     violations: list[tuple[str, str]] = []
     canon: list[Layer] = []
+    owner: dict[int, Block] = {}  # element -> its block in the layer before
     for idx, layer in enumerate(raw, start=1):
         blocks = []
         for b in layer:
@@ -107,14 +107,15 @@ def validate(n: int, k: int, layers: Iterable[Iterable[Iterable[int]]]) -> Weigh
             if not blk:
                 violations.append(("malformed", f"empty block in layer {idx}"))
                 continue
-            if any(not isinstance(e, int) or not 1 <= e <= n for e in blk):
+            # sorted, so an all-int block is in range when its ends are
+            if not all(map(isinstance, blk, repeat(int))) or blk[0] < 1 or blk[-1] > n:
                 violations.append(("malformed", f"element out of [1,{n}] in layer {idx}: {blk}"))
                 continue
             if len(set(blk)) != len(blk):
                 violations.append(("overlap", f"repeated element within block {blk} of layer {idx}"))
                 continue
             blocks.append(tuple(blk))
-        blocks.sort(key=lambda b: b[0])
+        blocks.sort(key=itemgetter(0))
         canon.append(tuple(blocks))
 
         seen: dict[int, Block] = {}
@@ -125,8 +126,8 @@ def validate(n: int, k: int, layers: Iterable[Iterable[Iterable[int]]]) -> Weigh
                         ("overlap", f"element {e} in two blocks of layer {idx}: {seen[e]} and {b}"))
                 seen[e] = b
         if idx == 1:
-            missing = [e for e in range(1, n + 1) if e not in seen]
-            if missing:
+            if len(seen) < n:  # the keys are distinct elements of [1, n]
+                missing = [e for e in range(1, n + 1) if e not in seen]
                 violations.append(("coverage", f"layer 1 misses elements {missing}"))
         else:
             for b in blocks:
@@ -134,9 +135,14 @@ def validate(n: int, k: int, layers: Iterable[Iterable[Iterable[int]]]) -> Weigh
                     violations.append(("singleton", f"singleton block {b} in layer {idx}"))
             prev = canon[idx - 2]
             for b in blocks:
-                if not any(set(b) <= set(p) for p in prev):
+                # the block before that holds b's minimum holds b, or else b
+                # is tested against every block (``owner`` keeps one block per
+                # element when the layer before overlaps)
+                if not set(b).issubset(owner.get(b[0], ())) and \
+                        not any(set(b) <= set(p) for p in prev):
                     violations.append(
                         ("nesting", f"block {b} of layer {idx} not inside one block of layer {idx-1}"))
+        owner = seen
     if violations:
         raise InvalidPartition(violations)
     return WeightedPartition(n, k, tuple(canon))
@@ -194,11 +200,23 @@ def edge_set_inverse(edges: Iterable[tuple[int, int, int]], n: int, k: int) -> W
     if bad:
         raise InvalidPartition([("malformed", f"edges outside 1 <= i < j <= {n}, "
                                               f"1 <= l <= {k}: {bad}")])
-    singletons = [(e,) for e in range(1, n + 1)]
-    layers = []
-    for l in range(1, k + 1):
-        comps = _components(singletons + [(i, j) for i, j, lab in edges if lab >= l])
-        layers.append([c for c in comps if len(c) >= 2 or l == 1])
+    # one sweep from layer k down, joining the classes of the edges labeled
+    # l before layer l is read off; ``root`` maps each element to the key of
+    # its class in ``members``
+    root = {e: e for e in range(1, n + 1)}
+    members = {e: [e] for e in range(1, n + 1)}
+    edges.sort(key=itemgetter(2), reverse=True)
+    done = 0
+    layers: list[list[Block]] = [[] for _ in range(k)]
+    for l in range(k, 0, -1):
+        while done < len(edges) and edges[done][2] >= l:
+            a, b = root[edges[done][0]], root[edges[done][1]]
+            if a != b:
+                for e in members[b]:
+                    root[e] = a
+                members[a] += members.pop(b)
+            done += 1
+        layers[l - 1] = [tuple(c) for c in members.values() if len(c) >= 2 or l == 1]
     return validate(n, k, layers)
 
 
@@ -240,21 +258,14 @@ def one_line_print(pi: WeightedPartition) -> str:
     return "/".join(pieces)
 
 
-@dataclass
-class _Group:
+class _Group(NamedTuple):
     items: list  # of _Group | _Elem
     exponent: int
     pos: int
-
-    def elements(self) -> set[int]:
-        out: set[int] = set()
-        for it in self.items:
-            out |= it.elements() if isinstance(it, _Group) else {it.value}
-        return out
+    elements: set[int]  # of every item, at any depth
 
 
-@dataclass
-class _Elem:
+class _Elem(NamedTuple):
     value: int
     exponent: int | None  # alias form e^L
     pos: int
@@ -307,54 +318,52 @@ def one_line_parse(text: str, n: int, k: int) -> WeightedPartition:
     joins the union of its persistent sibling items at every layer 2..L.
     """
     toks = _tokenize(text, n)
+    toks.append(("end", None, len(text)))  # errors at the end point past the text
     pos = 0
 
-    def peek() -> tuple[str, object, int] | None:
-        return toks[pos] if pos < len(toks) else None
-
-    def parse_items(depth: int) -> list:
+    def parse_items() -> tuple[list, set[int]]:
+        """The items up to the next '/', ')' or the end, and their elements."""
         nonlocal pos
         items: list = []
+        elements: set[int] = set()
         while True:
-            t = peek()
-            if t is None or t[0] in ("/", ")"):
-                break
-            if t[0] == "num":
+            t = toks[pos]
+            kind = t[0]
+            if kind == "num":
                 pos += 1
                 expo = None
-                nxt = peek()
-                if nxt is not None and nxt[0] == "^":
-                    expo = int(nxt[1])  # type: ignore[arg-type]
+                if toks[pos][0] == "^":
+                    expo = int(toks[pos][1])  # type: ignore[arg-type]
                     pos += 1
                 items.append(_Elem(int(t[1]), expo, t[2]))  # type: ignore[arg-type]
-            elif t[0] == "(":
-                start = t[2]
+                elements.add(items[-1].value)
+            elif kind == "(":
                 pos += 1
-                inner = parse_items(depth + 1)
-                t2 = peek()
-                if t2 is None or t2[0] != ")":
-                    raise OneLineParseError(text, t2[2] if t2 else len(text), "')'")
+                inner, inner_elements = parse_items()
+                if toks[pos][0] != ")":
+                    raise OneLineParseError(text, toks[pos][2], "')'")
                 pos += 1
-                t3 = peek()
-                if t3 is None or t3[0] != "^":
-                    raise OneLineParseError(text, t3[2] if t3 else len(text), "'^'")
+                t3 = toks[pos]
+                if t3[0] != "^":
+                    raise OneLineParseError(text, t3[2], "'^'")
                 pos += 1
                 if not inner:
-                    raise OneLineParseError(text, start + 1, "items inside '(...)'")
-                items.append(_Group(inner, int(t3[1]), start))  # type: ignore[arg-type]
+                    raise OneLineParseError(text, t[2] + 1, "items inside '(...)'")
+                items.append(_Group(inner, int(t3[1]), t[2], inner_elements))  # type: ignore[arg-type]
+                elements |= inner_elements
+            elif kind in ("/", ")", "end"):
+                return items, elements
             else:
                 raise OneLineParseError(text, t[2], "element or '('")
-        return items
 
-    blocks: list[list] = []
+    blocks: list[tuple[list, set[int]]] = []
     while True:
-        items = parse_items(0)
+        items, elements = parse_items()
+        t = toks[pos]
         if not items:
-            t = peek()
-            raise OneLineParseError(text, t[2] if t else len(text), "block items")
-        blocks.append(items)
-        t = peek()
-        if t is None:
+            raise OneLineParseError(text, t[2], "block items")
+        blocks.append((items, elements))
+        if t[0] == "end":
             break
         if t[0] == "/":
             pos += 1
@@ -363,10 +372,9 @@ def one_line_parse(text: str, n: int, k: int) -> WeightedPartition:
 
     layers: list[list[tuple[int, ...]]] = [[] for _ in range(k)]
 
-    def emit(items: list, parent_end: int) -> set[int]:
+    def emit(items: list, parent_end: int) -> None:
         """Record the blocks contributed by ``items`` (the inside of a group
-        persisting through layer ``parent_end``); returns the element set."""
-        all_elems: set[int] = set()
+        persisting through layer ``parent_end``)."""
         max_l = parent_end
         for it in items:
             if isinstance(it, _Group):
@@ -374,14 +382,11 @@ def one_line_parse(text: str, n: int, k: int) -> WeightedPartition:
                     raise OneLineParseError(
                         text, it.pos, f"group exponent > {parent_end} (strictly increasing inward)")
                 max_l = max(max_l, it.exponent)
-                all_elems |= it.elements()
-            else:
-                if it.exponent is not None and it.exponent <= parent_end:
+            elif it.exponent is not None:
+                if it.exponent <= parent_end:
                     raise OneLineParseError(
                         text, it.pos, f"element exponent > {parent_end}")
-                if it.exponent is not None:
-                    max_l = max(max_l, it.exponent)
-                all_elems.add(it.value)
+                max_l = max(max_l, it.exponent)
         for l in range(parent_end + 1, min(max_l, k) + 1):
             group_units = [it for it in items
                            if isinstance(it, _Group) and it.exponent >= l]
@@ -390,32 +395,29 @@ def one_line_parse(text: str, n: int, k: int) -> WeightedPartition:
             if elem_units:
                 merged: set[int] = set()
                 for g in group_units:
-                    merged |= g.elements()
+                    merged |= g.elements
                 merged |= {e.value for e in elem_units}
                 if len(merged) < 2:
                     raise OneLineParseError(
                         text, elem_units[0].pos,
                         "element exponent would create a singleton block")
-                layers[l - 1].append(tuple(sorted(merged)))
+                layers[l - 1].append(tuple(merged))
             else:
                 for g in group_units:
-                    layers[l - 1].append(tuple(sorted(g.elements())))
+                    layers[l - 1].append(tuple(g.elements))
         for it in items:
             if isinstance(it, _Group):
                 emit(it.items, it.exponent)
-        return all_elems
 
-    for items in blocks:
+    for items, elements in blocks:
+        layers[0].append(tuple(elements))
         if len(items) == 1 and isinstance(items[0], _Group):
             g = items[0]
-            block_elems = g.elements()
-            layers[0].append(tuple(sorted(block_elems)))
             for l in range(2, min(g.exponent, k) + 1):
-                layers[l - 1].append(tuple(sorted(block_elems)))
+                layers[l - 1].append(tuple(elements))
             emit(g.items, g.exponent)
         else:
-            block_elems = emit(items, 1)
-            layers[0].append(tuple(sorted(block_elems)))
+            emit(items, 1)
     return validate(n, k, layers)
 
 
@@ -507,10 +509,10 @@ def to_rooted_tree(pi: WeightedPartition):
             return frozenset(block)  # children are the leaf elements
         kids = []
         rest = set(block)
-        for c in pi.layers[depth]:  # layer depth+1 blocks
-            if set(c) <= set(block):
+        for c in pi.layers[depth]:  # layer depth+1 blocks, each inside one block
+            if c[0] in rest:
                 kids.append(subtree(c, depth + 1))
-                rest -= set(c)
+                rest.difference_update(c)
         for e in sorted(rest):
             kids.append(subtree((e,), depth + 1))
         return frozenset(kids)
@@ -518,41 +520,35 @@ def to_rooted_tree(pi: WeightedPartition):
     return frozenset(subtree(b, 1) for b in pi.layers[0])
 
 
-def _leaf_depths(tree, depth: int = 0) -> Iterator[tuple[int, int]]:
-    for child in tree:
-        if isinstance(child, int):
-            yield child, depth + 1
-        else:
-            yield from _leaf_depths(child, depth + 1)
-
-
 def from_rooted_tree(tree) -> WeightedPartition:
     """Inverse of :func:`to_rooted_tree`; rejects trees whose leaves are not
     all at the same depth k+1."""
-    info = list(_leaf_depths(tree))
-    if not info:
+    depths: set[int] = set()  # of the leaves
+    blocks: dict[int, list[Block]] = {}  # depth -> the blocks of its nodes
+
+    def walk(node, depth: int) -> Block:
+        """The sorted leaves below the internal node ``node`` at ``depth``,
+        recording the leaf depths and node blocks on the way."""
+        leaves: list[int] = []
+        for child in node:
+            if isinstance(child, int):
+                depths.add(depth + 1)
+                leaves.append(child)
+            else:
+                leaves.extend(walk(child, depth + 1))
+        block = tuple(sorted(leaves))
+        blocks.setdefault(depth, []).append(block)
+        return block
+
+    labels = walk(tree, 0)
+    if not labels:
         raise InvalidPartition([("malformed", "tree has no leaves")])
-    depths = {d for _, d in info}
     if len(depths) != 1:
         raise InvalidPartition([("malformed", f"unequal leaf depths {sorted(depths)}")])
     k = depths.pop() - 1
-    labels = sorted(e for e, _ in info)
-    n = len(labels)
-    layers: list[list[Block]] = [[] for _ in range(k)]
-
-    def walk(node, depth: int) -> tuple[int, ...]:
-        if isinstance(node, int):
-            return (node,)
-        leaves: list[int] = []
-        for child in node:
-            leaves.extend(walk(child, depth + 1))
-        block = tuple(sorted(leaves))
-        if 1 <= depth <= k and (depth == 1 or len(block) >= 2):
-            layers[depth - 1].append(block)
-        return block
-
-    walk(tree, 0)
-    return validate(n, k, layers)
+    return validate(len(labels), k, [
+        [b for b in blocks.get(depth, []) if depth == 1 or len(b) >= 2]
+        for depth in range(1, k + 1)])
 
 
 def tree_shape(tree):

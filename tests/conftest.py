@@ -209,6 +209,22 @@ def oracle_enumerate_all(n, k):
     return out
 
 
+def oracle_edge_set_inverse(edges, n, k):
+    """``edge_set_inverse`` one layer at a time: the layer-l blocks are the
+    components, by ``wpartition._components``, of the singletons and the
+    edges labeled >= l."""
+    from wplat import validate
+    from wplat.wpartition import _components
+
+    edges = list(edges)
+    singletons = [(e,) for e in range(1, n + 1)]
+    layers = []
+    for l in range(1, k + 1):
+        comps = _components(singletons + [(i, j) for i, j, lab in edges if lab >= l])
+        layers.append([c for c in comps if len(c) >= 2 or l == 1])
+    return validate(n, k, layers)
+
+
 @pytest.fixture(scope="session")
 def poset_cache():
     """Posets are expensive; share them across tests."""

@@ -202,10 +202,39 @@ class TestLBT:
         def refuse(*_):
             raise AssertionError("the tree generator stepped through the lattice")
 
-        monkeypatch.setattr(wplat.chains, "follow_labels", refuse)
+        monkeypatch.setattr(wplat.chains, "_follow_codes", refuse)
+        monkeypatch.setattr(wplat.lattice, "_follow_codes", refuse)
         monkeypatch.setattr(wplat.lattice, "follow_labels", refuse)
         monkeypatch.setattr(wplat.lattice, "cover", refuse)
         assert len(enumerate_lbt(5, 3)) == 880
+
+    def test_heap_order_matches_merge_label_comparison(self, monkeypatch):
+        # every (left, right) pair that enumerate_lbt(4, 3) tests for S4, and
+        # every node of the trees it returns
+        from wplat.chains import _heap_ordered, _merge_label
+
+        tested = []
+
+        def recording(lc, rc):
+            tested.append((lc, rc))
+            return _heap_ordered(lc, rc)
+
+        monkeypatch.setattr(wplat.chains, "_heap_ordered", recording)
+        trees = enumerate_lbt(4, 3)
+        monkeypatch.undo()
+        stack = list(trees)
+        while stack:
+            node = stack.pop()
+            if not node.is_leaf:
+                tested.append((node.left, node.right))
+                stack += (node.left, node.right)
+        outcomes = set()
+        for lc, rc in tested:
+            label = _merge_label(lc, rc)
+            want = all(c.is_leaf or label < _merge_label(c.left, c.right) for c in (lc, rc))
+            assert _heap_ordered(lc, rc) == want
+            outcomes.add(want)
+        assert outcomes == {True, False}
 
     def test_leaves_biject(self):
         for t in enumerate_lbt(4, 2):
@@ -311,6 +340,32 @@ class TestApplyChain:
 
         with pytest.raises(ValueError, match="past the top"):
             apply_chain(3, k, [CoverLabel(*lab) for lab in labels])
+
+    @pytest.mark.parametrize("n,k,labels,message,visited", [
+        (3, 1, [(2, 3, 1), (1, 3, 1)], "label (1,3)_1 is not admissible at step 1", None),
+        (4, 2, [(3, 4, 1), (2, 3, 1), (1, 4, 1)], "label (1,4)_1 is not admissible at step 2",
+         None),
+        (3, 2, [(2, 3, 1), (1, 2, 1), (2, 3, 2)], "label (2,3)_2 past the top of P", None),
+        (3, 1, [(2, 3, 1)], "chain is not maximal", 2),
+        (3, 2, [(1, 3, 2)], "chain is not maximal", 2),
+        (3, 2, [(2, 3, 1)], "a maximal chain must end with the (1,n)_k step", 2),
+    ])
+    def test_error_messages(self, n, k, labels, message, visited):
+        # strictly decreasing labels: chain_to_lbt raises the walk's errors,
+        # which apply_chain shares, then its own maximality errors, where
+        # apply_chain returns the elements it visited
+        from wplat import CoverLabel
+
+        labels = [CoverLabel(*lab) for lab in labels]
+        with pytest.raises(ValueError) as exc:
+            chain_to_lbt(labels, n, k)
+        assert str(exc.value) == message
+        if visited is None:
+            with pytest.raises(ValueError) as exc:
+                apply_chain(n, k, labels)
+            assert str(exc.value) == message
+        else:
+            assert len(apply_chain(n, k, labels)) == visited
 
     def test_chain_to_lbt_requires_decreasing(self):
         from wplat import CoverLabel

@@ -86,6 +86,19 @@ class TestTableAndSeries:
         assert code == 0
         assert out.splitlines()[-1].replace(" ", "") == "0,15,32,12,1"
 
+    @pytest.mark.parametrize("kind,direct", [("T", stirling.T_def), ("t", stirling.t_def)])
+    def test_large_k_table(self, kind, direct):
+        # the split recurrence fills its first-column levels bottom-up, so a
+        # fresh interpreter's recursion limit does not bound k
+        src = str(Path(wplat.__file__).parents[1])
+        proc = subprocess.run(
+            [sys.executable, "-m", "wplat.cli", "table", "--kind", kind, "--n-max", "3",
+             "--k", "300", "--format", "json"],
+            capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src))
+        assert (proc.returncode, proc.stderr) == (0, "")
+        rows = json.loads(proc.stdout)["rows"]
+        assert rows == [[direct(n, 300, r) for r in range(1, n + 1)] for n in range(1, 4)]
+
     def test_split_mismatch_names_split_route(self, capsys, monkeypatch):
         split = stirling.T_rec_split
         monkeypatch.setattr(stirling, "T_rec_split",

@@ -1,6 +1,7 @@
 """The lattice: covers, EL property, Möbius routes, characteristic
 polynomial, Whitney numbers, and the structural audit."""
 
+import hashlib
 import json
 import os
 import random
@@ -428,6 +429,17 @@ class TestOrderKernel:
         for seed in range(70):
             carriers |= self._check_el_pass(_relabeled(poset_cache(n, k), seed))
         assert 2 in carriers  # colliding labels: two chains carry one sequence
+
+    @pytest.mark.parametrize("n,k,digest", [
+        (4, 3, "e79b1430d035febbf5df137c7062b96d710e86dc2f5bea466faf7c6d14764ac1"),
+        (5, 2, "c4ff84c4d6eb1047354c090782852b9f2836a6ba529380146463ad645affe407"),
+        (5, 3, "db31829a1890bc798075a63039ff223a82207cb99a03c25ef0e5eb21c322765c"),
+        (6, 2, "cb0f97aa347b8f53ca71df4cbffa6060236b155019f21e533afe5f4ed063db15"),
+    ])
+    def test_structure_matches_pinned_digest(self, n, k, digest, poset_cache):
+        # the report's JSON as the per-cover scan of the lub/glb rows gave it
+        text = json.dumps(structural_checks(poset_cache(n, k)))
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
 
     @pytest.mark.parametrize("n,k", SMALL)
     def test_structure_matches_oracle(self, n, k, poset_cache):

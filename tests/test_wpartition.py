@@ -7,7 +7,7 @@ import random
 from itertools import combinations
 
 import pytest
-from conftest import oracle_enumerate_all, order_atoms
+from conftest import oracle_edge_set_inverse, oracle_enumerate_all, order_atoms
 from hypothesis import given, settings
 from hypothesis import strategies as st_
 
@@ -67,6 +67,36 @@ class TestValidation:
         with pytest.raises(InvalidPartition) as exc:
             wp(4, 2, [[(1, 2), (3, 4)], [(2, 3)]])
         assert any(kind == "nesting" for kind, _ in exc.value.violations)
+
+    def test_nesting_scans_when_the_layer_before_overlaps(self):
+        # layer 1 holds 1 and 2 twice, so the owner of 1 is (1, 2); the block
+        # (1, 3) of layer 2 still lies inside (1, 2, 3)
+        with pytest.raises(InvalidPartition) as exc:
+            wp(3, 2, [[(1, 2, 3), (1, 2)], [(1, 3)]])
+        assert exc.value.violations == [
+            ("overlap", "element 1 in two blocks of layer 1: (1, 2, 3) and (1, 2)"),
+            ("overlap", "element 2 in two blocks of layer 1: (1, 2, 3) and (1, 2)")]
+        with pytest.raises(InvalidPartition) as exc:
+            wp(4, 2, [[(1, 2, 3), (1, 2), (4,)], [(1, 4)]])
+        assert exc.value.violations[-1] == (
+            "nesting", "block (1, 4) of layer 2 not inside one block of layer 1")
+
+    def test_violation_lists_match_pinned_digest(self):
+        # 3,000 seeded layer lists, nearly all malformed: every violation
+        # list, in order, or the partition when there is none
+        rng = random.Random(16)
+        outs = []
+        for _ in range(3000):
+            n, k = rng.randint(1, 6), rng.randint(1, 3)
+            layers = [[[rng.randint(0, n + 1) for _ in range(rng.randint(0, 3))]
+                       for _ in range(rng.randint(1, 4))] for _ in range(k)]
+            try:
+                outs.append(str(validate(n, k, layers)))
+            except InvalidPartition as exc:
+                outs.append(repr(exc.violations))
+        assert sum("nesting" in o for o in outs) == 1038
+        assert hashlib.sha256("\n".join(outs).encode()).hexdigest() == (
+            "e6ddb82cb53ef8586b49aed2cf5d45ce885d0c5d32b6bcbe7eb40cbcfbec9e48")
 
     def test_rank_is_n_minus_first_layer_blocks(self):
         pi = wp(5, 2, [[(1, 2, 3), (4, 5)], [(1, 2), (4, 5)]])
@@ -178,6 +208,40 @@ class TestTreesAndEdges:
         with pytest.raises(InvalidPartition) as exc:
             edge_set_inverse(edges, 3, 2)
         assert [kind for kind, _ in exc.value.violations] == ["malformed"]
+
+    def test_edge_set_inverse_rejects_malformed_edges_with_their_list(self):
+        with pytest.raises(InvalidPartition) as exc:
+            edge_set_inverse([(1, 2, 1), (2, 1, 1), (1, 3, 3)], 3, 2)
+        assert exc.value.violations == [
+            ("malformed", "edges outside 1 <= i < j <= 3, 1 <= l <= 2: [(1, 3, 3), (2, 1, 1)]")]
+
+    @pytest.mark.parametrize("n,k", [(4, 3), (5, 2)])
+    def test_edge_set_inverse_matches_per_layer_oracle(self, n, k):
+        for pi in enumerate_all(n, k):
+            edges = edge_set(pi)
+            assert edge_set_inverse(edges, n, k) == oracle_edge_set_inverse(edges, n, k) == pi
+
+    def test_edge_set_inverse_of_any_edge_set_matches_oracle(self):
+        # edge sets that are no element's: pairs repeated with other labels,
+        # labels that break nesting, up to n = 10
+        rng = random.Random(7)
+        for _ in range(400):
+            n, k = rng.randint(1, 10), rng.randint(1, 4)
+            edges = [(i, j, rng.randint(1, k)) for i, j in combinations(range(1, n + 1), 2)
+                     for _ in range(2) if rng.random() < 1.5 / n]
+            assert edge_set_inverse(edges, n, k) == oracle_edge_set_inverse(edges, n, k)
+
+    @pytest.mark.parametrize("tree,message", [
+        (frozenset(), "tree has no leaves"),
+        (frozenset({frozenset(), frozenset({frozenset()})}), "tree has no leaves"),
+        (frozenset({1, frozenset({2})}), "unequal leaf depths [1, 2]"),
+        (frozenset({frozenset({frozenset({1, 2})}), frozenset({3})}),
+         "unequal leaf depths [2, 3]"),
+    ])
+    def test_from_rooted_tree_rejects_malformed_trees(self, tree, message):
+        with pytest.raises(InvalidPartition) as exc:
+            from_rooted_tree(tree)
+        assert exc.value.violations == [("malformed", message)]
 
     def test_shape_class_sizes_3_2(self):
         shapes = enumerate_tree_shapes(3, 2)
