@@ -241,33 +241,6 @@ def lbt_leaves(tree: LBT) -> list[int]:
     return lbt_leaves(tree.left) + lbt_leaves(tree.right)
 
 
-def _all_ints(tree: LBT) -> list[int]:
-    """Integer parts of all labels in the tree (root excluded if unlabeled)."""
-    out = [] if tree.value is None else [tree.value]
-    if not tree.is_leaf:
-        out += _all_ints(tree.left) + _all_ints(tree.right)
-    return out
-
-
-def _right_ints(tree: LBT, is_right: bool) -> list[int]:
-    """Integer labels of right-child nodes within the tree (the tree's own
-    root included when it is itself a right child)."""
-    out = [tree.value] if is_right and tree.value is not None else []
-    if not tree.is_leaf:
-        out += _right_ints(tree.left, False) + _right_ints(tree.right, True)
-    return out
-
-
-def _s5_allowed(lc: LBT, rc: LBT, is_right: bool) -> set[int]:
-    """S5: the integers a labeled node with children ``lc`` and ``rc`` may
-    carry: those of its subtree, less, for a right child, those used as a
-    right-child label strictly inside it."""
-    allowed = set(_all_ints(lc)) | set(_all_ints(rc))
-    if is_right:
-        allowed -= set(_right_ints(lc, False)) | set(_right_ints(rc, True))
-    return allowed
-
-
 def lbt_check(tree: LBT, n: int, k: int) -> list[str]:
     """Violated conditions of the tree definition, empty when valid.
 
@@ -289,33 +262,44 @@ def lbt_check(tree: LBT, n: int, k: int) -> list[str]:
     if sorted(leaves) != list(range(1, n + 1)):
         problems.append("S1: leaf integers must be a bijection with [n]")
 
-    def walk(node: LBT):
+    def walk(node: LBT) -> tuple[list[str], set[int], set[int]]:
+        """The problems at and below node, in pre-order; the label integers
+        of its two subtrees; the integers used as a right-child label
+        strictly inside it.  S5 draws node's integer from the second set,
+        less the third for a right child; both are filled bottom-up."""
+        found = []
         if node is not tree:
             if node.value is None or not 1 <= node.value <= n:
-                problems.append("label integer out of range")
+                found.append("label integer out of range")
             if node.sub is None or not 1 <= node.sub <= k:
-                problems.append("label subscript out of range")
+                found.append("label subscript out of range")
         if node.is_leaf:
-            return
+            return found, set(), set()
         lc, rc = node.left, node.right
         if not (lc.value < rc.value and lc.sub == rc.sub):
-            problems.append(f"S2: siblings {lc.value}_{lc.sub},{rc.value}_{rc.sub}")
+            found.append(f"S2: siblings {lc.value}_{lc.sub},{rc.value}_{rc.sub}")
         elif not _heap_ordered(lc, rc):
-            problems.append(f"S4: a child of {_merge_label(lc, rc)} has a smaller merge label")
+            found.append(f"S4: a child of {_merge_label(lc, rc)} has a smaller merge label")
         if node is not tree:
             if node.sub < lc.sub or node.sub < rc.sub:
-                problems.append("S3: subscripts must weakly increase to the root")
+                found.append("S3: subscripts must weakly increase to the root")
+        left_found, left_below, left_inside = walk(lc)
+        right_found, right_below, right_inside = walk(rc)
         # S5 applies to every labeled internal node, by its child position
-        for child, is_right in ((lc, False), (rc, True)):
-            if child.is_leaf:
-                continue
-            if child.value not in _s5_allowed(child.left, child.right, is_right):
-                side = "right" if is_right else "left"
-                problems.append(f"S5: {side} child {child.value}_{child.sub} label not allowed")
-        walk(lc)
-        walk(rc)
+        if not lc.is_leaf and lc.value not in left_below:
+            found.append(f"S5: left child {lc.value}_{lc.sub} label not allowed")
+        if not rc.is_leaf and rc.value not in right_below - right_inside:
+            found.append(f"S5: right child {rc.value}_{rc.sub} label not allowed")
+        below = left_below | right_below
+        inside = left_inside | right_inside
+        for child in (lc, rc):
+            if child.value is not None:
+                below.add(child.value)
+        if rc.value is not None:
+            inside.add(rc.value)
+        return found + left_found + right_found, below, inside
 
-    walk(tree)
+    problems += walk(tree)[0]
     if k >= 2:
         lc = tree.left
         if lc is not None and (lc.value, lc.sub) == (1, k):
@@ -324,43 +308,50 @@ def lbt_check(tree: LBT, n: int, k: int) -> list[str]:
 
 
 def _gen_subtrees(shape, ints: tuple[int, ...], is_right: bool, k: int,
-                  memo: dict) -> tuple[LBT, ...]:
-    """Labeled subtrees of the given shape over the given leaf integers,
-    with the subtree root labeled according to its child position.
+                  memo: dict) -> tuple[tuple[LBT, int], ...]:
+    """Labeled subtrees of the given shape over the given (ascending) leaf
+    integers, with the subtree root labeled according to its child
+    position, each with the bitmask of the integers used as a right-child
+    label in it (its root included when it is a right child).
 
-    Each (shape, ints, is_right) is built once and kept in ``memo``, which
-    lives for one :func:`enumerate_lbt` call."""
+    S5 draws a node's integer from the integers of its subtree, which are
+    its leaf integers, as every node below draws from its own; a right
+    child leaves out the right-child labels strictly inside it.  Each
+    (shape, ints, is_right) is built once and kept in ``memo``, which lives
+    for one :func:`enumerate_lbt` call."""
     key = (shape, ints, is_right)
     if key in memo:
         return memo[key]
     if shape == ():
-        out = [LBT(ints[0], s) for s in range(1, k + 1)]
+        bit = 1 << ints[0] if is_right else 0
+        out = [(LBT(ints[0], s), bit) for s in range(1, k + 1)]
     else:
         out = []
-        for lc, rc in _child_pairs(shape, ints, k, memo):
-            allowed = sorted(_s5_allowed(lc, rc, is_right))
+        for lc, rc, inside in _child_pairs(shape, ints, k, memo):
+            allowed = [v for v in ints if not inside >> v & 1] if is_right else ints
             for s in range(lc.sub, k + 1):
                 for v in allowed:
-                    out.append(LBT(v, s, lc, rc))
+                    out.append((LBT(v, s, lc, rc), inside | 1 << v if is_right else inside))
     memo[key] = out = tuple(out)
     return out
 
 
 def _child_pairs(shape, ints: tuple[int, ...], k: int, memo: dict
-                 ) -> Iterator[tuple[LBT, LBT]]:
+                 ) -> Iterator[tuple[LBT, LBT, int]]:
     """The (left, right) children of a node of the given (non-leaf) shape
     over the given leaf integers that satisfy S2 and S4 at the node, in
-    generation order.  S4 is hereditary, so no subtree that fails it is
-    ever built."""
+    generation order, each with the bitmask of the right-child labels
+    strictly inside the node.  S4 is hereditary, so no subtree that fails
+    it is ever built."""
     ls, rs = shape
     for left_ints, right_ints in _splits(ints, _count_leaves(ls)):
-        rights: dict[int, list[LBT]] = {}  # by subscript, in generation order
-        for rc in _gen_subtrees(rs, right_ints, True, k, memo):
-            rights.setdefault(rc.sub, []).append(rc)
-        for lc in _gen_subtrees(ls, left_ints, False, k, memo):
-            for rc in rights.get(lc.sub, ()):
+        rights: dict[int, list[tuple[LBT, int]]] = {}  # by subscript, in generation order
+        for rc, in_rc in _gen_subtrees(rs, right_ints, True, k, memo):
+            rights.setdefault(rc.sub, []).append((rc, in_rc))
+        for lc, in_lc in _gen_subtrees(ls, left_ints, False, k, memo):
+            for rc, in_rc in rights.get(lc.sub, ()):
                 if lc.value < rc.value and _heap_ordered(lc, rc):
-                    yield lc, rc
+                    yield lc, rc, in_lc | in_rc
 
 
 def _splits(ints: tuple[int, ...], nl: int
@@ -393,7 +384,7 @@ def enumerate_lbt(n: int, k: int) -> list[LBT]:
     memo: dict = {}
     return [LBT(None, None, lc, rc)
             for shape in _shapes(n)
-            for lc, rc in _child_pairs(shape, tuple(range(1, n + 1)), k, memo)
+            for lc, rc, _ in _child_pairs(shape, tuple(range(1, n + 1)), k, memo)
             if k == 1 or (lc.value, lc.sub) != (1, k)]
 
 

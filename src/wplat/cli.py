@@ -142,8 +142,10 @@ def cmd_mobius(args) -> int:
     if args.method in ("closed", "all"):
         values["closed"] = lat.mobius_closed_form(n, k)
     if args.method != "closed":
+        recursive = args.method in ("recursive", "all")  # the recursion reads the closures
+        lat.check_guard(n, k, args.guard, closures=recursive)
         poset = lat.build_poset(n, k, guard=args.guard)
-        if args.method in ("recursive", "all"):
+        if recursive:
             values["recursive"] = poset.mobius_recursive(
                 poset.bottom_idx, poset.top_idx)
         if args.method in ("chains", "all"):
@@ -306,6 +308,8 @@ def _verify_bijections(poset: lat.Poset) -> list[dict]:
 
 
 def cmd_verify(args) -> int:
+    # the structure report reads the closures
+    lat.check_guard(args.n, args.k, args.guard, closures=args.suite in ("structure", "all"))
     poset = lat.build_poset(args.n, args.k, guard=args.guard)
     checks: list[dict] = []
     if args.suite in ("el", "all"):

@@ -19,10 +19,11 @@ refinement order, not of this one.
 from __future__ import annotations
 
 import os
-from functools import reduce
-from itertools import combinations, islice
+from bisect import bisect_right
+from functools import cached_property, reduce
+from itertools import combinations, islice, repeat
 from math import factorial
-from operator import and_
+from operator import and_, attrgetter, eq, gt, itemgetter, le
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .wpartition import (
@@ -62,14 +63,17 @@ class GuardExceeded(RuntimeError):
     """The size guard refuses the request (too large, or a bad WPLAT_GUARD)."""
 
 
-def check_guard(n: int, k: int, guard: int | None = None, chains: int = 0) -> None:
+def check_guard(n: int, k: int, guard: int | None = None, chains: int = 0,
+                closures: bool = False) -> None:
     """Raise :class:`GuardExceeded` before any enumeration when (n, k) is
     too large.
 
     The estimate is max(sum_r T(n, k, r) + 1, |mu|, ``chains``): the poset's
-    elements (with the adjoined top), its decreasing chains, which are as
+    elements N (with the adjoined top), its decreasing chains, which are as
     many as the labeled binary trees, and any other chains the caller is
     about to list.  Every guarded command enumerates one or more of them.
+    A caller that will build the order's two closures (``closures``) is
+    also refused when they need more than ``guard`` KiB: N^2/8 bytes each.
     The limit is ``guard``, else WPLAT_GUARD (an integer), else DEFAULT_GUARD.
     """
     if guard is None:
@@ -79,11 +83,16 @@ def check_guard(n: int, k: int, guard: int | None = None, chains: int = 0) -> No
         except ValueError:
             raise GuardExceeded(
                 f"WPLAT_GUARD must be an integer, got {setting!r}") from None
-    estimate = max(sum(T_def(n, k, r) for r in range(n + 1)) + 1,
-                   abs(mobius_closed_form(n, k)), chains)
+    size = sum(T_def(n, k, r) for r in range(n + 1)) + 1
+    estimate = max(size, abs(mobius_closed_form(n, k)), chains)
     if estimate > guard:
         raise GuardExceeded(
             f"(n={n}, k={k}) needs about {estimate} elements or chains, "
+            f"over the guard of {guard}; raise the guard to proceed")
+    # each closure is one bitmask of up to N bits per element
+    if closures and (kib := 2 * size * size // 8 // 1024) > guard:
+        raise GuardExceeded(
+            f"(n={n}, k={k}) needs about {kib} KiB for the order's closures, "
             f"over the guard of {guard}; raise the guard to proceed")
 
 
@@ -139,18 +148,20 @@ def _bits(m: int) -> Iterator[int]:
         m ^= low
 
 
+def _layer_code(n: int, layer: tuple[tuple[int, ...], ...]) -> bytes:
+    """The n bytes f(1), ..., f(n) of one layer, where f(e) is the minimum
+    of e's block (a singleton is its own minimum)."""
+    f = bytearray(range(1, n + 1))
+    for b in layer:
+        for e in b[1:]:
+            f[e - 1] = b[0]
+    return bytes(f)
+
+
 def _code(pi: WeightedPartition) -> bytes:
-    """The block-minimum code of pi: for each layer l in turn, the n bytes
-    f_l(1), ..., f_l(n), where f_l(e) is the minimum of e's layer-l block
-    (a singleton is its own minimum)."""
-    code = bytearray()
-    for layer in pi.layers:
-        f = bytearray(range(1, pi.n + 1))
-        for b in layer:
-            for e in b[1:]:
-                f[e - 1] = b[0]
-        code += f
-    return bytes(code)
+    """The block-minimum code of pi: the codes of its layers in turn
+    (:func:`_layer_code`)."""
+    return b"".join([_layer_code(pi.n, layer) for layer in pi.layers])
 
 
 def _decode(n: int, k: int, code: bytes) -> WeightedPartition:
@@ -169,28 +180,62 @@ def _decode(n: int, k: int, code: bytes) -> WeightedPartition:
     return WeightedPartition(n, k, tuple(layers))
 
 
-def _admissible(code: bytes, n: int, k: int) -> Iterator[tuple[int, int, int]]:
-    """The admissible labels (alpha, beta, l) at the element with code
-    ``code``, in label order: f_l(alpha) = alpha < beta = f_1(beta), that is
-    alpha is the minimum of its layer-l block and beta of its first-layer
-    block, which then differs from alpha's."""
-    firsts = [e for e in range(1, n + 1) if code[e - 1] == e]
-    for l in range(k, 0, -1):
-        f = code[(l - 1) * n:l * n]
-        for alpha in range(1, n + 1):
-            if f[alpha - 1] == alpha:
-                for beta in firsts:
-                    if beta > alpha:
-                        yield alpha, beta, l
+def _admits(code: bytes, n: int, k: int, alpha: int, beta: int, layer: int) -> bool:
+    """The cover rule: (alpha, beta)_layer is admissible at the element with
+    code ``code`` when 1 <= layer <= k, 1 <= alpha < beta <= n and
+    f_layer(alpha) = alpha, f_1(beta) = beta; that is, alpha is the minimum
+    of its layer-l block and beta of its first-layer block, which then
+    differs from alpha's."""
+    return (1 <= layer <= k and 1 <= alpha < beta <= n
+            and code[(layer - 1) * n + alpha - 1] == alpha and code[beta - 1] == beta)
+
+
+def _admissible(code: bytes, n: int, k: int) -> list[tuple[int, int, int]]:
+    """The labels (alpha, beta, l) that :func:`_admits` accepts at the
+    element with code ``code``, in label order (deeper layers first)."""
+    return [(alpha, beta, l) for l in range(k, 0, -1) for alpha in range(1, n)
+            for beta in range(alpha + 1, n + 1) if _admits(code, n, k, alpha, beta, l)]
 
 
 def _raise(code: bytes, n: int, alpha: int, beta: int, layer: int) -> bytes:
     """The code of the cover (alpha, beta)_layer: the alpha- and beta-blocks
     merge at every layer <= ``layer``.  beta is the minimum of its block at
-    every layer, so each byte beta of f_l becomes f_l(alpha) < beta."""
+    every layer, so each byte beta of f_l becomes f_l(alpha) < beta.  Each
+    layer is replaced apart, so the first l layers of the raise at a layer
+    above l are those of the raise at l."""
     b = bytes((beta,))
     return b"".join([code[j:j + n].replace(b, code[j + alpha - 1:j + alpha])
                      for j in range(0, layer * n, n)]) + code[layer * n:]
+
+
+def _cover_rule(n: int, k: int):
+    """A function from an element's code to its admissible labels, in label
+    order, and the codes of their covers: :func:`_admissible` and
+    :func:`_raise`, with one raise per (alpha, beta) pair.
+
+    :func:`_admits` reads only which bytes of the code are fixed points
+    (f_l(e) = e), so the labels of each fixed-point pattern are listed
+    once.  alpha is the minimum of its layer-l block at every layer below l
+    too, so label order meets each pair first at its deepest layer L; the
+    pair is raised there, and its layer-l cover keeps the first l layers of
+    that raise and the rest of the code."""
+    identity = bytes(range(1, n + 1)) * k
+    plans: dict[bytes, tuple[tuple[CoverLabel, ...], list, list]] = {}
+
+    def covers(code: bytes) -> tuple[tuple[CoverLabel, ...], list[bytes]]:
+        key = bytes(map(eq, code, identity))
+        plan = plans.get(key)
+        if plan is None:
+            steps = _admissible(code, n, k)
+            pairs: dict[tuple[int, int], tuple[int, int]] = {}  # -> (index, L)
+            cuts = [(pairs.setdefault((a, b), (len(pairs), l))[0], l * n) for a, b, l in steps]
+            plan = plans[key] = (tuple([CoverLabel(*step) for step in steps]),
+                                 [(a, b, l) for (a, b), (_, l) in pairs.items()], cuts)
+        labels, pairs, cuts = plan
+        raised = [_raise(code, n, a, b, l) for a, b, l in pairs]
+        return labels, [raised[p][:cut] + code[cut:] for p, cut in cuts]
+
+    return covers
 
 
 def admissible_covers(pi: WeightedPartition) -> list[tuple[CoverLabel, WeightedPartition]]:
@@ -198,21 +243,19 @@ def admissible_covers(pi: WeightedPartition) -> list[tuple[CoverLabel, WeightedP
     :func:`_admissible`, each with the partition :func:`_raise` reaches.
     Rank n-1 elements have no covers inside P.
     """
-    n, k, code = pi.n, pi.k, _code(pi)
-    return [(CoverLabel(a, b, l), _decode(n, k, _raise(code, n, a, b, l)))
-            for a, b, l in _admissible(code, n, k)]
+    n, k = pi.n, pi.k
+    labels, codes = _cover_rule(n, k)(_code(pi))
+    return [(label, _decode(n, k, code)) for label, code in zip(labels, codes)]
 
 
 def _follow_codes(code: bytes, n: int, k: int, labels: Iterable[CoverLabel]
                   ) -> Iterator[bytes | None]:
     """The codes of the covers that ``labels`` reach one after another from
-    the element with code ``code``; None at the first label that is not
-    admissible there, which ends the walk."""
+    the element with code ``code``; None at the first label that
+    :func:`_admits` refuses there, which ends the walk."""
     for label in labels:
-        layer = label.layer
-        step = (label.alpha, label.beta, layer)
-        # the rule at layer l reads layers 1..l only, and lists layer l first
-        if not 1 <= layer <= k or step not in _admissible(code[:layer * n], n, layer):
+        step = (label.alpha, label.beta, label.layer)
+        if not _admits(code, n, k, *step):
             yield None
             return
         code = _raise(code, n, *step)
@@ -258,7 +301,11 @@ class Poset:
 
     ``up[x]`` and ``down[y]`` list the covers from x and to y in the order of
     ``covers``, so chains are listed in that order; :func:`build_poset` emits
-    each element's covers in label order."""
+    each element's covers in label order.  ``labels`` lists the distinct
+    labels in label order, and a label's code is its index there;
+    ``up_codes[x]`` holds the pairs (upper cover, code) of ``up[x]``, which
+    the passes and chain walks compare.  These lists and the closures
+    ``_anc`` and ``_desc`` are built on first use."""
 
     def __init__(self, n: int, k: int, elements: list, covers: list,
                  bottom_idx: int, top_idx: int):
@@ -269,17 +316,45 @@ class Poset:
         self.bottom_idx = bottom_idx
         self.top_idx = top_idx
         self.rank = [n if el is TOP else el.rank for el in elements]
-        self.up: list[list[tuple[int, CoverLabel]]] = [[] for _ in elements]
-        self.down: list[list[tuple[int, CoverLabel]]] = [[] for _ in elements]
-        for lo, hi, lab in covers:
-            self.up[lo].append((hi, lab))
-            self.down[hi].append((lo, lab))
-        # strict-ancestor (below) and strict-descendant (above) bitmasks
-        order = sorted(range(len(elements)), key=lambda i: self.rank[i])
-        self._anc = _closure(order, self.down)
-        self._desc = _closure(order[::-1], self.up)
-        self._rank_order = order
+        self.labels = sorted(set(map(itemgetter(2), covers)), key=attrgetter("sort_key"))
+        self._rank_order = sorted(range(len(elements)), key=self.rank.__getitem__)
         self._names: list[str] | None = None
+
+    def _adjacency(self, upward: bool, code: dict | None = None) -> list[list[tuple]]:
+        """Per element, the pairs (other end, label) of the covers from it
+        (``upward``) or to it, in cover order; with ``code``, each label's
+        code in place of the label."""
+        adj: list[list[tuple]] = [[] for _ in self.elements]
+        for lo, hi, lab in self.covers:
+            if code is not None:
+                lab = code[lab]
+            if upward:
+                adj[lo].append((hi, lab))
+            else:
+                adj[hi].append((lo, lab))
+        return adj
+
+    @cached_property
+    def up(self) -> list[list[tuple[int, CoverLabel]]]:
+        return self._adjacency(True)
+
+    @cached_property
+    def down(self) -> list[list[tuple[int, CoverLabel]]]:
+        return self._adjacency(False)
+
+    @cached_property
+    def up_codes(self) -> list[list[tuple[int, int]]]:
+        return self._adjacency(True, {lab: c for c, lab in enumerate(self.labels)})
+
+    @cached_property
+    def _anc(self) -> list[int]:
+        """Per element, the bitmask of the elements strictly below it."""
+        return _closure(self._rank_order, self.down)
+
+    @cached_property
+    def _desc(self) -> list[int]:
+        """Per element, the bitmask of the elements strictly above it."""
+        return _closure(self._rank_order[::-1], self.up)
 
     # -- basic queries ------------------------------------------------------
 
@@ -308,37 +383,49 @@ class Poset:
 
     # -- chains -------------------------------------------------------------
 
-    def _walk(self, x: int, y: int, step) -> Iterator[tuple[CoverLabel, ...]]:
+    def _walk(self, x: int, y: int, step=None) -> Iterator[tuple[CoverLabel, ...]]:
         """Label sequences of the saturated chains from x to y in which
-        ``step(previous, next)`` holds for every two consecutive labels, in
-        cover order; a prefix that breaks it is not extended."""
-        below_y = self._anc[y] | 1 << y
+        ``step(previous, next)`` holds for every two consecutive label codes
+        (every chain when ``step`` is None), in cover order; a prefix that
+        breaks it is not extended.
+
+        The mask of the elements below y only prunes steps that cannot reach
+        y.  Every element of a built order lies below its top, so a walk to
+        the top reads no closure: -1 has every bit set."""
+        below_y = -1 if y == self.top_idx else self._anc[y] | 1 << y
         if not below_y >> x & 1:
             return
-
-        def rec(cur: int, prefix: list[CoverLabel]) -> Iterator[tuple[CoverLabel, ...]]:
-            if cur == y:
-                yield tuple(prefix)
-                return
-            for nxt, lab in self.up[cur]:
-                if below_y >> nxt & 1 and (not prefix or step(prefix[-1], lab)):
-                    prefix.append(lab)
-                    yield from rec(nxt, prefix)
+        if x == y:
+            yield ()
+            return
+        labels, up = self.labels, self.up_codes
+        prefix: list[int] = []  # the codes of the steps taken
+        stack = [iter(up[x])]   # per step taken and x, the covers left to try
+        while stack:
+            for nxt, c in stack[-1]:
+                if below_y >> nxt & 1 and (step is None or not prefix or step(prefix[-1], c)):
+                    if nxt == y:
+                        yield tuple([labels[d] for d in prefix] + [labels[c]])
+                    else:
+                        prefix.append(c)
+                        stack.append(iter(up[nxt]))
+                        break
+            else:
+                stack.pop()
+                if prefix:
                     prefix.pop()
-
-        yield from rec(x, [])
 
     def maximal_chains(self, x: int, y: int) -> Iterator[tuple[CoverLabel, ...]]:
         """Label sequences of every saturated chain from x to y."""
-        return self._walk(x, y, lambda a, b: True)
+        return self._walk(x, y)
 
     def rising_chains(self, x: int, y: int) -> Iterator[tuple[CoverLabel, ...]]:
         """Maximal chains with weakly rising labels."""
-        return self._walk(x, y, lambda a, b: a.sort_key <= b.sort_key)
+        return self._walk(x, y, le)
 
     def decreasing_chains(self, x: int, y: int) -> Iterator[tuple[CoverLabel, ...]]:
         """Maximal chains with strictly decreasing labels."""
-        return self._walk(x, y, lambda a, b: b.sort_key < a.sort_key)
+        return self._walk(x, y, gt)
 
     @staticmethod
     def is_rising(labels: Sequence[CoverLabel]) -> bool:
@@ -368,10 +455,8 @@ class Poset:
         fails is enumerated with :meth:`maximal_chains`, to report its
         witness.
         """
-        code = {key: c for c, key in
-                enumerate(sorted({lab.sort_key for _, _, lab in self.covers}))}
-        up = [[(z, code[lab.sort_key]) for z, lab in adj] for adj in self.up]
         witnesses = []
+        up = self.up_codes
         for x in range(len(self.elements)):
             failing = [y for y, (rising, lex, carriers) in self._el_pass(x, up).items()
                        if not (rising == 1 and carriers == 1
@@ -458,19 +543,53 @@ class Poset:
             raise ValueError("mobius requires x <= y")
         return self._mobius_from(x)[y]
 
+    def mobius_row_via_chains(self) -> list[int]:
+        """mu(0^, z) for every element z by the falling-chain formula:
+        (-1)^rank(z) times the number of strictly decreasing maximal chains
+        from the bottom to z, which holds for an EL-labeling (Björner 1980;
+        :meth:`verify_el` checks the premise).
+
+        One pass up the covers in rank order carries, per element, its
+        decreasing chains counted by the code of their last label; the
+        chains that a cover with code c extends are those whose last code is
+        above c.  It reads only ``up_codes``, not the closures."""
+        size = len(self.elements)
+        up, rank, base = self.up_codes, self.rank, self.rank[self.bottom_idx]
+        ends: list[dict[int, int] | None] = [None] * size  # last code -> chains
+        ends[self.bottom_idx] = {len(self.labels): 1}  # the empty chain: any label follows
+        mu = [0] * size
+        for w in self._rank_order:
+            last = ends[w]
+            if last is None:
+                continue
+            ends[w] = None
+            codes = sorted(last)
+            above = [0] * (len(codes) + 1)  # above[i]: chains with last code >= codes[i]
+            for i in range(len(codes) - 1, -1, -1):
+                above[i] = above[i + 1] + last[codes[i]]
+            mu[w] = -above[0] if (rank[w] - base) & 1 else above[0]
+            for z, c in up[w]:
+                chains = above[bisect_right(codes, c)]
+                if chains:
+                    after = ends[z]
+                    if after is None:
+                        ends[z] = {c: chains}
+                    else:
+                        after[c] = after.get(c, 0) + chains
+        return mu
+
     def mobius_via_chains(self) -> int:
         """(-1)^{rank of top} times the number of maximal decreasing
-        0^-to-top chains."""
-        count = sum(1 for _ in self.decreasing_chains(self.bottom_idx, self.top_idx))
-        return (-1) ** self.rank[self.top_idx] * count
+        0^-to-top chains, counted by :meth:`mobius_row_via_chains`."""
+        return self.mobius_row_via_chains()[self.top_idx]
 
 
 def build_poset(n: int, k: int, guard: int | None = None) -> Poset:
     """Construct the poset for (n, k) explicitly: the elements of
     :func:`enumerate_all` in that order, each with its covers in label order,
     computed on block-minimum codes (:func:`_code`) by the one cover rule of
-    :func:`_admissible` and :func:`_raise`, with no partition built per
-    cover; then for k >= 2 and n >= 2 the adjoined top.
+    :func:`_admissible` and :func:`_raise` (:func:`_cover_rule`), with no
+    partition built per cover; then for k >= 2 and n >= 2 the adjoined top.
 
     :func:`check_guard` (with ``guard``) aborts with
     :class:`GuardExceeded` before any enumeration.
@@ -480,20 +599,31 @@ def build_poset(n: int, k: int, guard: int | None = None) -> Poset:
     check_guard(n, k, guard)
 
     elements: list = enumerate_all(n, k)
-    codes = [_code(el) for el in elements]
+    layer_codes: dict[tuple, bytes] = {}  # elements share layers
+    codes = []
+    for el in elements:
+        parts = []
+        for layer in el.layers:
+            part = layer_codes.get(layer)
+            if part is None:
+                part = layer_codes[layer] = _layer_code(n, layer)
+            parts.append(part)
+        codes.append(b"".join(parts))
     index = {code: i for i, code in enumerate(codes)}
-    labels = {(a, b, l): CoverLabel(a, b, l) for l in range(1, k + 1)
-              for a in range(1, n + 1) for b in range(a + 1, n + 1)}
-    covers = [(i, index[_raise(code, n, *step)], labels[step])
-              for i, code in enumerate(codes) for step in _admissible(code, n, k)]
+    covers_of = _cover_rule(n, k)
+    covers: list = []
+    for i, code in enumerate(codes):
+        labels, ups = covers_of(code)
+        covers += zip(repeat(i), map(index.__getitem__, ups), labels)
 
     add_top = k >= 2 and n >= 2
     if add_top:
         top_idx = len(elements)
+        top_label = CoverLabel(1, n, k)
         elements.append(TOP)
         for i, el in enumerate(elements[:-1]):
             if el.rank == n - 1:
-                covers.append((i, top_idx, labels[1, n, k]))
+                covers.append((i, top_idx, top_label))
     else:
         top_rank = max(el.rank for el in elements)
         tops = [i for i, el in enumerate(elements) if el.rank == top_rank]
@@ -503,10 +633,13 @@ def build_poset(n: int, k: int, guard: int | None = None) -> Poset:
     bottom_idx = index[_code(bottom(n, k))]
     poset = Poset(n, k, elements, covers, bottom_idx, top_idx)
 
-    # sanity: grading and reachability
+    # sanity: grading and reachability.  In a graded order every element is
+    # reachable from the bottom when each element of rank >= 1 has a lower
+    # cover and the bottom is the only one of rank 0: then the upper ends of
+    # the covers are all elements but one.
     for lo, hi, _ in covers:
         assert poset.rank[hi] == poset.rank[lo] + 1, "cover must raise rank by 1"
-    assert poset._desc[bottom_idx] | 1 << bottom_idx == (1 << len(elements)) - 1, \
+    assert len(set(map(itemgetter(1), covers))) == len(elements) - 1, \
         "every element must be reachable from the bottom"
     return poset
 
@@ -568,11 +701,12 @@ def char_poly_summation(n: int, k: int, poset: Poset | None = None) -> list[int]
     """Coefficients [c_0, ..., c_n] of the characteristic polynomial by
     Möbius summation: c_r is the Whitney number of the first kind w_r, the
     sum of mu(0^, pi) over the weighted partitions with r first-layer
-    blocks."""
+    blocks, with mu from the decreasing-chain pass
+    (:meth:`Poset.mobius_row_via_chains`)."""
     if poset is None:
         poset = build_poset(n, k)
     coeffs = [0] * (n + 1)
-    mu = poset.mobius_from_bottom()
+    mu = poset.mobius_row_via_chains()
     for i, el in enumerate(poset.elements):
         if isinstance(el, WeightedPartition):
             coeffs[len(el.layers[0])] += mu[i]
@@ -676,7 +810,8 @@ def hasse_dot(poset: Poset) -> str:
     for r in sorted(by_rank):
         ids = "; ".join(f"e{i}" for i in by_rank[r])
         lines.append(f"  {{ rank=same; {ids}; }}")
+    text = {lab: str(lab) for lab in poset.labels}
     for lo, hi, lab in sorted(poset.covers):
-        lines.append(f'  e{lo} -> e{hi} [label="{lab}"];')
+        lines.append(f'  e{lo} -> e{hi} [label="{text[lab]}"];')
     lines.append("}")
     return "\n".join(lines) + "\n"

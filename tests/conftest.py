@@ -313,6 +313,24 @@ def oracle_admissible_covers(pi):
     return out
 
 
+def oracle_build_covers(n, k):
+    """``build_poset``'s cover list with one ``_raise`` per admissible
+    label: every element of ``enumerate_all`` in turn, its labels in the
+    order of ``_admissible``, then the covers into the adjoined top."""
+    from wplat import CoverLabel, enumerate_all
+    from wplat.lattice import _admissible, _code, _raise
+
+    elements = enumerate_all(n, k)
+    codes = [_code(el) for el in elements]
+    index = {code: i for i, code in enumerate(codes)}
+    covers = [(i, index[_raise(code, n, *step)], CoverLabel(*step))
+              for i, code in enumerate(codes) for step in _admissible(code, n, k)]
+    if k >= 2 and n >= 2:
+        covers += [(i, len(elements), CoverLabel(1, n, k))
+                   for i, el in enumerate(elements) if el.rank == n - 1]
+    return covers
+
+
 def oracle_mobius(poset):
     """mu(x, y) for every pair x <= y, keyed by (x, y): for each x, the
     defining recursion over the elements above x in rank order, each summing
@@ -509,11 +527,27 @@ def oracle_structural_checks(poset):
 
 # -- tree oracle: the nested-generator enumeration that the memoised one replaced --
 
+def _all_ints(tree):
+    """Integer parts of all labels in the tree (root excluded if unlabeled)."""
+    out = [] if tree.value is None else [tree.value]
+    if not tree.is_leaf:
+        out += _all_ints(tree.left) + _all_ints(tree.right)
+    return out
+
+
+def _right_ints(tree, is_right):
+    """Integer labels of right-child nodes within the tree (the tree's own
+    root included when it is itself a right child)."""
+    out = [tree.value] if is_right and tree.value is not None else []
+    if not tree.is_leaf:
+        out += _right_ints(tree.left, False) + _right_ints(tree.right, True)
+    return out
+
+
 def _oracle_subtrees(shape, ints, is_right, k):
     """Labeled subtrees of ``shape`` over ``ints``, regenerating the right
     subtrees for every left subtree (no memo)."""
     from wplat import LBT
-    from wplat.chains import _all_ints, _right_ints
 
     if shape == ():
         for s in range(1, k + 1):
@@ -559,7 +593,6 @@ def oracle_lbt_check(tree, n, k):
     admissible chain reconstructing the tree (through the lattice's cover
     step)."""
     from wplat import chain_to_lbt, lbt_leaves, lbt_to_chain
-    from wplat.chains import _all_ints, _right_ints
 
     problems = []
     if tree.value is not None or tree.sub is not None:

@@ -2,6 +2,8 @@
 bijection."""
 
 import hashlib
+import json
+import random
 from itertools import permutations
 from math import factorial
 
@@ -245,6 +247,51 @@ class TestLBT:
     def test_generation_order_matches_oracle(self, n, k):
         # a list comparison: `trees` prints trees in generation order
         assert enumerate_lbt(n, k) == oracle_enumerate_lbt(n, k)
+
+
+def _random_tree(rng, n, k):
+    """A complete binary tree over a shuffle of [n] (one leaf repeated at
+    times), its internal integers mostly drawn from their subtree and its
+    subscripts mostly weakly rising, some out of range; the root is
+    usually unlabeled."""
+    def build(items):
+        if len(items) == 1:
+            return LBT(items[0], rng.randint(1, k))
+        cut = rng.randint(1, len(items) - 1)
+        lc, rc = build(items[:cut]), build(items[cut:])
+        value = rng.choice(items) if rng.random() < 0.8 else rng.randint(0, n + 1)
+        sub = max(lc.sub, rc.sub) if rng.random() < 0.7 else rng.randint(0, k + 1)
+        return LBT(value, sub, lc, rc)
+
+    leaves = rng.sample(range(1, n + 1), n)
+    if rng.random() < 0.1:
+        leaves[0] = leaves[-1]
+    tree = build(leaves)
+    return tree._replace(value=None, sub=None) if rng.random() < 0.9 else tree
+
+
+class TestS5Sets:
+    """S5's integer sets come from the split's leaf integers and the right
+    labels kept with each subtree (generation), or are filled once per node
+    bottom-up (the check); both pinned from the recursive rebuild of both
+    subtrees' sets at every node."""
+
+    def test_check_messages_match_pinned_digest(self):
+        rng = random.Random(17)
+        messages = []
+        for _ in range(3000):
+            n, k = rng.randint(2, 7), rng.randint(1, 3)
+            messages.append(lbt_check(_random_tree(rng, n, k), n, k))
+        assert sum(1 for m in messages if not m) == 96
+        assert sum(1 for m in messages for p in m if p.startswith("S5")) == 2776
+        assert hashlib.sha256(json.dumps(messages).encode()).hexdigest() == \
+            "dafe6affd15e32da85c95caeccd330f72ece33298dfe9ec9422166f23a1b839d"
+
+    def test_generation_matches_pinned_digest(self):
+        text = json.dumps([[t.to_nested() for t in enumerate_lbt(n, k)]
+                           for n, k in [(5, 3), (6, 2), (4, 4)]])
+        assert hashlib.sha256(text.encode()).hexdigest() == \
+            "518ec18ee8de62e53f6aeca9df86cbf9822740ee7971a039485098acc3c486bc"
 
 
 def _walk_by_cover(n, k, labels):

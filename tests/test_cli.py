@@ -310,6 +310,54 @@ class TestGuardAndOut:
         assert out.strip() == "x(x-2)(x-4)(x-6) = x^4-12x^3+44x^2-48x"
 
 
+class TestClosures:
+    """Only the recursion and the structure report read the order's
+    closures; the guard refuses their requests when the closures would not
+    fit."""
+
+    @staticmethod
+    def _refuse_closures(monkeypatch):
+        def refuse(*_):
+            raise AssertionError("a closure was built")
+
+        monkeypatch.setattr(lattice, "_closure", refuse)
+
+    @pytest.mark.parametrize("argv", [
+        "hasse --n 4 --k 2", "charpoly --n 4 --k 2", "chains --filter decreasing --n 4 --k 2",
+        "chains --n 4 --k 2", "mobius --method chains --n 4 --k 2",
+        "verify --suite el --n 4 --k 2", "verify --suite bijections --n 4 --k 2",
+    ])
+    def test_command_builds_no_closure(self, capsys, monkeypatch, argv):
+        self._refuse_closures(monkeypatch)
+        code, out, _ = run(capsys, *argv.split())
+        assert code == 0 and out
+
+    @pytest.mark.parametrize("argv", [
+        "mobius --method recursive --n 4 --k 2", "mobius --n 4 --k 2",
+        "verify --suite structure --n 4 --k 2", "verify --n 4 --k 2",
+    ])
+    def test_command_builds_closures(self, monkeypatch, argv):
+        self._refuse_closures(monkeypatch)
+        with pytest.raises(AssertionError, match="a closure was built"):
+            main(argv.split())
+
+    @pytest.mark.parametrize("argv", [
+        "mobius --method recursive --n 8 --k 2", "mobius --n 8 --k 2",
+        "verify --suite structure --n 8 --k 2", "verify --n 8 --k 2",
+    ])
+    def test_closure_guard_refuses_before_building(self, capsys, monkeypatch, argv):
+        def refuse(*_):
+            raise AssertionError("the guard must refuse before the build")
+
+        monkeypatch.delenv("WPLAT_GUARD", raising=False)
+        monkeypatch.setattr(lattice, "build_poset", refuse)
+        monkeypatch.setattr(lattice, "enumerate_all", refuse)
+        code, out, err = run(capsys, *argv.split())
+        assert (code, out) == (2, "")
+        assert err == ("(n=8, k=2) needs about 6882014 KiB for the order's closures, "
+                       "over the guard of 200000; raise the guard to proceed\n")
+
+
 @pytest.mark.parametrize("argv", [
     "count --n 0 --k 2", "count --n 3 --k 0", "trees --n 1 --k 2",
     "count --n 3 --k 2 --r -1", "count --n 3 --k 2 --r 0",

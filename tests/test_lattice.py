@@ -8,7 +8,9 @@ import random
 
 import pytest
 from conftest import (
+    _oracle_chains,
     oracle_admissible_covers,
+    oracle_build_covers,
     oracle_el_values,
     oracle_join,
     oracle_label_codes,
@@ -117,6 +119,25 @@ class TestPosetShape:
         with pytest.raises(GuardExceeded, match="209440"):
             lattice.check_guard(7, 3, guard=200_000)
 
+    def test_guard_estimates_closures(self, monkeypatch):
+        # (8,2) has 167,895 elements with the top and |mu| = 135,135, both
+        # under the default guard, but its closures need about 6.9 GB
+        def refuse(*_):
+            raise AssertionError("the guard must not enumerate")
+
+        monkeypatch.setattr(lattice, "enumerate_all", refuse)
+        size = sum(T_def(8, 2, r) for r in range(9)) + 1
+        assert size == 167_895 and 2 * size * size // 8 // 1024 == 6_882_014
+        lattice.check_guard(8, 2)
+        with pytest.raises(GuardExceeded, match="6882014 KiB for the order's closures"):
+            lattice.check_guard(8, 2, closures=True)
+        lattice.check_guard(8, 2, guard=10 ** 12, closures=True)
+        # the suites at (6,3) and (7,2), 40,728 and 90,968 KiB, stay under it
+        lattice.check_guard(6, 3, closures=True)
+        lattice.check_guard(7, 2, closures=True)
+        with pytest.raises(GuardExceeded, match="90968 KiB"):
+            lattice.check_guard(7, 2, guard=90_967, closures=True)
+
 
 class TestEL:
     @pytest.mark.parametrize("n,k", [(2, 1), (3, 1), (4, 1),
@@ -153,6 +174,27 @@ class TestMobius:
 
         for n in range(1, 8):
             assert mobius_closed_form(n, 1) == (-1) ** (n - 1) * factorial(n - 1)
+
+    @pytest.mark.parametrize("n,k", [(n, k) for n in range(1, 6) for k in range(1, 4)]
+                             + [(6, 2)])
+    def test_decreasing_chain_pass_matches_recursion(self, n, k, poset_cache):
+        P = poset_cache(n, k)
+        assert P.mobius_row_via_chains() == P.mobius_from_bottom()
+
+    @pytest.mark.parametrize("n,k", [(3, 2), (3, 3), (4, 2)])
+    def test_decreasing_chain_pass_reads_the_labels(self, n, k, poset_cache):
+        # relabeled copies keep the order, so the recursion keeps its row,
+        # while the signed decreasing-chain counts change: the comparison
+        # can fail, and it equals the listed chains every time
+        differ = 0
+        for seed in range(70):
+            Q = _relabeled(poset_cache(n, k), seed)
+            row = Q.mobius_row_via_chains()
+            differ += row != Q.mobius_from_bottom()
+            for z in range(len(Q)):
+                count = sum(1 for _ in Q.decreasing_chains(Q.bottom_idx, z))
+                assert row[z] == (-1) ** Q.rank[z] * count, (seed, z)
+        assert differ > 0
 
 
 class TestCharPoly:
@@ -532,6 +574,29 @@ class TestOrderKernel:
             keys = [lab.sort_key for _, lab in adj]
             assert all(a < b for a, b in zip(keys, keys[1:]))
 
+    @pytest.mark.parametrize("n,k", [(n, k) for n in range(1, 6) for k in range(1, 4)]
+                             + [(6, 2), (4, 4)])
+    def test_build_matches_one_raise_per_label(self, n, k, poset_cache):
+        # one raise per (alpha, beta) pair against one per label
+        assert poset_cache(n, k).covers == oracle_build_covers(n, k)
+
+    @pytest.mark.parametrize("n,k", [(4, 3), (5, 2)])
+    def test_admits_accepts_exactly_the_admissible_labels(self, n, k, poset_cache):
+        # every label with fields in [-1, n+2] x [-1, k+2] or far out of
+        # range, which are refused without an IndexError
+        far = [-10 ** 6, 10 ** 6]
+        candidates = [(a, b, l) for a in [*range(-1, n + 3), *far]
+                      for b in [*range(-1, n + 3), *far] for l in [*range(-1, k + 3), *far]]
+        for el in poset_cache(n, k).elements:
+            if el is lattice.TOP:
+                continue
+            code = lattice._code(el)
+            listed = lattice._admissible(code, n, k)
+            assert listed == [(lab.alpha, lab.beta, lab.layer)
+                              for lab, _ in oracle_admissible_covers(el)]
+            assert {step for step in candidates if lattice._admits(code, n, k, *step)} \
+                == set(listed)
+
     @pytest.mark.parametrize("n,k", SMALL + [(5, 2)])
     def test_cover_matches_admissible_covers(self, n, k, poset_cache):
         # both against the block-pair scan; cover one label at a time,
@@ -578,6 +643,40 @@ class TestOrderKernel:
     def test_rising_chains_match_filter_on_relabeled_posets(self, n, k, poset_cache):
         for seed in range(70):
             self._check_rising_chains(_relabeled(poset_cache(n, k), seed))
+
+    @pytest.mark.parametrize("n,k", [(3, 2), (3, 3)])
+    def test_chains_match_oracle_on_cut_orders(self, n, k, poset_cache):
+        # a walk to the top reads no closure: in a cut order some elements
+        # may lie below no path to the top, and the walk still lists exactly
+        # its chains
+        cut_off = 0
+        for seed in range(10):
+            Q = _cover_dropped(poset_cache(n, k), seed)
+            leq, chains = _oracle_chains(Q)
+            cut_off += sum(not leq(z, Q.top_idx) for z in range(len(Q)))
+            for x in range(len(Q)):
+                for y in range(len(Q)):
+                    assert list(Q.maximal_chains(x, y)) == \
+                        (list(chains(x, y)) if leq(x, y) else []), (seed, x, y)
+        assert cut_off > 0
+
+    def test_closures_are_built_on_first_use(self, monkeypatch):
+        calls = []
+        real = lattice._closure
+
+        def counting(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(lattice, "_closure", counting)
+        P = build_poset(4, 2)
+        P.mobius_row_via_chains()
+        list(P.decreasing_chains(P.bottom_idx, P.top_idx))
+        assert calls == []
+        assert P.leq(P.bottom_idx, P.top_idx) and P.leq(P.bottom_idx, P.top_idx)
+        assert len(calls) == 1
+        P.interval(P.bottom_idx, P.top_idx)
+        assert len(calls) == 2
 
     def test_cover_applies_one_merge(self, monkeypatch):
         calls = []
