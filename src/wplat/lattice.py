@@ -56,6 +56,9 @@ __all__ = [
 ]
 
 DEFAULT_GUARD = 200_000
+# the closures may take one 4 KiB page per unit of the guard: 781 MiB at the
+# default, which admits (6,4) (474 MiB) and refuses (8,2) (6,720 MiB)
+CLOSURE_BYTES_PER_GUARD = 4096
 MAX_WITNESSES = 10  # witnesses listed per check; counts cover every case
 
 
@@ -72,8 +75,9 @@ def check_guard(n: int, k: int, guard: int | None = None, chains: int = 0,
     elements N (with the adjoined top), its decreasing chains, which are as
     many as the labeled binary trees, and any other chains the caller is
     about to list.  Every guarded command enumerates one or more of them.
-    A caller that will build the order's two closures (``closures``) is
-    also refused when they need more than ``guard`` KiB: N^2/8 bytes each.
+    A caller that will build the order's two closures (``closures``), N^2/8
+    bytes each, is also refused when they need more than
+    CLOSURE_BYTES_PER_GUARD bytes per unit of the guard.
     The limit is ``guard``, else WPLAT_GUARD (an integer), else DEFAULT_GUARD.
     """
     if guard is None:
@@ -90,10 +94,11 @@ def check_guard(n: int, k: int, guard: int | None = None, chains: int = 0,
             f"(n={n}, k={k}) needs about {estimate} elements or chains, "
             f"over the guard of {guard}; raise the guard to proceed")
     # each closure is one bitmask of up to N bits per element
-    if closures and (kib := 2 * size * size // 8 // 1024) > guard:
+    if closures and (need := 2 * size * size // 8) > guard * CLOSURE_BYTES_PER_GUARD:
         raise GuardExceeded(
-            f"(n={n}, k={k}) needs about {kib} KiB for the order's closures, "
-            f"over the guard of {guard}; raise the guard to proceed")
+            f"(n={n}, k={k}) needs about {need >> 20} MiB for the order's closures, "
+            f"over the {guard * CLOSURE_BYTES_PER_GUARD >> 20} MiB that the guard of "
+            f"{guard} allows; raise the guard to proceed")
 
 
 class CoverLabel(NamedTuple):
@@ -158,10 +163,13 @@ def _layer_code(n: int, layer: tuple[tuple[int, ...], ...]) -> bytes:
     return bytes(f)
 
 
-def _code(pi: WeightedPartition) -> bytes:
+def _code(pi: WeightedPartition, known: dict | None = None) -> bytes:
     """The block-minimum code of pi: the codes of its layers in turn
-    (:func:`_layer_code`)."""
-    return b"".join([_layer_code(pi.n, layer) for layer in pi.layers])
+    (:func:`_layer_code`).  ``known`` keeps the layer codes computed so far,
+    for callers that encode many elements sharing layers."""
+    known = {} if known is None else known
+    return b"".join([known.get(layer) or known.setdefault(layer, _layer_code(pi.n, layer))
+                     for layer in pi.layers])
 
 
 def _decode(n: int, k: int, code: bytes) -> WeightedPartition:
@@ -584,31 +592,24 @@ class Poset:
         return self.mobius_row_via_chains()[self.top_idx]
 
 
-def build_poset(n: int, k: int, guard: int | None = None) -> Poset:
+def build_poset(n: int, k: int, guard: int | None = None, closures: bool = False) -> Poset:
     """Construct the poset for (n, k) explicitly: the elements of
     :func:`enumerate_all` in that order, each with its covers in label order,
     computed on block-minimum codes (:func:`_code`) by the one cover rule of
     :func:`_admissible` and :func:`_raise` (:func:`_cover_rule`), with no
     partition built per cover; then for k >= 2 and n >= 2 the adjoined top.
 
-    :func:`check_guard` (with ``guard``) aborts with
-    :class:`GuardExceeded` before any enumeration.
+    :func:`check_guard` (with ``guard``, and with ``closures`` for a caller
+    that will read the closures) aborts with :class:`GuardExceeded` before
+    any enumeration.
     """
     if n < 1 or k < 1:
         raise ValueError("need n >= 1 and k >= 1")
-    check_guard(n, k, guard)
+    check_guard(n, k, guard, closures=closures)
 
     elements: list = enumerate_all(n, k)
-    layer_codes: dict[tuple, bytes] = {}  # elements share layers
-    codes = []
-    for el in elements:
-        parts = []
-        for layer in el.layers:
-            part = layer_codes.get(layer)
-            if part is None:
-                part = layer_codes[layer] = _layer_code(n, layer)
-            parts.append(part)
-        codes.append(b"".join(parts))
+    known: dict[tuple, bytes] = {}  # elements share layers
+    codes = [_code(el, known) for el in elements]
     index = {code: i for i, code in enumerate(codes)}
     covers_of = _cover_rule(n, k)
     covers: list = []

@@ -155,7 +155,18 @@ class TestMobius:
                              "--method", "all")
         assert (code, out) == (1, "")
         assert err == ("mobius methods disagree: "
-                       "{'closed': 15, 'recursive': 15, 'chains': 16}\n")
+                       "{'closed': 15, 'recursive': 15, 'chains': 16, 'listed': 15}\n")
+
+    def test_all_checks_the_pass_against_the_listed_chains(self, capsys, monkeypatch):
+        # the pass agrees with the recursion, so only the listing catches it
+        walk = lattice.Poset.decreasing_chains
+        monkeypatch.setattr(lattice.Poset, "decreasing_chains",
+                            lambda self, x, y: [*walk(self, x, y), ()])
+        code, out, err = run(capsys, "mobius", "--n", "4", "--k", "2",
+                             "--method", "all")
+        assert (code, out) == (1, "")
+        assert err == ("mobius methods disagree: "
+                       "{'closed': 15, 'recursive': 15, 'chains': 15, 'listed': 16}\n")
 
 
 class TestCharpoly:
@@ -350,12 +361,12 @@ class TestClosures:
             raise AssertionError("the guard must refuse before the build")
 
         monkeypatch.delenv("WPLAT_GUARD", raising=False)
-        monkeypatch.setattr(lattice, "build_poset", refuse)
         monkeypatch.setattr(lattice, "enumerate_all", refuse)
         code, out, err = run(capsys, *argv.split())
         assert (code, out) == (2, "")
-        assert err == ("(n=8, k=2) needs about 6882014 KiB for the order's closures, "
-                       "over the guard of 200000; raise the guard to proceed\n")
+        assert err == ("(n=8, k=2) needs about 6720 MiB for the order's closures, "
+                       "over the 781 MiB that the guard of 200000 allows; "
+                       "raise the guard to proceed\n")
 
 
 @pytest.mark.parametrize("argv", [

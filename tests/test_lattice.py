@@ -127,16 +127,25 @@ class TestPosetShape:
 
         monkeypatch.setattr(lattice, "enumerate_all", refuse)
         size = sum(T_def(8, 2, r) for r in range(9)) + 1
-        assert size == 167_895 and 2 * size * size // 8 // 1024 == 6_882_014
+        assert size == 167_895 and 2 * size * size // 8 >> 20 == 6_720
         lattice.check_guard(8, 2)
-        with pytest.raises(GuardExceeded, match="6882014 KiB for the order's closures"):
+        with pytest.raises(GuardExceeded, match="6720 MiB for the order's closures, "
+                                                "over the 781 MiB"):
             lattice.check_guard(8, 2, closures=True)
         lattice.check_guard(8, 2, guard=10 ** 12, closures=True)
-        # the suites at (6,3) and (7,2), 40,728 and 90,968 KiB, stay under it
-        lattice.check_guard(6, 3, closures=True)
-        lattice.check_guard(7, 2, closures=True)
-        with pytest.raises(GuardExceeded, match="90968 KiB"):
-            lattice.check_guard(7, 2, guard=90_967, closures=True)
+        # the closure requests that the unguarded build finished stay
+        # admitted: (6,3), (7,2) and (6,4) need 39, 88 and 474 MiB
+        for n, k in (6, 3), (7, 2), (6, 4):
+            lattice.check_guard(n, k, closures=True)
+        # (7,2) needs 93,151,452 bytes, 22,742.05 pages of 4 KiB
+        lattice.check_guard(7, 2, guard=22_743, closures=True)
+        with pytest.raises(GuardExceeded, match="88 MiB"):
+            lattice.check_guard(7, 2, guard=22_742, closures=True)
+        # the closures of (6,5) and (10,1) need over 3 GB
+        for n, k in (6, 5), (10, 1):
+            lattice.check_guard(n, k, guard=800_000)
+            with pytest.raises(GuardExceeded, match="for the order's closures"):
+                lattice.check_guard(n, k, guard=800_000, closures=True)
 
 
 class TestEL:
