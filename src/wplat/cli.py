@@ -3,19 +3,16 @@ reproducible command with text/JSON/CSV/DOT output.
 
 Exit codes: 0 success, 1 assertion or cross-route mismatch, 2 size guard
 or usage error.
+
+Each command imports the modules it runs when it runs, and ``json`` is
+imported only to render JSON, so a request loads no more than it uses:
+``table`` and ``series`` never load the poset code.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import sys
-
-from . import chains as ch
-from . import lattice as lat
-from . import series as ser
-from . import stirling as st
-from . import wpartition as wp
 
 GUARD_EXIT = 2
 FAIL_EXIT = 1
@@ -26,22 +23,33 @@ def _emit(args, **formats) -> None:
     """Render only the requested format and write it to --out or stdout.
 
     Each keyword maps a format name to a zero-argument renderer returning
-    either text or an object, which is printed as indented JSON.  An --out
-    file that cannot be written is a usage error: one line on stderr, exit 2.
+    either text or an object, which is printed as indented JSON; the text
+    goes out through :func:`_write`.
     """
     rendered = formats[args.format]()
-    text = rendered if isinstance(rendered, str) else json.dumps(rendered, indent=2)
+    if isinstance(rendered, str):
+        text = rendered
+    else:
+        import json
+        text = json.dumps(rendered, indent=2)
     if not text.endswith("\n"):
         text += "\n"
-    if args.out:
-        try:
-            with open(args.out, "w") as fh:
-                fh.write(text)
-        except OSError as exc:
-            print(f"wplat: cannot write --out {args.out}: {exc.strerror}", file=sys.stderr)
-            sys.exit(GUARD_EXIT)
-    else:
-        sys.stdout.write(text)
+    _write(args, lambda write: write(text))
+
+
+def _write(args, produce) -> None:
+    """Call ``produce(write)`` with the ``write`` method of the --out file or
+    of stdout.  An --out file that cannot be written is a usage error: one
+    line on stderr, exit 2."""
+    if not args.out:
+        produce(sys.stdout.write)
+        return
+    try:
+        with open(args.out, "w") as fh:
+            produce(fh.write)
+    except OSError as exc:
+        print(f"wplat: cannot write --out {args.out}: {exc.strerror}", file=sys.stderr)
+        sys.exit(GUARD_EXIT)
 
 
 def _grid(rows, sep: str) -> str:
@@ -51,6 +59,10 @@ def _grid(rows, sep: str) -> str:
 # ---------------------------------------------------------------------------
 
 def cmd_count(args) -> int:
+    from . import lattice as lat
+    from . import stirling as st
+    from . import wpartition as wp
+
     n, k = args.n, args.k
     lat.check_guard(n, k, args.guard)
     counts = {}
@@ -79,6 +91,9 @@ def cmd_count(args) -> int:
 def _table_rows(kind: str, n_max: int, k: int) -> list[list[int]]:
     """Triangle rows n = 1..n_max, entries r = 1..n, checked against the
     independent series route."""
+    from . import series as ser
+    from . import stirling as st
+
     if kind in ("T", "t"):
         series = (ser.exp_k_xy if kind == "T" else ser.log_k_xy)(k, n_max)
         direct = st.T_def if kind == "T" else st.t_def
@@ -89,12 +104,16 @@ def _table_rows(kind: str, n_max: int, k: int) -> list[list[int]]:
     else:  # s
         series = ser.log_k_xy(1, n_max)
         direct, second = st.stirling1, None
+    try:
+        coefficients = series.rows_int()
+    except ser.SeriesError:  # a non-integral coefficient is a mismatch below
+        coefficients = series.rows()
     rows = []
     for n in range(1, n_max + 1):
         row = []
         for r in range(1, n + 1):
             v = direct(n, k, r) if kind in ("T", "t") else direct(n, r)
-            c = series.coefficient(n, r)
+            c = coefficients[n][r]
             if c != v:
                 raise AssertionError(
                     f"route mismatch for {kind}({n},{k},{r}): def {v}, series {c}")
@@ -107,6 +126,8 @@ def _table_rows(kind: str, n_max: int, k: int) -> list[list[int]]:
 
 
 def cmd_table(args) -> int:
+    from . import stirling as st
+
     try:
         if args.kind == "bell":
             values = st.bell_row(args.n_max)
@@ -126,6 +147,8 @@ def cmd_table(args) -> int:
 
 
 def cmd_series(args) -> int:
+    from . import series as ser
+
     fn = ser.exp_k_xy if args.which == "exp" else ser.log_k_xy
     rows = fn(args.k, args.order).rows_int()
     _emit(args,
@@ -137,6 +160,8 @@ def cmd_series(args) -> int:
 
 
 def cmd_mobius(args) -> int:
+    from . import lattice as lat
+
     n, k = args.n, args.k
     values = {}
     if args.method in ("closed", "all"):
@@ -179,6 +204,8 @@ def _poly_str(coeffs: list[int]) -> str:
 
 
 def cmd_charpoly(args) -> int:
+    from . import lattice as lat
+
     n, k = args.n, args.k
     coeffs = lat.char_poly_product(n, k)
     summed = lat.char_poly_summation(n, k, lat.build_poset(n, k, guard=args.guard))
@@ -197,12 +224,17 @@ def cmd_charpoly(args) -> int:
 
 
 def cmd_hasse(args) -> int:
+    from . import lattice as lat
+
     poset = lat.build_poset(args.n, args.k, guard=args.guard)
-    _emit(args, dot=lambda: lat.hasse_dot(poset))
+    # hasse_dot writes the text in chunks, so it is never held whole
+    _write(args, lambda write: lat.hasse_dot(poset, write))
     return 0
 
 
 def cmd_chains(args) -> int:
+    from . import lattice as lat
+
     poset = lat.build_poset(args.n, args.k, guard=args.guard)
     if args.filter == "all":
         lat.check_guard(args.n, args.k, args.guard, chains=poset.chain_count())
@@ -240,22 +272,32 @@ def _lbt_dot(trees: list) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _json_lines(trees: list) -> str:
+    import json
+    return "\n".join([json.dumps(t.to_nested()) for t in trees]
+                     + [f"total {len(trees)}"])
+
+
 def cmd_trees(args) -> int:
+    from . import chains as ch
+    from . import lattice as lat
+
     lat.check_guard(args.n, args.k, args.guard)
     trees = ch.enumerate_lbt(args.n, args.k)
     _emit(args,
           json=lambda: {"n": args.n, "k": args.k, "count": len(trees),
                         "trees": [t.to_nested() for t in trees]},
           dot=lambda: _lbt_dot(trees),
-          text=lambda: "\n".join([json.dumps(t.to_nested()) for t in trees]
-                                 + [f"total {len(trees)}"]))
+          text=lambda: _json_lines(trees))
     return 0
 
 
 # ---------------------------------------------------------------------------
 # verification suites
 
-def _verify_structure(poset: lat.Poset) -> list[dict]:
+def _verify_structure(poset) -> list[dict]:
+    from . import lattice as lat
+
     n, k = poset.n, poset.k
     checks = lat.structural_checks(poset)
     expected = k * n * (n - 1) // 2
@@ -267,7 +309,11 @@ def _verify_structure(poset: lat.Poset) -> list[dict]:
     return checks
 
 
-def _verify_bijections(poset: lat.Poset) -> list[dict]:
+def _verify_bijections(poset) -> list[dict]:
+    from . import chains as ch
+    from . import lattice as lat
+    from . import wpartition as wp
+
     n, k = poset.n, poset.k
     checks = []
 
@@ -312,6 +358,8 @@ def _verify_bijections(poset: lat.Poset) -> list[dict]:
 
 
 def cmd_verify(args) -> int:
+    from . import lattice as lat
+
     # the structure report reads the closures
     poset = lat.build_poset(args.n, args.k, guard=args.guard,
                             closures=args.suite in ("structure", "all"))
@@ -404,10 +452,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    from . import GuardExceeded
+
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except lat.GuardExceeded as exc:
+    except GuardExceeded as exc:
         print(str(exc), file=sys.stderr)
         return GUARD_EXIT
 

@@ -26,6 +26,8 @@ from math import factorial
 from operator import and_, attrgetter, eq, gt, itemgetter, le
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
+# defined in the package, so that the CLI can catch it without this module
+from . import GuardExceeded
 from .wpartition import (
     WeightedPartition,
     _components,
@@ -60,10 +62,7 @@ DEFAULT_GUARD = 200_000
 # default, which admits (6,4) (474 MiB) and refuses (8,2) (6,720 MiB)
 CLOSURE_BYTES_PER_GUARD = 4096
 MAX_WITNESSES = 10  # witnesses listed per check; counts cover every case
-
-
-class GuardExceeded(RuntimeError):
-    """The size guard refuses the request (too large, or a bad WPLAT_GUARD)."""
+DOT_CHUNK_LINES = 4096  # lines per write when hasse_dot streams its text
 
 
 def check_guard(n: int, k: int, guard: int | None = None, chains: int = 0,
@@ -799,20 +798,35 @@ def structural_checks(poset: Poset) -> list[dict]:
     return checks
 
 
-def hasse_dot(poset: Poset) -> str:
-    """Hasse diagram in DOT form: one node per element, covers as labeled
-    edges, equal ranks clustered."""
-    lines = ["digraph hasse {", "  rankdir=BT;", '  node [shape=box];']
+def _hasse_lines(poset: Poset) -> Iterator[str]:
+    """The lines of :func:`hasse_dot`'s text, each with its newline."""
+    yield "digraph hasse {\n"
+    yield "  rankdir=BT;\n"
+    yield "  node [shape=box];\n"
     for i, name in enumerate(poset._name_list()):
-        lines.append(f'  e{i} [label="{name}"];')
+        yield f'  e{i} [label="{name}"];\n'
     by_rank: dict[int, list[int]] = {}
     for i, r in enumerate(poset.rank):
         by_rank.setdefault(r, []).append(i)
     for r in sorted(by_rank):
         ids = "; ".join(f"e{i}" for i in by_rank[r])
-        lines.append(f"  {{ rank=same; {ids}; }}")
+        yield f"  {{ rank=same; {ids}; }}\n"
     text = {lab: str(lab) for lab in poset.labels}
     for lo, hi, lab in sorted(poset.covers):
-        lines.append(f'  e{lo} -> e{hi} [label="{text[lab]}"];')
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+        yield f'  e{lo} -> e{hi} [label="{text[lab]}"];\n'
+    yield "}\n"
+
+
+def hasse_dot(poset: Poset, write=None) -> str | None:
+    """Hasse diagram in DOT form: one node per element, covers as labeled
+    edges, equal ranks clustered.
+
+    Returns the text.  Given ``write`` (a text stream's ``write``, say), it
+    passes the text to ``write`` in chunks of lines instead and returns
+    None, so that the whole text is never held at once."""
+    lines = _hasse_lines(poset)
+    if write is None:
+        return "".join(lines)
+    while chunk := "".join(islice(lines, DOT_CHUNK_LINES)):
+        write(chunk)
+    return None

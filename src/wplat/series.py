@@ -7,7 +7,9 @@ A coefficient is stored as an ``int`` whenever it is integral, and as a
 The exp and log kernels are EGF recurrences that only multiply, add and
 scale by binomials, so on integral input they are integer recurrences.
 The accessors :meth:`BivariateSeries.coefficient` and
-:meth:`BivariateSeries.rows` return ``Fraction`` whatever is stored.
+:meth:`BivariateSeries.rows` return ``Fraction`` whatever is stored; only
+they and the constructor import :mod:`fractions`, so integer work such as
+:func:`exp_k_xy` followed by :meth:`BivariateSeries.rows_int` never loads it.
 
 The two series families of interest are the k-fold iterated exponential
 ``iter_exp(k)(x, y) = exp(y * iter_exp(k-1)(x))`` (whose (n, r) coefficient
@@ -17,9 +19,11 @@ is the k-fold Stirling transform T(n, k, r)) and its compositional inverse
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import comb
-from typing import Iterable, Mapping
+from typing import TYPE_CHECKING, Mapping
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 __all__ = [
     "SeriesError",
@@ -38,7 +42,7 @@ class SeriesError(ValueError):
 
 # internal representation: rows[n] is a dict {r: coefficient} of the nonzero
 # y-coefficients of x^n/n!, each an int when integral, else a Fraction.
-Coeff = int | Fraction
+Coeff = "int | Fraction"
 Rows = list[dict[int, Coeff]]
 
 
@@ -82,6 +86,7 @@ class BivariateSeries:
         self.y_order = y_order
         rows: Rows = [dict() for _ in range(x_order + 1)]
         if coeff:
+            from fractions import Fraction
             for (n, r), c in coeff.items():
                 if not (0 <= n <= x_order and 0 <= r <= y_order):
                     continue  # outside the box: absent by convention
@@ -99,12 +104,14 @@ class BivariateSeries:
         return s
 
     def coefficient(self, n: int, r: int) -> Fraction:
+        from fractions import Fraction
         if 0 <= n <= self.x_order and 0 <= r <= self.y_order:
             return Fraction(self._rows[n].get(r, 0))
         return Fraction(0)
 
     def rows(self) -> list[list[Fraction]]:
         """Dense rows n = 0..x_order of coefficients r = 0..y_order."""
+        from fractions import Fraction
         return [[Fraction(row.get(r, 0)) for r in range(self.y_order + 1)]
                 for row in self._rows]
 
@@ -213,7 +220,7 @@ def exp_k_xy(k: int, N: int) -> BivariateSeries:
     if k < 1:
         raise SeriesError("k must be >= 1")
     # u = (k-1)-fold iterate of f -> exp(f) - 1 applied to x, starting at e^x - 1
-    u = BivariateSeries(N, N, {(n, 0): 1 for n in range(1, N + 1)})
+    u = BivariateSeries._from_rows(N, N, [{}] + [{0: 1} for _ in range(N)])
     for _ in range(k - 1):
         u = series_exp(u)._with_constant(-1)
     return series_exp(u.shift_y())
@@ -228,7 +235,7 @@ def log_k_xy(k: int, N: int) -> BivariateSeries:
     if k < 1:
         raise SeriesError("k must be >= 1")
     # v = k-fold iterate of f -> 1 + log(f) applied to e^x
-    v = BivariateSeries(N, N, {(n, 0): 1 for n in range(0, N + 1)})
+    v = BivariateSeries._from_rows(N, N, [{0: 1} for _ in range(N + 1)])
     for _ in range(k):
         v = series_log(v)._with_constant(1)
     return series_pow_y(v)

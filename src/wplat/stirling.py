@@ -41,16 +41,37 @@ def stirling1(n: int, r: int) -> int:
     return stirling1(n - 1, r - 1) - (n - 1) * stirling1(n - 1, r)
 
 
+# _S2_COLUMNS[j][m] = S(m, j), each column filled as far as a call needed
+_S2_COLUMNS: list[list[int]] = [[1]]
+
+
 @lru_cache(maxsize=None)
 def stirling2(n: int, r: int) -> int:
-    """Stirling number of the second kind via the alternating-sum formula
-    S(n, r) = (1/r!) sum_i (-1)^i C(r, i) (r - i)^n."""
+    """Stirling number of the second kind by the triangle recurrence
+    S(m, j) = j S(m-1, j) + S(m-1, j-1).
+
+    S(n, r) reads column j up to row n - r + j for j <= r.  The columns are
+    filled iteratively, left to right, from where earlier calls left them:
+    no call recurses, so the depth does not grow with n, and a whole
+    triangle costs one addition per entry."""
     if n < 0 or r < 0 or r > n:
         return 0
-    total = sum((-1) ** i * comb(r, i) * (r - i) ** n for i in range(r + 1))
-    q, rem = divmod(total, factorial(r))
-    assert rem == 0
-    return q
+    columns = _S2_COLUMNS
+    while len(columns) <= r:
+        columns.append([0] * len(columns))  # S(m, j) = 0 for m < j
+    # a column filled to its row has every column left of it filled to theirs
+    low = r
+    while low >= 0 and len(columns[low]) <= n - r + low:
+        low -= 1
+    for j in range(low + 1, r + 1):
+        column, last = columns[j], n - r + j
+        if j == 0:
+            column.extend([0] * (last + 1 - len(column)))  # S(m, 0) = 0 for m > 0
+            continue
+        left = columns[j - 1]
+        for m in range(len(column), last + 1):
+            column.append(j * column[m - 1] + left[m - 1])
+    return columns[r][n]
 
 
 def bell_row(n_max: int) -> list[int]:

@@ -10,7 +10,6 @@ elements ascending and every layer's blocks by minimum element.
 
 from __future__ import annotations
 
-import json
 from itertools import product, repeat
 from math import factorial
 from operator import itemgetter
@@ -76,6 +75,7 @@ class WeightedPartition(NamedTuple):
         }
 
     def canonical_json(self) -> str:
+        import json
         return json.dumps(self.to_json_dict(), separators=(",", ":"), sort_keys=True)
 
     @classmethod
@@ -468,7 +468,8 @@ def _canonical_order(stacks: list[tuple[Layer, ...]]) -> list[tuple[Layer, ...]]
 
     With n and k shared, the order is that of the layers' JSON text alone,
     since no JSON array is a proper prefix of another; each distinct layer
-    is encoded once."""
+    is encoded once, as compact JSON (``[[1,2],[3]]``) written out here
+    rather than by :mod:`json`, which enumerating does not load."""
     text: dict[Layer, str] = {}
 
     def key(stack: tuple[Layer, ...]) -> str:
@@ -476,7 +477,8 @@ def _canonical_order(stacks: list[tuple[Layer, ...]]) -> list[tuple[Layer, ...]]
         for layer in stack:
             part = text.get(layer)
             if part is None:
-                part = text[layer] = json.dumps(layer, separators=(",", ":"))
+                part = text[layer] = "[" + ",".join(
+                    "[" + ",".join(map(str, block)) + "]" for block in layer) + "]"
             parts.append(part)
         return "[" + ",".join(parts) + "]"
 

@@ -4,6 +4,7 @@ the library's routes.  They favor obviousness over speed."""
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, product
+from math import comb, factorial
 
 import pytest
 
@@ -43,6 +44,16 @@ def oracle_set_partitions(universe):
 def oracle_stirling2(n: int, r: int) -> int:
     return sum(1 for p in oracle_set_partitions(range(1, n + 1))
                if len(p) == r)
+
+
+def oracle_stirling2_sum(n: int, r: int) -> int:
+    """S(n, r) by the alternating sum (1/r!) sum_i (-1)^i C(r, i) (r - i)^n."""
+    if n < 0 or r < 0 or r > n:
+        return 0
+    total = sum((-1) ** i * comb(r, i) * (r - i) ** n for i in range(r + 1))
+    q, rem = divmod(total, factorial(r))
+    assert rem == 0
+    return q
 
 
 def _oracle_index_tuples(n: int, k: int, r: int):

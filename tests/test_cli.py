@@ -124,6 +124,30 @@ class TestTableAndSeries:
         assert (code, out) == (1, "")
         assert err == "route mismatch for T(3,2,2): def 6, series 13/2\n"
 
+    @pytest.mark.parametrize("kind,k,want", [
+        ("t", "2", "route mismatch for t(3,2,2): def -6, series 1/2"),
+        ("s", "1", "route mismatch for s(3,1,1): def 2, series 1/2"),
+    ])
+    def test_non_integral_log_coefficient_exits_1(self, kind, k, want):
+        # a fresh interpreter, so that a traceback or stray output would show
+        script = (
+            "import sys\n"
+            "from fractions import Fraction\n"
+            "from wplat import cli, series\n"
+            "log_k_xy = series.log_k_xy\n"
+            "def half(k, order):\n"
+            "    rows = log_k_xy(k, order).rows()\n"
+            "    coeff = {(n, r): c for n, row in enumerate(rows) for r, c in enumerate(row)}\n"
+            "    coeff[(3, 2 if k > 1 else 1)] = Fraction(1, 2)\n"
+            "    return series.BivariateSeries(order, order, coeff)\n"
+            "series.log_k_xy = half\n"
+            "sys.exit(cli.main(sys.argv[1:]))\n")
+        src = str(Path(wplat.__file__).parents[1])
+        proc = subprocess.run(
+            [sys.executable, "-c", script, "table", "--kind", kind, "--n-max", "4",
+             "--k", k], capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src))
+        assert (proc.returncode, proc.stdout, proc.stderr) == (1, "", want + "\n")
+
     def test_bell_mismatch_is_one_stderr_line(self, capsys, monkeypatch):
         stirling2 = stirling.stirling2
         monkeypatch.setattr(stirling, "stirling2",

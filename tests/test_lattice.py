@@ -428,6 +428,13 @@ class TestHasse:
         assert "rankdir=BT" in dot
         assert dot.count("->") == 6  # L_3^(1) has 6 cover relations
 
+    def test_streamed_dot_is_the_text_in_chunks(self, poset_cache):
+        P = poset_cache(5, 3)  # 1,305 elements and 6,139 covers: two chunks
+        chunks = []
+        assert hasse_dot(P, chunks.append) is None
+        assert len(chunks) == 2 and all(c.endswith("\n") for c in chunks)
+        assert "".join(chunks) == hasse_dot(P)
+
 
 def _relabeled(P, seed):
     """A copy of P with one to three cover labels replaced by labels drawn

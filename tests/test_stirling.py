@@ -1,7 +1,11 @@
 """Stirling numbers and the layered transform numbers T / t."""
 
 import hashlib
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -12,6 +16,7 @@ from conftest import (
     oracle_set_partitions,
     oracle_stirling1,
     oracle_stirling2,
+    oracle_stirling2_sum,
     oracle_t_first_column,
     oracle_transform_def,
 )
@@ -45,6 +50,22 @@ class TestStirlingOracles:
         for n in range(8):
             for r in range(n + 2):
                 assert stirling2(n, r) == oracle_stirling2(n, r)
+
+    def test_stirling2_against_alternating_sum(self):
+        for n in range(31):
+            for r in range(-1, n + 2):
+                assert stirling2(n, r) == oracle_stirling2_sum(n, r)
+
+    def test_stirling2_cold_large_n_does_not_recurse(self):
+        # the triangle is filled iteratively, so a fresh interpreter's
+        # recursion limit does not bound n
+        src = str(Path(stirling.__file__).parents[1])
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "from wplat.stirling import stirling2; print(stirling2(1500, 3))"],
+            capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src))
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert int(proc.stdout) == (3 ** 1500 - 3 * 2 ** 1500 + 3) // 6
 
     def test_bell_against_enumeration(self):
         for n in range(8):

@@ -74,3 +74,64 @@ def test_cli_import_loads_no_dataclasses():
     before, after = proc.stdout.split()
     assert proc.returncode == 0
     assert after == "False" or before == "True"
+
+
+# what each request loads of the package and of json, fractions and decimal
+LOADS = """
+import sys
+from wplat.cli import main
+code = main(sys.argv[1:]) if sys.argv[1:] else 0
+print(code, *sorted(m for m in sys.modules if m.partition(".")[0] == "wplat"
+                    or m in ("json", "fractions", "decimal")), file=sys.stderr)
+"""
+NUMBERS = {"wplat", "wplat.cli", "wplat.stirling"}
+POSET = NUMBERS | {"wplat.lattice", "wplat.wpartition"}
+
+
+@pytest.mark.parametrize("argv,loaded", [
+    ([], {"wplat", "wplat.cli"}),
+    (["table", "--kind", "T", "--n-max", "6", "--k", "2"], NUMBERS | {"wplat.series"}),
+    (["table", "--kind", "s", "--n-max", "6"], NUMBERS | {"wplat.series"}),
+    (["series", "--which", "log", "--k", "2", "--order", "5"],
+     {"wplat", "wplat.cli", "wplat.series"}),
+    (["charpoly", "--n", "3", "--k", "2"], POSET),
+    (["verify", "--suite", "el", "--n", "3", "--k", "2"], POSET | {"json"}),
+])
+def test_request_loads_only_what_it_runs(argv, loaded):
+    src = str(Path(wplat.__file__).parents[1])
+    proc = subprocess.run([sys.executable, "-c", LOADS, *argv], capture_output=True,
+                          text=True, env=dict(os.environ, PYTHONPATH=src))
+    code, *modules = proc.stderr.splitlines()[-1].split()
+    assert (proc.returncode, code) == (0, "0")
+    assert set(modules) == loaded
+
+
+# the names the package exported when it imported every module eagerly
+EXPORTED = """
+BivariateSeries SeriesError exp_k_xy log_k_xy series_exp series_log series_pow_y
+T_def T_rec_split bell bell_row elem_sym_spec f_lambda g_lambda partitions stirling1
+stirling2 t_def t_rec_elem_sym t_rec_first_column t_rec_split InvalidPartition
+OneLineParseError WeightedPartition bottom edge_set edge_set_inverse enumerate_all
+enumerate_by_blocks enumerate_tree_shapes from_rooted_tree one_line_parse
+one_line_print to_rooted_tree tree_class_size tree_shape validate TOP CoverLabel
+GuardExceeded Poset admissible_covers build_poset char_poly_product char_poly_roots
+char_poly_summation hasse_dot mobius_closed_form paper_join paper_meet
+structural_checks LBT CycleDiagram apply_chain chain_to_lbt
+diagram_to_decreasing_chain enumerate_colorings enumerate_cycle_diagrams
+enumerate_lbt i_of_sigma lbt_check lbt_leaves lbt_to_chain t_via_diagrams wt_k
+""".split()
+
+
+def test_package_names_resolve_lazily():
+    assert sorted(wplat.__all__) == sorted(EXPORTED)
+    assert set(EXPORTED) <= set(dir(wplat))
+    for name in set(EXPORTED) - {"GuardExceeded"}:
+        assert getattr(wplat, name) is getattr(getattr(wplat, wplat._HOMES[name]), name)
+    assert wplat.lattice.GuardExceeded is wplat.GuardExceeded
+    for module in ("chains", "cli", "lattice", "series", "stirling", "wpartition"):
+        assert getattr(wplat, module).__name__ == f"wplat.{module}"
+    with pytest.raises(AttributeError, match="no attribute 'no_such_name'"):
+        wplat.no_such_name
+    namespace = {}
+    exec("from wplat import *", namespace)
+    assert set(EXPORTED) <= set(namespace)
