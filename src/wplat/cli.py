@@ -2,7 +2,8 @@
 reproducible command with text/JSON/CSV/DOT output.
 
 Exit codes: 0 success, 1 assertion or cross-route mismatch, 2 size guard
-or usage error.
+or usage error.  Run as a process (:func:`run`), a request whose reader
+closes the pipe early ends by SIGPIPE, as other Unix filters do.
 
 Each command imports the modules it runs when it runs, and ``json`` is
 imported only to render JSON, so a request loads no more than it uses:
@@ -462,5 +463,21 @@ def main(argv: list[str] | None = None) -> int:
         return GUARD_EXIT
 
 
-if __name__ == "__main__":
+def run() -> None:
+    """The process entry point (``wplat``, ``python -m wplat.cli``): ``main``
+    on the command line, in a process whose reader may close the pipe early.
+
+    The default SIGPIPE action ends such a process as it ends other Unix
+    filters, without a BrokenPipeError traceback or exit 1.  In-process
+    callers of ``main`` keep their own handling.  The interpreter has loaded
+    _signal, while signal would first build its enums (about 1 ms per
+    request)."""
+    import _signal
+
+    if hasattr(_signal, "SIGPIPE"):
+        _signal.signal(_signal.SIGPIPE, _signal.SIG_DFL)
     sys.exit(main())
+
+
+if __name__ == "__main__":
+    run()

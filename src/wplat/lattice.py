@@ -23,7 +23,7 @@ from bisect import bisect_right
 from functools import cached_property, reduce
 from itertools import combinations, islice, repeat
 from math import factorial
-from operator import and_, attrgetter, eq, gt, itemgetter, le
+from operator import and_, attrgetter, gt, itemgetter, le, mul
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 # defined in the package, so that the CLI can catch it without this module
@@ -31,6 +31,7 @@ from . import GuardExceeded
 from .wpartition import (
     WeightedPartition,
     _components,
+    _set_partitions,
     bottom,
     enumerate_all,
 )
@@ -162,13 +163,10 @@ def _layer_code(n: int, layer: tuple[tuple[int, ...], ...]) -> bytes:
     return bytes(f)
 
 
-def _code(pi: WeightedPartition, known: dict | None = None) -> bytes:
+def _code(pi: WeightedPartition) -> bytes:
     """The block-minimum code of pi: the codes of its layers in turn
-    (:func:`_layer_code`).  ``known`` keeps the layer codes computed so far,
-    for callers that encode many elements sharing layers."""
-    known = {} if known is None else known
-    return b"".join([known.get(layer) or known.setdefault(layer, _layer_code(pi.n, layer))
-                     for layer in pi.layers])
+    (:func:`_layer_code`)."""
+    return b"".join([_layer_code(pi.n, layer) for layer in pi.layers])
 
 
 def _decode(n: int, k: int, code: bytes) -> WeightedPartition:
@@ -215,44 +213,15 @@ def _raise(code: bytes, n: int, alpha: int, beta: int, layer: int) -> bytes:
                      for j in range(0, layer * n, n)]) + code[layer * n:]
 
 
-def _cover_rule(n: int, k: int):
-    """A function from an element's code to its admissible labels, in label
-    order, and the codes of their covers: :func:`_admissible` and
-    :func:`_raise`, with one raise per (alpha, beta) pair.
-
-    :func:`_admits` reads only which bytes of the code are fixed points
-    (f_l(e) = e), so the labels of each fixed-point pattern are listed
-    once.  alpha is the minimum of its layer-l block at every layer below l
-    too, so label order meets each pair first at its deepest layer L; the
-    pair is raised there, and its layer-l cover keeps the first l layers of
-    that raise and the rest of the code."""
-    identity = bytes(range(1, n + 1)) * k
-    plans: dict[bytes, tuple[tuple[CoverLabel, ...], list, list]] = {}
-
-    def covers(code: bytes) -> tuple[tuple[CoverLabel, ...], list[bytes]]:
-        key = bytes(map(eq, code, identity))
-        plan = plans.get(key)
-        if plan is None:
-            steps = _admissible(code, n, k)
-            pairs: dict[tuple[int, int], tuple[int, int]] = {}  # -> (index, L)
-            cuts = [(pairs.setdefault((a, b), (len(pairs), l))[0], l * n) for a, b, l in steps]
-            plan = plans[key] = (tuple([CoverLabel(*step) for step in steps]),
-                                 [(a, b, l) for (a, b), (_, l) in pairs.items()], cuts)
-        labels, pairs, cuts = plan
-        raised = [_raise(code, n, a, b, l) for a, b, l in pairs]
-        return labels, [raised[p][:cut] + code[cut:] for p, cut in cuts]
-
-    return covers
-
-
 def admissible_covers(pi: WeightedPartition) -> list[tuple[CoverLabel, WeightedPartition]]:
     """All covers of pi inside P_n^(k), sorted by label: the labels of
     :func:`_admissible`, each with the partition :func:`_raise` reaches.
     Rank n-1 elements have no covers inside P.
     """
     n, k = pi.n, pi.k
-    labels, codes = _cover_rule(n, k)(_code(pi))
-    return [(label, _decode(n, k, code)) for label, code in zip(labels, codes)]
+    code = _code(pi)
+    return [(CoverLabel(*step), _decode(n, k, _raise(code, n, *step)))
+            for step in _admissible(code, n, k)]
 
 
 def _follow_codes(code: bytes, n: int, k: int, labels: Iterable[CoverLabel]
@@ -530,14 +499,21 @@ class Poset:
 
     def _mobius_from(self, x: int) -> list[int]:
         """mu(x, z) for every element z (0 unless x <= z), by the defining
-        recursion mu(x, z) = -sum_{x <= w < z} mu(x, w), in rank order."""
+        recursion mu(x, z) = -sum_{x <= w < z} mu(x, w), in rank order.
+
+        The sum is taken by value: ``found[v]`` is the mask of the w >= x
+        already found with mu(x, w) = v, so each z costs one mask and per
+        value, not one step per w below it."""
         mu = [0] * len(self.elements)
         mu[x] = 1
-        above = self._desc[x]
-        from_x = above | 1 << x
+        found = {1: 1 << x}
+        above, anc = self._desc[x], self._anc
         for z in self._rank_order:
             if above >> z & 1:
-                mu[z] = -sum(mu[w] for w in _bits(self._anc[z] & from_x))
+                below = anc[z]
+                m = mu[z] = -sum([v * (below & mask).bit_count() for v, mask in found.items()])
+                if m:
+                    found[m] = found.get(m, 0) | 1 << z
         return mu
 
     def mobius_from_bottom(self) -> list[int]:
@@ -593,10 +569,18 @@ class Poset:
 
 def build_poset(n: int, k: int, guard: int | None = None, closures: bool = False) -> Poset:
     """Construct the poset for (n, k) explicitly: the elements of
-    :func:`enumerate_all` in that order, each with its covers in label order,
-    computed on block-minimum codes (:func:`_code`) by the one cover rule of
-    :func:`_admissible` and :func:`_raise` (:func:`_cover_rule`), with no
-    partition built per cover; then for k >= 2 and n >= 2 the adjoined top.
+    :func:`enumerate_all` in that order, each with its covers in label order;
+    then for k >= 2 and n >= 2 the adjoined top.
+
+    Each element is a chain p_1 >= ... >= p_k of set partitions of [n], read
+    as their ids (``wpartition._set_partitions``, B of them) and keyed by the
+    integer sum_j p_j B^(j-1).  The cover rule reads only which bytes of the
+    element's block-minimum code are fixed points, so :func:`_admissible`
+    lists the labels once per fixed-point pattern.  The cover (alpha, beta)_l
+    replaces p_1, ..., p_l by their merges of the alpha- and beta-blocks,
+    read from a row per partition that :func:`_raise` fills once on the
+    partition's one-layer code, so no partition and no code is built per
+    cover.
 
     :func:`check_guard` (with ``guard``, and with ``closures`` for a caller
     that will read the closures) aborts with :class:`GuardExceeded` before
@@ -607,14 +591,49 @@ def build_poset(n: int, k: int, guard: int | None = None, closures: bool = False
     check_guard(n, k, guard, closures=closures)
 
     elements: list = enumerate_all(n, k)
-    known: dict[tuple, bytes] = {}  # elements share layers
-    codes = [_code(el, known) for el in elements]
-    index = {code: i for i, code in enumerate(codes)}
-    covers_of = _cover_rule(n, k)
+    codes, full, deep = _set_partitions(n)
+    size = len(codes)
+    pid = dict(zip(full, range(size)))  # each distinct layer -> its partition id
+    pid.update(zip(deep, range(size)))
+    weights = [size ** j for j in range(k)]
+    chains = [list(map(pid.__getitem__, el.layers)) for el in elements]
+    keys = [sum(map(mul, ps, weights)) for ps in chains]
+    index = dict(zip(keys, range(len(keys))))
+
+    # merges[p][alpha n + beta]: the id of p with the alpha- and beta-blocks
+    # merged, less p, for each block minimum beta of p and alpha < beta
+    code_id = dict(zip(codes, range(size)))
+    minima = [tuple([e for e, m in enumerate(code, 1) if m == e]) for code in codes]
+    merges = []
+    for p, code in enumerate(codes):
+        row = [0] * (n * n + 1)
+        for beta in minima[p][1:]:
+            for alpha in range(1, beta):
+                row[alpha * n + beta] = code_id[_raise(code, n, alpha, beta, 1)] - p
+        merges.append(row)
+
+    # per fixed-point pattern: the labels, their distinct (alpha, beta)
+    # pairs, and per label the place of its cover's key in ``raised``, the
+    # keys of every pair merged at layer 1, then at layers 1..2, and so on
+    plans: dict[tuple, tuple[tuple[CoverLabel, ...], list[int], list[int]]] = {}
     covers: list = []
-    for i, code in enumerate(codes):
-        labels, ups = covers_of(code)
-        covers += zip(repeat(i), map(index.__getitem__, ups), labels)
+    for i, ps in enumerate(chains):
+        pattern = tuple(map(minima.__getitem__, ps))
+        plan = plans.get(pattern)
+        if plan is None:
+            steps = _admissible(b"".join([codes[p] for p in ps]), n, k)
+            place = {t: j for j, t in enumerate(dict.fromkeys([a * n + b for a, b, _ in steps]))}
+            plan = plans[pattern] = (
+                tuple([CoverLabel(*step) for step in steps]), list(place),
+                [(l - 1) * len(place) + place[a * n + b] for a, b, l in steps])
+        labels, pairs, cuts = plan
+        level = [keys[i]] * len(pairs)
+        raised: list[int] = []
+        for p, weight in zip(ps, weights):
+            row = merges[p]
+            level = [key + row[t] * weight for key, t in zip(level, pairs)]
+            raised += level
+        covers += zip(repeat(i), [index[raised[c]] for c in cuts], labels)
 
     add_top = k >= 2 and n >= 2
     if add_top:
@@ -630,7 +649,7 @@ def build_poset(n: int, k: int, guard: int | None = None, closures: bool = False
         assert len(tops) == 1
         top_idx = tops[0]
 
-    bottom_idx = index[_code(bottom(n, k))]
+    bottom_idx = index[sum(map(mul, map(pid.__getitem__, bottom(n, k).layers), weights))]
     poset = Poset(n, k, elements, covers, bottom_idx, top_idx)
 
     # sanity: grading and reachability.  In a graded order every element is

@@ -10,10 +10,11 @@ elements ascending and every layer's blocks by minimum element.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from itertools import product, repeat
 from math import factorial
 from operator import itemgetter
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from typing import Iterable, NamedTuple
 
 __all__ = [
     "InvalidPartition",
@@ -424,65 +425,74 @@ def one_line_parse(text: str, n: int, k: int) -> WeightedPartition:
 # ---------------------------------------------------------------------------
 # enumeration
 
-def _disjoint_families(universe: Sequence[int]) -> Iterator[list[tuple[int, ...]]]:
-    """Families of pairwise disjoint subsets of size >= 2 (possibly empty
-    family; subsets need not cover the universe)."""
-    if len(universe) < 2:
-        yield []
-        return
-    first, rest = universe[0], list(universe[1:])
-    # first not used in any subset
-    yield from _disjoint_families(rest)
-    # first in a subset with a non-empty selection from the rest
-    for mask in range(1, 1 << len(rest)):
-        block = (first,) + tuple(rest[i] for i in range(len(rest)) if mask >> i & 1)
-        remaining = [rest[i] for i in range(len(rest)) if not mask >> i & 1]
-        for others in _disjoint_families(remaining):
-            yield [block] + others
+def _layer_text(layer: Layer) -> str:
+    """The compact JSON text of one layer (``[[1,2],[3]]``), as
+    ``canonical_json`` writes it, written out here rather than by
+    :mod:`json`, which enumerating does not load."""
+    return "[" + ",".join(["[" + ",".join(map(str, block)) + "]" for block in layer]) + "]"
+
+
+def _block_codes(n: int, block: Block) -> list[int]:
+    """The set partitions of ``block`` as integers: the block-minimum code
+    f(e) of each element e of the block in the byte n - e of the integer,
+    0 elsewhere (byte 0 the lowest).  The blocks of a partition of [n] cover
+    disjoint bytes, so the code of a partition is the sum of one integer per
+    block."""
+    codes = [(0, ())]  # (code so far, minima so far)
+    for e in block:
+        at = 256 ** (n - e)
+        codes = [(code + m * at, mins + (e,) if m == e else mins)
+                 for code, mins in codes for m in mins + (e,)]
+    return [code for code, _ in codes]
+
+
+@lru_cache(maxsize=8)
+def _set_partitions(n: int) -> tuple[tuple[bytes, ...], tuple[Layer, ...], tuple[Layer, ...]]:
+    """The set partitions of [n], each as its block-minimum code (the n
+    bytes f(1), ..., f(n), f(e) the minimum of e's block), its layer with
+    singletons and its layer without them; a partition's id is its index,
+    in the order of the JSON text of the layer without singletons."""
+    coded = []
+    for code in _block_codes(n, tuple(range(1, n + 1))):
+        f = code.to_bytes(n, "big")
+        blocks: dict[int, list[int]] = {}
+        for e, m in enumerate(f, 1):
+            blocks.setdefault(m, []).append(e)
+        full = tuple([tuple(b) for b in blocks.values()])
+        deep = tuple([b for b in full if len(b) > 1])
+        coded.append((_layer_text(deep), f, full, deep))
+    coded.sort()
+    _, codes, full, deep = zip(*coded)
+    return codes, full, deep
 
 
 def enumerate_all(n: int, k: int) -> list[WeightedPartition]:
     """Every weighted partition of [n] with k layers, in the canonical
     deterministic order (lexicographic on the canonical JSON form).
 
-    Layer 1 is a disjoint family of subsets of size >= 2 plus the
-    singletons it leaves out; each deeper layer is one disjoint family
-    inside each block of the layer above."""
+    A weighted partition is a chain p_1 >= ... >= p_k of set partitions of
+    [n] under refinement, with singletons omitted below layer 1.  With n
+    and k shared, the canonical order is the order of the tuples of the
+    layers' JSON texts, since no JSON array is a proper prefix of another.
+    So the chains are emitted in that order with no sort: p_1 runs over the
+    set partitions in order of their text, and each deeper layer over the
+    refinements of the layer above in order of their text without
+    singletons, which is the order of their ids (:func:`_set_partitions`)."""
     if n < 1 or k < 1:
         raise ValueError("need n >= 1 and k >= 1")
-    universe = list(range(1, n + 1))
-    stacks = []
-    for family in _disjoint_families(universe):
-        used = {e for b in family for e in b}
-        stacks.append((tuple(sorted(family + [(e,) for e in universe if e not in used])),))
-    for _ in range(k - 1):
-        stacks = [stack + (tuple(sorted(b for family in choice for b in family)),)
-                  for stack in stacks
-                  for choice in product(*map(_disjoint_families, stack[-1]))]
-    return [WeightedPartition(n, k, stack) for stack in _canonical_order(stacks)]
-
-
-def _canonical_order(stacks: list[tuple[Layer, ...]]) -> list[tuple[Layer, ...]]:
-    """The layer stacks of one (n, k), sorted as their partitions'
-    ``canonical_json``.
-
-    With n and k shared, the order is that of the layers' JSON text alone,
-    since no JSON array is a proper prefix of another; each distinct layer
-    is encoded once, as compact JSON (``[[1,2],[3]]``) written out here
-    rather than by :mod:`json`, which enumerating does not load."""
-    text: dict[Layer, str] = {}
-
-    def key(stack: tuple[Layer, ...]) -> str:
-        parts = []
-        for layer in stack:
-            part = text.get(layer)
-            if part is None:
-                part = text[layer] = "[" + ",".join(
-                    "[" + ",".join(map(str, block)) + "]" for block in layer) + "]"
-            parts.append(part)
-        return "[" + ",".join(parts) + "]"
-
-    return sorted(stacks, key=key)
+    codes, full, deep = _set_partitions(n)
+    first = sorted(range(len(full)), key=lambda p: _layer_text(full[p]))
+    stacks = [((full[p],), p) for p in first]
+    if k > 1:
+        # the refinements of p: one set partition of each of p's blocks
+        ids = {int.from_bytes(code, "big"): p for p, code in enumerate(codes)}
+        within: dict[Block, list[int]] = {}
+        finer = [sorted(map(ids.__getitem__, map(sum, product(*[
+            within.get(b) or within.setdefault(b, _block_codes(n, b)) for b in layer]))))
+            for layer in full]
+        for _ in range(k - 1):
+            stacks = [(layers + (deep[q],), q) for layers, p in stacks for q in finer[p]]
+    return [WeightedPartition(n, k, layers) for layers, _ in stacks]
 
 
 def enumerate_by_blocks(n: int, k: int, r: int) -> list[WeightedPartition]:

@@ -314,6 +314,24 @@ class TestGuardAndOut:
         assert "Traceback" not in proc.stderr
         assert len(proc.stderr.splitlines()) == 1
 
+    @pytest.mark.parametrize("launch", [["-m", "wplat.cli"],
+                                        ["-c", "from wplat.cli import run; run()"]])
+    def test_reader_closing_early_is_not_a_mismatch(self, launch):
+        # the reader keeps 10 bytes of the DOT text and closes the pipe; the
+        # second launch is what the wplat console script runs
+        src = str(Path(wplat.__file__).parents[1])
+        proc = subprocess.Popen(
+            [sys.executable, *launch, "hasse", "--n", "6", "--k", "2"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+            env=dict(os.environ, PYTHONPATH=src))
+        head = proc.stdout.read(10)
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert head == b"digraph ha"
+        assert proc.wait(timeout=60) != 1
+        assert err == b""
+
     @pytest.mark.parametrize("argv", [
         "count --n 4 --k 2", "charpoly --n 4 --k 2", "trees --n 4 --k 2",
         "verify --suite bijections --n 4 --k 2",

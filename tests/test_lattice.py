@@ -147,6 +147,20 @@ class TestPosetShape:
             with pytest.raises(GuardExceeded, match="for the order's closures"):
                 lattice.check_guard(n, k, guard=800_000, closures=True)
 
+    def test_build_enumerates_through_enumerate_all(self, monkeypatch):
+        # the guard tests patch lattice.enumerate_all to refuse, which shows
+        # the guard refusing first only while the build enumerates through it
+        calls = []
+
+        def counted(n, k):
+            calls.append((n, k))
+            return enumerate_all(n, k)
+
+        monkeypatch.setattr(lattice, "enumerate_all", counted)
+        P = build_poset(4, 2)
+        assert calls == [(4, 2)]
+        assert P.elements[:-1] == enumerate_all(4, 2)
+
 
 class TestEL:
     @pytest.mark.parametrize("n,k", [(2, 1), (3, 1), (4, 1),
@@ -591,7 +605,7 @@ class TestOrderKernel:
             assert all(a < b for a, b in zip(keys, keys[1:]))
 
     @pytest.mark.parametrize("n,k", [(n, k) for n in range(1, 6) for k in range(1, 4)]
-                             + [(6, 2), (4, 4)])
+                             + [(6, 2), (4, 4), (3, 5)])
     def test_build_matches_one_raise_per_label(self, n, k, poset_cache):
         # one raise per (alpha, beta) pair against one per label
         assert poset_cache(n, k).covers == oracle_build_covers(n, k)

@@ -30,7 +30,7 @@ from wplat import (
     tree_shape,
     validate,
 )
-from wplat.wpartition import _canonical_order
+from wplat.wpartition import _layer_text
 
 
 def wp(n, k, layers):
@@ -173,7 +173,8 @@ class TestEnumeration:
         b = [str(pi) for pi in enumerate_all(4, 2)]
         assert a == b
 
-    @pytest.mark.parametrize("n,k", [(n, k) for n in range(1, 6) for k in range(1, 4)])
+    @pytest.mark.parametrize("n,k", [(n, k) for n in range(1, 6) for k in range(1, 4)]
+                             + [(4, 4), (3, 5), (2, 6), (7, 1)])
     def test_matches_oracle(self, n, k):
         assert enumerate_all(n, k) == oracle_enumerate_all(n, k)
 
@@ -320,5 +321,7 @@ def test_canonical_order_past_nine(data):
     n = data.draw(st_.integers(10, 12))
     k = data.draw(st_.integers(1, 3))
     parts = data.draw(st_.lists(weighted_partitions(n, k), min_size=2, max_size=30))
+    # enumerate_all orders each layer by its text, and a stack by the tuple
+    # of its layers' texts
     want = sorted(parts, key=WeightedPartition.canonical_json)
-    assert _canonical_order([pi.layers for pi in parts]) == [pi.layers for pi in want]
+    assert sorted(parts, key=lambda pi: tuple(map(_layer_text, pi.layers))) == want
