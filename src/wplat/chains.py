@@ -6,13 +6,12 @@ decreasing chains of the lattice.
 
 from __future__ import annotations
 
-from functools import lru_cache
 from itertools import combinations, product
 from operator import attrgetter
 from typing import Iterator, Mapping, NamedTuple, Sequence
 
-from .lattice import CoverLabel, _code, _decode, _follow_codes
-from .wpartition import WeightedPartition, bottom
+from .lattice import CoverLabel, _admits, _raise
+from .wpartition import WeightedPartition, _decode
 
 __all__ = [
     "CycleDiagram",
@@ -48,8 +47,10 @@ class CycleDiagram(_Diagram):
 
     def __new__(cls, n: int, edges: frozenset[tuple[int, int]]):
         targets = [j for _, j in edges]
-        assert len(targets) == len(set(targets)), "at most one incoming edge per point"
-        assert all(1 <= i < j <= n for i, j in edges)
+        if len(targets) != len(set(targets)):
+            raise ValueError("at most one incoming edge per point")
+        if not all(1 <= i < j <= n for i, j in edges):
+            raise ValueError(f"edges must satisfy 1 <= i < j <= {n}")
         # increasing edges force the minimum of each component to be a root
         return super().__new__(cls, n, edges)
 
@@ -150,29 +151,29 @@ def diagram_to_decreasing_chain(pairs: frozenset[tuple[int, int]],
     if k >= 2:
         labels.append(CoverLabel(1, n, k))
     keys = [lab.sort_key for lab in labels]
-    assert all(a > b for a, b in zip(keys, keys[1:])), "labels must strictly decrease"
+    if not all(a > b for a, b in zip(keys, keys[1:])):
+        raise ValueError("labels must strictly decrease")
     return tuple(labels)
-
-
-@lru_cache(maxsize=None)
-def _bottom_code(n: int, k: int) -> bytes:
-    return _code(bottom(n, k))
 
 
 def _chain_codes(n: int, k: int, labels: Sequence[CoverLabel], maximal: bool = False
                  ) -> list[bytes]:
     """The codes of the elements that ``labels`` visit from the bottom
-    (bottom first), by :func:`~wplat.lattice._follow_codes`.  Raises
-    ValueError on a non-admissible step or a label past the top, and, when
-    ``maximal``, unless the labels are a maximal chain into the top."""
-    codes = [_bottom_code(n, k)]
-    for pos, (lab, code) in enumerate(zip(labels, _follow_codes(codes[0], n, k, labels))):
+    (bottom first), each label tested by :func:`~wplat.lattice._admits` and
+    applied by :func:`~wplat.lattice._raise`.  Raises ValueError on a
+    non-admissible step or a label past the top, and, when ``maximal``,
+    unless the labels are a maximal chain into the top."""
+    code = bytes(range(1, n + 1)) * k  # the bottom: every element its own block
+    codes = [code]
+    for pos, lab in enumerate(labels):
         if pos == n - 1:  # each cover raises the rank by one
             if k >= 2 and pos == len(labels) - 1 and lab == CoverLabel(1, n, k):
                 break
             raise ValueError(f"label {lab} past the top of P")
-        if code is None:
+        step = (lab.alpha, lab.beta, lab.layer)
+        if not _admits(code, n, k, *step):
             raise ValueError(f"label {lab} is not admissible at step {pos}")
+        code = _raise(code, n, *step)
         codes.append(code)
     if maximal:
         if k >= 2 and labels[-1] != CoverLabel(1, n, k):

@@ -24,13 +24,15 @@ from functools import cached_property, reduce
 from itertools import combinations, islice, repeat
 from math import factorial
 from operator import and_, attrgetter, gt, itemgetter, le, mul
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 # defined in the package, so that the CLI can catch it without this module
 from . import GuardExceeded
 from .wpartition import (
     WeightedPartition,
+    _code,
     _components,
+    _decode,
     _set_partitions,
     bottom,
     enumerate_all,
@@ -43,8 +45,6 @@ __all__ = [
     "TOP",
     "DEFAULT_GUARD",
     "admissible_covers",
-    "cover",
-    "follow_labels",
     "Poset",
     "build_poset",
     "check_guard",
@@ -153,38 +153,6 @@ def _bits(m: int) -> Iterator[int]:
         m ^= low
 
 
-def _layer_code(n: int, layer: tuple[tuple[int, ...], ...]) -> bytes:
-    """The n bytes f(1), ..., f(n) of one layer, where f(e) is the minimum
-    of e's block (a singleton is its own minimum)."""
-    f = bytearray(range(1, n + 1))
-    for b in layer:
-        for e in b[1:]:
-            f[e - 1] = b[0]
-    return bytes(f)
-
-
-def _code(pi: WeightedPartition) -> bytes:
-    """The block-minimum code of pi: the codes of its layers in turn
-    (:func:`_layer_code`)."""
-    return b"".join([_layer_code(pi.n, layer) for layer in pi.layers])
-
-
-def _decode(n: int, k: int, code: bytes) -> WeightedPartition:
-    """The weighted partition with block-minimum code ``code``, canonical as
-    built: each block is grouped under its minimum, which comes first, so
-    blocks are sorted and ordered by minimum without ``validate``."""
-    layers = []
-    for j in range(0, n * k, n):
-        blocks: dict[int, list[int]] = {}
-        for e, m in enumerate(code[j:j + n], 1):
-            if m == e:
-                blocks[m] = [e]
-            else:
-                blocks[m].append(e)
-        layers.append(tuple([tuple(b) for b in blocks.values() if j == 0 or len(b) > 1]))
-    return WeightedPartition(n, k, tuple(layers))
-
-
 def _admits(code: bytes, n: int, k: int, alpha: int, beta: int, layer: int) -> bool:
     """The cover rule: (alpha, beta)_layer is admissible at the element with
     code ``code`` when 1 <= layer <= k, 1 <= alpha < beta <= n and
@@ -224,38 +192,7 @@ def admissible_covers(pi: WeightedPartition) -> list[tuple[CoverLabel, WeightedP
             for step in _admissible(code, n, k)]
 
 
-def _follow_codes(code: bytes, n: int, k: int, labels: Iterable[CoverLabel]
-                  ) -> Iterator[bytes | None]:
-    """The codes of the covers that ``labels`` reach one after another from
-    the element with code ``code``; None at the first label that
-    :func:`_admits` refuses there, which ends the walk."""
-    for label in labels:
-        step = (label.alpha, label.beta, label.layer)
-        if not _admits(code, n, k, *step):
-            yield None
-            return
-        code = _raise(code, n, *step)
-        yield code
-
-
-def follow_labels(pi: WeightedPartition, labels: Iterable[CoverLabel]
-                  ) -> Iterator[WeightedPartition | None]:
-    """The covers that ``labels`` reach one after another from pi, kept as
-    codes between steps (:func:`_follow_codes`); None at the first label
-    that is not admissible there (see :func:`admissible_covers`), which
-    ends the walk."""
-    n, k = pi.n, pi.k
-    for code in _follow_codes(_code(pi), n, k, labels):
-        yield None if code is None else _decode(n, k, code)
-
-
-def cover(pi: WeightedPartition, label: CoverLabel) -> WeightedPartition | None:
-    """The cover of pi that ``label`` reaches, or None when the label is
-    not admissible at pi."""
-    return next(follow_labels(pi, (label,)))
-
-
-def _closure(order: list[int], adj: list[list[tuple[int, CoverLabel]]]) -> list[int]:
+def _closure(order: list[int], adj: list[list[tuple[int, int]]]) -> list[int]:
     """Per element, the mask of the elements reachable from it through
     ``adj`` (itself excluded), filled along ``order``, in which every
     element comes after its neighbours."""
@@ -275,13 +212,12 @@ class Poset:
     for k >= 2 and n >= 3, not a lattice: indexed elements, labeled covers,
     rank function, order queries, chains, Möbius values.
 
-    ``up[x]`` and ``down[y]`` list the covers from x and to y in the order of
-    ``covers``, so chains are listed in that order; :func:`build_poset` emits
-    each element's covers in label order.  ``labels`` lists the distinct
-    labels in label order, and a label's code is its index there;
-    ``up_codes[x]`` holds the pairs (upper cover, code) of ``up[x]``, which
-    the passes and chain walks compare.  These lists and the closures
-    ``_anc`` and ``_desc`` are built on first use."""
+    ``labels`` lists the distinct labels in label order, and a label's code
+    is its index there.  ``up[x]`` and ``down[y]`` hold the pairs (other end,
+    label code) of the covers from x and to y in the order of ``covers``, so
+    chains are listed in that order; :func:`build_poset` emits each
+    element's covers in label order.  These lists, the closures ``_anc`` and
+    ``_desc`` and the element names are built on first use."""
 
     def __init__(self, n: int, k: int, elements: list, covers: list,
                  bottom_idx: int, top_idx: int):
@@ -294,33 +230,26 @@ class Poset:
         self.rank = [n if el is TOP else el.rank for el in elements]
         self.labels = sorted(set(map(itemgetter(2), covers)), key=attrgetter("sort_key"))
         self._rank_order = sorted(range(len(elements)), key=self.rank.__getitem__)
-        self._names: list[str] | None = None
 
-    def _adjacency(self, upward: bool, code: dict | None = None) -> list[list[tuple]]:
-        """Per element, the pairs (other end, label) of the covers from it
-        (``upward``) or to it, in cover order; with ``code``, each label's
-        code in place of the label."""
-        adj: list[list[tuple]] = [[] for _ in self.elements]
+    def _adjacency(self, upward: bool) -> list[list[tuple[int, int]]]:
+        """Per element, the pairs (other end, label code) of the covers from
+        it (``upward``) or to it, in cover order."""
+        code = {lab: c for c, lab in enumerate(self.labels)}
+        adj: list[list[tuple[int, int]]] = [[] for _ in self.elements]
         for lo, hi, lab in self.covers:
-            if code is not None:
-                lab = code[lab]
             if upward:
-                adj[lo].append((hi, lab))
+                adj[lo].append((hi, code[lab]))
             else:
-                adj[hi].append((lo, lab))
+                adj[hi].append((lo, code[lab]))
         return adj
 
     @cached_property
-    def up(self) -> list[list[tuple[int, CoverLabel]]]:
+    def up(self) -> list[list[tuple[int, int]]]:
         return self._adjacency(True)
 
     @cached_property
-    def down(self) -> list[list[tuple[int, CoverLabel]]]:
+    def down(self) -> list[list[tuple[int, int]]]:
         return self._adjacency(False)
-
-    @cached_property
-    def up_codes(self) -> list[list[tuple[int, int]]]:
-        return self._adjacency(True, {lab: c for c, lab in enumerate(self.labels)})
 
     @cached_property
     def _anc(self) -> list[int]:
@@ -337,14 +266,13 @@ class Poset:
     def __len__(self) -> int:
         return len(self.elements)
 
-    def _name_list(self) -> list[str]:
-        """One-line names of all elements, built on first use."""
-        if self._names is None:
-            self._names = [str(el) for el in self.elements]
-        return self._names
+    @cached_property
+    def _names(self) -> list[str]:
+        """One-line names of all elements."""
+        return [str(el) for el in self.elements]
 
     def element_name(self, i: int) -> str:
-        return self._name_list()[i]
+        return self._names[i]
 
     def leq(self, x: int, y: int) -> bool:
         return x == y or bool(self._anc[y] >> x & 1)
@@ -374,7 +302,7 @@ class Poset:
         if x == y:
             yield ()
             return
-        labels, up = self.labels, self.up_codes
+        labels, up = self.labels, self.up
         prefix: list[int] = []  # the codes of the steps taken
         stack = [iter(up[x])]   # per step taken and x, the covers left to try
         while stack:
@@ -432,7 +360,7 @@ class Poset:
         witness.
         """
         witnesses = []
-        up = self.up_codes
+        up = self.up
         for x in range(len(self.elements)):
             failing = [y for y, (rising, lex, carriers) in self._el_pass(x, up).items()
                        if not (rising == 1 and carriers == 1
@@ -535,9 +463,9 @@ class Poset:
         One pass up the covers in rank order carries, per element, its
         decreasing chains counted by the code of their last label; the
         chains that a cover with code c extends are those whose last code is
-        above c.  It reads only ``up_codes``, not the closures."""
+        above c.  It reads only ``up``, not the closures."""
         size = len(self.elements)
-        up, rank, base = self.up_codes, self.rank, self.rank[self.bottom_idx]
+        up, rank, base = self.up, self.rank, self.rank[self.bottom_idx]
         ends: list[dict[int, int] | None] = [None] * size  # last code -> chains
         ends[self.bottom_idx] = {len(self.labels): 1}  # the empty chain: any label follows
         mu = [0] * size
@@ -752,7 +680,7 @@ def char_poly_product(n: int, k: int) -> list[int]:
 # structural checks and rendering
 
 def _unique_bounds(above: list[int], below: list[int],
-                   down: list[list[tuple[int, CoverLabel]]]) -> list[int]:
+                   down: list[list[tuple[int, int]]]) -> list[int]:
     """Per x, the mask of the y for which {x, y} has exactly one minimal
     upper bound, from the masks of the z >= x and of the z <= x and the lower
     covers (lower bounds: swap the masks, use upper covers).  z >= x is a
@@ -822,7 +750,7 @@ def _hasse_lines(poset: Poset) -> Iterator[str]:
     yield "digraph hasse {\n"
     yield "  rankdir=BT;\n"
     yield "  node [shape=box];\n"
-    for i, name in enumerate(poset._name_list()):
+    for i, name in enumerate(poset._names):
         yield f'  e{i} [label="{name}"];\n'
     by_rank: dict[int, list[int]] = {}
     for i, r in enumerate(poset.rank):

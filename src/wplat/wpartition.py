@@ -446,19 +446,49 @@ def _block_codes(n: int, block: Block) -> list[int]:
     return [code for code, _ in codes]
 
 
+def _layer_code(n: int, layer: Layer) -> bytes:
+    """The n bytes f(1), ..., f(n) of one layer, where f(e) is the minimum
+    of e's block (a singleton is its own minimum)."""
+    f = bytearray(range(1, n + 1))
+    for b in layer:
+        for e in b[1:]:
+            f[e - 1] = b[0]
+    return bytes(f)
+
+
+def _code(pi: WeightedPartition) -> bytes:
+    """The block-minimum code of pi: the codes of its layers in turn
+    (:func:`_layer_code`)."""
+    return b"".join([_layer_code(pi.n, layer) for layer in pi.layers])
+
+
+def _decode(n: int, k: int, code: bytes) -> WeightedPartition:
+    """The weighted partition with block-minimum code ``code``, canonical as
+    built: each block is grouped under its minimum, which comes first, so
+    blocks are sorted and ordered by minimum without ``validate``."""
+    layers = []
+    for j in range(0, n * k, n):
+        blocks: dict[int, list[int]] = {}
+        for e, m in enumerate(code[j:j + n], 1):
+            if m == e:
+                blocks[m] = [e]
+            else:
+                blocks[m].append(e)
+        layers.append(tuple([tuple(b) for b in blocks.values() if j == 0 or len(b) > 1]))
+    return WeightedPartition(n, k, tuple(layers))
+
+
 @lru_cache(maxsize=8)
 def _set_partitions(n: int) -> tuple[tuple[bytes, ...], tuple[Layer, ...], tuple[Layer, ...]]:
     """The set partitions of [n], each as its block-minimum code (the n
     bytes f(1), ..., f(n), f(e) the minimum of e's block), its layer with
-    singletons and its layer without them; a partition's id is its index,
-    in the order of the JSON text of the layer without singletons."""
+    singletons (:func:`_decode`) and its layer without them; a partition's
+    id is its index, in the order of the JSON text of the layer without
+    singletons."""
     coded = []
     for code in _block_codes(n, tuple(range(1, n + 1))):
         f = code.to_bytes(n, "big")
-        blocks: dict[int, list[int]] = {}
-        for e, m in enumerate(f, 1):
-            blocks.setdefault(m, []).append(e)
-        full = tuple([tuple(b) for b in blocks.values()])
+        full = _decode(n, 1, f).layers[0]
         deep = tuple([b for b in full if len(b) > 1])
         coded.append((_layer_text(deep), f, full, deep))
     coded.sort()

@@ -4,11 +4,13 @@ bijection."""
 import hashlib
 import json
 import random
+from functools import lru_cache
 from itertools import permutations
 from math import factorial
 
 import pytest
 from conftest import (
+    oracle_admissible_covers,
     oracle_count_descents,
     oracle_enumerate_lbt,
     oracle_lbt_check,
@@ -204,10 +206,9 @@ class TestLBT:
         def refuse(*_):
             raise AssertionError("the tree generator stepped through the lattice")
 
-        monkeypatch.setattr(wplat.chains, "_follow_codes", refuse)
-        monkeypatch.setattr(wplat.lattice, "_follow_codes", refuse)
-        monkeypatch.setattr(wplat.lattice, "follow_labels", refuse)
-        monkeypatch.setattr(wplat.lattice, "cover", refuse)
+        for module in (wplat.chains, wplat.lattice):
+            monkeypatch.setattr(module, "_admits", refuse)
+            monkeypatch.setattr(module, "_raise", refuse)
         assert len(enumerate_lbt(5, 3)) == 880
 
     def test_heap_order_matches_merge_label_comparison(self, monkeypatch):
@@ -294,10 +295,16 @@ class TestS5Sets:
             "518ec18ee8de62e53f6aeca9df86cbf9822740ee7971a039485098acc3c486bc"
 
 
+@lru_cache(maxsize=None)
+def _oracle_covers(pi):
+    """The covers of pi by the block-pair scan, keyed by label."""
+    return dict(oracle_admissible_covers(pi))
+
+
 def _walk_by_cover(n, k, labels):
-    """apply_chain written one ``lattice.cover`` call per label."""
+    """apply_chain written one block-pair scan per visited element, which
+    shares no code with the walk on block-minimum codes."""
     from wplat import CoverLabel, bottom
-    from wplat.lattice import cover
 
     pi = bottom(n, k)
     seq = [pi]
@@ -306,7 +313,7 @@ def _walk_by_cover(n, k, labels):
             if k >= 2 and pos == len(labels) - 1 and lab == CoverLabel(1, n, k):
                 return seq
             raise ValueError(f"label {lab} past the top of P")
-        pi = cover(pi, lab)
+        pi = _oracle_covers(pi).get(lab)
         if pi is None:
             raise ValueError(f"label {lab} is not admissible at step {pos}")
         seq.append(pi)

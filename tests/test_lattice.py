@@ -21,12 +21,13 @@ from conftest import (
     oracle_verify_el,
 )
 
-from wplat import lattice, wpartition
+from wplat import chains, lattice, wpartition
 from wplat import (
     CoverLabel,
     GuardExceeded,
     T_def,
     admissible_covers,
+    apply_chain,
     bottom,
     build_poset,
     char_poly_product,
@@ -601,7 +602,7 @@ class TestOrderKernel:
         assert P.covers == want
         assert (P.bottom_idx, P.top_idx) == (index[bottom(n, k)], top)
         for adj in P.up:
-            keys = [lab.sort_key for _, lab in adj]
+            keys = [P.labels[c].sort_key for _, c in adj]
             assert all(a < b for a, b in zip(keys, keys[1:]))
 
     @pytest.mark.parametrize("n,k", [(n, k) for n in range(1, 6) for k in range(1, 4)]
@@ -629,19 +630,21 @@ class TestOrderKernel:
 
     @pytest.mark.parametrize("n,k", SMALL + [(5, 2)])
     def test_cover_matches_admissible_covers(self, n, k, poset_cache):
-        # both against the block-pair scan; cover one label at a time,
-        # including labels outside [1, n] x [1, k] and alpha >= beta
-        labels = [CoverLabel(a, b, l) for a in range(n + 2) for b in range(n + 2)
-                  for l in range(k + 2)]
+        # both against the block-pair scan; one label at a time through the
+        # cover rule on codes, including labels outside [1, n] x [1, k] and
+        # alpha >= beta
+        steps = [(a, b, l) for a in range(n + 2) for b in range(n + 2) for l in range(k + 2)]
         for el in poset_cache(n, k).elements:
             if el is lattice.TOP:
                 continue
             want = oracle_admissible_covers(el)
             assert admissible_covers(el) == want
             want = dict(want)
-            for lab in labels:
-                got = lattice.cover(el, lab)
-                assert got == want.get(lab)
+            code = wpartition._code(el)
+            for step in steps:
+                got = (wpartition._decode(n, k, lattice._raise(code, n, *step))
+                       if lattice._admits(code, n, k, *step) else None)
+                assert got == want.get(CoverLabel(*step))
                 if got is not None:
                     assert validate(n, k, got.layers) == got
 
@@ -716,8 +719,10 @@ class TestOrderKernel:
             calls.append(args)
             return real(*args)
 
-        monkeypatch.setattr(lattice, "_raise", counting)
-        pi = bottom(4, 2)
-        assert lattice.cover(pi, CoverLabel(1, 3, 2)) is not None
-        assert lattice.cover(pi, CoverLabel(3, 1, 2)) is None
-        assert len(calls) == 1
+        monkeypatch.setattr(chains, "_raise", counting)
+        labels = [CoverLabel(1, 3, 2), CoverLabel(2, 4, 1), CoverLabel(1, 2, 1)]
+        assert len(apply_chain(4, 2, labels)) == 4
+        assert len(calls) == 3
+        with pytest.raises(ValueError, match="not admissible"):
+            apply_chain(4, 2, [CoverLabel(3, 1, 2)])
+        assert len(calls) == 3

@@ -43,10 +43,36 @@ def test_fields_cannot_be_assigned(value, field):
 
 
 def test_cycle_diagram_checks_its_edges():
-    with pytest.raises(AssertionError):
+    with pytest.raises(ValueError, match="at most one incoming edge per point"):
         CycleDiagram(3, frozenset({(1, 3), (2, 3)}))  # two edges into 3
-    with pytest.raises(AssertionError):
+    with pytest.raises(ValueError, match="edges must satisfy"):
         CycleDiagram(3, frozenset({(2, 1)}))  # a decreasing edge
+
+
+# input checks that must hold under ``python -O``, which strips ``assert``
+CHECKS_UNDER_O = """
+from wplat import CycleDiagram, diagram_to_decreasing_chain
+# two edges into 1, an edge past n, and (1,2)_3 below the final (1,3)_3 step
+for build in (lambda: CycleDiagram(3, frozenset({(2, 1), (3, 1)})),
+              lambda: CycleDiagram(3, frozenset({(2, 3), (1, 4)})),
+              lambda: diagram_to_decreasing_chain(frozenset({(1, 2)}), {(1, 2): 3}, 3, 3)):
+    try:
+        build()
+    except ValueError as exc:
+        print(exc)
+    else:
+        print("accepted")
+"""
+
+
+def test_input_checks_hold_under_optimization():
+    src = str(Path(wplat.__file__).parents[1])
+    proc = subprocess.run([sys.executable, "-O", "-c", CHECKS_UNDER_O], capture_output=True,
+                          text=True, env=dict(os.environ, PYTHONPATH=src))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["at most one incoming edge per point",
+                                        "edges must satisfy 1 <= i < j <= 3",
+                                        "labels must strictly decrease"]
 
 
 @pytest.mark.parametrize("value,text", [
@@ -135,3 +161,6 @@ def test_package_names_resolve_lazily():
     namespace = {}
     exec("from wplat import *", namespace)
     assert set(EXPORTED) <= set(namespace)
+    # each module's ``__all__`` names only what the module defines
+    for module in ("chains", "cli", "lattice", "series", "stirling", "wpartition"):
+        exec(f"from wplat.{module} import *", {})
