@@ -21,9 +21,9 @@ from __future__ import annotations
 import os
 from bisect import bisect_right
 from functools import cached_property, reduce
-from itertools import combinations, islice, repeat
+from itertools import chain, combinations, islice
 from math import factorial
-from operator import and_, attrgetter, gt, itemgetter, le, mul
+from operator import and_, gt, le, mul
 from typing import Iterator, NamedTuple, Sequence
 
 # defined in the package, so that the CLI can catch it without this module
@@ -77,7 +77,8 @@ def check_guard(n: int, k: int, guard: int | None = None, chains: int = 0,
     about to list.  Every guarded command enumerates one or more of them.
     A caller that will build the order's two closures (``closures``), N^2/8
     bytes each, is also refused when they need more than
-    CLOSURE_BYTES_PER_GUARD bytes per unit of the guard.
+    CLOSURE_BYTES_PER_GUARD bytes per unit of the guard; the structure
+    report holds two cover-mask lists beside them, at most as large.
     The limit is ``guard``, else WPLAT_GUARD (an integer), else DEFAULT_GUARD.
     """
     if guard is None:
@@ -193,17 +194,15 @@ def admissible_covers(pi: WeightedPartition) -> list[tuple[CoverLabel, WeightedP
 
 
 def _closure(order: list[int], adj: list[list[tuple[int, int]]]) -> list[int]:
-    """Per element, the mask of the elements reachable from it through
-    ``adj`` (itself excluded), filled along ``order``, in which every
-    element comes after its neighbours."""
+    """Per element, the mask of itself and the elements reachable from it
+    through ``adj``, filled along ``order``, in which every element comes
+    after its neighbours."""
     masks = [0] * len(adj)
-    for y in order:  # with y's own bit, so that each neighbour costs one |
+    for y in order:
         m = 1 << y
         for z, _ in adj[y]:
             m |= masks[z]
         masks[y] = m
-    for y, m in enumerate(masks):
-        masks[y] = m ^ 1 << y
     return masks
 
 
@@ -212,53 +211,47 @@ class Poset:
     for k >= 2 and n >= 3, not a lattice: indexed elements, labeled covers,
     rank function, order queries, chains, Möbius values.
 
-    ``labels`` lists the distinct labels in label order, and a label's code
-    is its index there.  ``up[x]`` and ``down[y]`` hold the pairs (other end,
-    label code) of the covers from x and to y in the order of ``covers``, so
-    chains are listed in that order; :func:`build_poset` emits each
-    element's covers in label order.  These lists, the closures ``_anc`` and
-    ``_desc`` and the element names are built on first use."""
+    ``labels`` lists the labels in label order, and a label's code is its
+    index there.  ``up[x]``, the one stored form of the order, holds the
+    pairs (upper cover, label code) of the covers from x in the order that
+    chains are listed in (:func:`build_poset` emits them in label order).
+    ``down``, ``covers``, the closures ``_anc`` and ``_desc`` (each holding
+    its element) and the element names are derived on first use."""
 
-    def __init__(self, n: int, k: int, elements: list, covers: list,
-                 bottom_idx: int, top_idx: int):
+    def __init__(self, n: int, k: int, elements: list, labels: list,
+                 up: list, bottom_idx: int, top_idx: int):
         self.n = n
         self.k = k
         self.elements = elements  # WeightedPartition values, possibly TOP last
-        self.covers = covers      # (lower index, upper index, CoverLabel)
+        self.labels = labels      # CoverLabel per code
+        self.up = up              # per element, (upper cover, label code) pairs
         self.bottom_idx = bottom_idx
         self.top_idx = top_idx
         self.rank = [n if el is TOP else el.rank for el in elements]
-        self.labels = sorted(set(map(itemgetter(2), covers)), key=attrgetter("sort_key"))
         self._rank_order = sorted(range(len(elements)), key=self.rank.__getitem__)
-
-    def _adjacency(self, upward: bool) -> list[list[tuple[int, int]]]:
-        """Per element, the pairs (other end, label code) of the covers from
-        it (``upward``) or to it, in cover order."""
-        code = {lab: c for c, lab in enumerate(self.labels)}
-        adj: list[list[tuple[int, int]]] = [[] for _ in self.elements]
-        for lo, hi, lab in self.covers:
-            if upward:
-                adj[lo].append((hi, code[lab]))
-            else:
-                adj[hi].append((lo, code[lab]))
-        return adj
-
-    @cached_property
-    def up(self) -> list[list[tuple[int, int]]]:
-        return self._adjacency(True)
 
     @cached_property
     def down(self) -> list[list[tuple[int, int]]]:
-        return self._adjacency(False)
+        """Per element, the pairs (lower cover, label code) of its covers."""
+        down: list[list[tuple[int, int]]] = [[] for _ in self.elements]
+        for lo, adj in enumerate(self.up):
+            for hi, c in adj:
+                down[hi].append((lo, c))
+        return down
+
+    @cached_property
+    def covers(self) -> list[tuple[int, int, CoverLabel]]:
+        """The covers (lower index, upper index, label), by lower index."""
+        return [(lo, hi, self.labels[c]) for lo, adj in enumerate(self.up) for hi, c in adj]
 
     @cached_property
     def _anc(self) -> list[int]:
-        """Per element, the bitmask of the elements strictly below it."""
+        """Per element, the bitmask of the elements below it, itself included."""
         return _closure(self._rank_order, self.down)
 
     @cached_property
     def _desc(self) -> list[int]:
-        """Per element, the bitmask of the elements strictly above it."""
+        """Per element, the bitmask of the elements above it, itself included."""
         return _closure(self._rank_order[::-1], self.up)
 
     # -- basic queries ------------------------------------------------------
@@ -275,15 +268,13 @@ class Poset:
         return self._names[i]
 
     def leq(self, x: int, y: int) -> bool:
-        return x == y or bool(self._anc[y] >> x & 1)
+        return bool(self._anc[y] >> x & 1)
 
     def interval(self, x: int, y: int) -> list[int]:
         """Members of [x, y], ordered by rank then index."""
         if not self.leq(x, y):
             raise ValueError("interval requires x <= y")
-        members = list(_bits((self._anc[y] | 1 << y) & (self._desc[x] | 1 << x)))
-        members.sort(key=lambda z: (self.rank[z], z))
-        return members
+        return sorted(_bits(self._anc[y] & self._desc[x]), key=lambda z: (self.rank[z], z))
 
     # -- chains -------------------------------------------------------------
 
@@ -296,7 +287,7 @@ class Poset:
         The mask of the elements below y only prunes steps that cannot reach
         y.  Every element of a built order lies below its top, so a walk to
         the top reads no closure: -1 has every bit set."""
-        below_y = -1 if y == self.top_idx else self._anc[y] | 1 << y
+        below_y = -1 if y == self.top_idx else self._anc[y]
         if not below_y >> x & 1:
             return
         if x == y:
@@ -340,8 +331,9 @@ class Poset:
         up the covers in rank order without listing them."""
         count = [0] * len(self.elements)
         count[self.bottom_idx] = 1
-        for y in self._rank_order:
-            count[y] += sum(count[z] for z, _ in self.down[y])
+        for x in self._rank_order:
+            for z, _ in self.up[x]:
+                count[z] += count[x]
         return count[self.top_idx]
 
     # -- EL verification ----------------------------------------------------
@@ -435,7 +427,7 @@ class Poset:
         mu = [0] * len(self.elements)
         mu[x] = 1
         found = {1: 1 << x}
-        above, anc = self._desc[x], self._anc
+        above, anc = self._desc[x] ^ 1 << x, self._anc
         for z in self._rank_order:
             if above >> z & 1:
                 below = anc[z]
@@ -497,8 +489,9 @@ class Poset:
 
 def build_poset(n: int, k: int, guard: int | None = None, closures: bool = False) -> Poset:
     """Construct the poset for (n, k) explicitly: the elements of
-    :func:`enumerate_all` in that order, each with its covers in label order;
-    then for k >= 2 and n >= 2 the adjoined top.
+    :func:`enumerate_all` in that order, each with its upper covers in label
+    order (``Poset.up``); then for k >= 2 and n >= 2 the adjoined top.  The
+    labels are all k n(n-1)/2 of them, since each is admissible at the bottom.
 
     Each element is a chain p_1 >= ... >= p_k of set partitions of [n], read
     as their ids (``wpartition._set_partitions``, B of them) and keyed by the
@@ -540,11 +533,15 @@ def build_poset(n: int, k: int, guard: int | None = None, closures: bool = False
                 row[alpha * n + beta] = code_id[_raise(code, n, alpha, beta, 1)] - p
         merges.append(row)
 
-    # per fixed-point pattern: the labels, their distinct (alpha, beta)
+    # every label, in label order: all of them are admissible at the bottom
+    labels = [CoverLabel(*step) for step in _admissible(bytes(range(1, n + 1)) * k, n, k)]
+    label_code = {lab: c for c, lab in enumerate(labels)}  # also keyed by plain tuples
+
+    # per fixed-point pattern: the label codes, their distinct (alpha, beta)
     # pairs, and per label the place of its cover's key in ``raised``, the
     # keys of every pair merged at layer 1, then at layers 1..2, and so on
-    plans: dict[tuple, tuple[tuple[CoverLabel, ...], list[int], list[int]]] = {}
-    covers: list = []
+    plans: dict[tuple, tuple[tuple[int, ...], list[int], list[int]]] = {}
+    up: list = []
     for i, ps in enumerate(chains):
         pattern = tuple(map(minima.__getitem__, ps))
         plan = plans.get(pattern)
@@ -552,25 +549,25 @@ def build_poset(n: int, k: int, guard: int | None = None, closures: bool = False
             steps = _admissible(b"".join([codes[p] for p in ps]), n, k)
             place = {t: j for j, t in enumerate(dict.fromkeys([a * n + b for a, b, _ in steps]))}
             plan = plans[pattern] = (
-                tuple([CoverLabel(*step) for step in steps]), list(place),
+                tuple(map(label_code.__getitem__, steps)), list(place),
                 [(l - 1) * len(place) + place[a * n + b] for a, b, l in steps])
-        labels, pairs, cuts = plan
+        label_codes, pairs, cuts = plan
         level = [keys[i]] * len(pairs)
         raised: list[int] = []
         for p, weight in zip(ps, weights):
             row = merges[p]
             level = [key + row[t] * weight for key, t in zip(level, pairs)]
             raised += level
-        covers += zip(repeat(i), [index[raised[c]] for c in cuts], labels)
+        up.append(list(zip([index[raised[c]] for c in cuts], label_codes)))
 
-    add_top = k >= 2 and n >= 2
-    if add_top:
+    if k >= 2 and n >= 2:
         top_idx = len(elements)
-        top_label = CoverLabel(1, n, k)
+        top_cover = (top_idx, label_code[1, n, k])
+        for i, el in enumerate(elements):
+            if el.rank == n - 1:  # no cover inside P
+                up[i].append(top_cover)
         elements.append(TOP)
-        for i, el in enumerate(elements[:-1]):
-            if el.rank == n - 1:
-                covers.append((i, top_idx, top_label))
+        up.append([])
     else:
         top_rank = max(el.rank for el in elements)
         tops = [i for i, el in enumerate(elements) if el.rank == top_rank]
@@ -578,15 +575,16 @@ def build_poset(n: int, k: int, guard: int | None = None, closures: bool = False
         top_idx = tops[0]
 
     bottom_idx = index[sum(map(mul, map(pid.__getitem__, bottom(n, k).layers), weights))]
-    poset = Poset(n, k, elements, covers, bottom_idx, top_idx)
+    poset = Poset(n, k, elements, labels, up, bottom_idx, top_idx)
 
     # sanity: grading and reachability.  In a graded order every element is
     # reachable from the bottom when each element of rank >= 1 has a lower
     # cover and the bottom is the only one of rank 0: then the upper ends of
     # the covers are all elements but one.
-    for lo, hi, _ in covers:
-        assert poset.rank[hi] == poset.rank[lo] + 1, "cover must raise rank by 1"
-    assert len(set(map(itemgetter(1), covers))) == len(elements) - 1, \
+    rank = poset.rank
+    assert all(rank[hi] == rank[lo] + 1 for lo, adj in enumerate(up) for hi, _ in adj), \
+        "cover must raise rank by 1"
+    assert len({hi for adj in up for hi, _ in adj}) == len(elements) - 1, \
         "every element must be reachable from the bottom"
     return poset
 
@@ -679,30 +677,26 @@ def char_poly_product(n: int, k: int) -> list[int]:
 # ---------------------------------------------------------------------------
 # structural checks and rendering
 
-def _unique_bounds(above: list[int], below: list[int],
-                   down: list[list[tuple[int, int]]]) -> list[int]:
+def _unique_bounds(above: list[int], below: list[int], covers: list[int]) -> Iterator[int]:
     """Per x, the mask of the y for which {x, y} has exactly one minimal
-    upper bound, from the masks of the z >= x and of the z <= x and the lower
-    covers (lower bounds: swap the masks, use upper covers).  z >= x is a
-    minimal upper bound for y when y <= z and y lies below no lower cover
+    upper bound, from the masks of the z >= x, of the z <= x and of the lower
+    covers of z (lower bounds: swap the first two, pass upper covers).  z >= x
+    is a minimal upper bound for y when y <= z and y lies below no lower cover
     w >= x of z; bit-sliced "once"/"twice" counters add these masks over z."""
-    lower = [sum(1 << w for w, _ in adj) for adj in down]
-    rows = []
     for beyond in above:
         once = twice = 0
         for z in _bits(beyond):
             blocked = 0
-            for w in _bits(beyond & lower[z]):
+            for w in _bits(beyond & covers[z]):
                 blocked |= below[w]
             hit = below[z] & ~blocked
             twice |= once & hit
             once |= hit
-        rows.append(once & ~twice)
-    return rows
+        yield once & ~twice
 
 
 def structural_checks(poset: Poset) -> list[dict]:
-    """What the built order is, from its bitmasks and cover lists: pairs
+    """What the built order is, from its closures and cover masks: pairs
     without a least upper / greatest lower bound, pairs of upper covers of
     one element with no common upper cover, and elements that are not the
     join of their atoms.  Each check has a ``count`` of ``of`` cases, status
@@ -711,36 +705,40 @@ def structural_checks(poset: Poset) -> list[dict]:
     name = poset.element_name
     size = len(poset)
     every = (1 << size) - 1
-    le = [m | 1 << x for x, m in enumerate(poset._anc)]   # the z <= x
-    ge = [m | 1 << x for x, m in enumerate(poset._desc)]  # the z >= x
+    anc, desc = poset._anc, poset._desc  # the z <= x, the z >= x
+    lower = [sum(1 << w for w, _ in adj) for adj in poset.down]
+    upper = [sum(1 << z for z, _ in adj) for adj in poset.up]
 
     def report(check: str, count: int, of: int, witnesses: Iterator[dict]) -> dict:
         return {"check": check, "status": "warn" if count else "pass", "count": count,
                 "of": of, "witnesses": list(islice(witnesses, MAX_WITNESSES))}
 
     checks = []
-    for check, above, below, down, key in (
-            ("least_upper_bounds", ge, le, poset.down, "minimal_upper_bounds"),
-            ("greatest_lower_bounds", le, ge, poset.up, "maximal_lower_bounds")):
-        # per x, the y > x (the bits of -(2 << x)) without a unique bound
-        missing = [every & ~row & -(2 << x)
-                   for x, row in enumerate(_unique_bounds(above, below, down))]
+    for check, above, below, covers, key in (
+            ("least_upper_bounds", desc, anc, lower, "minimal_upper_bounds"),
+            ("greatest_lower_bounds", anc, desc, upper, "maximal_lower_bounds")):
+        # per x that has any, the y > x (the bits of -(2 << x)) without a
+        # unique bound; only the first rows are kept, for the witnesses
+        rows = ((x, m) for x, row in enumerate(_unique_bounds(above, below, covers))
+                if (m := every & ~row & -(2 << x)))
+        first = list(islice(rows, MAX_WITNESSES))
         checks.append(report(
-            check, sum(m.bit_count() for m in missing), size * (size - 1) // 2,
+            check, sum(m.bit_count() for _, m in chain(first, rows)), size * (size - 1) // 2,
             ({"x": name(x), "y": name(y), key: [
                 name(z) for z in _bits(above[x] & above[y])
                 if below[z] & above[x] & above[y] == 1 << z]}  # no other bound below z
-             for x, m in enumerate(missing) for y in _bits(m))))
+             for x, m in first for y in _bits(m))))
 
-    upper = [sum(1 << z for z, _ in adj) for adj in poset.up]
-    pairs = [(x, a, b) for x in range(size) for a, b in combinations(_bits(upper[x]), 2)]
-    apart = [(x, a, b) for x, a, b in pairs if not upper[a] & upper[b]]
-    checks.append(report("semimodular", len(apart), len(pairs), (
-        {"x": name(x), "covers": [name(a), name(b)]} for x, a, b in apart)))
+    apart = ((x, a, b) for x in range(size)
+             for a, b in combinations(_bits(upper[x]), 2) if not upper[a] & upper[b])
+    first = list(islice(apart, MAX_WITNESSES))
+    pairs = sum(d * (d - 1) // 2 for d in map(int.bit_count, upper))
+    checks.append(report("semimodular", len(first) + sum(1 for _ in apart), pairs, (
+        {"x": name(x), "covers": [name(a), name(b)]} for x, a, b in first)))
 
     atoms = upper[poset.bottom_idx]  # x fails for an upper bound of its atoms not above x
     apart = [x for x in range(size)
-             if reduce(and_, (ge[a] for a in _bits(atoms & le[x])), every) & ~ge[x]]
+             if reduce(and_, (desc[a] for a in _bits(atoms & anc[x])), every) & ~desc[x]]
     checks.append(report("atomistic", len(apart), size, ({"x": name(x)} for x in apart)))
     return checks
 
@@ -758,9 +756,10 @@ def _hasse_lines(poset: Poset) -> Iterator[str]:
     for r in sorted(by_rank):
         ids = "; ".join(f"e{i}" for i in by_rank[r])
         yield f"  {{ rank=same; {ids}; }}\n"
-    text = {lab: str(lab) for lab in poset.labels}
-    for lo, hi, lab in sorted(poset.covers):
-        yield f'  e{lo} -> e{hi} [label="{text[lab]}"];\n'
+    text = [str(lab) for lab in poset.labels]
+    for lo, adj in enumerate(poset.up):
+        for hi, c in sorted(adj):
+            yield f'  e{lo} -> e{hi} [label="{text[c]}"];\n'
     yield "}\n"
 
 

@@ -253,9 +253,25 @@ def poset_cache():
 
 def order_atoms(poset, x):
     """The atoms of the built order below element x: the upper covers of
-    the bottom that lie in x's ancestor mask or are x."""
-    below = poset._anc[x] | 1 << x
+    the bottom that lie in x's ancestor mask, which holds x itself."""
+    below = poset._anc[x]
     return [a for a, _ in poset.up[poset.bottom_idx] if below >> a & 1]
+
+
+def poset_from_covers(poset, covers):
+    """A ``Poset`` on the elements, bottom and top of ``poset`` whose covers
+    are ``covers``, triples (lower, upper, label): its labels are the
+    distinct ones in label order, and each element's up list keeps the
+    order of ``covers``."""
+    from wplat.lattice import Poset
+
+    labels = sorted({lab for _, _, lab in covers}, key=lambda lab: lab.sort_key)
+    code = {lab: c for c, lab in enumerate(labels)}
+    up = [[] for _ in poset.elements]
+    for lo, hi, lab in covers:
+        up[lo].append((hi, code[lab]))
+    return Poset(poset.n, poset.k, poset.elements, labels, up,
+                 poset.bottom_idx, poset.top_idx)
 
 
 # -- order oracles: the enumerate-and-scan checks the bitset kernel replaced --
@@ -327,7 +343,9 @@ def oracle_admissible_covers(pi):
 def oracle_build_covers(n, k):
     """``build_poset``'s cover list with one ``_raise`` per admissible
     label: every element of ``enumerate_all`` in turn, its labels in the
-    order of ``_admissible``, then the covers into the adjoined top."""
+    order of ``_admissible``, and the covers into the adjoined top, stably
+    sorted by lower element (an element of rank n-1 has only its cover
+    into the top)."""
     from wplat import CoverLabel, enumerate_all
     from wplat.lattice import _admissible, _code, _raise
 
@@ -339,7 +357,7 @@ def oracle_build_covers(n, k):
     if k >= 2 and n >= 2:
         covers += [(i, len(elements), CoverLabel(1, n, k))
                    for i, el in enumerate(elements) if el.rank == n - 1]
-    return covers
+    return sorted(covers, key=lambda cover: cover[0])
 
 
 def oracle_mobius(poset):

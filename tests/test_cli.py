@@ -10,6 +10,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from conftest import poset_from_covers
 
 import wplat
 from wplat import build_poset, chains, lattice, series, stirling
@@ -268,7 +269,7 @@ class TestVerify:
         P = build_poset(3, 2)
         covers = list(P.covers)
         covers.remove(next(c for c in covers if c[0] == P.bottom_idx))
-        Q = lattice.Poset(P.n, P.k, P.elements, covers, P.bottom_idx, P.top_idx)
+        Q = poset_from_covers(P, covers)
         statuses = {c["check"]: c["status"] for c in _verify_structure(Q)}
         assert statuses["atom_count"] == "fail"
 

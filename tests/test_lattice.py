@@ -5,6 +5,7 @@ import hashlib
 import json
 import os
 import random
+from collections import Counter
 
 import pytest
 from conftest import (
@@ -19,6 +20,7 @@ from conftest import (
     oracle_mobius,
     oracle_structural_checks,
     oracle_verify_el,
+    poset_from_covers,
 )
 
 from wplat import chains, lattice, wpartition
@@ -220,6 +222,33 @@ class TestMobius:
                 assert row[z] == (-1) ** Q.rank[z] * count, (seed, z)
         assert differ > 0
 
+    @pytest.mark.parametrize("n,k", [(3, 2), (4, 2), (4, 3), (5, 2), (5, 3), (6, 2)])
+    def test_lower_intervals_are_products(self, n, k, poset_cache):
+        # each cover merges pieces of two first-layer blocks, so [0^, pi] is
+        # the product of the [0^, pi|B] over pi's first-layer blocks B, where
+        # pi|B keeps B with its deeper layers and splits the rest into
+        # singletons; all read from one row of the decreasing-chain pass
+        P = poset_cache(n, k)
+        mu = P.mobius_row_via_chains()
+        index = {el: i for i, el in enumerate(P.elements)}
+        for i, pi in enumerate(P.elements):
+            if pi is lattice.TOP:
+                continue
+            product = 1
+            for B in pi.layers[0]:
+                rest = [(e,) for e in range(1, n + 1) if e not in B]
+                deeper = [[b for b in layer if set(b) <= set(B)] for layer in pi.layers[1:]]
+                product *= mu[index[validate(n, k, [[B, *rest], *deeper])]]
+            assert mu[i] == product, str(pi)
+
+    def test_upper_intervals_are_not_products(self, poset_cache):
+        # at (4,2), mu(pi, 1^) over the elements with two first-layer blocks
+        # takes three values, so [pi, 1^] is not fixed by pi's block count
+        P = poset_cache(4, 2)
+        seen = Counter(P.mobius_recursive(i, P.top_idx) for i, pi in enumerate(P.elements)
+                       if pi is not lattice.TOP and len(pi.layers[0]) == 2)
+        assert seen == {1: 23, 2: 8, 3: 1}
+
 
 class TestCharPoly:
     @pytest.mark.parametrize("n,k", [(2, 1), (3, 1), (4, 1),
@@ -295,11 +324,16 @@ class TestBoundsAndAudit:
 
     @pytest.mark.parametrize("n,k", SMALL + [(5, 2), (10, 3)])
     def test_join_meet_match_oracle(self, n, k):
-        # built without validate(): the result must already be canonical
+        # built without validate(): the result must already be canonical;
+        # ``canonical`` holds validate's answer per distinct result
+        canonical = {}
         for x, y in _pairs(n, k):
             jn, mt = paper_join(x, y), paper_meet(x, y)
-            assert jn == oracle_join(x, y) == validate(n, k, jn.layers), (x, y)
-            assert mt == oracle_meet(x, y) == validate(n, k, mt.layers), (x, y)
+            for got in (jn, mt):
+                if got not in canonical:
+                    canonical[got] = validate(n, k, got.layers)
+            assert jn == oracle_join(x, y) == canonical[jn], (x, y)
+            assert mt == oracle_meet(x, y) == canonical[mt], (x, y)
 
     def test_join_meet_reject_mismatched_sizes(self):
         for x, y in [(bottom(3, 2), bottom(4, 2)), (bottom(3, 2), bottom(3, 3))]:
@@ -344,10 +378,11 @@ class TestBoundsAndAudit:
         P = poset_cache(4, 2)
         names = [P.element_name(i) for i in range(len(P))]
         x, y = names.index("(1234)^2"), names.index("(123)^2 4")
-        le = [m | 1 << z for z, m in enumerate(P._anc)]
-        ge = [m | 1 << z for z, m in enumerate(P._desc)]
-        assert lattice._unique_bounds(ge, le, P.down)[x] >> y & 1
-        assert lattice._unique_bounds(le, ge, P.up)[x] >> y & 1
+        le, ge = P._anc, P._desc
+        lower_covers = [sum(1 << w for w, _ in adj) for adj in P.down]
+        upper_covers = [sum(1 << z for z, _ in adj) for adj in P.up]
+        assert list(lattice._unique_bounds(ge, le, lower_covers))[x] >> y & 1
+        assert list(lattice._unique_bounds(le, ge, upper_covers))[x] >> y & 1
         assert ge[x] & ge[y] == 1 << P.top_idx
         lower = le[x] & le[y]
         assert [names[z] for z in range(len(P)) if lower >> z & 1 and ge[z] & lower == 1 << z] \
@@ -461,14 +496,14 @@ def _relabeled(P, seed):
         c = rng.randrange(len(covers))
         lo, hi, _ = covers[c]
         covers[c] = (lo, hi, rng.choice(labels))
-    return lattice.Poset(P.n, P.k, P.elements, covers, P.bottom_idx, P.top_idx)
+    return poset_from_covers(P, covers)
 
 
 def _cover_dropped(P, seed):
     """A copy of P without one cover, so that its order changes."""
     covers = list(P.covers)
     del covers[random.Random(seed).randrange(len(covers))]
-    return lattice.Poset(P.n, P.k, P.elements, covers, P.bottom_idx, P.top_idx)
+    return poset_from_covers(P, covers)
 
 
 class TestOrderKernel:
@@ -584,8 +619,10 @@ class TestOrderKernel:
                              + [(6, 2)])
     def test_build_matches_admissible_covers(self, n, k, poset_cache):
         # build_poset's block-minimum codes against the block-pair scan: the
-        # same cover list in the same order, the same bottom and top, and
-        # each element's up list in strictly rising label order
+        # same cover list in the same order (by lower element, each one's
+        # covers by label; an element of rank n-1 has only its cover into
+        # the top), the same bottom and top, and each element's up list in
+        # strictly rising label order
         P = poset_cache(n, k)
         parts = enumerate_all(n, k)
         index = {el: i for i, el in enumerate(parts)}
@@ -599,7 +636,7 @@ class TestOrderKernel:
         else:
             top = max(range(len(parts)), key=lambda i: parts[i].rank)
             assert P.elements == parts
-        assert P.covers == want
+        assert P.covers == sorted(want, key=lambda cover: cover[0])
         assert (P.bottom_idx, P.top_idx) == (index[bottom(n, k)], top)
         for adj in P.up:
             keys = [P.labels[c].sort_key for _, c in adj]
@@ -703,13 +740,20 @@ class TestOrderKernel:
 
         monkeypatch.setattr(lattice, "_closure", counting)
         P = build_poset(4, 2)
+        # the order is stored once, as the up lists; the pass and the DOT
+        # text read them without deriving the cover list or the down lists
+        assert "up" in vars(P) and not {"covers", "down"} & vars(P).keys()
         P.mobius_row_via_chains()
+        hasse_dot(P)
+        assert not {"covers", "down"} & vars(P).keys()
         list(P.decreasing_chains(P.bottom_idx, P.top_idx))
         assert calls == []
         assert P.leq(P.bottom_idx, P.top_idx) and P.leq(P.bottom_idx, P.top_idx)
         assert len(calls) == 1
         P.interval(P.bottom_idx, P.top_idx)
         assert len(calls) == 2
+        # each closure holds its element
+        assert all(P._anc[y] >> y & 1 and P._desc[y] >> y & 1 for y in range(len(P)))
 
     def test_cover_applies_one_merge(self, monkeypatch):
         calls = []

@@ -27,3 +27,14 @@ def test_every_traced_name_resolves():
         if not callable(target):
             missing.append(f"{module_name}.{attr}")
     assert missing == []
+
+
+def test_traced_poset_reads_answer():
+    # the tracer reads len(poset), len(poset.covers), poset.leq, poset.n and
+    # poset.k of each built order
+    from wplat import build_poset
+
+    P = build_poset(3, 2)
+    assert (P.n, P.k, len(P)) == (3, 2, 13)
+    assert len(P.covers) == sum(len(adj) for adj in P.up) == 24
+    assert P.leq(P.bottom_idx, P.top_idx) and not P.leq(P.top_idx, P.bottom_idx)
