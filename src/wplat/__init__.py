@@ -16,6 +16,11 @@ class GuardExceeded(RuntimeError):
     """The size guard refuses the request (too large, or a bad WPLAT_GUARD)."""
 
 
+class RouteMismatch(AssertionError):
+    """Two independent routes to the same numbers disagree; the message names
+    both values, and the command line reports it as exit 1."""
+
+
 # module -> the names it exports through the package
 _EXPORTS = {
     "series": ("BivariateSeries", "SeriesError", "exp_k_xy", "log_k_xy",
@@ -40,7 +45,7 @@ _EXPORTS = {
 _HOMES = {name: module for module, names in _EXPORTS.items() for name in names}
 _MODULES = (*_EXPORTS, "cli")
 
-__all__ = ["GuardExceeded", *_HOMES]
+__all__ = ["GuardExceeded", "RouteMismatch", *_HOMES]
 
 
 def __getattr__(name: str):

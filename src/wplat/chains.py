@@ -59,15 +59,8 @@ class CycleDiagram(_Diagram):
         targets = {j for _, j in self.edges}
         return [p for p in range(1, self.n + 1) if p not in targets]
 
-    @property
-    def blocks(self) -> int:
-        return len(self.roots)
-
     def children(self, p: int) -> list[int]:
         return sorted(j for i, j in self.edges if i == p)
-
-    def to_json_dict(self) -> dict:
-        return {"n": self.n, "edges": sorted([i, j] for i, j in self.edges)}
 
 
 def enumerate_cycle_diagrams(n: int, r: int) -> Iterator[CycleDiagram]:

@@ -1,9 +1,11 @@
 """Command-line front end: every computation and verification as a
 reproducible command with text/JSON/CSV/DOT output.
 
-Exit codes: 0 success, 1 assertion or cross-route mismatch, 2 size guard
-or usage error.  Run as a process (:func:`run`), a request whose reader
-closes the pipe early ends by SIGPIPE, as other Unix filters do.
+Exit codes: 0 success, 1 a cross-route mismatch (every route comparison
+raises :class:`wplat.RouteMismatch`, which :func:`main` alone reports) or a
+failing ``verify`` check, 2 size guard or usage error.  Run as a process
+(:func:`run`), a request whose reader closes the pipe early ends by
+SIGPIPE, as other Unix filters do.
 
 Each command imports the modules it runs when it runs, and ``json`` is
 imported only to render JSON, so a request loads no more than it uses:
@@ -14,6 +16,8 @@ from __future__ import annotations
 
 import argparse
 import sys
+
+from . import GuardExceeded, RouteMismatch
 
 GUARD_EXIT = 2
 FAIL_EXIT = 1
@@ -71,13 +75,10 @@ def cmd_count(args) -> int:
         r = len(pi.layers[0])
         counts[r] = counts.get(r, 0) + 1
     rs = [args.r] if args.r is not None else sorted(counts)
-    bad = [(r, counts.get(r, 0), st.T_def(n, k, r))
-           for r in rs if counts.get(r, 0) != st.T_def(n, k, r)]
+    bad = [f"mismatch at r={r}: enumerated {counts.get(r, 0)}, T(n,k,r) {want}"
+           for r in rs if counts.get(r, 0) != (want := st.T_def(n, k, r))]
     if bad:
-        for r, got, want in bad:
-            print(f"mismatch at r={r}: enumerated {got}, T(n,k,r) {want}",
-                  file=sys.stderr)
-        return FAIL_EXIT
+        raise RouteMismatch("\n".join(bad))
     pairs = [(r, counts.get(r, 0)) for r in rs]
     total = sum(c for _, c in pairs)
     total_part = [f"total {total}"] if len(rs) > 1 else []
@@ -90,21 +91,17 @@ def cmd_count(args) -> int:
 
 
 def _table_rows(kind: str, n_max: int, k: int) -> list[list[int]]:
-    """Triangle rows n = 1..n_max, entries r = 1..n, checked against the
-    independent series route."""
+    """Triangle rows n = 1..n_max, entries r = 1..n, by the definition and
+    checked against the series and the split recurrence.  S and s are the
+    transforms at k = 1, S(n, r) = T(n, 1, r) and s(n, r) = t(n, 1, r), and
+    run the same routes; a mismatch names the kind and k requested."""
     from . import series as ser
     from . import stirling as st
 
-    if kind in ("T", "t"):
-        series = (ser.exp_k_xy if kind == "T" else ser.log_k_xy)(k, n_max)
-        direct = st.T_def if kind == "T" else st.t_def
-        second = st.T_rec_split if kind == "T" else st.t_rec_split
-    elif kind == "S":
-        series = ser.exp_k_xy(1, n_max)
-        direct, second = st.stirling2, None
-    else:  # s
-        series = ser.log_k_xy(1, n_max)
-        direct, second = st.stirling1, None
+    transform, level = {"S": ("T", 1), "s": ("t", 1)}.get(kind, (kind, k))
+    expand, direct, split = {"T": (ser.exp_k_xy, st.T_def, st.T_rec_split),
+                             "t": (ser.log_k_xy, st.t_def, st.t_rec_split)}[transform]
+    series = expand(level, n_max)
     try:
         coefficients = series.rows_int()
     except ser.SeriesError:  # a non-integral coefficient is a mismatch below
@@ -113,13 +110,12 @@ def _table_rows(kind: str, n_max: int, k: int) -> list[list[int]]:
     for n in range(1, n_max + 1):
         row = []
         for r in range(1, n + 1):
-            v = direct(n, k, r) if kind in ("T", "t") else direct(n, r)
-            c = coefficients[n][r]
-            if c != v:
-                raise AssertionError(
+            v = direct(n, level, r)
+            if (c := coefficients[n][r]) != v:
+                raise RouteMismatch(
                     f"route mismatch for {kind}({n},{k},{r}): def {v}, series {c}")
-            if second is not None and (w := second(n, k, r)) != v:
-                raise AssertionError(
+            if (w := split(n, level, r)) != v:
+                raise RouteMismatch(
                     f"route mismatch for {kind}({n},{k},{r}): def {v}, split {w}")
             row.append(v)
         rows.append(row)
@@ -129,17 +125,13 @@ def _table_rows(kind: str, n_max: int, k: int) -> list[list[int]]:
 def cmd_table(args) -> int:
     from . import stirling as st
 
-    try:
-        if args.kind == "bell":
-            values = st.bell_row(args.n_max)
-            lines, records = [values], enumerate(values)
-            doc = {"kind": "bell", "values": values}
-        else:
-            lines = records = _table_rows(args.kind, args.n_max, args.k)
-            doc = {"kind": args.kind, "k": args.k, "rows": lines}
-    except AssertionError as exc:
-        print(str(exc), file=sys.stderr)
-        return FAIL_EXIT
+    if args.kind == "bell":
+        values = st.bell_row(args.n_max)
+        lines, records = [values], enumerate(values)
+        doc = {"kind": "bell", "values": values}
+    else:
+        lines = records = _table_rows(args.kind, args.n_max, args.k)
+        doc = {"kind": args.kind, "k": args.k, "rows": lines}
     _emit(args,
           text=lambda: _grid(lines, ", "),
           json=lambda: doc,
@@ -181,8 +173,7 @@ def cmd_mobius(args) -> int:
         found["listed"] = (-1) ** poset.rank[top] * sum(
             1 for _ in poset.decreasing_chains(poset.bottom_idx, top))
     if len(set(found.values())) > 1:
-        print(f"mobius methods disagree: {found}", file=sys.stderr)
-        return FAIL_EXIT
+        raise RouteMismatch(f"mobius methods disagree: {found}")
     _emit(args, text=lambda: "\n".join(f"{m}: {v}" for m, v in sorted(values.items()))
           if args.method == "all" else str(values[args.method]))
     return 0
@@ -211,9 +202,8 @@ def cmd_charpoly(args) -> int:
     coeffs = lat.char_poly_product(n, k)
     summed = lat.char_poly_summation(n, k, lat.build_poset(n, k, guard=args.guard))
     if summed != coeffs:
-        print(f"characteristic polynomial routes disagree: "
-              f"summation {summed}, product {coeffs}", file=sys.stderr)
-        return FAIL_EXIT
+        raise RouteMismatch(f"characteristic polynomial routes disagree: "
+                            f"summation {summed}, product {coeffs}")
     roots = lat.char_poly_roots(n, k)
     factors = "".join("x" if root == 0 else f"(x-{root})" for root in roots)
     text = f"{factors} = {_poly_str(coeffs)}"
@@ -453,14 +443,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    from . import GuardExceeded
-
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
     except GuardExceeded as exc:
         print(str(exc), file=sys.stderr)
         return GUARD_EXIT
+    except RouteMismatch as exc:
+        print(str(exc), file=sys.stderr)
+        return FAIL_EXIT
 
 
 def run() -> None:

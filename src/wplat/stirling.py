@@ -11,6 +11,8 @@ from functools import lru_cache
 from math import comb, factorial
 from typing import Iterator, Sequence
 
+from . import RouteMismatch
+
 __all__ = [
     "stirling1",
     "stirling2",
@@ -29,36 +31,25 @@ __all__ = [
 ]
 
 
-@lru_cache(maxsize=None)
-def stirling1(n: int, r: int) -> int:
-    """Signed Stirling number of the first kind s(n, r)."""
-    if n < 0 or r < 0 or r > n:
-        return 0
-    if n == 0:
-        return 1  # s(0,0)
-    if r == 0:
-        return 0
-    return stirling1(n - 1, r - 1) - (n - 1) * stirling1(n - 1, r)
-
-
-# _S2_COLUMNS[j][m] = S(m, j), each column filled as far as a call needed
+# _S1_COLUMNS[j][m] = s(m, j) and _S2_COLUMNS[j][m] = S(m, j), each column
+# filled as far as a call needed
+_S1_COLUMNS: list[list[int]] = [[1]]
 _S2_COLUMNS: list[list[int]] = [[1]]
 
 
-@lru_cache(maxsize=None)
-def stirling2(n: int, r: int) -> int:
-    """Stirling number of the second kind by the triangle recurrence
-    S(m, j) = j S(m-1, j) + S(m-1, j-1).
+def _triangle(columns: list[list[int]], weight, n: int, r: int) -> int:
+    """X(n, r) of the triangle X(m, j) = weight(m, j) X(m-1, j) + X(m-1, j-1)
+    with X(0, 0) = 1, X(m, 0) = 0 for m > 0 and X(m, j) = 0 for m < j, where
+    ``columns[j][m]`` holds X(m, j).
 
-    S(n, r) reads column j up to row n - r + j for j <= r.  The columns are
+    X(n, r) reads column j up to row n - r + j for j <= r.  The columns are
     filled iteratively, left to right, from where earlier calls left them:
     no call recurses, so the depth does not grow with n, and a whole
-    triangle costs one addition per entry."""
+    triangle costs one step per entry."""
     if n < 0 or r < 0 or r > n:
         return 0
-    columns = _S2_COLUMNS
     while len(columns) <= r:
-        columns.append([0] * len(columns))  # S(m, j) = 0 for m < j
+        columns.append([0] * len(columns))  # X(m, j) = 0 for m < j
     # a column filled to its row has every column left of it filled to theirs
     low = r
     while low >= 0 and len(columns[low]) <= n - r + low:
@@ -66,18 +57,32 @@ def stirling2(n: int, r: int) -> int:
     for j in range(low + 1, r + 1):
         column, last = columns[j], n - r + j
         if j == 0:
-            column.extend([0] * (last + 1 - len(column)))  # S(m, 0) = 0 for m > 0
+            column.extend([0] * (last + 1 - len(column)))  # X(m, 0) = 0 for m > 0
             continue
         left = columns[j - 1]
         for m in range(len(column), last + 1):
-            column.append(j * column[m - 1] + left[m - 1])
+            column.append(weight(m, j) * column[m - 1] + left[m - 1])
     return columns[r][n]
+
+
+@lru_cache(maxsize=None)
+def stirling1(n: int, r: int) -> int:
+    """Signed Stirling number of the first kind s(n, r) by the triangle
+    recurrence s(m, j) = s(m-1, j-1) - (m-1) s(m-1, j) (:func:`_triangle`)."""
+    return _triangle(_S1_COLUMNS, lambda m, j: 1 - m, n, r)
+
+
+@lru_cache(maxsize=None)
+def stirling2(n: int, r: int) -> int:
+    """Stirling number of the second kind S(n, r) by the triangle recurrence
+    S(m, j) = j S(m-1, j) + S(m-1, j-1) (:func:`_triangle`)."""
+    return _triangle(_S2_COLUMNS, lambda m, j: j, n, r)
 
 
 def bell_row(n_max: int) -> list[int]:
     """Bell numbers B_0..B_{n_max}, each computed by both
     B_n = sum_r S(n, r) and the binomial recurrence
-    B_{n+1} = sum_j C(n, j) B_j; the two must agree."""
+    B_{n+1} = sum_j C(n, j) B_j; :class:`RouteMismatch` if they disagree."""
     if n_max < 0:
         raise ValueError("bell requires n >= 0")
     via_sum: list[int] = []
@@ -86,7 +91,7 @@ def bell_row(n_max: int) -> list[int]:
         via_sum.append(sum(stirling2(m, r) for r in range(m + 1)))
         via_rec.append(sum(comb(m - 1, j) * via_rec[j] for j in range(m)) if m else 1)
         if via_sum[m] != via_rec[m]:
-            raise AssertionError(f"Bell formulas disagree: {via_sum} vs {via_rec}")
+            raise RouteMismatch(f"Bell formulas disagree: {via_sum} vs {via_rec}")
     return via_sum
 
 

@@ -130,7 +130,8 @@ class TestTableAndSeries:
         ("s", "1", "route mismatch for s(3,1,1): def 2, series 1/2"),
     ])
     def test_non_integral_log_coefficient_exits_1(self, kind, k, want):
-        # a fresh interpreter, so that a traceback or stray output would show
+        # a fresh interpreter, so that a traceback or stray output would show;
+        # under -O too, so that the exit does not depend on ``assert``
         script = (
             "import sys\n"
             "from fractions import Fraction\n"
@@ -144,10 +145,12 @@ class TestTableAndSeries:
             "series.log_k_xy = half\n"
             "sys.exit(cli.main(sys.argv[1:]))\n")
         src = str(Path(wplat.__file__).parents[1])
-        proc = subprocess.run(
-            [sys.executable, "-c", script, "table", "--kind", kind, "--n-max", "4",
-             "--k", k], capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src))
-        assert (proc.returncode, proc.stdout, proc.stderr) == (1, "", want + "\n")
+        for flags in ([], ["-O"]):
+            proc = subprocess.run(
+                [sys.executable, *flags, "-c", script, "table", "--kind", kind, "--n-max",
+                 "4", "--k", k], capture_output=True, text=True,
+                env=dict(os.environ, PYTHONPATH=src))
+            assert (proc.returncode, proc.stdout, proc.stderr) == (1, "", want + "\n"), flags
 
     def test_bell_mismatch_is_one_stderr_line(self, capsys, monkeypatch):
         stirling2 = stirling.stirling2
@@ -156,6 +159,23 @@ class TestTableAndSeries:
         code, out, err = run(capsys, "table", "--kind", "bell", "--n-max", "4")
         assert (code, out) == (1, "")
         assert err == "Bell formulas disagree: [1, 1, 2, 6] vs [1, 1, 2, 5]\n"
+
+    def test_bell_mismatch_raises_route_mismatch(self, monkeypatch):
+        stirling2 = stirling.stirling2
+        monkeypatch.setattr(stirling, "stirling2",
+                            lambda n, r: stirling2(n, r) + ((n, r) == (3, 2)))
+        with pytest.raises(wplat.RouteMismatch, match="Bell formulas disagree"):
+            stirling.bell_row(4)
+
+    def test_other_assertion_errors_are_not_mismatches(self, monkeypatch):
+        # only RouteMismatch is reported as exit 1; any other error propagates
+        def broken(n, k, r):
+            raise AssertionError("not a route")
+
+        monkeypatch.setattr(stirling, "T_def", broken)
+        with pytest.raises(AssertionError, match="not a route") as caught:
+            main(["table", "--kind", "T", "--n-max", "4", "--k", "2"])
+        assert not isinstance(caught.value, wplat.RouteMismatch)
 
 
 class TestMobius:

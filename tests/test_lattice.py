@@ -180,6 +180,26 @@ class TestEL:
         assert [str(l) for l in rising[0]] == ["(1,2)_2", "(1,3)_2", "(1,3)_2"]
 
 
+def _not_products(P, mu):
+    """The names of the elements pi of P with mu[pi] != prod_B mu[pi|B] over
+    pi's first-layer blocks B, where pi|B keeps B with its deeper layers and
+    splits the rest into singletons; ``mu`` is a row mu(0^, .) of P."""
+    n, k = P.n, P.k
+    index = {el: i for i, el in enumerate(P.elements)}
+    bad = []
+    for i, pi in enumerate(P.elements):
+        if pi is lattice.TOP:
+            continue
+        product = 1
+        for B in pi.layers[0]:
+            rest = [(e,) for e in range(1, n + 1) if e not in B]
+            deeper = [[b for b in layer if set(b) <= set(B)] for layer in pi.layers[1:]]
+            product *= mu[index[validate(n, k, [[B, *rest], *deeper])]]
+        if mu[i] != product:
+            bad.append(str(pi))
+    return bad
+
+
 class TestMobius:
     @pytest.mark.parametrize("n,k", [(1, 1), (2, 1), (3, 1), (4, 1), (5, 1),
                                      (2, 2), (3, 2), (4, 2),
@@ -225,21 +245,25 @@ class TestMobius:
     @pytest.mark.parametrize("n,k", [(3, 2), (4, 2), (4, 3), (5, 2), (5, 3), (6, 2)])
     def test_lower_intervals_are_products(self, n, k, poset_cache):
         # each cover merges pieces of two first-layer blocks, so [0^, pi] is
-        # the product of the [0^, pi|B] over pi's first-layer blocks B, where
-        # pi|B keeps B with its deeper layers and splits the rest into
-        # singletons; all read from one row of the decreasing-chain pass
+        # the product of the [0^, pi|B] over pi's first-layer blocks B; all
+        # read from one row of the decreasing-chain pass
         P = poset_cache(n, k)
-        mu = P.mobius_row_via_chains()
-        index = {el: i for i, el in enumerate(P.elements)}
-        for i, pi in enumerate(P.elements):
-            if pi is lattice.TOP:
-                continue
-            product = 1
-            for B in pi.layers[0]:
-                rest = [(e,) for e in range(1, n + 1) if e not in B]
-                deeper = [[b for b in layer if set(b) <= set(B)] for layer in pi.layers[1:]]
-                product *= mu[index[validate(n, k, [[B, *rest], *deeper])]]
-            assert mu[i] == product, str(pi)
+        assert _not_products(P, P.mobius_row_via_chains()) == []
+
+    @pytest.mark.parametrize("n,k,cuts,by_recursion,by_chains", [
+        (3, 2, 24, 0, 0), (3, 3, 51, 0, 0), (4, 2, 177, 24, 21)])
+    def test_product_check_catches_some_cut_orders(self, n, k, cuts, by_recursion,
+                                                   by_chains, poset_cache):
+        # an order with one cover removed fails the product check on only
+        # some cuts, and never at n = 3, where every pi|B is pi itself or 0^
+        P = poset_cache(n, k)
+        failed = Counter()
+        for c in range(len(P.covers)):
+            Q = poset_from_covers(P, P.covers[:c] + P.covers[c + 1:])
+            failed["recursion"] += bool(_not_products(Q, Q.mobius_from_bottom()))
+            failed["chains"] += bool(_not_products(Q, Q.mobius_row_via_chains()))
+        assert (len(P.covers), failed["recursion"], failed["chains"]) == \
+            (cuts, by_recursion, by_chains)
 
     def test_upper_intervals_are_not_products(self, poset_cache):
         # at (4,2), mu(pi, 1^) over the elements with two first-layer blocks

@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 from fractions import Fraction
+from math import factorial
 from pathlib import Path
 
 import pytest
@@ -57,15 +58,19 @@ class TestStirlingOracles:
                 assert stirling2(n, r) == oracle_stirling2_sum(n, r)
 
     def test_stirling2_cold_large_n_does_not_recurse(self):
-        # the triangle is filled iteratively, so a fresh interpreter's
+        # both triangles are filled iteratively, so a fresh interpreter's
         # recursion limit does not bound n
         src = str(Path(stirling.__file__).parents[1])
         proc = subprocess.run(
             [sys.executable, "-c",
-             "from wplat.stirling import stirling2; print(stirling2(1500, 3))"],
+             "from wplat.stirling import stirling1, stirling2, t_def\n"
+             "print(stirling2(1500, 3), stirling1(1500, 1), t_def(1200, 1, 1200))"],
             capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src))
         assert (proc.returncode, proc.stderr) == (0, "")
-        assert int(proc.stdout) == (3 ** 1500 - 3 * 2 ** 1500 + 3) // 6
+        s2, s1, t = map(int, proc.stdout.split())
+        assert s2 == (3 ** 1500 - 3 * 2 ** 1500 + 3) // 6
+        assert s1 == -factorial(1499)
+        assert t == 1
 
     def test_bell_against_enumeration(self):
         for n in range(8):
@@ -116,8 +121,6 @@ class TestPartitionsOfIntegers:
                 assert f_lambda(lam) == want
 
     def test_g_lambda_weight(self):
-        from math import factorial
-
         for n in range(1, 7):
             for lam in partitions(n):
                 assert g_lambda(lam) == factorial(len(lam) - 1) * f_lambda(lam)
