@@ -3,6 +3,8 @@ numbers T(n, k, r) / t(n, k, r) by several independent routes.
 
 All functions are pure and exact; out-of-range queries (r > n, negative
 arguments) return 0 so the values can be used freely in matrix-style sums.
+One band filler, :func:`_triangle`, fills every triangle: S, s, and each
+level of the split recurrence for T and t, which differ in one weight.
 """
 
 from __future__ import annotations
@@ -37,15 +39,16 @@ _S1_COLUMNS: list[list[int]] = [[1]]
 _S2_COLUMNS: list[list[int]] = [[1]]
 
 
-def _triangle(columns: list[list[int]], weight, n: int, r: int) -> int:
-    """X(n, r) of the triangle X(m, j) = weight(m, j) X(m-1, j) + X(m-1, j-1)
-    with X(0, 0) = 1, X(m, 0) = 0 for m > 0 and X(m, j) = 0 for m < j, where
-    ``columns[j][m]`` holds X(m, j).
+def _triangle(columns: list[list[int]], entry, n: int, r: int) -> int:
+    """X(n, r) of the triangle with X(0, 0) = 1, X(m, 0) = 0 for m > 0,
+    X(m, j) = 0 for m < j and X(m, j) = entry(columns, m, j) otherwise,
+    where ``columns[j][m]`` holds X(m, j).  The rule may read the rows
+    m' < m of column j and of the columns left of it.
 
     X(n, r) reads column j up to row n - r + j for j <= r.  The columns are
-    filled iteratively, left to right, from where earlier calls left them:
-    no call recurses, so the depth does not grow with n, and a whole
-    triangle costs one step per entry."""
+    filled iteratively, left to right and one entry at a time, from where
+    earlier calls left them: no call recurses, so the depth does not grow
+    with n, and a whole triangle costs one rule call per entry."""
     if n < 0 or r < 0 or r > n:
         return 0
     while len(columns) <= r:
@@ -59,9 +62,8 @@ def _triangle(columns: list[list[int]], weight, n: int, r: int) -> int:
         if j == 0:
             column.extend([0] * (last + 1 - len(column)))  # X(m, 0) = 0 for m > 0
             continue
-        left = columns[j - 1]
         for m in range(len(column), last + 1):
-            column.append(weight(m, j) * column[m - 1] + left[m - 1])
+            column.append(entry(columns, m, j))
     return columns[r][n]
 
 
@@ -69,14 +71,14 @@ def _triangle(columns: list[list[int]], weight, n: int, r: int) -> int:
 def stirling1(n: int, r: int) -> int:
     """Signed Stirling number of the first kind s(n, r) by the triangle
     recurrence s(m, j) = s(m-1, j-1) - (m-1) s(m-1, j) (:func:`_triangle`)."""
-    return _triangle(_S1_COLUMNS, lambda m, j: 1 - m, n, r)
+    return _triangle(_S1_COLUMNS, lambda c, m, j: (1 - m) * c[j][m - 1] + c[j - 1][m - 1], n, r)
 
 
 @lru_cache(maxsize=None)
 def stirling2(n: int, r: int) -> int:
     """Stirling number of the second kind S(n, r) by the triangle recurrence
     S(m, j) = j S(m-1, j) + S(m-1, j-1) (:func:`_triangle`)."""
-    return _triangle(_S2_COLUMNS, lambda m, j: j, n, r)
+    return _triangle(_S2_COLUMNS, lambda c, m, j: j * c[j][m - 1] + c[j - 1][m - 1], n, r)
 
 
 def bell_row(n_max: int) -> list[int]:
@@ -200,100 +202,97 @@ def t_def(n: int, k: int, r: int) -> int:
     return _transform_def(n, k, r, stirling1)
 
 
-def _fill_levels(first_column, n: int, k: int) -> None:
-    """Compute ``first_column(m, level)`` for m <= n and the levels below k,
-    lowest level first.  Each value reads only the level below it, so once
-    that level is cached no call recurses through more than one level, and
-    the recursion depth does not grow with k."""
-    for level in range(2, k):
-        for m in range(1, n + 1):
-            first_column(m, level)
+def _split_rule(first):
+    """The split recurrence as a per-entry rule of :func:`_triangle`:
+    X(m, 1) = first(m), and for j >= 2
+    X(m, j) = sum_p C(m-1, p) X(p+1, 1) X(m-1-p, j-1).
+
+    p+1 is the size of the block that holds 1, so X(n, r) is
+    sum_{lambda |- n, l(lambda)=r} f_lambda prod_j first(lambda_j)
+    regrouped by distributivity: O(n) terms per entry instead of one per
+    integer partition.  The binomial is carried as a running product."""
+    def rule(columns: list[list[int]], m: int, j: int) -> int:
+        if j == 1:
+            return first(m)
+        ones, left = columns[1], columns[j - 1]
+        total, binomial = 0, 1
+        for p in range(m - j + 1):
+            total += binomial * ones[p + 1] * left[m - 1 - p]
+            binomial = binomial * (m - 1 - p) // (p + 1)
+        return total
+    return rule
 
 
-@lru_cache(maxsize=None)
-def _T_first_column(n: int, k: int) -> int:
-    """T(n, k, 1) = sum_r T(n, k-1, r), base T(n, 1, 1) = S(n, 1) = 1."""
-    if n < 1:
-        return 0
-    if n == 1 or k == 1:
-        return 1
-    _fill_levels(_T_first_column, n, k)
-    return sum(T_rec_split(n, k - 1, r) for r in range(1, n + 1))
+# j! [y^j] of e^y - 1 (T) and of log(1 + y) (t): the weight of a block of
+# the level below in the first column X(m, k, 1) = sum_j w(j) X(m, k-1, j)
+# (the exponential formula), from the identity X(m, 0, j) = delta_{m,j}
+_WEIGHTS = {"T": lambda j: 1, "t": lambda j: (-1) ** (j + 1) * factorial(j - 1)}
+# _LEVELS[kind][k - 1] = [columns, rule, whole] of level k >= 1: columns[j][m]
+# = X(m, k, j) as far as :func:`_triangle` filled it, every row <= whole in full
+_LEVELS: dict[str, list[list]] = {"T": [], "t": []}
 
 
-@lru_cache(maxsize=None)
-def _split(n: int, k: int, r: int, first_column) -> int:
-    """The split recurrence
-    X(n,k,r) = sum_p C(n-1,p) X(p+1,k,1) X(n-p-1,k,r-1),
-    with the first column X(n,k,1) given by ``first_column(n, k)``.
+def _transform_split(kind: str, n: int, k: int, r: int) -> int:
+    """X(n, k, r) of T or t by the split recurrence, level 0 the identity.
 
-    p+1 is the size of the block that holds 1, so this is
-    sum_{lambda |- n, l(lambda)=r} f_lambda prod_j first_column(lambda_j, k)
-    regrouped by distributivity, O(n^2) terms per n instead of one per
-    integer partition.  ``first_column`` is a module-level function, so
-    that it is a stable cache key."""
+    X(n, k, r) reads level k's first column up to row n - r + 1, which
+    reads the levels below it in full up to that row; they are filled
+    lowest level first, so nothing recurses in n, r or k."""
     if n < 0 or r < 0 or r > n:
         return 0
-    if n == 0:
-        return 1
-    if r == 0:
-        return 0
-    if r == 1:
-        return first_column(n, k)
-    return sum(
-        comb(n - 1, p) * first_column(p + 1, k) * _split(n - p - 1, k, r - 1, first_column)
-        for p in range(n - r + 1)
-    )
+    if k == 0:
+        return int(n == r)
+    levels, weight = _LEVELS[kind], _WEIGHTS[kind]
+    while len(levels) < k:  # level 1 stands on the identity: X(m, 1, 1) = w(m)
+        lower = levels[-1][0] if levels else None
+        first = (weight if lower is None else
+                 lambda m, lower=lower: sum(weight(j) * lower[j][m] for j in range(1, m + 1)))
+        levels.append([[[1]], _split_rule(first), 0])
+    rows = n - r + 1
+    for level in levels[:k - 1]:
+        if level[2] < rows:
+            for j in range(1, rows + 1):
+                _triangle(level[0], level[1], rows, j)
+            level[2] = rows
+    columns, rule, _ = levels[k - 1]
+    return _triangle(columns, rule, n, r)
 
 
 def T_rec_split(n: int, k: int, r: int) -> int:
-    """T(n, k, r) via the split recurrence
-    T(n,k,r) = sum_p C(n-1,p) T(p+1,k,1) T(n-p-1,k,r-1)."""
+    """T(n, k, r) via the split recurrence, first column
+    T(n, k, 1) = sum_j T(n, k-1, j)."""
     if k < 1:
         raise ValueError("k must be >= 1")
-    return _split(n, k, r, _T_first_column)
+    return _transform_split("T", n, k, r)
 
 
-@lru_cache(maxsize=None)
 def t_rec_first_column(n: int, k: int) -> int:
     """t(n, k, 1) = sum_{lambda |- n} (-1)^{l(lambda)+1} g_lambda
-    prod_i t(lambda_i, k-1, 1), summed by :func:`_split` one length
-    l(lambda) at a time, as g_lambda = (l(lambda) - 1)! f_lambda; base k=1
-    gives (-1)^{n-1} (n-1)!.
-
-    The internal base layer k=0 is the identity transform column delta_{n,1}.
-    """
-    if n < 1:
-        return 0
-    if k == 0:
-        return 1 if n == 1 else 0
-    if k == 1:
-        return (-1) ** (n - 1) * factorial(n - 1)
-    _fill_levels(t_rec_first_column, n, k)
-    return sum((-1) ** (l + 1) * factorial(l - 1) * _split(n, k - 1, l, t_rec_first_column)
-               for l in range(1, n + 1))
+    prod_i t(lambda_i, k-1, 1) = sum_j (-1)^{j+1} (j-1)! t(n, k-1, j), as
+    g_lambda = (l(lambda) - 1)! f_lambda; k=0 is the identity column delta_{n,1}."""
+    if k < 0:
+        raise ValueError("k must be >= 0")
+    return _transform_split("t", n, k, 1)
 
 
 def t_rec_split(n: int, k: int, r: int) -> int:
-    """t(n, k, r) via the split recurrence, first column from
-    t_rec_first_column."""
+    """t(n, k, r) via the split recurrence, first column
+    t(n, k, 1) = sum_j (-1)^{j+1} (j-1)! t(n, k-1, j)."""
     if k < 1:
         raise ValueError("k must be >= 1")
-    return _split(n, k, r, t_rec_first_column)
+    return _transform_split("t", n, k, r)
 
 
 def t_rec_elem_sym(n: int, k: int, r: int) -> int:
     """t(n, k, r) via elementary symmetric functions:
     t(n,k,r) = sum_{a>=r} (-1)^{a-r} e_{a-r}(1..a-1)
                sum_{lambda |- n, l(lambda)=a} f_lambda prod_j t(lambda_j, k-1, 1),
-    the inner sum by :func:`_split`.
-    """
+    the inner sum by the split recurrence at level k-1."""
     if k < 1:
         raise ValueError("k must be >= 1")
     if n < 0 or r < 0 or r > n:
         return 0
     if n == 0:
         return 1
-    return sum((-1) ** (a - r) * elem_sym_spec(a - 1, a - r)
-               * _split(n, k - 1, a, t_rec_first_column)
+    return sum((-1) ** (a - r) * elem_sym_spec(a - 1, a - r) * _transform_split("t", n, k - 1, a)
                for a in range(r, n + 1))

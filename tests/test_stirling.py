@@ -208,47 +208,100 @@ class TestTransformNumbers:
 
 
 def _one(m: int, k: int) -> int:
-    """Weight 1 on every block: ``_split`` then counts set partitions."""
+    """Weight 1 on every block: the split rule then counts set partitions."""
     return 1
 
 
 def _T_row_sum(m: int, k: int) -> int:
-    """sum_{r=1}^{m} T(m, k, r) by the defining sum: ``_split`` with this
-    column at level k gives T(., k+1, .)."""
+    """sum_{r=1}^{m} T(m, k, r) by the defining sum: the split rule with
+    this column at level k gives T(., k+1, .)."""
     return sum(T_def(m, k, r) for r in range(1, m + 1))
 
 
-# (first column, level) pairs for ``_split``; k = 0 is the level that
+# (first column, level) pairs for the split rule; k = 0 is the level that
 # t_rec_elem_sym reads at k = 1
 SPLIT_COLUMNS = [(_one, 0), (_one, 2), (t_rec_first_column, 0), (t_rec_first_column, 1),
                  (t_rec_first_column, 3), (_T_row_sum, 1), (_T_row_sum, 3)]
 
 
+def _split(column, k):
+    """X(n, l) of the split rule with first column column(., k), read from
+    a fresh column store filled by the band filler."""
+    columns, rule = [[1]], stirling._split_rule(lambda m: column(m, k))
+    return lambda n, l: stirling._triangle(columns, rule, n, l)
+
+
 class TestRegroupedSums:
     """The sums over integer partitions, summed by the block that holds 1
-    (``_split``), against the literal per-partition sums."""
+    (the split rule of ``stirling._triangle``), against the literal
+    per-partition sums."""
 
     def test_first_column_matches_partition_sum(self):
         for n in range(15):
             for k in range(6):
                 assert t_rec_first_column(n, k) == oracle_t_first_column(n, k)
 
+    def test_first_column_rejects_negative_k(self):
+        for n in (-1, 0, 1, 5):
+            with pytest.raises(ValueError):
+                t_rec_first_column(n, -1)
+
+    def test_split_route_does_not_recurse(self):
+        # every triangle is filled by the band filler, level by level, so a
+        # fresh interpreter's recursion limit bounds none of n, r and k
+        src = str(Path(stirling.__file__).parents[1])
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "import sys\n"
+             "from wplat.stirling import T_rec_split, t_rec_split, t_rec_first_column, t_def\n"
+             "from wplat.cli import main\n"
+             "sys.setrecursionlimit(60)\n"
+             "print(T_rec_split(1200, 2, 1200), t_rec_split(1200, 2, 1200),\n"
+             "      T_rec_split(3, 2000, 2), t_rec_first_column(40, 6) == t_def(40, 6, 1))\n"
+             "print(main(['table', '--kind', 't', '--n-max', '3', '--k', '2000']))"],
+            capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src))
+        assert (proc.returncode, proc.stderr) == (0, "")
+        lines = proc.stdout.splitlines()
+        assert lines[0] == "1 1 6000 True"  # T(3, k, 2) = 3k
+        assert lines[-1] == "0"
+
+    def test_split_route_reads_no_stirling_number(self):
+        # the split route and t_rec_elem_sym stand on their own: with the
+        # Stirling numbers and the defining sum replaced by functions that
+        # raise, they still give the paper's rows
+        src = str(Path(stirling.__file__).parents[1])
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "from wplat import stirling as st\n"
+             "def boom(*args):\n"
+             "    raise AssertionError('read a Stirling number')\n"
+             "st.stirling1 = st.stirling2 = st._transform_def = boom\n"
+             "print(st.T_rec_split(4, 3, 2), st.t_rec_split(4, 3, 1), st.t_rec_first_column(3, 3),\n"
+             "      st.t_rec_elem_sym(4, 2, 2), st.T_rec_split(9, 3, 4), st.t_rec_split(9, 3, 4),\n"
+             "      st.t_rec_first_column(9, 3), st.t_rec_elem_sym(9, 3, 4))"],
+            capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src))
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert proc.stdout.split() == ["75", "-105", "15", "40", "4444188", "-9009294",
+                                       "36017472", "-9009294"]
+
     @pytest.mark.parametrize("column,k", SPLIT_COLUMNS)
     def test_split_base_cases(self, column, k):
-        assert stirling._split(0, k, 0, column) == 1
+        split = _split(column, k)
+        assert split(0, 0) == 1
         for n in range(1, 8):
-            assert stirling._split(n, k, 0, column) == 0
+            assert split(n, 0) == 0
         for l in range(1, 4):
-            assert stirling._split(0, k, l, column) == 0
+            assert split(0, l) == 0
         for n in range(6):
             for l in range(n + 1, n + 4):
-                assert stirling._split(n, k, l, column) == 0
+                assert split(n, l) == 0
 
     @pytest.mark.parametrize("column,k", SPLIT_COLUMNS)
     def test_split_matches_partition_sum(self, column, k):
+        split = _split(column, k)
         for n in range(11):
             for l in range(n + 1):
-                assert stirling._split(n, k, l, column) == oracle_partition_sum(
+                assert split(n, l) == oracle_partition_sum(
                     n, l, f_lambda, lambda part: column(part, k))
 
     def test_recurrences_match_partition_sums(self):
