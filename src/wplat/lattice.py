@@ -26,8 +26,8 @@ from math import factorial
 from operator import and_, gt, le, mul
 from typing import Iterator, NamedTuple, Sequence
 
-# defined in the package, so that the CLI can catch it without this module
-from . import GuardExceeded
+# defined in the package, so that the CLI can catch them without this module
+from . import GuardExceeded, RouteMismatch
 from .wpartition import (
     WeightedPartition,
     _code,
@@ -349,7 +349,8 @@ class Poset:
         exactly one weakly rising chain, its lex-first sequence is weakly
         rising, and one chain carries that sequence.  Only an interval that
         fails is enumerated with :meth:`maximal_chains`, to report its
-        witness.
+        witness; when that finds no fault, the two routes disagree and
+        :class:`wplat.RouteMismatch` names the interval.
         """
         witnesses = []
         up = self.up
@@ -359,8 +360,12 @@ class Poset:
                                and all(a <= b for a, b in zip(lex, lex[1:])))]
             for y in sorted(failing):
                 witness = self._el_witness(x, y)
-                if witness is not None:
-                    witnesses.append(witness)
+                if witness is None:
+                    raise RouteMismatch(
+                        f"el routes disagree on [{self.element_name(x)}, "
+                        f"{self.element_name(y)}]: the level pass fails it, "
+                        f"its maximal chains pass")
+                witnesses.append(witness)
         return {"check": "el", "status": "pass" if not witnesses else "fail",
                 "witnesses": witnesses}
 

@@ -10,6 +10,7 @@ elements ascending and every layer's blocks by minimum element.
 
 from __future__ import annotations
 
+import re
 from functools import lru_cache
 from itertools import product, repeat
 from math import factorial
@@ -224,12 +225,19 @@ def edge_set_inverse(edges: Iterable[tuple[int, int, int]], n: int, k: int) -> W
 # ---------------------------------------------------------------------------
 # one-line notation
 
+def _wide(n: int, k: int) -> bool:
+    """Whether names at (n, k) are wide: elements and exponents are digit
+    runs, and the printer separates items with commas.  Otherwise each is
+    one digit, so "(46)^35" means "(46)^3 5"."""
+    return n >= 10 or k >= 10
+
+
 def one_line_print(pi: WeightedPartition) -> str:
     """Canonical one-line notation, by one descent over the layers: a block
     of layer l stays a block down to some layer d, written "(items)^d" when
     d >= 2, and its items are the layer-(d+1) blocks inside it and its
     elements outside them, in order of their minima."""
-    sep = "," if pi.n >= 10 else ""
+    sep = "," if _wide(pi.n, pi.k) else ""
 
     def render(b: Block, l: int) -> tuple[str, int]:
         """The items of the layer-l block b, and the deepest layer through
@@ -259,167 +267,104 @@ def one_line_print(pi: WeightedPartition) -> str:
     return "/".join(pieces)
 
 
-class _Group(NamedTuple):
-    items: list  # of _Group | _Elem
-    exponent: int
-    pos: int
-    elements: set[int]  # of every item, at any depth
-
-
-class _Elem(NamedTuple):
-    value: int
-    exponent: int | None  # alias form e^L
-    pos: int
-
-
-def _tokenize(text: str, n: int) -> list[tuple[str, object, int]]:
-    toks: list[tuple[str, object, int]] = []
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        if ch.isspace() or ch == ",":
-            i += 1
-            continue
-        if ch in "(/)":
-            toks.append((ch, ch, i))
-            i += 1
-            continue
-        if ch == "^":
-            # for n <= 9 the exponent is a single digit (the next digit would
-            # be an element, as in "(46)^35" meaning "(46)^3 5")
-            j = i + 1
-            limit = i + 2 if n <= 9 else len(text)
-            while j < min(limit, len(text)) and text[j].isdigit():
-                j += 1
-            if j == i + 1:
-                raise OneLineParseError(text, i + 1, "exponent digit after '^'")
-            toks.append(("^", int(text[i + 1:j]), i))
-            i = j
-            continue
-        if ch.isdigit():
-            if n >= 10:
-                j = i
-                while j < len(text) and text[j].isdigit():
-                    j += 1
-                toks.append(("num", int(text[i:j]), i))
-                i = j
-            else:
-                toks.append(("num", int(ch), i))
-                i += 1
-            continue
-        raise OneLineParseError(text, i, "element, '(', ')', '^', '/' or ','")
-    return toks
+# per width (:func:`_wide`): an element, an exponent (its digits may be
+# missing), a symbol, or any other character but a separator
+_TOKEN = {
+    False: re.compile(r"(?P<num>\d)|\^(?P<exp>\d?)|(?P<sym>[()/])|(?P<bad>[^\s,])"),
+    True: re.compile(r"(?P<num>\d+)|\^(?P<exp>\d*)|(?P<sym>[()/])|(?P<bad>[^\s,])"),
+}
 
 
 def one_line_parse(text: str, n: int, k: int) -> WeightedPartition:
-    """Parse one-line notation.
+    """Parse one-line notation, by one descent over the text.
 
-    Canonical form uses parenthesized groups "(items)^L"; the element-
-    exponent shorthand "e^L" is accepted as an alias: the annotated element
-    joins the union of its persistent sibling items at every layer 2..L.
+    Blocks of layer 1 are separated by '/'; each is a list of items, an
+    element or a group "(items)^L", whose block persists through layer L.
+    The element-exponent alias "e^L" joins, at each layer up to L, the
+    siblings that reach that layer into one block.  Every exponent of an
+    items list lies in outer+1..k, where outer is the exponent of the group
+    around it, and 1 for a block of layer 1.  Whitespace and commas only
+    separate; at (n, k) with n or k >= 10 elements and exponents are digit
+    runs, otherwise one digit each.
     """
-    toks = _tokenize(text, n)
-    toks.append(("end", None, len(text)))  # errors at the end point past the text
-    pos = 0
+    toks = [(m.lastgroup, m.group(m.lastgroup), m.start())
+            for m in _TOKEN[_wide(n, k)].finditer(text)]
+    toks.append(("end", "", len(text)))  # errors at the end point past the text
+    i = 0
+    layers: list[list[set[int]]] = [[] for _ in range(k)]
 
-    def parse_items() -> tuple[list, set[int]]:
-        """The items up to the next '/', ')' or the end, and their elements."""
-        nonlocal pos
-        items: list = []
+    def exponent() -> int:
+        """The exponent at token i, whose '^' must be there."""
+        nonlocal i
+        kind, digits, at = toks[i]
+        if kind != "exp":
+            raise OneLineParseError(text, at, "'^'")
+        if not digits:
+            raise OneLineParseError(text, at + 1, "exponent digit after '^'")
+        i += 1
+        return int(digits)
+
+    def emit(units: list, outer: int) -> None:
+        """Record the blocks that the units of an items list, inside a block
+        that persists through layer ``outer``, make at the deeper layers: at
+        each layer, the units that reach it are one block each, or one block
+        together when an aliased element is among them."""
+        for expo, _, at, _ in units:
+            if not outer < expo <= k:
+                raise OneLineParseError(text, at, f"exponent in {outer + 1}..{k}")
+        for l in range(outer + 1, max([u[0] for u in units], default=outer) + 1):
+            reach = [u for u in units if u[0] >= l]
+            if all(u[3] for u in reach):
+                layers[l - 1] += [u[1] for u in reach]
+            else:
+                layers[l - 1].append(set().union(*[u[1] for u in reach]))
+
+    def items() -> tuple[list, set[int]]:
+        """The items up to the next '/', ')' or the end: the units of its
+        groups and aliased elements, (exponent, elements, position,
+        is_group), and every element.  A group's inner blocks are emitted
+        as soon as its exponent is read."""
+        nonlocal i
+        units: list = []
         elements: set[int] = set()
         while True:
-            t = toks[pos]
-            kind = t[0]
+            kind, value, at = toks[i]
             if kind == "num":
-                pos += 1
-                expo = None
-                if toks[pos][0] == "^":
-                    expo = int(toks[pos][1])  # type: ignore[arg-type]
-                    pos += 1
-                items.append(_Elem(int(t[1]), expo, t[2]))  # type: ignore[arg-type]
-                elements.add(items[-1].value)
-            elif kind == "(":
-                pos += 1
-                inner, inner_elements = parse_items()
-                if toks[pos][0] != ")":
-                    raise OneLineParseError(text, toks[pos][2], "')'")
-                pos += 1
-                t3 = toks[pos]
-                if t3[0] != "^":
-                    raise OneLineParseError(text, t3[2], "'^'")
-                pos += 1
-                if not inner:
-                    raise OneLineParseError(text, t[2] + 1, "items inside '(...)'")
-                items.append(_Group(inner, int(t3[1]), t[2], inner_elements))  # type: ignore[arg-type]
+                i += 1
+                elements.add(int(value))
+                if toks[i][0] == "exp":
+                    units.append((exponent(), {int(value)}, at, False))
+            elif value == "(":
+                i += 1
+                inner, inner_elements = items()
+                if toks[i][1] != ")":
+                    raise OneLineParseError(text, toks[i][2], "')'")
+                i += 1
+                expo = exponent()
+                if not inner_elements:
+                    raise OneLineParseError(text, at + 1, "items inside '(...)'")
+                emit(inner, expo)
+                units.append((expo, inner_elements, at, True))
                 elements |= inner_elements
-            elif kind in ("/", ")", "end"):
-                return items, elements
+            elif kind in ("sym", "end"):
+                return units, elements
+            elif kind == "bad":
+                raise OneLineParseError(text, at, "element, '(', ')', '^', '/' or ','")
             else:
-                raise OneLineParseError(text, t[2], "element or '('")
+                raise OneLineParseError(text, at, "element or '('")
 
-    blocks: list[tuple[list, set[int]]] = []
     while True:
-        items, elements = parse_items()
-        t = toks[pos]
-        if not items:
-            raise OneLineParseError(text, t[2], "block items")
-        blocks.append((items, elements))
-        if t[0] == "end":
-            break
-        if t[0] == "/":
-            pos += 1
-            continue
-        raise OneLineParseError(text, t[2], "'/' or end of input")
-
-    layers: list[list[tuple[int, ...]]] = [[] for _ in range(k)]
-
-    def emit(items: list, parent_end: int) -> None:
-        """Record the blocks contributed by ``items`` (the inside of a group
-        persisting through layer ``parent_end``)."""
-        max_l = parent_end
-        for it in items:
-            if isinstance(it, _Group):
-                if it.exponent <= parent_end:
-                    raise OneLineParseError(
-                        text, it.pos, f"group exponent > {parent_end} (strictly increasing inward)")
-                max_l = max(max_l, it.exponent)
-            elif it.exponent is not None:
-                if it.exponent <= parent_end:
-                    raise OneLineParseError(
-                        text, it.pos, f"element exponent > {parent_end}")
-                max_l = max(max_l, it.exponent)
-        for l in range(parent_end + 1, min(max_l, k) + 1):
-            group_units = [it for it in items
-                           if isinstance(it, _Group) and it.exponent >= l]
-            elem_units = [it for it in items
-                          if isinstance(it, _Elem) and it.exponent is not None and it.exponent >= l]
-            if elem_units:
-                merged: set[int] = set()
-                for g in group_units:
-                    merged |= g.elements
-                merged |= {e.value for e in elem_units}
-                if len(merged) < 2:
-                    raise OneLineParseError(
-                        text, elem_units[0].pos,
-                        "element exponent would create a singleton block")
-                layers[l - 1].append(tuple(merged))
-            else:
-                for g in group_units:
-                    layers[l - 1].append(tuple(g.elements))
-        for it in items:
-            if isinstance(it, _Group):
-                emit(it.items, it.exponent)
-
-    for items, elements in blocks:
-        layers[0].append(tuple(elements))
-        if len(items) == 1 and isinstance(items[0], _Group):
-            g = items[0]
-            for l in range(2, min(g.exponent, k) + 1):
-                layers[l - 1].append(tuple(elements))
-            emit(g.items, g.exponent)
-        else:
-            emit(items, 1)
-    return validate(n, k, layers)
+        units, elements = items()
+        kind, value, at = toks[i]
+        if not elements:
+            raise OneLineParseError(text, at, "block items")
+        layers[0].append(elements)
+        emit(units, 1)
+        if kind == "end":
+            return validate(n, k, layers)
+        if value != "/":
+            raise OneLineParseError(text, at, "'/' or end of input")
+        i += 1
 
 
 # ---------------------------------------------------------------------------

@@ -285,6 +285,35 @@ class TestVerify:
         assert {"issue": "chain image not generated", "count": 1,
                 "trees": [missing]} in check["witnesses"]
 
+    def test_bijections_with_two_digit_exponents(self, capsys):
+        code, out, _ = run(capsys, "verify", "--suite", "bijections", "--n", "2", "--k", "10")
+        assert code == 0
+        assert all(c["status"] == "pass" for c in json.loads(out)["checks"])
+
+    def test_every_suite_passes_on_small_sizes(self, capsys):
+        for n in range(1, 4):
+            for k in range(1, 13):
+                code, out, _ = run(capsys, "verify", "--suite", "all",
+                                   "--n", str(n), "--k", str(k))
+                assert code == 0, (n, k)
+                assert all(c["status"] != "fail" for c in json.loads(out)["checks"]), (n, k)
+
+    def test_el_route_disagreement_is_a_mismatch(self, capsys, monkeypatch):
+        # the level pass flags [bottom, top] while its chains pass
+        P = build_poset(3, 2)
+        level_pass = lattice.Poset._el_pass
+
+        def flagged(x, up):
+            found = level_pass(x, up)
+            if x == P.bottom_idx:
+                found[P.top_idx] = (2, *found[P.top_idx][1:])
+            return found
+
+        monkeypatch.setattr(lattice.Poset, "_el_pass", staticmethod(flagged))
+        code, out, err = run(capsys, "verify", "--suite", "el", "--n", "3", "--k", "2")
+        assert code == 1 and out == ""
+        assert f"[{P.element_name(P.bottom_idx)}, {P.element_name(P.top_idx)}]" in err
+
     def test_atom_count_reads_the_order(self):
         P = build_poset(3, 2)
         covers = list(P.covers)

@@ -119,12 +119,36 @@ class TestOneLineNotation:
         with pytest.raises((InvalidPartition, OneLineParseError)):
             one_line_parse("13/(2)^24", 4, 2)
 
+    # texts with one fault each, and where the parser reports it
+    ERRORS = [("1(", 2, 1, 2), ("1(23/4", 4, 2, 4), ("(12)3", 3, 2, 4), ("()^2", 2, 2, 1),
+              ("1x2", 2, 1, 1), ("(12)^", 2, 2, 5), ("1/2/", 2, 1, 4), ("1)2", 2, 1, 1),
+              ("(1(23)^2)^2", 3, 3, 2), ("(12)^2^3", 2, 3, 6), ("1//2", 2, 1, 2)]
+
     def test_parse_error_position(self):
-        with pytest.raises(OneLineParseError):
-            one_line_parse("1(", 2, 1)
+        for text, n, k, pos in self.ERRORS:
+            with pytest.raises(OneLineParseError) as caught:
+                one_line_parse(text, n, k)
+            assert caught.value.pos == pos, text
+
+    @pytest.mark.parametrize("text, n, k, pos", [
+        ("(12)^5", 2, 2, 0),       # group exponent above k
+        ("1(23)^9", 3, 2, 1),
+        ("(12)^2 3^3", 3, 2, 7),   # aliased element exponent above k
+        ("(25)^1/134", 5, 2, 0),   # top-level group exponent below 2
+        ("(25)^0/134", 5, 2, 0),
+        ("1^1 2", 2, 2, 0),        # top-level element exponent below 2
+    ])
+    def test_exponent_out_of_range_rejected(self, text, n, k, pos):
+        with pytest.raises(OneLineParseError) as caught:
+            one_line_parse(text, n, k)
+        assert caught.value.pos == pos
+
+    def test_wide_names_separate_items_with_commas(self):
+        # exponents of two digits make the names wide at any n
+        assert one_line_print(validate(2, 10, [[(1, 2)]] * 10)) == "(1,2)^10"
 
     def test_round_trip_everything_small(self):
-        for n, k in [(1, 1), (3, 1), (3, 2), (4, 2), (4, 3)]:
+        for n, k in [(1, 1), (3, 1), (3, 2), (4, 2), (4, 3), (2, 10), (3, 10), (2, 12)]:
             for pi in enumerate_all(n, k):
                 assert one_line_parse(one_line_print(pi), n, k) == pi
 
