@@ -7,7 +7,6 @@ decreasing chains of the lattice.
 from __future__ import annotations
 
 from itertools import combinations, product
-from operator import attrgetter
 from typing import Iterator, Mapping, NamedTuple, Sequence
 
 from .lattice import CoverLabel, _admits, _raise
@@ -163,10 +162,9 @@ def _chain_codes(n: int, k: int, labels: Sequence[CoverLabel], maximal: bool = F
             if k >= 2 and pos == len(labels) - 1 and lab == CoverLabel(1, n, k):
                 break
             raise ValueError(f"label {lab} past the top of P")
-        step = (lab.alpha, lab.beta, lab.layer)
-        if not _admits(code, n, k, *step):
+        if not _admits(code, n, k, *lab):
             raise ValueError(f"label {lab} is not admissible at step {pos}")
-        code = _raise(code, n, *step)
+        code = _raise(code, n, *lab)
         codes.append(code)
     if maximal:
         if k >= 2 and labels[-1] != CoverLabel(1, n, k):
@@ -239,66 +237,88 @@ def lbt_check(tree: LBT, n: int, k: int) -> list[str]:
     """Violated conditions of the tree definition, empty when valid.
 
     The root is unlabeled; every other node is labeled a_s, a in [n], s in
-    [k].  S1: the leaf integers biject with [n].  S2: siblings share a
-    subscript, the left integer smaller.  S3: subscripts weakly increase
-    toward the root.  S4 (heap order): each internal child of a node v has
-    a larger merge label than v, where the merge label of a node with
-    children a_s, b_s is the cover label (a,b)_s that :func:`lbt_to_chain`
-    emits when it deletes the node.  S5: each labeled internal node draws
-    its integer from its subtree (a right child only from the integers not
-    used as a right-child label strictly inside it).  Root rule (k >= 2):
-    the root's left child is not 1_k.
+    [k], and has no child or two.  S1: the leaf integers biject with [n].
+    S2: siblings share a subscript, the left integer smaller.  S3:
+    subscripts weakly increase toward the root.  S4 (heap order): each
+    internal child of a node v has a larger merge label than v, where the
+    merge label of a node with children a_s, b_s is the cover label (a,b)_s
+    that :func:`lbt_to_chain` emits when it deletes the node.  S5: each
+    labeled internal node draws its integer from its subtree (a right child
+    only from the integers not used as a right-child label strictly inside
+    it).  Root rule (k >= 2): the root's left child is not 1_k.
     """
     problems: list[str] = []
     if tree.value is not None or tree.sub is not None:
         problems.append("root must be unlabeled")
-    leaves = lbt_leaves(tree)
+    leaves: list[int] = []
+    found: list[str] = []
+    _check_node(tree, True, n, k, leaves, found)
     if sorted(leaves) != list(range(1, n + 1)):
         problems.append("S1: leaf integers must be a bijection with [n]")
-
-    def walk(node: LBT) -> tuple[list[str], set[int], set[int]]:
-        """The problems at and below node, in pre-order; the label integers
-        of its two subtrees; the integers used as a right-child label
-        strictly inside it.  S5 draws node's integer from the second set,
-        less the third for a right child; both are filled bottom-up."""
-        found = []
-        if node is not tree:
-            if node.value is None or not 1 <= node.value <= n:
-                found.append("label integer out of range")
-            if node.sub is None or not 1 <= node.sub <= k:
-                found.append("label subscript out of range")
-        if node.is_leaf:
-            return found, set(), set()
-        lc, rc = node.left, node.right
-        if not (lc.value < rc.value and lc.sub == rc.sub):
-            found.append(f"S2: siblings {lc.value}_{lc.sub},{rc.value}_{rc.sub}")
-        elif not _heap_ordered(lc, rc):
-            found.append(f"S4: a child of {_merge_label(lc, rc)} has a smaller merge label")
-        if node is not tree:
-            if node.sub < lc.sub or node.sub < rc.sub:
-                found.append("S3: subscripts must weakly increase to the root")
-        left_found, left_below, left_inside = walk(lc)
-        right_found, right_below, right_inside = walk(rc)
-        # S5 applies to every labeled internal node, by its child position
-        if not lc.is_leaf and lc.value not in left_below:
-            found.append(f"S5: left child {lc.value}_{lc.sub} label not allowed")
-        if not rc.is_leaf and rc.value not in right_below - right_inside:
-            found.append(f"S5: right child {rc.value}_{rc.sub} label not allowed")
-        below = left_below | right_below
-        inside = left_inside | right_inside
-        for child in (lc, rc):
-            if child.value is not None:
-                below.add(child.value)
-        if rc.value is not None:
-            inside.add(rc.value)
-        return found + left_found + right_found, below, inside
-
-    problems += walk(tree)[0]
+    problems += found
     if k >= 2:
         lc = tree.left
         if lc is not None and (lc.value, lc.sub) == (1, k):
             problems.append("left child of the root is labeled 1_k")
     return problems
+
+
+def _one_child(node: LBT) -> bool:
+    return (node.left is None) != (node.right is None)
+
+
+def _node_name(node: LBT, is_root: bool) -> str:
+    return "root" if is_root else f"node {node.value}_{node.sub}"
+
+
+_NO_INTS: frozenset[int] = frozenset()
+
+
+def _check_node(node: LBT, is_root: bool, n: int, k: int, leaves: list[int],
+                found: list[str]) -> tuple[set[int], set[int]]:
+    """Append the problems at and below node to ``found``, in pre-order, and
+    its leaf integers to ``leaves``; return the label integers of its two
+    subtrees and the integers used as a right-child label strictly inside
+    it (:func:`lbt_check`).  S5 draws node's integer from the first set,
+    less the second for a right child; both are filled bottom-up."""
+    if not is_root:
+        if node.value is None or not 1 <= node.value <= n:
+            found.append("label integer out of range")
+        if node.sub is None or not 1 <= node.sub <= k:
+            found.append("label subscript out of range")
+    lc, rc = node.left, node.right
+    if lc is None or rc is None:
+        if lc is None and rc is None:
+            leaves.append(node.value)
+            return _NO_INTS, _NO_INTS
+        found.append(f"{_node_name(node, is_root)} has one child")
+        return _check_node(rc if lc is None else lc, False, n, k, leaves, found)
+    if not (lc.value < rc.value and lc.sub == rc.sub):
+        found.append(f"S2: siblings {lc.value}_{lc.sub},{rc.value}_{rc.sub}")
+    # S4 reads the children of internal children: a child with one child
+    # is listed on its own instead
+    elif not (_one_child(lc) or _one_child(rc) or _heap_ordered(lc, rc)):
+        found.append(f"S4: a child of {_merge_label(lc, rc)} has a smaller merge label")
+    if not is_root:
+        if node.sub < lc.sub or node.sub < rc.sub:
+            found.append("S3: subscripts must weakly increase to the root")
+    at = len(found)  # S5 at the children comes before the problems below them
+    left_below, left_inside = _check_node(lc, False, n, k, leaves, found)
+    right_below, right_inside = _check_node(rc, False, n, k, leaves, found)
+    # S5 applies to every labeled internal node, by its child position
+    if not lc.is_leaf and lc.value not in left_below:
+        found.insert(at, f"S5: left child {lc.value}_{lc.sub} label not allowed")
+        at += 1
+    if not rc.is_leaf and rc.value not in right_below - right_inside:
+        found.insert(at, f"S5: right child {rc.value}_{rc.sub} label not allowed")
+    below = {*left_below, *right_below}
+    for child in (lc, rc):
+        if child.value is not None:
+            below.add(child.value)
+    inside = {*left_inside, *right_inside}
+    if rc.value is not None:
+        inside.add(rc.value)
+    return below, inside
 
 
 def _gen_subtrees(shape, ints: tuple[int, ...], is_right: bool, k: int,
@@ -401,51 +421,46 @@ def lbt_to_chain(tree: LBT, k: int) -> tuple[CoverLabel, ...]:
     Each read-off is a subsequence of the whole, so the whole is strictly
     decreasing exactly when every node is heap-ordered (:func:`_heap_ordered`)
     and the merge labels are distinct and larger than the top step; it is
-    then the merge labels sorted from the largest down."""
-    labels = []
+    then the merge labels sorted from the largest down.  Labels are compared
+    as their sort keys (-s, a, b)."""
+    keys = []
     ordered = True
     leaves = 0
-    stack = [tree]
+    stack = [(tree, None)]  # each node with the key of the node above it
     while stack:
-        node = stack.pop()
-        if node.is_leaf:
+        node, above = stack.pop()
+        lc, rc = node.left, node.right
+        if lc is None or rc is None:
+            if lc is not None or rc is not None:
+                raise ValueError(f"{_node_name(node, node is tree)} has one child")
             leaves += 1
             continue
-        lc, rc = node.left, node.right
-        labels.append(_merge_label(lc, rc))
-        ordered = ordered and _heap_ordered(lc, rc)
-        stack += (lc, rc)
-    labels.sort(key=attrgetter("sort_key"), reverse=True)
+        key = (-lc.sub, lc.value, rc.value)
+        ordered = ordered and (above is None or above < key)
+        keys.append(key)
+        stack += ((lc, key), (rc, key))
+    keys.sort(reverse=True)
     if k >= 2:
-        labels.append(CoverLabel(1, leaves, k))
-    keys = [lab.sort_key for lab in labels]
+        keys.append((-k, 1, leaves))
     if not ordered or not all(a > b for a, b in zip(keys, keys[1:])):
         raise ValueError("tree does not yield a strictly decreasing chain")
-    return tuple(labels)
+    return tuple([CoverLabel(a, b, -s) for s, a, b in keys])
 
 
 def chain_to_lbt(labels: Sequence[CoverLabel], n: int, k: int) -> LBT:
     """Inverse construction.  ``labels`` must be a maximal decreasing
     0^-to-top chain (checked against the cover relation)."""
-    keys = [lab.sort_key for lab in labels]
+    keys = [(-layer, alpha, beta) for alpha, beta, layer in labels]  # the sort keys
     if not all(a > b for a, b in zip(keys, keys[1:])):
         raise ValueError("chain labels must strictly decrease")
-    _chain_codes(n, k, labels, maximal=True)
-    merge_labels = labels[:n - 1]
+    codes = _chain_codes(n, k, labels, maximal=True)
 
-    # the children of each working tree's root (none for a leaf), keyed by
-    # one of its leaves; ``where`` maps each element to the key of its
-    # working tree, ``members`` each key to the elements under it
-    pending: dict[int, tuple] = {e: () for e in range(1, n + 1)}
-    where = list(range(n + 1))
-    members = {e: [e] for e in range(1, n + 1)}
-    for lab in merge_labels:
-        a_key, b_key = where[lab.alpha], where[lab.beta]
-        lc = LBT(lab.alpha, lab.layer, *pending.pop(a_key))
-        rc = LBT(lab.beta, lab.layer, *pending.pop(b_key))
-        pending[a_key] = (lc, rc)
-        for e in members[b_key]:
-            where[e] = a_key
-        members[a_key] += members.pop(b_key)
-    (lc, rc), = pending.values()
-    return LBT(None, None, lc, rc)
+    # the children of the working tree over each first-layer block (none
+    # for a leaf), by the block's minimum: the step (a,b)_s joins the tree
+    # of b, the minimum of its block, to the tree of f_1(a), read from the
+    # code before the step, and the joined block keeps the smaller minimum
+    children: list[tuple] = [()] * (n + 1)
+    for (alpha, beta, layer), code in zip(labels[:n - 1], codes):
+        a = code[alpha - 1]
+        children[a] = (LBT(alpha, layer, *children[a]), LBT(beta, layer, *children[beta]))
+    return LBT(None, None, *children[1])

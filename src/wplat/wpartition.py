@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import re
 from functools import lru_cache
-from itertools import product, repeat
+from itertools import combinations, product, repeat
 from math import factorial
 from operator import itemgetter
 from typing import Iterable, NamedTuple
@@ -156,6 +156,23 @@ def bottom(n: int, k: int) -> WeightedPartition:
     return WeightedPartition(n, k, (layer1,) + ((),) * (k - 1))
 
 
+def _nested_partition(n: int, k: int, layers: list[list[Block]]) -> WeightedPartition:
+    """The weighted partition of layered sorted blocks that nest by
+    construction: each element of a block below layer 1 is one of the
+    elements of one block of the layer above.  So when the elements of
+    layer 1 are 1..n, each once, the blocks of every layer are disjoint and
+    nest; if also no block of layer 1 is empty and no deeper block is a
+    singleton, the layers are a weighted partition, and are only put in
+    order of their minima.  Otherwise :func:`validate` refuses them with
+    its violations."""
+    if k >= 1 and all(layers[0]) and \
+            sorted([e for b in layers[0] for e in b]) == list(range(1, n + 1)) and \
+            all([len(b) > 1 for layer in layers[1:] for b in layer]):
+        # disjoint sorted blocks sort by their minima
+        return WeightedPartition(n, k, tuple([tuple(sorted(layer)) for layer in layers]))
+    return validate(n, k, layers)
+
+
 # ---------------------------------------------------------------------------
 # edge sets (circular presentation)
 
@@ -163,12 +180,11 @@ def edge_set(pi: WeightedPartition) -> frozenset[tuple[int, int, int]]:
     """Triples (i, j, l): the pair i < j shares a block at layer l and at no
     deeper layer."""
     deepest: dict[tuple[int, int], int] = {}
-    for l in range(1, pi.k + 1):
-        for b in pi.layers[l - 1]:
-            for a_idx in range(len(b)):
-                for b_idx in range(a_idx + 1, len(b)):
-                    deepest[(b[a_idx], b[b_idx])] = l
-    return frozenset((i, j, l) for (i, j), l in deepest.items())
+    for l, layer in enumerate(pi.layers, 1):
+        for b in layer:
+            if len(b) > 1:
+                deepest.update(dict.fromkeys(combinations(b, 2), l))
+    return frozenset([(i, j, l) for (i, j), l in deepest.items()])
 
 
 def _components(blocks: list[tuple[int, ...]]) -> list[tuple[int, ...]]:
@@ -196,30 +212,44 @@ def edge_set_inverse(edges: Iterable[tuple[int, int, int]], n: int, k: int) -> W
     """Rebuild the weighted partition whose deepest-common-layer edge set is
     ``edges``: layer l blocks are the size >= 2 connected components of the
     edges with label >= l (layer 1 keeps singletons).  Each edge needs
-    1 <= i < j <= n and 1 <= l <= k."""
+    1 <= i < j <= n and 1 <= l <= k.
+
+    The classes of one layer are disjoint and cover [n], and each class of
+    layer l+1 lies inside one class of layer l, so the result is a weighted
+    partition by construction and is built canonical, with no
+    :func:`validate`."""
     edges = list(edges)
-    bad = sorted(e for e in edges if not (1 <= e[0] < e[1] <= n and 1 <= e[2] <= k))
+    bad = [e for e in edges if not (1 <= e[0] < e[1] <= n and 1 <= e[2] <= k)]
     if bad:
         raise InvalidPartition([("malformed", f"edges outside 1 <= i < j <= {n}, "
-                                              f"1 <= l <= {k}: {bad}")])
+                                              f"1 <= l <= {k}: {sorted(bad)}")])
+    if n < 0 or k < 1:
+        validate(n, k, ())  # raises its "malformed" violation
+    edges.sort(key=itemgetter(2), reverse=True)
     # one sweep from layer k down, joining the classes of the edges labeled
-    # l before layer l is read off; ``root`` maps each element to the key of
-    # its class in ``members``
+    # l before layer l is read off; ``root`` maps each element to the
+    # minimum of its class, whose sorted members ``members`` holds
     root = {e: e for e in range(1, n + 1)}
     members = {e: [e] for e in range(1, n + 1)}
-    edges.sort(key=itemgetter(2), reverse=True)
-    done = 0
-    layers: list[list[Block]] = [[] for _ in range(k)]
+    edges.append((0, 0, 0))  # a sentinel, labeled below every layer
+    at = 0
+    layers: list[Layer] = []
     for l in range(k, 0, -1):
-        while done < len(edges) and edges[done][2] >= l:
-            a, b = root[edges[done][0]], root[edges[done][1]]
+        i, j, label = edges[at]
+        while label >= l:
+            a, b = root[i], root[j]
             if a != b:
+                if b < a:
+                    a, b = b, a
                 for e in members[b]:
                     root[e] = a
-                members[a] += members.pop(b)
-            done += 1
-        layers[l - 1] = [tuple(c) for c in members.values() if len(c) >= 2 or l == 1]
-    return validate(n, k, layers)
+                members[a] = sorted(members[a] + members[b])
+            at += 1
+            i, j, label = edges[at]
+        layers.append(tuple([tuple(members[e]) for e in range(1, n + 1)
+                             if root[e] == e and (l == 1 or len(members[e]) > 1)]))
+    layers.reverse()
+    return WeightedPartition(n, k, tuple(layers))
 
 
 # ---------------------------------------------------------------------------
@@ -238,33 +268,36 @@ def one_line_print(pi: WeightedPartition) -> str:
     d >= 2, and its items are the layer-(d+1) blocks inside it and its
     elements outside them, in order of their minima."""
     sep = "," if _wide(pi.n, pi.k) else ""
-
-    def render(b: Block, l: int) -> tuple[str, int]:
-        """The items of the layer-l block b, and the deepest layer through
-        which b stays a block."""
-        while l < pi.k and b in pi.layers[l]:
-            l += 1
-        # each layer-(l+1) block lies inside one layer-l block
-        kids = [c for c in pi.layers[l] if c[0] in b] if l < pi.k else []
-        in_kid = {e for c in kids for e in c}
-        # (sort key, text, is_group)
-        items = [(c[0], "(%s)^%d" % render(c, l + 1), True) for c in kids]
-        items += [(e, str(e), False) for e in b if e not in in_kid]
-        items.sort()
-        parts: list[str] = []
-        for i, (_, text, _is_group) in enumerate(items):
-            if i and sep:
-                parts.append(sep)
-            elif i and items[i - 1][2] and text[0].isdigit():
-                parts.append(" ")  # keep exponent digits apart from elements
-            parts.append(text)
-        return "".join(parts), l
-
     pieces = []
     for b in pi.layers[0]:
-        inner, depth = render(b, 1)
+        inner, depth = _render(pi.layers, sep, b, 1)
         pieces.append(f"({inner})^{depth}" if depth >= 2 else inner)
     return "/".join(pieces)
+
+
+def _render(layers: tuple[Layer, ...], sep: str, b: Block, l: int) -> tuple[str, int]:
+    """The items of the layer-l block b, and the deepest layer through which
+    b stays a block (:func:`one_line_print`)."""
+    k = len(layers)
+    while l < k and b in layers[l]:
+        l += 1
+    # each layer-(l+1) block lies inside one layer-l block
+    kids = [c for c in layers[l] if c[0] in b] if l < k else ()
+    if not kids:
+        return sep.join(map(str, b)), l
+    in_kid = {e for c in kids for e in c}
+    # (sort key, text, is_group)
+    items = [(c[0], "(%s)^%d" % _render(layers, sep, c, l + 1), True) for c in kids]
+    items += [(e, str(e), False) for e in b if e not in in_kid]
+    items.sort()
+    out = items[0][1]
+    for (_, _, after_group), (_, text, _) in zip(items, items[1:]):
+        if sep:
+            out += sep
+        elif after_group and text[0].isdigit():
+            out += " "  # keep exponent digits apart from elements
+        out += text
+    return out, l
 
 
 # per width (:func:`_wide`): an element, an exponent (its digits may be
@@ -276,7 +309,7 @@ _TOKEN = {
 
 
 def one_line_parse(text: str, n: int, k: int) -> WeightedPartition:
-    """Parse one-line notation, by one descent over the text.
+    """Parse one-line notation, by one pass over the text.
 
     Blocks of layer 1 are separated by '/'; each is a list of items, an
     element or a group "(items)^L", whose block persists through layer L.
@@ -286,85 +319,96 @@ def one_line_parse(text: str, n: int, k: int) -> WeightedPartition:
     around it, and 1 for a block of layer 1.  Whitespace and commas only
     separate; at (n, k) with n or k >= 10 elements and exponents are digit
     runs, otherwise one digit each.
+
+    A group's blocks lie inside the block around it, so the collected
+    blocks nest by construction (:func:`_nested_partition`).
     """
-    toks = [(m.lastgroup, m.group(m.lastgroup), m.start())
-            for m in _TOKEN[_wide(n, k)].finditer(text)]
+    return _nested_partition(n, k, _one_line_layers(text, n, k))
+
+
+def _one_line_layers(text: str, n: int, k: int) -> list[list[Block]]:
+    """The blocks that a one-line name collects at each layer, sorted, each
+    element once per occurrence (:func:`one_line_parse`); raises
+    :class:`OneLineParseError` on a text that is no name."""
+    toks = [(m.lastgroup, m[0], m.start()) for m in _TOKEN[_wide(n, k)].finditer(text)]
     toks.append(("end", "", len(text)))  # errors at the end point past the text
+    layers: list[list[list[int]]] = [[] for _ in range(k)]
+    # the items list being read: the units of its groups and aliased
+    # elements, (exponent, elements, position, is_group), and all its
+    # elements, in lists so that a repeated element stays; ``outer`` holds
+    # the lists around each open group, with the position of its '('
+    units: list = []
+    elements: list[int] = []
+    outer: list = []
     i = 0
-    layers: list[list[set[int]]] = [[] for _ in range(k)]
-
-    def exponent() -> int:
-        """The exponent at token i, whose '^' must be there."""
-        nonlocal i
-        kind, digits, at = toks[i]
-        if kind != "exp":
-            raise OneLineParseError(text, at, "'^'")
-        if not digits:
-            raise OneLineParseError(text, at + 1, "exponent digit after '^'")
-        i += 1
-        return int(digits)
-
-    def emit(units: list, outer: int) -> None:
-        """Record the blocks that the units of an items list, inside a block
-        that persists through layer ``outer``, make at the deeper layers: at
-        each layer, the units that reach it are one block each, or one block
-        together when an aliased element is among them."""
-        for expo, _, at, _ in units:
-            if not outer < expo <= k:
-                raise OneLineParseError(text, at, f"exponent in {outer + 1}..{k}")
-        for l in range(outer + 1, max([u[0] for u in units], default=outer) + 1):
-            reach = [u for u in units if u[0] >= l]
-            if all(u[3] for u in reach):
-                layers[l - 1] += [u[1] for u in reach]
-            else:
-                layers[l - 1].append(set().union(*[u[1] for u in reach]))
-
-    def items() -> tuple[list, set[int]]:
-        """The items up to the next '/', ')' or the end: the units of its
-        groups and aliased elements, (exponent, elements, position,
-        is_group), and every element.  A group's inner blocks are emitted
-        as soon as its exponent is read."""
-        nonlocal i
-        units: list = []
-        elements: set[int] = set()
-        while True:
-            kind, value, at = toks[i]
-            if kind == "num":
-                i += 1
-                elements.add(int(value))
-                if toks[i][0] == "exp":
-                    units.append((exponent(), {int(value)}, at, False))
-            elif value == "(":
-                i += 1
-                inner, inner_elements = items()
-                if toks[i][1] != ")":
-                    raise OneLineParseError(text, toks[i][2], "')'")
-                i += 1
-                expo = exponent()
-                if not inner_elements:
-                    raise OneLineParseError(text, at + 1, "items inside '(...)'")
-                emit(inner, expo)
-                units.append((expo, inner_elements, at, True))
-                elements |= inner_elements
-            elif kind in ("sym", "end"):
-                return units, elements
-            elif kind == "bad":
-                raise OneLineParseError(text, at, "element, '(', ')', '^', '/' or ','")
-            else:
-                raise OneLineParseError(text, at, "element or '('")
-
     while True:
-        units, elements = items()
         kind, value, at = toks[i]
-        if not elements:
-            raise OneLineParseError(text, at, "block items")
-        layers[0].append(elements)
-        emit(units, 1)
-        if kind == "end":
-            return validate(n, k, layers)
-        if value != "/":
-            raise OneLineParseError(text, at, "'/' or end of input")
         i += 1
+        if kind == "num":
+            elements.append(int(value))
+            if toks[i][0] == "exp":
+                expo, i = _exponent(text, toks, i)
+                units.append((expo, [int(value)], at, False))
+        elif value == "(":
+            outer.append((units, elements, at))
+            units, elements = [], []
+        elif kind == "bad":
+            raise OneLineParseError(text, at, "element, '(', ')', '^', '/' or ','")
+        elif kind == "exp":
+            raise OneLineParseError(text, at, "element or '('")
+        elif outer:  # ')', '/' or the end, inside a group
+            if value != ")":
+                raise OneLineParseError(text, at, "')'")
+            expo, i = _exponent(text, toks, i)
+            inner, inner_elements = units, elements
+            units, elements, opened = outer.pop()
+            if not inner_elements:
+                raise OneLineParseError(text, opened + 1, "items inside '(...)'")
+            # a group's inner blocks are emitted as soon as its exponent is read
+            _emit(text, layers, inner, expo)
+            units.append((expo, inner_elements, opened, True))
+            elements += inner_elements
+        else:  # '/', ')' or the end, after a block of layer 1
+            if not elements:
+                raise OneLineParseError(text, at, "block items")
+            layers[0].append(elements)
+            _emit(text, layers, units, 1)
+            if kind == "end":
+                break
+            if value != "/":
+                raise OneLineParseError(text, at, "'/' or end of input")
+            units, elements = [], []
+    return [[tuple(sorted(b)) for b in layer] for layer in layers]
+
+
+def _exponent(text: str, toks: list, i: int) -> tuple[int, int]:
+    """The exponent at token i, whose '^' must be there, and the index of
+    the token after it (:func:`one_line_parse`)."""
+    kind, token, at = toks[i]
+    if kind != "exp":
+        raise OneLineParseError(text, at, "'^'")
+    if len(token) == 1:
+        raise OneLineParseError(text, at + 1, "exponent digit after '^'")
+    return int(token[1:]), i + 1
+
+
+def _emit(text: str, layers: list[list[list[int]]], units: list, outer: int) -> None:
+    """Record the blocks that the units of an items list, inside a block
+    that persists through layer ``outer``, make at the deeper layers: at
+    each layer, the units that reach it are one block each, or one block
+    together when an aliased element is among them (:func:`one_line_parse`)."""
+    if not units:
+        return
+    k = len(layers)
+    for expo, _, at, _ in units:
+        if not outer < expo <= k:
+            raise OneLineParseError(text, at, f"exponent in {outer + 1}..{k}")
+    for l in range(outer + 1, max([u[0] for u in units]) + 1):
+        reach = [u for u in units if u[0] >= l]
+        if all([u[3] for u in reach]):
+            layers[l - 1] += [u[1] for u in reach]
+        else:
+            layers[l - 1].append([e for u in reach for e in u[1]])
 
 
 # ---------------------------------------------------------------------------
@@ -490,52 +534,56 @@ Tree = frozenset
 def to_rooted_tree(pi: WeightedPartition):
     """The k-level rooted tree: depth-d nodes are the layer-d blocks
     (singletons included), leaves at depth k+1 carry the elements."""
+    return frozenset([_subtree(pi.layers, b, 1) for b in pi.layers[0]])
 
-    def subtree(block: Block, depth: int):
-        if depth == pi.k:
-            return frozenset(block)  # children are the leaf elements
-        kids = []
-        rest = set(block)
-        for c in pi.layers[depth]:  # layer depth+1 blocks, each inside one block
-            if c[0] in rest:
-                kids.append(subtree(c, depth + 1))
-                rest.difference_update(c)
-        for e in sorted(rest):
-            kids.append(subtree((e,), depth + 1))
-        return frozenset(kids)
 
-    return frozenset(subtree(b, 1) for b in pi.layers[0])
+def _subtree(layers: tuple[Layer, ...], block: Block, depth: int):
+    """The node of ``block`` at ``depth`` (:func:`to_rooted_tree`)."""
+    if depth == len(layers):
+        return frozenset(block)  # children are the leaf elements
+    kids = []
+    rest = set(block)
+    for c in layers[depth]:  # layer depth+1 blocks, each inside one block
+        if c[0] in rest:
+            kids.append(_subtree(layers, c, depth + 1))
+            rest.difference_update(c)
+    for e in rest:
+        kids.append(_subtree(layers, (e,), depth + 1))
+    return frozenset(kids)
 
 
 def from_rooted_tree(tree) -> WeightedPartition:
     """Inverse of :func:`to_rooted_tree`; rejects trees whose leaves are not
-    all at the same depth k+1."""
+    all at the same depth k+1.  A node's block lies inside its parent's, so
+    the collected blocks nest by construction (:func:`_nested_partition`)."""
     depths: set[int] = set()  # of the leaves
     blocks: dict[int, list[Block]] = {}  # depth -> the blocks of its nodes
-
-    def walk(node, depth: int) -> Block:
-        """The sorted leaves below the internal node ``node`` at ``depth``,
-        recording the leaf depths and node blocks on the way."""
-        leaves: list[int] = []
-        for child in node:
-            if isinstance(child, int):
-                depths.add(depth + 1)
-                leaves.append(child)
-            else:
-                leaves.extend(walk(child, depth + 1))
-        block = tuple(sorted(leaves))
-        blocks.setdefault(depth, []).append(block)
-        return block
-
-    labels = walk(tree, 0)
+    labels = _tree_blocks(tree, 0, depths, blocks)
     if not labels:
         raise InvalidPartition([("malformed", "tree has no leaves")])
     if len(depths) != 1:
         raise InvalidPartition([("malformed", f"unequal leaf depths {sorted(depths)}")])
     k = depths.pop() - 1
-    return validate(len(labels), k, [
-        [b for b in blocks.get(depth, []) if depth == 1 or len(b) >= 2]
-        for depth in range(1, k + 1)])
+    return _nested_partition(len(labels), k, [blocks.get(depth, []) for depth in range(1, k + 1)])
+
+
+def _tree_blocks(node, depth: int, depths: set[int], blocks: dict[int, list[Block]]) -> Block:
+    """The sorted leaves below the internal node ``node`` at ``depth``,
+    recording on the way the leaf depths and, by depth, the node blocks
+    that a layer keeps: every one of depth 1, and those of two or more
+    leaves (:func:`from_rooted_tree`)."""
+    leaves: list[int] = []
+    for child in node:
+        if isinstance(child, int):
+            depths.add(depth + 1)
+            leaves.append(child)
+        else:
+            leaves += _tree_blocks(child, depth + 1, depths, blocks)
+    leaves.sort()
+    block = tuple(leaves)
+    if len(block) > 1 or depth == 1:
+        blocks.setdefault(depth, []).append(block)
+    return block
 
 
 def tree_shape(tree):

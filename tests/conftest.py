@@ -236,6 +236,38 @@ def oracle_edge_set_inverse(edges, n, k):
     return validate(n, k, layers)
 
 
+def oracle_tree_layers(tree):
+    """The (n, k, layers) that ``from_rooted_tree`` collects from a tree, by
+    one recursive walk: the sorted leaves under each node, grouped by the
+    node's depth, with every block of depth 1 and the deeper blocks of two
+    or more leaves.  Raises the "malformed" ``InvalidPartition`` of a tree
+    with no leaves or with leaves at unequal depths."""
+    from wplat import InvalidPartition
+
+    by_depth = {}
+    leaf_depths = set()
+
+    def walk(node, depth):
+        leaves = []
+        for child in node:
+            if isinstance(child, int):
+                leaf_depths.add(depth + 1)
+                leaves.append(child)
+            else:
+                leaves += walk(child, depth + 1)
+        by_depth.setdefault(depth, []).append(tuple(sorted(leaves)))
+        return leaves
+
+    n = len(walk(tree, 0))
+    if not n:
+        raise InvalidPartition([("malformed", "tree has no leaves")])
+    if len(leaf_depths) != 1:
+        raise InvalidPartition([("malformed", f"unequal leaf depths {sorted(leaf_depths)}")])
+    k = leaf_depths.pop() - 1
+    return n, k, [[b for b in by_depth.get(d, []) if d == 1 or len(b) >= 2]
+                  for d in range(1, k + 1)]
+
+
 @pytest.fixture(scope="session")
 def poset_cache():
     """Posets are expensive; share them across tests."""

@@ -1,6 +1,7 @@
 """Cycle diagrams, colorings, and the chain <-> labeled-binary-tree
 bijection."""
 
+import gc
 import hashlib
 import json
 import random
@@ -22,20 +23,27 @@ import wplat.lattice
 from wplat import (
     CycleDiagram,
     LBT,
+    TOP,
     apply_chain,
     chain_to_lbt,
     diagram_to_decreasing_chain,
+    edge_set,
+    edge_set_inverse,
     enumerate_colorings,
     enumerate_cycle_diagrams,
     enumerate_lbt,
+    from_rooted_tree,
     i_of_sigma,
     lbt_check,
     lbt_leaves,
     lbt_to_chain,
     mobius_closed_form,
+    one_line_parse,
+    one_line_print,
     stirling1,
     t_def,
     t_via_diagrams,
+    to_rooted_tree,
     wt_k,
 )
 
@@ -152,6 +160,22 @@ class TestLBT:
                   LBT(1, 2, LBT(1, 1), LBT(3, 1)),
                   LBT(2, 2))
         assert any("1_k" in p for p in lbt_check(bad, 3, 2))
+
+    # an internal node with one child: left only, and right only one level
+    # down, where the heap order of the node above would read its children
+    ONE_CHILD = [
+        (LBT(None, None, LBT(1, 1, LBT(1, 1), None), LBT(2, 1)), 2, 1),
+        (LBT(None, None, LBT(1, 1), LBT(2, 1, LBT(2, 1, None, LBT(3, 1)), None)), 3, 1),
+    ]
+
+    @pytest.mark.parametrize("tree,n,k", ONE_CHILD)
+    def test_checker_reports_one_child_node(self, tree, n, k):
+        assert any("has one child" in p for p in lbt_check(tree, n, k))
+
+    @pytest.mark.parametrize("tree,n,k", ONE_CHILD)
+    def test_read_off_refuses_one_child_node(self, tree, n, k):
+        with pytest.raises(ValueError, match="has one child"):
+            lbt_to_chain(tree, k)
 
     @pytest.mark.parametrize("n,k", [(2, 1), (3, 1), (4, 1), (5, 1),
                                      (2, 2), (3, 2), (4, 2),
@@ -427,3 +451,27 @@ class TestApplyChain:
         rising = (CoverLabel(1, 2, 2), CoverLabel(1, 3, 2), CoverLabel(1, 3, 2))
         with pytest.raises(ValueError):
             chain_to_lbt(rising, 3, 2)
+
+
+def test_round_trips_leave_no_cyclic_garbage(poset_cache):
+    # the bijection suite's round trips free every object they make by its
+    # reference count, so the cyclic collector finds nothing after them
+    n, k = 4, 3
+    P = poset_cache(n, k)
+    elements = [pi for pi in P.elements if pi is not TOP]
+    chains = list(P.decreasing_chains(P.bottom_idx, P.top_idx))
+    gc.collect()
+    gc.disable()
+    try:
+        for pi in elements:
+            assert from_rooted_tree(to_rooted_tree(pi)) == pi
+            assert edge_set_inverse(edge_set(pi), n, k) == pi
+            assert one_line_parse(one_line_print(pi), n, k) == pi
+        for labels in chains:
+            tree = chain_to_lbt(labels, n, k)
+            assert lbt_to_chain(tree, k) == labels
+            assert lbt_check(tree, n, k) == []
+        assert len(enumerate_lbt(n, k)) == len(chains)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()

@@ -523,6 +523,11 @@ GOLDEN = [
     # chain walk
     ("verify --suite bijections --n 5 --k 2", "684d37af411eb4fdf46660ba00acecf8c2d3deb8e630e2f5cdd1f2496b4701c1", 0),
     ("trees --n 5 --k 2 --format json", "4569e436eaf6416c32367bb98836144b718730101d344828f5f32bdaebd955a3", 0),
+    # the bijections benchmark requests, pinned before the inverses stopped
+    # calling validate on accepted input
+    ("verify --suite bijections --n 4 --k 3", "89624a71c6e528f828788bc56480447f22a6751ee7bcddbd1a7ab5154bb37e09", 0),
+    ("verify --suite bijections --n 5 --k 3", "f55c02b64aa7bd62c68ddb4e8db3c23103121cb896e0a72b8eff6cb30c128744", 0),
+    ("trees --n 4 --k 3 --format dot", "e5885507e36ea5b5db8f3d098b7b1ccf58931b8aa78d1e78e06e2f740366ad24", 0),
     # the numbers benchmark requests, pinned from the tuple-walking
     # definition route
     ("table --kind T --n-max 22 --k 4", "f44f00ba19ad21c66b0a2bab7a3fffb41f564f0dfda6511808037add4bc8d509", 0),

@@ -4,10 +4,17 @@ rooted-tree and edge-set encodings."""
 import hashlib
 import json
 import random
+from collections import Counter
+from functools import lru_cache
 from itertools import combinations
 
 import pytest
-from conftest import oracle_edge_set_inverse, oracle_enumerate_all, order_atoms
+from conftest import (
+    oracle_edge_set_inverse,
+    oracle_enumerate_all,
+    oracle_tree_layers,
+    order_atoms,
+)
 from hypothesis import given, settings
 from hypothesis import strategies as st_
 
@@ -30,7 +37,7 @@ from wplat import (
     tree_shape,
     validate,
 )
-from wplat.wpartition import _layer_text
+from wplat.wpartition import _layer_text, _one_line_layers
 
 
 def wp(n, k, layers):
@@ -114,6 +121,13 @@ class TestOneLineNotation:
         pi = one_line_parse("1^2(23)^3/(46)^35", 6, 3)
         canonical = one_line_print(pi)
         assert one_line_parse(canonical, 6, 3) == pi
+
+    @pytest.mark.parametrize("text, n, k", [("113/24/5", 5, 2), ("(112)^2 3/4", 4, 2)])
+    def test_repeated_element_rejected(self, text, n, k):
+        # each occurrence of an element is kept, so validate sees the repeat
+        with pytest.raises(InvalidPartition) as exc:
+            one_line_parse(text, n, k)
+        assert "overlap" in [kind for kind, _ in exc.value.violations]
 
     def test_singleton_layer2_rejected(self):
         with pytest.raises((InvalidPartition, OneLineParseError)):
@@ -282,6 +296,146 @@ class TestTreesAndEdges:
             shapes = enumerate_tree_shapes(n, k)
             assert sum(tree_class_size(s) for s in shapes) == \
                 len(enumerate_all(n, k))
+
+
+def _outcome(f, *args):
+    """What f(*args) returns, or the refusal it raises."""
+    try:
+        return f(*args)
+    except InvalidPartition as exc:
+        return "refused", exc.violations
+    except OneLineParseError as exc:
+        return "syntax", exc.pos, exc.expected
+
+
+@lru_cache(maxsize=None)
+def _elements(n, k):
+    return enumerate_all(n, k)
+
+
+def _as_lists(node):
+    return node if isinstance(node, int) else [_as_lists(c) for c in node]
+
+
+def _as_tree(node):
+    return node if isinstance(node, int) else frozenset(_as_tree(c) for c in node)
+
+
+def _internal_nodes(node):
+    out = [node]
+    for c in node:
+        if not isinstance(c, int):
+            out += _internal_nodes(c)
+    return out
+
+
+def _corrupt_tree(rng, tree, n):
+    """One or two faults: a leaf repeated, missing or out of range, an empty
+    node, or a child moved one level down or up."""
+    root = _as_lists(tree)
+    for _ in range(rng.randint(1, 2)):
+        nodes = _internal_nodes(root)
+        holders = [v for v in nodes if any(isinstance(c, int) for c in v)]
+        fault = rng.choice(["repeat", "missing", "range", "empty", "down", "up"])
+        if fault in ("repeat", "missing", "range") and holders:
+            v = rng.choice(holders)
+            i = rng.choice([i for i, c in enumerate(v) if isinstance(c, int)])
+            if fault == "repeat":
+                v[i] = rng.randint(1, n)
+            elif fault == "missing":
+                del v[i]
+            else:
+                v[i] = rng.choice([0, -1, n + 1])
+        elif fault == "empty":
+            rng.choice(nodes).append([])
+        elif fault == "down":
+            v = rng.choice(nodes)
+            if v:
+                i = rng.randrange(len(v))
+                v[i] = [v[i]]
+        else:
+            v = rng.choice(nodes)
+            inner = [i for i, c in enumerate(v) if not isinstance(c, int)]
+            if inner:
+                i = rng.choice(inner)
+                v[i:i + 1] = v[i]
+    return _as_tree(root)
+
+
+def _corrupt_name(rng, text, n):
+    """One to three edits: a character inserted, replaced or deleted."""
+    alphabet = "()^/ ," + "".join(map(str, range(min(n + 2, 10))))
+    chars = list(text)
+    for _ in range(rng.randint(1, 3)):
+        edit = rng.choice("ird") if chars else "i"
+        if edit == "i":
+            chars.insert(rng.randint(0, len(chars)), rng.choice(alphabet))
+        elif edit == "r":
+            chars[rng.randrange(len(chars))] = rng.choice(alphabet)
+        else:
+            del chars[rng.randrange(len(chars))]
+    return "".join(chars)
+
+
+class TestInversesAgainstValidate:
+    """The three inverses build their results canonical without
+    ``validate``, which runs only to refuse: each result is its own
+    ``validate``, and each refusal is the one ``validate`` gives for the
+    layers collected from the same input."""
+
+    @pytest.mark.parametrize("n,k", [(n, k) for n in range(1, 6) for k in range(1, 4)])
+    def test_every_element(self, n, k):
+        for pi in _elements(n, k):
+            for got in (from_rooted_tree(to_rooted_tree(pi)),
+                        edge_set_inverse(edge_set(pi), n, k),
+                        one_line_parse(one_line_print(pi), n, k)):
+                assert got == validate(n, k, got.layers) == pi
+
+    def test_corrupted_trees(self):
+        rng = random.Random(25)
+        seen = Counter()
+        for _ in range(1500):
+            n, k = rng.randint(2, 5), rng.randint(1, 3)
+            tree = _corrupt_tree(rng, to_rooted_tree(rng.choice(_elements(n, k))), n)
+            got = _outcome(from_rooted_tree, tree)
+            assert got == _outcome(lambda: validate(*oracle_tree_layers(tree)))
+            if isinstance(got, WeightedPartition):
+                assert got == validate(got.n, got.k, got.layers)
+            seen[got[0] if got[0] == "refused" else "accepted"] += 1
+        assert seen["accepted"] >= 100 and seen["refused"] >= 1000
+
+    def test_corrupted_names(self):
+        rng = random.Random(26)
+        seen = Counter()
+        for _ in range(1500):
+            n, k = rng.randint(2, 5), rng.randint(1, 3)
+            text = _corrupt_name(rng, one_line_print(rng.choice(_elements(n, k))), n)
+            got = _outcome(one_line_parse, text, n, k)
+            assert got == _outcome(lambda: validate(n, k, _one_line_layers(text, n, k))), text
+            if isinstance(got, WeightedPartition):
+                assert got == validate(n, k, got.layers)
+            seen[got[0] if got[0] in ("refused", "syntax") else "accepted"] += 1
+        assert min(seen["accepted"], seen["refused"], seen["syntax"]) >= 100
+
+    def test_random_edge_sets(self):
+        rng = random.Random(27)
+        refused = 0
+        for _ in range(1500):
+            n, k = rng.randint(1, 6), rng.randint(1, 3)
+            edges = [(i, j, rng.randint(1, k)) for i, j in combinations(range(1, n + 1), 2)
+                     for _ in range(2) if rng.random() < 1.5 / n]
+            if rng.random() < 0.2:
+                edges.append(rng.choice([(0, 1, 1), (1, n + 1, 1), (2, 1, 1), (1, 2, 0),
+                                         (1, 2, k + 1)]))
+            got = _outcome(edge_set_inverse, edges, n, k)
+            bad = sorted(e for e in edges if not (1 <= e[0] < e[1] <= n and 1 <= e[2] <= k))
+            if bad:
+                refused += 1
+                assert got == ("refused", [("malformed", f"edges outside 1 <= i < j <= {n}, "
+                                                         f"1 <= l <= {k}: {bad}")])
+            else:
+                assert got == validate(n, k, got.layers) == oracle_edge_set_inverse(edges, n, k)
+        assert refused >= 100
 
 
 class TestAtoms:
