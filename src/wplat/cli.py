@@ -318,6 +318,22 @@ def _verify_bijections(poset) -> list[dict]:
             bad.append({"pi": wp.one_line_print(pi), "issue": "edge-set round trip"})
         if wp.one_line_parse(wp.one_line_print(pi), n, k) != pi:
             bad.append({"pi": wp.one_line_print(pi), "issue": "one-line round trip"})
+    # each inverse refuses an input that no element maps to: a tree with an
+    # empty node, a name that holds every element twice, an edge outside [n]
+    pi = wp.bottom(n, k)
+    name = wp.one_line_print(pi)
+    for issue, refuse in (
+            ("rooted-tree inverse accepts an empty node",
+             lambda: wp.from_rooted_tree(wp.to_rooted_tree(pi) | {frozenset()})),
+            ("one-line inverse accepts a repeated element",
+             lambda: wp.one_line_parse(f"{name}/{name}", n, k)),
+            ("edge-set inverse accepts an edge outside [n]",
+             lambda: wp.edge_set_inverse(wp.edge_set(pi) | {(n, n + 1, 1)}, n, k))):
+        try:
+            refuse()
+        except wp.InvalidPartition:
+            continue
+        bad.append({"pi": name, "issue": issue})
     checks.append({"check": "partition_round_trips",
                    "status": "pass" if not bad else "fail", "witnesses": bad})
 

@@ -285,6 +285,24 @@ class TestVerify:
         assert {"issue": "chain image not generated", "count": 1,
                 "trees": [missing]} in check["witnesses"]
 
+    def test_inverse_that_accepts_a_non_image_fails(self, capsys, monkeypatch):
+        parse = wplat.wpartition.one_line_parse
+
+        def lenient(text, n, k):
+            try:
+                return parse(text, n, k)
+            except wplat.InvalidPartition:
+                return wplat.wpartition.bottom(n, k)
+
+        monkeypatch.setattr(wplat.wpartition, "one_line_parse", lenient)
+        code, out, _ = run(capsys, "verify", "--suite", "bijections",
+                           "--n", "3", "--k", "2")
+        assert code == 1
+        check, = [c for c in json.loads(out)["checks"]
+                  if c["check"] == "partition_round_trips"]
+        assert check["witnesses"] == [
+            {"pi": "1/2/3", "issue": "one-line inverse accepts a repeated element"}]
+
     def test_bijections_with_two_digit_exponents(self, capsys):
         code, out, _ = run(capsys, "verify", "--suite", "bijections", "--n", "2", "--k", "10")
         assert code == 0
