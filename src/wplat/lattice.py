@@ -344,20 +344,19 @@ class Poset:
         and its label sequence is strictly lexicographically first.
 
         For each x, one pass up the order (:meth:`_el_pass`) counts the
-        weakly rising chains from x to every y and finds the lex-first label
-        sequence and how many chains carry it.  [x, y] passes when it has
-        exactly one weakly rising chain, its lex-first sequence is weakly
-        rising, and one chain carries that sequence.  Only an interval that
-        fails is enumerated with :meth:`maximal_chains`, to report its
-        witness; when that finds no fault, the two routes disagree and
-        :class:`wplat.RouteMismatch` names the interval.
+        weakly rising chains from x to every y, finds the lex-first label
+        sequence, how many chains carry it and whether it rises.  [x, y]
+        passes when it has exactly one weakly rising chain, one chain
+        carries the lex-first sequence, and that sequence rises.  Only an
+        interval that fails is enumerated with :meth:`maximal_chains`, to
+        report its witness; when that finds no fault, the two routes
+        disagree and :class:`wplat.RouteMismatch` names the interval.
         """
         witnesses = []
         up = self.up
         for x in range(len(self.elements)):
-            failing = [y for y, (rising, lex, carriers) in self._el_pass(x, up).items()
-                       if not (rising == 1 and carriers == 1
-                               and all(a <= b for a, b in zip(lex, lex[1:])))]
+            failing = [y for y, (rising, _, carriers, rises) in self._el_pass(x, up).items()
+                       if not (rising == 1 and carriers == 1 and rises)]
             for y in sorted(failing):
                 witness = self._el_witness(x, y)
                 if witness is None:
@@ -371,34 +370,63 @@ class Poset:
 
     @staticmethod
     def _el_pass(x: int, up: list[list[tuple[int, int]]]
-                 ) -> dict[int, tuple[int, tuple[int, ...], int]]:
+                 ) -> dict[int, tuple[int, tuple[int, ...], int, bool]]:
         """Per element y >= x: the number of weakly rising chains from x to
-        y, the lex-first label-code sequence from x to y, and the number of
-        chains that carry it; ``up`` holds covers with label codes.
+        y, the lex-first label-code sequence from x to y, the number of
+        chains that carry it, and whether it is weakly rising; ``up`` holds
+        covers with label codes.
 
-        One pass up from x, a level at a time.  Every chain from x to y has
-        the same length, so the lex-first sequence to y extends the lex-first
-        sequence to one of y's lower covers, and its carriers are those of
-        the lower covers that reach it; this holds when labels collide too.
+        One pass up from x, a level at a time, with constant work per cover
+        but for one rare case.  Every chain from x to y has the same length,
+        so the lex-first sequence to y extends the lex-first sequence to one
+        of y's lower covers z by the label c of z < y: it is the least pair
+        (sequence to z, c), extended once, when the pass reaches y; it rises
+        when z's does and z's last code is at most c.  Its carriers are
+        those of the lower covers that reach it; this holds when labels
+        collide too.  The rising chains to y are kept by last code, with
+        their total and their least and greatest code: a cover whose code is
+        at or above the greatest extends all of them, one below the least
+        none, and only a code strictly between sums the codes at or below
+        it.  A built order is EL-labeled, so each y has one rising chain
+        from x, its rising chains end in one code, and the sum never runs;
+        it runs on orders with relabeled covers.
         """
         found = {}
-        level = {x: ({-1: 1}, (), 1)}  # element -> (rising chains by last code, lex, carriers)
+        # element -> [rising chains by last code, their total, least and
+        # greatest last code, best pair (lex to a lower cover, its code),
+        # carriers, whether that lex rises]
+        level = {x: [{-1: 1}, 1, -1, -1, ((), None), 1, True]}
+        unset = float("inf")  # the least last code while there is none
         while level:
             above: dict[int, list] = {}
-            for z, (last, lex, carriers) in level.items():
-                found[z] = (sum(last.values()), lex, carriers)
+            for z, (last, total, least, greatest, (lex, code), carriers, rises) in level.items():
+                if code is not None:  # z > x: extend the lower cover's sequence
+                    rises = rises and (not lex or lex[-1] <= code)
+                    lex += (code,)
+                found[z] = (total, lex, carriers, rises)
                 for w, c in up[z]:
-                    seq = lex + (c,)
+                    if c >= greatest:
+                        chains = total
+                    elif c < least:
+                        chains = 0
+                    else:
+                        chains = sum(m for l, m in last.items() if l <= c)
+                    pair = (lex, c)
                     node = above.get(w)
                     if node is None:
-                        node = above[w] = [{}, seq, 0]
-                    chains = sum(m for l, m in last.items() if l <= c)
+                        node = above[w] = [{}, 0, unset, -1, pair, carriers, rises]
+                    elif pair < node[4]:
+                        node[4:] = pair, carriers, rises
+                    elif pair == node[4]:
+                        node[5] += carriers
                     if chains:
-                        node[0][c] = node[0].get(c, 0) + chains
-                    if seq < node[1]:
-                        node[1], node[2] = seq, carriers
-                    elif seq == node[1]:
-                        node[2] += carriers
+                        ends = node[0]
+                        ends[c] = ends.get(c, 0) + chains
+                        node[1] += chains
+                        if c < node[2]:
+                            node[2] = c
+                        if c > node[3]:
+                            node[3] = c
             level = above
         return found
 

@@ -10,6 +10,7 @@ from collections import Counter
 import pytest
 from conftest import (
     _oracle_chains,
+    _oracle_rises,
     oracle_admissible_covers,
     oracle_build_covers,
     oracle_el_values,
@@ -548,19 +549,42 @@ class TestOrderKernel:
             up[lo].append((hi, code[lab.sort_key]))
         got = {(x, y): values for x in range(len(P))
                for y, values in P._el_pass(x, up).items()}
-        assert got == oracle_el_values(P)
-        return {carriers for _, _, carriers in got.values()}
+        assert {xy: values[:3] for xy, values in got.items()} == oracle_el_values(P)
+        assert all(rises is _oracle_rises(lex) for _, lex, _, rises in got.values())
+        return {carriers for _, _, carriers, _ in got.values()}
 
-    @pytest.mark.parametrize("n,k", SMALL)
+    @staticmethod
+    def _splits_rising_ends(P):
+        """Whether some [x, y] has rising chains ending in two distinct
+        labels and y a cover whose label lies strictly between them, by the
+        chain enumeration: the one case in which the level pass sums."""
+        leq, chains = _oracle_chains(P)
+        above = {}
+        for lo, hi, lab in P.covers:
+            above.setdefault(lo, []).append(lab.sort_key)
+        for x in range(len(P)):
+            for y in range(len(P)):
+                if x != y and leq(x, y):
+                    ends = {ch[-1].sort_key for ch in chains(x, y)
+                            if _oracle_rises([lab.sort_key for lab in ch])}
+                    if len(ends) > 1 and any(min(ends) < key < max(ends)
+                                             for key in above.get(y, ())):
+                        return True
+        return False
+
+    @pytest.mark.parametrize("n,k", SMALL + [(5, 2)])
     def test_el_pass_matches_chain_enumeration(self, n, k, poset_cache):
         assert self._check_el_pass(poset_cache(n, k)) == {1}
 
     @pytest.mark.parametrize("n,k", [(3, 2), (3, 3), (4, 2)])
     def test_el_pass_matches_chain_enumeration_on_relabeled_posets(self, n, k, poset_cache):
-        carriers = set()
+        carriers, splits = set(), False
         for seed in range(70):
-            carriers |= self._check_el_pass(_relabeled(poset_cache(n, k), seed))
+            Q = _relabeled(poset_cache(n, k), seed)
+            carriers |= self._check_el_pass(Q)
+            splits = splits or self._splits_rising_ends(Q)
         assert 2 in carriers  # colliding labels: two chains carry one sequence
+        assert splits  # the pass sums the rising chains by last label
 
     @pytest.mark.parametrize("n,k,digest", [
         (4, 3, "e79b1430d035febbf5df137c7062b96d710e86dc2f5bea466faf7c6d14764ac1"),
