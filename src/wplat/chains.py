@@ -228,9 +228,20 @@ def _heap_ordered(lc: LBT, rc: LBT) -> bool:
 
 
 def lbt_leaves(tree: LBT) -> list[int]:
-    if tree.is_leaf:
-        return [tree.value]
-    return lbt_leaves(tree.left) + lbt_leaves(tree.right)
+    """The leaf integers from left to right; a node with one child raises
+    the ``ValueError`` of :func:`lbt_to_chain`."""
+    leaves = []
+    stack = [tree]
+    while stack:
+        node = stack.pop()
+        lc, rc = node.left, node.right
+        if lc is None or rc is None:
+            if lc is not None or rc is not None:
+                raise ValueError(f"{_node_name(node, node is tree)} has one child")
+            leaves.append(node.value)
+        else:
+            stack += (rc, lc)
+    return leaves
 
 
 def lbt_check(tree: LBT, n: int, k: int) -> list[str]:

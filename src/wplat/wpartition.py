@@ -323,6 +323,8 @@ def one_line_parse(text: str, n: int, k: int) -> WeightedPartition:
     A group's blocks lie inside the block around it, so the collected
     blocks nest by construction (:func:`_nested_partition`).
     """
+    if n < 0 or k < 1:
+        validate(n, k, ())  # raises its "malformed" violation
     return _nested_partition(n, k, _one_line_layers(text, n, k))
 
 

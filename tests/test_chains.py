@@ -177,6 +177,14 @@ class TestLBT:
         with pytest.raises(ValueError, match="has one child"):
             lbt_to_chain(tree, k)
 
+    @pytest.mark.parametrize("tree,n,k", ONE_CHILD)
+    def test_leaves_refuse_one_child_node(self, tree, n, k):
+        with pytest.raises(ValueError) as read_off:
+            lbt_to_chain(tree, k)
+        with pytest.raises(ValueError) as leaves:
+            lbt_leaves(tree)
+        assert str(leaves.value) == str(read_off.value)
+
     @pytest.mark.parametrize("n,k", [(2, 1), (3, 1), (4, 1), (5, 1),
                                      (2, 2), (3, 2), (4, 2),
                                      (2, 3), (3, 3), (4, 3)])

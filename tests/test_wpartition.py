@@ -129,6 +129,13 @@ class TestOneLineNotation:
             one_line_parse(text, n, k)
         assert "overlap" in [kind for kind, _ in exc.value.violations]
 
+    @pytest.mark.parametrize("n, k", [(1, 0), (1, -1), (-1, 1)])
+    def test_bad_size_rejected_as_malformed(self, n, k):
+        with pytest.raises(InvalidPartition) as exc:
+            one_line_parse("1", n, k)
+        assert exc.value.violations == [
+            ("malformed", f"need n >= 0 and k >= 1, got n={n}, k={k}")]
+
     def test_singleton_layer2_rejected(self):
         with pytest.raises((InvalidPartition, OneLineParseError)):
             one_line_parse("13/(2)^24", 4, 2)
