@@ -3,9 +3,14 @@ reproducible command with text/JSON/CSV/DOT output.
 
 Exit codes: 0 success, 1 a cross-route mismatch (every route comparison
 raises :class:`wplat.RouteMismatch`, which :func:`main` alone reports) or a
-failing ``verify`` check, 2 size guard or usage error.  Run as a process
-(:func:`run`), a request whose reader closes the pipe early ends by
-SIGPIPE, as other Unix filters do.
+failing ``verify`` check, 2 size guard or usage error, which includes an
+--out file or a standard output that cannot be written.
+
+Run as a process (:func:`run`), a request whose reader closes the pipe
+early ends by SIGPIPE, as other Unix filters do, and a request that has its
+status ends without interpreter teardown: the ``atexit`` handlers run, then
+stdout and stderr are flushed, then ``os._exit`` ends the process.  In-process
+callers of :func:`main` keep the interpreter's normal exit.
 
 Each command imports the modules it runs when it runs, and ``json`` is
 imported only to render JSON, so a request loads no more than it uses:
@@ -44,17 +49,25 @@ def _emit(args, **formats) -> None:
 
 def _write(args, produce) -> None:
     """Call ``produce(write)`` with the ``write`` method of the --out file or
-    of stdout.  An --out file that cannot be written is a usage error: one
-    line on stderr, exit 2."""
-    if not args.out:
-        produce(sys.stdout.write)
-        return
+    of stdout, which is then flushed.  An --out file or a stdout that cannot
+    be written is a usage error: one line on stderr, exit 2.  A reader that
+    closed the pipe is not: its BrokenPipeError propagates."""
     try:
-        with open(args.out, "w") as fh:
-            produce(fh.write)
+        if args.out:
+            with open(args.out, "w") as fh:
+                produce(fh.write)
+        else:
+            produce(sys.stdout.write)
+            sys.stdout.flush()
+    except BrokenPipeError:
+        raise
     except OSError as exc:
-        print(f"wplat: cannot write --out {args.out}: {exc.strerror}", file=sys.stderr)
-        sys.exit(GUARD_EXIT)
+        sys.exit(_cannot_write(f"--out {args.out}" if args.out else "standard output", exc))
+
+
+def _cannot_write(where: str, exc: OSError) -> int:
+    print(f"wplat: cannot write {where}: {exc.strerror}", file=sys.stderr)
+    return GUARD_EXIT
 
 
 def _grid(rows, sep: str) -> str:
@@ -472,18 +485,43 @@ def main(argv: list[str] | None = None) -> int:
 
 def run() -> None:
     """The process entry point (``wplat``, ``python -m wplat.cli``): ``main``
-    on the command line, in a process whose reader may close the pipe early.
+    on the command line, in a process whose reader may close the pipe early,
+    ended as soon as the request's status is known.
 
     The default SIGPIPE action ends such a process as it ends other Unix
-    filters, without a BrokenPipeError traceback or exit 1.  In-process
-    callers of ``main`` keep their own handling.  The interpreter has loaded
-    _signal, while signal would first build its enums (about 1 ms per
-    request)."""
+    filters, without a BrokenPipeError traceback or exit 1.  The interpreter
+    has loaded _signal, while signal would first build its enums (about 1 ms
+    per request).
+
+    The status is ``main``'s return value or the integer of a SystemExit
+    (argparse, :func:`_write`).  The process then runs the ``atexit``
+    handlers, flushes stdout and stderr, and ends by ``os._exit``, skipping
+    the teardown of every module and object the request built.
+    Stdout written outside :func:`_write` (``--help``) that cannot be flushed
+    turns a success into exit 2.  Other exceptions propagate with their
+    traceback, and in-process callers of ``main`` keep their own exit."""
     import _signal
+    import atexit
+    import os
 
     if hasattr(_signal, "SIGPIPE"):
         _signal.signal(_signal.SIGPIPE, _signal.SIG_DFL)
-    sys.exit(main())
+    try:
+        status = main()
+    except SystemExit as exc:
+        if not isinstance(exc.code, int):
+            raise
+        status = exc.code
+    atexit._run_exitfuncs()
+    try:
+        if sys.stdout is not None:
+            sys.stdout.flush()
+    except OSError as exc:  # a failed request has already said why
+        if status == 0:
+            status = _cannot_write("standard output", exc)
+    if sys.stderr is not None:
+        sys.stderr.flush()
+    os._exit(status)
 
 
 if __name__ == "__main__":

@@ -529,8 +529,10 @@ def build_poset(n: int, k: int, guard: int | None = None, closures: bool = False
     Each element is a chain p_1 >= ... >= p_k of set partitions of [n], read
     as their ids (``wpartition._set_partitions``, B of them) and keyed by the
     integer sum_j p_j B^(j-1).  The cover rule reads only which bytes of the
-    element's block-minimum code are fixed points, so :func:`_admissible`
-    lists the labels once per fixed-point pattern.  The cover (alpha, beta)_l
+    element's block-minimum code are fixed points, so the labels are listed
+    once per fixed-point pattern, read off its per-layer minima in the order
+    of :func:`_admissible`: (alpha, beta)_l for l from k down to 1, alpha a
+    layer-l minimum and beta > alpha a layer-1 minimum.  The cover (alpha, beta)_l
     replaces p_1, ..., p_l by their merges of the alpha- and beta-blocks,
     read from a row per partition that :func:`_raise` fills once on the
     partition's one-layer code, so no partition and no code is built per
@@ -579,7 +581,8 @@ def build_poset(n: int, k: int, guard: int | None = None, closures: bool = False
         pattern = tuple(map(minima.__getitem__, ps))
         plan = plans.get(pattern)
         if plan is None:
-            steps = _admissible(b"".join([codes[p] for p in ps]), n, k)
+            steps = [(a, b, l) for l in range(k, 0, -1) for a in pattern[l - 1]
+                     for b in pattern[0] if b > a]
             place = {t: j for j, t in enumerate(dict.fromkeys([a * n + b for a, b, _ in steps]))}
             plan = plans[pattern] = (
                 tuple(map(label_code.__getitem__, steps)), list(place),

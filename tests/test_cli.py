@@ -431,6 +431,101 @@ class TestGuardAndOut:
         assert out.strip() == "x(x-2)(x-4)(x-6) = x^4-12x^3+44x^2-48x"
 
 
+class TestProcessExit:
+    """A request run as a process ends by os._exit once its status is known;
+    nothing it wrote or registered is lost on the way."""
+
+    @staticmethod
+    def launch(*args, unbuffered=False, env=(), **kwargs):
+        # stdout is block-buffered unless PYTHONUNBUFFERED is set, whatever
+        # the environment the tests run in
+        environ = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+        if unbuffered:
+            environ["PYTHONUNBUFFERED"] = "1"
+        environ.update(env, PYTHONPATH=str(Path(wplat.__file__).parents[1]))
+        return subprocess.run([sys.executable, *args], env=environ, **kwargs)
+
+    @pytest.mark.parametrize("unbuffered", [True, False])
+    def test_large_output_is_written_whole(self, capsys, tmp_path, unbuffered):
+        # the DOT text of (6,2) is far larger than a pipe buffer
+        argv = ["hasse", "--n", "6", "--k", "2"]
+        main(argv)
+        want = capsys.readouterr().out.encode()
+        assert len(want) > 1 << 16  # a Linux pipe holds 64 KiB
+        piped = self.launch("-m", "wplat.cli", *argv, unbuffered=unbuffered,
+                            capture_output=True)
+        assert (piped.returncode, piped.stdout, piped.stderr) == (0, want, b"")
+        target = tmp_path / "hasse.dot"
+        written = self.launch("-m", "wplat.cli", *argv, "--out", str(target),
+                              unbuffered=unbuffered, capture_output=True)
+        assert (written.returncode, written.stdout, written.stderr) == (0, b"", b"")
+        assert target.read_bytes() == want
+
+    def test_atexit_handlers_run(self):
+        proc = self.launch(
+            "-c", "import atexit; atexit.register(print, 'bye'); "
+                  "from wplat.cli import run; run()",
+            "count", "--n", "3", "--k", "2", capture_output=True, text=True)
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert proc.stdout == "r=1:5, r=2:6, r=3:1, total 12\nbye\n"
+
+    def test_guard_refusal_and_help_keep_their_exit(self):
+        refused = self.launch("-m", "wplat.cli", "count", "--n", "4", "--k", "2",
+                              env={"WPLAT_GUARD": "10"},
+                              capture_output=True, text=True)
+        assert (refused.returncode, refused.stdout) == (2, "")
+        assert len(refused.stderr.splitlines()) == 1
+        assert "over the guard of 10" in refused.stderr
+        helped = self.launch("-m", "wplat.cli", "--help", capture_output=True, text=True)
+        assert (helped.returncode, helped.stderr) == (0, "")
+        assert helped.stdout.startswith("usage: wplat")
+
+    def test_exit_loads_no_module(self):
+        # sys.modules as an atexit handler sees it, after main's normal
+        # return and inside run's exit
+        script = ("import atexit, sys; from wplat import cli; "
+                  "atexit.register(lambda: print(*sorted(sys.modules))); "
+                  "cli.run() if sys.argv.pop(1) == 'run' else cli.main()")
+        argv = ["verify", "--suite", "el", "--n", "3", "--k", "2"]
+        loaded = {}
+        for entry in ("main", "run"):
+            proc = self.launch("-c", script, entry, *argv, capture_output=True, text=True)
+            assert (proc.returncode, proc.stderr) == (0, "")
+            loaded[entry] = set(proc.stdout.splitlines()[-1].split())
+        assert loaded["run"] == loaded["main"]
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    @pytest.mark.parametrize("unbuffered", [True, False])
+    def test_unwritable_stdout_is_a_usage_error(self, unbuffered):
+        # unbuffered, the write fails; buffered, the flush after it does
+        with open("/dev/full", "w") as full:
+            proc = self.launch("-m", "wplat.cli", "count", "--n", "3", "--k", "2",
+                               unbuffered=unbuffered, stdout=full,
+                               stderr=subprocess.PIPE, text=True)
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("wplat: cannot write standard output: ")
+        assert len(proc.stderr.splitlines()) == 1
+
+    def test_stdout_errors_in_process(self, capsys, monkeypatch):
+        # a full device is a usage error; a closed pipe propagates to the caller
+        class Failing:
+            def __init__(self, error):
+                self.error = error
+
+            def write(self, text):
+                raise self.error
+
+        monkeypatch.setattr(sys, "stdout", Failing(OSError(28, "No space left on device")))
+        with pytest.raises(SystemExit) as exc:
+            main(["count", "--n", "3", "--k", "2"])
+        assert exc.value.code == 2
+        assert capsys.readouterr().err == (
+            "wplat: cannot write standard output: No space left on device\n")
+        monkeypatch.setattr(sys, "stdout", Failing(BrokenPipeError(32, "Broken pipe")))
+        with pytest.raises(BrokenPipeError):
+            main(["count", "--n", "3", "--k", "2"])
+
+
 class TestClosures:
     """Only the recursion and the structure report read the order's
     closures; the guard refuses their requests when the closures would not

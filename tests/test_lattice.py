@@ -664,7 +664,7 @@ class TestOrderKernel:
                 assert validate(n, k, nxt.layers) == nxt
 
     @pytest.mark.parametrize("n,k", [(n, k) for n in range(1, 6) for k in range(1, 4)]
-                             + [(6, 2)])
+                             + [(6, 2), (4, 4), (3, 5)])
     def test_build_matches_admissible_covers(self, n, k, poset_cache):
         # build_poset's block-minimum codes against the block-pair scan: the
         # same cover list in the same order (by lower element, each one's
