@@ -512,6 +512,9 @@ def run() -> None:
         if not isinstance(exc.code, int):
             raise
         status = exc.code
+    # os._exit skips the atexit handlers, and the atexit module documents no
+    # call that runs them; _run_exitfuncs is CPython's own (checked on 3.11),
+    # and test_cli.py fails by name if it goes away
     atexit._run_exitfuncs()
     try:
         if sys.stdout is not None:

@@ -164,11 +164,20 @@ def _admits(code: bytes, n: int, k: int, alpha: int, beta: int, layer: int) -> b
             and code[(layer - 1) * n + alpha - 1] == alpha and code[beta - 1] == beta)
 
 
+def _labels_from_minima(minima) -> list[tuple[int, int, int]]:
+    """The labels (alpha, beta, l) that :func:`_admits` accepts at an element
+    whose layer-l blocks have the ascending minima ``minima[l - 1]``, in label
+    order (deeper layers first): alpha a layer-l minimum, beta > alpha a
+    first-layer minimum."""
+    return [(alpha, beta, l) for l in range(len(minima), 0, -1) for alpha in minima[l - 1]
+            for beta in minima[0] if beta > alpha]
+
+
 def _admissible(code: bytes, n: int, k: int) -> list[tuple[int, int, int]]:
     """The labels (alpha, beta, l) that :func:`_admits` accepts at the
     element with code ``code``, in label order (deeper layers first)."""
-    return [(alpha, beta, l) for l in range(k, 0, -1) for alpha in range(1, n)
-            for beta in range(alpha + 1, n + 1) if _admits(code, n, k, alpha, beta, l)]
+    return _labels_from_minima([[e for e, m in enumerate(code[j:j + n], 1) if m == e]
+                                for j in range(0, k * n, n)])
 
 
 def _raise(code: bytes, n: int, alpha: int, beta: int, layer: int) -> bytes:
@@ -530,9 +539,8 @@ def build_poset(n: int, k: int, guard: int | None = None, closures: bool = False
     as their ids (``wpartition._set_partitions``, B of them) and keyed by the
     integer sum_j p_j B^(j-1).  The cover rule reads only which bytes of the
     element's block-minimum code are fixed points, so the labels are listed
-    once per fixed-point pattern, read off its per-layer minima in the order
-    of :func:`_admissible`: (alpha, beta)_l for l from k down to 1, alpha a
-    layer-l minimum and beta > alpha a layer-1 minimum.  The cover (alpha, beta)_l
+    once per fixed-point pattern, by :func:`_labels_from_minima` on its
+    per-layer minima.  The cover (alpha, beta)_l
     replaces p_1, ..., p_l by their merges of the alpha- and beta-blocks,
     read from a row per partition that :func:`_raise` fills once on the
     partition's one-layer code, so no partition and no code is built per
@@ -581,8 +589,7 @@ def build_poset(n: int, k: int, guard: int | None = None, closures: bool = False
         pattern = tuple(map(minima.__getitem__, ps))
         plan = plans.get(pattern)
         if plan is None:
-            steps = [(a, b, l) for l in range(k, 0, -1) for a in pattern[l - 1]
-                     for b in pattern[0] if b > a]
+            steps = _labels_from_minima(pattern)
             place = {t: j for j, t in enumerate(dict.fromkeys([a * n + b for a, b, _ in steps]))}
             plan = plans[pattern] = (
                 tuple(map(label_code.__getitem__, steps)), list(place),

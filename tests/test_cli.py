@@ -469,6 +469,12 @@ class TestProcessExit:
         assert (proc.returncode, proc.stderr) == (0, "")
         assert proc.stdout == "r=1:5, r=2:6, r=3:1, total 12\nbye\n"
 
+    def test_atexit_runner_exists(self):
+        # run() runs the handlers through this undocumented CPython name
+        import atexit
+        assert callable(getattr(atexit, "_run_exitfuncs", None)), \
+            "atexit._run_exitfuncs is gone: cli.run() can no longer run the handlers"
+
     def test_guard_refusal_and_help_keep_their_exit(self):
         refused = self.launch("-m", "wplat.cli", "count", "--n", "4", "--k", "2",
                               env={"WPLAT_GUARD": "10"},
