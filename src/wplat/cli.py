@@ -12,15 +12,26 @@ status ends without interpreter teardown: the ``atexit`` handlers run, then
 stdout and stderr are flushed, then ``os._exit`` ends the process.  In-process
 callers of :func:`main` keep the interpreter's normal exit.
 
+One table, ``_COMMANDS``, describes the subcommands: handler, help text,
+formats, least --n and own options.  :func:`main` reads a plain command
+line (a subcommand, then exact ``--flag value`` pairs and ``--force``)
+from it with argparse's checks and gets argparse's namespace; argparse is
+imported, and its parser built from the same table, only for help, usage
+errors and the other forms argparse accepts (``--flag=value``, abbreviated
+or repeated flags).
+
 Each command imports the modules it runs when it runs, and ``json`` is
 imported only to render JSON, so a request loads no more than it uses:
-``table`` and ``series`` never load the poset code.
+``table`` and ``series`` never load the poset code, and no plain command
+line loads argparse.
 """
 
 from __future__ import annotations
 
-import argparse
+import errno
+import os
 import sys
+from types import SimpleNamespace
 
 from . import GuardExceeded, RouteMismatch
 
@@ -44,25 +55,28 @@ def _emit(args, **formats) -> None:
         text = json.dumps(rendered, indent=2)
     if not text.endswith("\n"):
         text += "\n"
-    _write(args, lambda write: write(text))
+    _write(args.out, lambda write: write(text))
 
 
-def _write(args, produce) -> None:
-    """Call ``produce(write)`` with the ``write`` method of the --out file or
-    of stdout, which is then flushed.  An --out file or a stdout that cannot
-    be written is a usage error: one line on stderr, exit 2.  A reader that
-    closed the pipe is not: its BrokenPipeError propagates."""
+def _write(out: str | None, produce) -> None:
+    """Call ``produce(write)`` with the ``write`` method of the file ``out``
+    or, when ``out`` is None or empty, of stdout, which is then flushed.  An
+    --out file or a stdout that cannot be written, or is closed, is a usage
+    error: one line on stderr, exit 2.  A reader that closed the pipe is not:
+    its BrokenPipeError propagates."""
     try:
-        if args.out:
-            with open(args.out, "w") as fh:
+        if out:
+            with open(out, "w") as fh:
                 produce(fh.write)
         else:
+            if sys.stdout is None:  # the process started with stdout closed
+                raise OSError(errno.EBADF, os.strerror(errno.EBADF))
             produce(sys.stdout.write)
             sys.stdout.flush()
     except BrokenPipeError:
         raise
     except OSError as exc:
-        sys.exit(_cannot_write(f"--out {args.out}" if args.out else "standard output", exc))
+        sys.exit(_cannot_write(f"--out {out}" if out else "standard output", exc))
 
 
 def _cannot_write(where: str, exc: OSError) -> int:
@@ -232,7 +246,7 @@ def cmd_hasse(args) -> int:
 
     poset = lat.build_poset(args.n, args.k, guard=args.guard)
     # hasse_dot writes the text in chunks, so it is never held whole
-    _write(args, lambda write: lat.hasse_dot(poset, write))
+    _write(args.out, lambda write: lat.hasse_dot(poset, write))
     return 0
 
 
@@ -396,12 +410,100 @@ def cmd_verify(args) -> int:
 
 
 # ---------------------------------------------------------------------------
+# the command table, read by build_parser and by _read_plain
+
+_REQUIRED = object()  # the default of an option that must be given
+_TABLE_FORMATS = ("text", "json", "csv")
+
+# name: (handler, help, formats, n_min, own options).  The first format is
+# the default.  An option is (flag, accepts, default): ``accepts`` is an
+# integer's lower bound, the tuple of choices, or None for any text.
+_COMMANDS = {
+    "count": (cmd_count, "per-rank element counts, two routes", _TABLE_FORMATS, 1,
+              [("--r", 1, None)]),
+    "table": (cmd_table, "number triangles with cross-checks", _TABLE_FORMATS, None,
+              [("--kind", ("T", "t", "s", "S", "bell"), _REQUIRED),
+               ("--n-max", 0, _REQUIRED), ("--k", 1, 1)]),
+    "series": (cmd_series, "iterated exp/log series coefficients", _TABLE_FORMATS, None,
+               [("--which", ("exp", "log"), _REQUIRED), ("--k", 1, _REQUIRED),
+                ("--order", 0, _REQUIRED)]),
+    "mobius": (cmd_mobius, "Möbius function of the lattice", ("text",), 1,
+               [("--method", ("recursive", "chains", "closed", "all"), "all")]),
+    "charpoly": (cmd_charpoly, "characteristic polynomial", ("text", "json"), 1, []),
+    "hasse": (cmd_hasse, "Hasse diagram as DOT", ("dot",), 1, []),
+    "chains": (cmd_chains, "maximal chains of the full interval", ("text", "json"), 1,
+               [("--filter", ("all", "rising", "decreasing"), "all")]),
+    "trees": (cmd_trees, "labeled binary trees", ("json", "dot", "text"), 2, []),
+    "verify": (cmd_verify, "verification suites, JSON report", ("json",), 1,
+               [("--suite", ("el", "structure", "bijections", "all"), "all")]),
+}
+
+
+def _shared_options(n_min, formats) -> list[tuple]:
+    """The options a subcommand lists before --force and its own: --n at
+    least ``n_min`` and --k at least 1 unless ``n_min`` is None, --format
+    when there is a choice, and --out."""
+    options = [] if n_min is None else [("--n", n_min, _REQUIRED), ("--k", 1, _REQUIRED)]
+    if len(formats) > 1:
+        options.append(("--format", formats, formats[0]))
+    return options + [("--out", None, None)]
+
+
+def _read_plain(argv: list[str]):
+    """The namespace ``build_parser().parse_args(argv)`` returns, read from
+    ``_COMMANDS`` without argparse when ``argv`` is a plain command line: a
+    subcommand, then each of its options at most once, as an exact flag and
+    its value or as --force.  A value may not start with "-", an integer is
+    ASCII digits at least its bound, a choice is exact, and every required
+    option is given.  Any other ``argv`` (help, an error, --flag=value, an
+    abbreviated or repeated flag) returns None, for argparse to read."""
+    if not argv or argv[0] not in _COMMANDS:
+        return None
+    fn, _, formats, n_min, own = _COMMANDS[argv[0]]
+    options = {flag: (flag[2:].replace("-", "_"), accepts, default)
+               for flag, accepts, default in _shared_options(n_min, formats) + own}
+    values = {"command": argv[0], "fn": fn, "format": formats[0], "guard": None}
+    values.update((dest, None if default is _REQUIRED else default)
+                  for dest, _, default in options.values())
+    given = set()
+    tokens = iter(argv[1:])
+    for flag in tokens:
+        if flag in given:
+            return None
+        given.add(flag)
+        if flag == "--force":
+            values["guard"] = FORCED_GUARD
+            continue
+        if flag not in options:
+            return None
+        dest, accepts, _ = options[flag]
+        value = next(tokens, "-")  # a missing value is argparse's to report
+        if value.startswith("-"):
+            return None
+        if isinstance(accepts, int):
+            if not (value.isascii() and value.isdigit()):
+                return None
+            try:
+                value = int(value)
+            except ValueError:  # more digits than int() converts
+                return None
+            if value < accepts:
+                return None
+        elif accepts is not None and value not in accepts:
+            return None
+        values[dest] = value
+    if any(default is _REQUIRED and flag not in given
+           for flag, (_, _, default) in options.items()):
+        return None
+    return SimpleNamespace(**values)
+
 
 def _at_least(low: int):
     """argparse type: an integer no smaller than ``low``."""
     def parse(text: str) -> int:
         value = int(text)
         if value < low:
+            import argparse
             raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
         return value
 
@@ -410,69 +512,48 @@ def _at_least(low: int):
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="wplat",
-        description="Exact computations on the lattice of weighted partitions")
+    """The argparse parser of every subcommand in ``_COMMANDS``; :func:`main`
+    builds it for help, errors and any command line that ``_read_plain``
+    leaves to it."""
+    import argparse
+
+    class Parser(argparse.ArgumentParser):
+        def print_help(self, file=None):
+            """Help for stdout goes out through :func:`_write`, so a stdout
+            that cannot be written is a usage error here too."""
+            if file is not None:
+                return super().print_help(file)
+            _write(None, lambda write: write(self.format_help()))
+
+    parser = Parser(prog="wplat",
+                    description="Exact computations on the lattice of weighted partitions")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, fn, formats=("text",), n_min=1, **kwargs):
-        """A subcommand taking --n >= n_min and --k >= 1 unless n_min is
-        None; its first format is the default, and --format is offered
-        only when there is a choice."""
-        p = sub.add_parser(name, **kwargs)
+    def add(p, flag, accepts, default):
+        p.add_argument(flag, type=_at_least(accepts) if isinstance(accepts, int) else None,
+                       choices=accepts if isinstance(accepts, tuple) else None,
+                       required=default is _REQUIRED,
+                       default=None if default is _REQUIRED else default,
+                       help="write output to a file" if flag == "--out" else None)
+
+    for name, (fn, text, formats, n_min, own) in _COMMANDS.items():
+        p = sub.add_parser(name, help=text)
         p.set_defaults(fn=fn, format=formats[0])
-        if n_min is not None:
-            p.add_argument("--n", type=_at_least(n_min), required=True)
-            p.add_argument("--k", type=_at_least(1), required=True)
-        if len(formats) > 1:
-            p.add_argument("--format", choices=formats, default=formats[0])
-        p.add_argument("--out", help="write output to a file")
+        for option in _shared_options(n_min, formats):
+            add(p, *option)
         p.add_argument("--force", dest="guard", action="store_const",
                        const=FORCED_GUARD, help="override the size guard")
-        return p
-
-    table_formats = ("text", "json", "csv")
-
-    p = add("count", cmd_count, table_formats,
-            help="per-rank element counts, two routes")
-    p.add_argument("--r", type=_at_least(1))
-
-    p = add("table", cmd_table, table_formats, n_min=None,
-            help="number triangles with cross-checks")
-    p.add_argument("--kind", choices=["T", "t", "s", "S", "bell"], required=True)
-    p.add_argument("--n-max", type=_at_least(0), required=True)
-    p.add_argument("--k", type=_at_least(1), default=1)
-
-    p = add("series", cmd_series, table_formats, n_min=None,
-            help="iterated exp/log series coefficients")
-    p.add_argument("--which", choices=["exp", "log"], required=True)
-    p.add_argument("--k", type=_at_least(1), required=True)
-    p.add_argument("--order", type=_at_least(0), required=True)
-
-    p = add("mobius", cmd_mobius, help="Möbius function of the lattice")
-    p.add_argument("--method", choices=["recursive", "chains", "closed", "all"],
-                   default="all")
-
-    add("charpoly", cmd_charpoly, ("text", "json"), help="characteristic polynomial")
-    add("hasse", cmd_hasse, ("dot",), help="Hasse diagram as DOT")
-
-    p = add("chains", cmd_chains, ("text", "json"),
-            help="maximal chains of the full interval")
-    p.add_argument("--filter", choices=["all", "rising", "decreasing"],
-                   default="all")
-
-    add("trees", cmd_trees, ("json", "dot", "text"), n_min=2,
-        help="labeled binary trees")
-
-    p = add("verify", cmd_verify, ("json",), help="verification suites, JSON report")
-    p.add_argument("--suite", choices=["el", "structure", "bijections", "all"],
-                   default="all")
-
+        for option in own:
+            add(p, *option)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    """Run the command line ``argv`` (default ``sys.argv[1:]``) and return
+    its exit code; argparse's usage errors and help exit by SystemExit."""
+    if argv is None:
+        argv = sys.argv[1:]
+    args = _read_plain(argv) or build_parser().parse_args(argv)
     try:
         return args.fn(args)
     except GuardExceeded as exc:
@@ -497,12 +578,12 @@ def run() -> None:
     (argparse, :func:`_write`).  The process then runs the ``atexit``
     handlers, flushes stdout and stderr, and ends by ``os._exit``, skipping
     the teardown of every module and object the request built.
-    Stdout written outside :func:`_write` (``--help``) that cannot be flushed
-    turns a success into exit 2.  Other exceptions propagate with their
-    traceback, and in-process callers of ``main`` keep their own exit."""
+    Stdout written outside :func:`_write` (by an ``atexit`` handler) that
+    cannot be flushed turns a success into exit 2.  Other exceptions
+    propagate with their traceback, and in-process callers of ``main`` keep
+    their own exit."""
     import _signal
     import atexit
-    import os
 
     if hasattr(_signal, "SIGPIPE"):
         _signal.signal(_signal.SIGPIPE, _signal.SIG_DFL)

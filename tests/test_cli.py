@@ -1,19 +1,24 @@
 """The command-line interface: output contracts, formats, exit codes, and
 the size guard."""
 
+import errno
 import hashlib
+import io
 import json
 import os
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 from conftest import poset_from_covers
+from hypothesis import given, settings
+from hypothesis import strategies as st_
 
 import wplat
-from wplat import build_poset, chains, lattice, series, stirling
+from wplat import build_poset, chains, cli, lattice, series, stirling
 from wplat.cli import _verify_structure, main
 
 
@@ -504,13 +509,22 @@ class TestProcessExit:
     @pytest.mark.parametrize("unbuffered", [True, False])
     def test_unwritable_stdout_is_a_usage_error(self, unbuffered):
         # unbuffered, the write fails; buffered, the flush after it does
-        with open("/dev/full", "w") as full:
-            proc = self.launch("-m", "wplat.cli", "count", "--n", "3", "--k", "2",
-                               unbuffered=unbuffered, stdout=full,
-                               stderr=subprocess.PIPE, text=True)
-        assert proc.returncode == 2
-        assert proc.stderr.startswith("wplat: cannot write standard output: ")
-        assert len(proc.stderr.splitlines()) == 1
+        for argv in ("count --n 3 --k 2", "--help", "count --help"):
+            with open("/dev/full", "w") as full:
+                proc = self.launch("-m", "wplat.cli", *argv.split(),
+                                   unbuffered=unbuffered, stdout=full,
+                                   stderr=subprocess.PIPE, text=True)
+            assert proc.returncode == 2, argv
+            assert proc.stderr.startswith("wplat: cannot write standard output: "), argv
+            assert len(proc.stderr.splitlines()) == 1, argv
+
+    @pytest.mark.parametrize("argv", ["count --n 3 --k 2", "--help"])
+    def test_closed_stdout_is_a_usage_error(self, argv):
+        # with file descriptor 1 closed the interpreter sets sys.stdout to None
+        proc = self.launch("-m", "wplat.cli", *argv.split(), preexec_fn=lambda: os.close(1),
+                           stderr=subprocess.PIPE, text=True)
+        assert (proc.returncode, proc.stderr) == (
+            2, f"wplat: cannot write standard output: {os.strerror(errno.EBADF)}\n")
 
     def test_stdout_errors_in_process(self, capsys, monkeypatch):
         # a full device is a usage error; a closed pipe propagates to the caller
@@ -580,16 +594,157 @@ class TestClosures:
                        "raise the guard to proceed\n")
 
 
-@pytest.mark.parametrize("argv", [
-    "count --n 0 --k 2", "count --n 3 --k 0", "trees --n 1 --k 2",
-    "count --n 3 --k 2 --r -1", "count --n 3 --k 2 --r 0",
-    "table --kind T --n-max -1", "series --which exp --k 2 --order -1",
-])
-def test_bad_input_is_a_usage_error(capsys, argv):
+# usage errors and help texts, pinned from the parser that spelled out every
+# add_argument call, at an 80-column terminal
+COUNT_USAGE = ("usage: wplat count [-h] --n N --k K [--format {text,json,csv}] [--out OUT]\n"
+               "                   [--force] [--r R]\n")
+BAD_INPUT_STDERR = {
+    "count --n 0 --k 2": COUNT_USAGE + "wplat count: error: argument --n: must be at least 1, got 0\n",
+    "count --n 3 --k 0": COUNT_USAGE + "wplat count: error: argument --k: must be at least 1, got 0\n",
+    "trees --n 1 --k 2":
+        "usage: wplat trees [-h] --n N --k K [--format {json,dot,text}] [--out OUT]\n"
+        "                   [--force]\n"
+        "wplat trees: error: argument --n: must be at least 2, got 1\n",
+    "count --n 3 --k 2 --r -1": COUNT_USAGE + "wplat count: error: argument --r: must be at least 1, got -1\n",
+    "count --n 3 --k 2 --r 0": COUNT_USAGE + "wplat count: error: argument --r: must be at least 1, got 0\n",
+    "table --kind T --n-max -1":
+        "usage: wplat table [-h] [--format {text,json,csv}] [--out OUT] [--force]\n"
+        "                   --kind {T,t,s,S,bell} --n-max N_MAX [--k K]\n"
+        "wplat table: error: argument --n-max: must be at least 0, got -1\n",
+    "series --which exp --k 2 --order -1":
+        "usage: wplat series [-h] [--format {text,json,csv}] [--out OUT] [--force]\n"
+        "                    --which {exp,log} --k K --order ORDER\n"
+        "wplat series: error: argument --order: must be at least 0, got -1\n",
+}
+
+
+@pytest.mark.parametrize("argv", list(BAD_INPUT_STDERR))
+def test_bad_input_is_a_usage_error(capsys, monkeypatch, argv):
+    monkeypatch.setenv("COLUMNS", "80")
     with pytest.raises(SystemExit) as exc:
         main(argv.split())
     assert exc.value.code == 2
-    assert "must be at least" in capsys.readouterr().err
+    assert capsys.readouterr() == ("", BAD_INPUT_STDERR[argv])
+
+
+@pytest.mark.parametrize("command,digest", [
+    ("", "464d5d27af27764f801b51c84f9564f49a5734bc30cac212def7ca87ff4ca76a"),
+    ("count", "7087af6b7c8500fbd88ca45240f2545ae5ae6b3779768e17adb846af30d4cc2c"),
+    ("table", "ccfc020a287f335ca19ff1945c448890b35f25ab28aefbde62a7fe7d76881551"),
+    ("series", "95fa3c1edea74feb4fb6d27a2904a8195374d4eb783a622588ca08614c5c6c9f"),
+    ("mobius", "7fe2d8cf1136e0109f6cfdb125a9ecb74c58f46c4af1a7fa195ece539a2087c9"),
+    ("charpoly", "efe226828ba7bfae0b1e26be7563257a5a7b532a4511e07aaaafcfa91baec5f7"),
+    ("hasse", "4b5476d8e61a3f482cb69f2be547a93b7ee3ced505c30055e646165fa78a1330"),
+    ("chains", "e7590f7a7182345d935bef7338f687483e86905d449818b2fb60cfa953a3baff"),
+    ("trees", "fca4814df32da0395b2e9e819588857d7ba4dbb25e1608d526cf5c5dd3016660"),
+    ("verify", "d2a8a8a17e04ffec9cfbdf4a455b19a9ef7e282b401090f944cb61838a335e15"),
+])
+@pytest.mark.skipif(sys.version_info < (3, 11),
+                    reason="argparse titled the options 'optional arguments' before 3.11")
+def test_help_keeps_its_bytes(capsys, monkeypatch, command, digest):
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as exc:
+        main(command.split() + ["--help"])
+    out, err = capsys.readouterr()
+    assert (exc.value.code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == digest, out
+
+
+def _values(accepts):
+    """Values to give an option: its choices, integers around the bounds, or
+    text."""
+    if isinstance(accepts, tuple):
+        return list(accepts)
+    return ["0", "1", "2", "3", "007", "12"] if isinstance(accepts, int) else ["out.txt", "x y"]
+
+
+# tokens that make a command line other than plain, and values that argparse
+# reads in its own way
+JUNK = ["--n=3", "--n-m", "--n", "--k", "-1", "٣", "²", "--", "-h", "--help", "",
+        "+3", " 3", "1_0", "3.0", "9" * 5000, "--force", "--forc", "all", "T", "count"]
+
+
+@st_.composite
+def command_lines(draw):
+    """A command and its options in any order, each with one of its values,
+    required ones mostly given and others about half the time, then a few
+    junk tokens put in or swapped in."""
+    name = draw(st_.sampled_from(list(cli._COMMANDS) + ["cnt", "-h"]))
+    tokens = [name]
+    if name in cli._COMMANDS:
+        _, _, formats, n_min, own = cli._COMMANDS[name]
+        pairs = [[flag, draw(st_.sampled_from(_values(accepts)))]
+                 for flag, accepts, default in cli._shared_options(n_min, formats) + own
+                 if draw(st_.integers(0, 4)) > (default is not cli._REQUIRED) * 2]
+        pairs += [["--force"]] * draw(st_.integers(0, 1))
+        for pair in draw(st_.permutations(pairs)):
+            tokens += pair
+    for at, junk, swap in draw(st_.lists(st_.tuples(
+            st_.integers(0, len(tokens)), st_.sampled_from(JUNK), st_.booleans()), max_size=2)):
+        tokens[at:at + swap] = [junk]
+    return tokens
+
+
+class TestPlainCommandLine:
+    """main reads a plain command line from the command table and leaves
+    every other argv to argparse; where the table reads one, it gives
+    argparse's namespace."""
+
+    @staticmethod
+    def parse_both(argv):
+        """The table's namespace (or None) and argparse's (or None where it
+        exits), each as a dict."""
+        plain = cli._read_plain(argv)
+        with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+            try:
+                parsed = vars(cli.build_parser().parse_args(argv))
+            except SystemExit:
+                parsed = None
+        return None if plain is None else vars(plain), parsed
+
+    @given(command_lines())
+    @settings(max_examples=400, deadline=None)
+    def test_table_reading_is_argparse(self, argv):
+        plain, parsed = self.parse_both(argv)
+        assert plain is None or plain == parsed
+
+    @pytest.mark.parametrize("name", list(cli._COMMANDS))
+    def test_every_plain_line_is_read(self, name):
+        # first the required options alone, then every option and --force
+        _, _, formats, n_min, own = cli._COMMANDS[name]
+        options = cli._shared_options(n_min, formats) + own
+        for chosen in ([o for o in options if o[2] is cli._REQUIRED], options):
+            argv = [name]
+            for flag, accepts, _ in chosen:
+                argv += [flag, _values(accepts)[-1]]
+            for tail in ([], ["--force"]):
+                plain, parsed = self.parse_both(argv + tail)
+                assert plain is not None and plain == parsed
+
+    @pytest.mark.parametrize("argv", [
+        "-h", "--help", "count --n 3 --k 2 -h", "cnt --n 3 --k 2",
+        "count --n=3 --k 2",                      # --flag=value
+        "table --kind T --n-m 4", "table --kind T --n 4",  # abbreviations
+        "count --n 3 --k 2 --n 4", "count --n 3 --k 2 --force --force",  # repeats
+        "count --n 3 --k 2 --out -x",             # a value that starts with -
+        "count --n ٣ --k 2", "count --n ² --k 2",  # non-ASCII digits
+        "count -- --n 3 --k 2", "count --n 3 --k 2 extra",
+        "count --n 3", "count --n 3 --k", "count --n 3 --k 2 --bogus 1",
+        "count --n 0 --k 2", "count --n 3 --k 2 --format xml",
+        "count --n 3 --k 2 --format JSON",
+    ])
+    def test_other_lines_go_to_argparse(self, argv):
+        assert cli._read_plain(argv.split()) is None
+
+    def test_deferred_lines_still_run(self, capsys):
+        want = run(capsys, "count", "--n", "3", "--k", "2")
+        assert want[0] == 0
+        for argv in (["count", "--n=3", "--k=2"], ["count", "--n", "٣", "--k", "2"],
+                     ["count", "--n", "4", "--k", "2", "--n", "3"]):
+            assert cli._read_plain(argv) is None
+            assert run(capsys, *argv) == want
+        # more digits than int() converts: argparse reports an invalid int
+        assert cli._read_plain(["count", "--n", "9" * 5000, "--k", "2"]) is None
 
 
 # stdout sha256 and exit code of every subcommand and --format, pinned from

@@ -102,13 +102,15 @@ def test_cli_import_loads_no_dataclasses():
     assert after == "False" or before == "True"
 
 
-# what each request loads of the package and of json, fractions and decimal
+# what each request loads of the package and of json, fractions, decimal and
+# the argparse modules, which a plain command line does not need
 LOADS = """
 import sys
 from wplat.cli import main
 code = main(sys.argv[1:]) if sys.argv[1:] else 0
 print(code, *sorted(m for m in sys.modules if m.partition(".")[0] == "wplat"
-                    or m in ("json", "fractions", "decimal")), file=sys.stderr)
+                    or m in ("json", "fractions", "decimal", "argparse", "gettext", "locale")),
+      file=sys.stderr)
 """
 NUMBERS = {"wplat", "wplat.cli", "wplat.stirling"}
 POSET = NUMBERS | {"wplat.lattice", "wplat.wpartition"}
