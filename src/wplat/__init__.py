@@ -7,6 +7,8 @@ each module ``wplat.<module>``, is imported on first access (PEP 562), so a
 command that needs only the numbers never loads the poset code.
 """
 
+from __future__ import annotations
+
 from importlib import import_module
 
 __version__ = "0.1.0"
@@ -19,6 +21,24 @@ class GuardExceeded(RuntimeError):
 class RouteMismatch(AssertionError):
     """Two independent routes to the same numbers disagree; the message names
     both values, and the command line reports it as exit 1."""
+
+
+DEFAULT_GUARD = 200_000
+
+
+def _guard_limit(guard: int | None) -> int:
+    """The size guard's limit: ``guard``, else WPLAT_GUARD (an integer), else
+    DEFAULT_GUARD; a WPLAT_GUARD that is no integer raises
+    :class:`GuardExceeded`."""
+    if guard is not None:
+        return guard
+    import os
+
+    setting = os.environ.get("WPLAT_GUARD", str(DEFAULT_GUARD))
+    try:
+        return int(setting)
+    except ValueError:
+        raise GuardExceeded(f"WPLAT_GUARD must be an integer, got {setting!r}") from None
 
 
 # module -> the names it exports through the package

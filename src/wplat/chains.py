@@ -6,7 +6,9 @@ decreasing chains of the lattice.
 
 from __future__ import annotations
 
+from functools import partial
 from itertools import combinations, product
+from operator import gt
 from typing import Iterator, Mapping, NamedTuple, Sequence
 
 from .lattice import CoverLabel, _admits, _raise
@@ -210,6 +212,13 @@ class LBT(NamedTuple):
         return [label, self.left.to_nested(), self.right.to_nested()]
 
 
+# an LBT, or a cover label, from the tuple of its fields, without the
+# Python-level ``__new__`` of a NamedTuple: the tree builders make one per
+# node, and the read-off one per label
+_new_lbt = partial(tuple.__new__, LBT)
+_new_label = partial(tuple.__new__, CoverLabel)
+
+
 def _merge_label(lc: LBT, rc: LBT) -> CoverLabel:
     """e(v) of the internal node v with children ``lc`` and ``rc``: the
     cover label that the read-off emits when it deletes v."""
@@ -274,10 +283,6 @@ def lbt_check(tree: LBT, n: int, k: int) -> list[str]:
     return problems
 
 
-def _one_child(node: LBT) -> bool:
-    return (node.left is None) != (node.right is None)
-
-
 def _node_name(node: LBT, is_root: bool) -> str:
     return "root" if is_root else f"node {node.value}_{node.sub}"
 
@@ -308,7 +313,8 @@ def _check_node(node: LBT, is_root: bool, n: int, k: int, leaves: list[int],
         found.append(f"S2: siblings {lc.value}_{lc.sub},{rc.value}_{rc.sub}")
     # S4 reads the children of internal children: a child with one child
     # is listed on its own instead
-    elif not (_one_child(lc) or _one_child(rc) or _heap_ordered(lc, rc)):
+    elif ((lc.left is None) == (lc.right is None) and (rc.left is None) == (rc.right is None)
+          and not _heap_ordered(lc, rc)):
         found.append(f"S4: a child of {_merge_label(lc, rc)} has a smaller merge label")
     if not is_root:
         if node.sub < lc.sub or node.sub < rc.sub:
@@ -317,10 +323,11 @@ def _check_node(node: LBT, is_root: bool, n: int, k: int, leaves: list[int],
     left_below, left_inside = _check_node(lc, False, n, k, leaves, found)
     right_below, right_inside = _check_node(rc, False, n, k, leaves, found)
     # S5 applies to every labeled internal node, by its child position
-    if not lc.is_leaf and lc.value not in left_below:
+    if (lc.left is not None or lc.right is not None) and lc.value not in left_below:
         found.insert(at, f"S5: left child {lc.value}_{lc.sub} label not allowed")
         at += 1
-    if not rc.is_leaf and rc.value not in right_below - right_inside:
+    if (rc.left is not None or rc.right is not None) and \
+            rc.value not in right_below - right_inside:
         found.insert(at, f"S5: right child {rc.value}_{rc.sub} label not allowed")
     below = {*left_below, *right_below}
     for child in (lc, rc):
@@ -349,14 +356,15 @@ def _gen_subtrees(shape, ints: tuple[int, ...], is_right: bool, k: int,
         return memo[key]
     if shape == ():
         bit = 1 << ints[0] if is_right else 0
-        out = [(LBT(ints[0], s), bit) for s in range(1, k + 1)]
+        out = [(_new_lbt((ints[0], s, None, None)), bit) for s in range(1, k + 1)]
     else:
         out = []
         for lc, rc, inside in _child_pairs(shape, ints, k, memo):
             allowed = [v for v in ints if not inside >> v & 1] if is_right else ints
             for s in range(lc.sub, k + 1):
                 for v in allowed:
-                    out.append((LBT(v, s, lc, rc), inside | 1 << v if is_right else inside))
+                    out.append((_new_lbt((v, s, lc, rc)),
+                                inside | 1 << v if is_right else inside))
     memo[key] = out = tuple(out)
     return out
 
@@ -407,7 +415,7 @@ def enumerate_lbt(n: int, k: int) -> list[LBT]:
     if n < 2 or k < 1:
         raise ValueError("need n >= 2 and k >= 1")
     memo: dict = {}
-    return [LBT(None, None, lc, rc)
+    return [_new_lbt((None, None, lc, rc))
             for shape in _shapes(n)
             for lc, rc, _ in _child_pairs(shape, tuple(range(1, n + 1)), k, memo)
             if k == 1 or (lc.value, lc.sub) != (1, k)]
@@ -453,16 +461,16 @@ def lbt_to_chain(tree: LBT, k: int) -> tuple[CoverLabel, ...]:
     keys.sort(reverse=True)
     if k >= 2:
         keys.append((-k, 1, leaves))
-    if not ordered or not all(a > b for a, b in zip(keys, keys[1:])):
+    if not ordered or not all(map(gt, keys, keys[1:])):
         raise ValueError("tree does not yield a strictly decreasing chain")
-    return tuple([CoverLabel(a, b, -s) for s, a, b in keys])
+    return tuple([_new_label((a, b, -s)) for s, a, b in keys])
 
 
 def chain_to_lbt(labels: Sequence[CoverLabel], n: int, k: int) -> LBT:
     """Inverse construction.  ``labels`` must be a maximal decreasing
     0^-to-top chain (checked against the cover relation)."""
     keys = [(-layer, alpha, beta) for alpha, beta, layer in labels]  # the sort keys
-    if not all(a > b for a, b in zip(keys, keys[1:])):
+    if not all(map(gt, keys, keys[1:])):
         raise ValueError("chain labels must strictly decrease")
     codes = _chain_codes(n, k, labels, maximal=True)
 
@@ -470,8 +478,9 @@ def chain_to_lbt(labels: Sequence[CoverLabel], n: int, k: int) -> LBT:
     # for a leaf), by the block's minimum: the step (a,b)_s joins the tree
     # of b, the minimum of its block, to the tree of f_1(a), read from the
     # code before the step, and the joined block keeps the smaller minimum
-    children: list[tuple] = [()] * (n + 1)
+    children: list[tuple] = [(None, None)] * (n + 1)
     for (alpha, beta, layer), code in zip(labels[:n - 1], codes):
         a = code[alpha - 1]
-        children[a] = (LBT(alpha, layer, *children[a]), LBT(beta, layer, *children[beta]))
-    return LBT(None, None, *children[1])
+        children[a] = (_new_lbt((alpha, layer, *children[a])),
+                       _new_lbt((beta, layer, *children[beta])))
+    return _new_lbt((None, None, *children[1]))

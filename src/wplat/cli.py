@@ -33,7 +33,7 @@ import os
 import sys
 from types import SimpleNamespace
 
-from . import GuardExceeded, RouteMismatch
+from . import GuardExceeded, RouteMismatch, _guard_limit
 
 GUARD_EXIT = 2
 FAIL_EXIT = 1
@@ -149,9 +149,21 @@ def _table_rows(kind: str, n_max: int, k: int) -> list[list[int]]:
     return rows
 
 
+def _check_coefficients(args, levels: int, order: int) -> None:
+    """The size guard of the numbers commands: refuse, before any work, a
+    request whose ``levels`` series or triangles to order ``order`` hold
+    more than the guard's count of coefficients, (order + 1)^2 each."""
+    guard = _guard_limit(args.guard)
+    if (count := levels * (order + 1) ** 2) > guard:
+        raise GuardExceeded(
+            f"{args.command} needs about {count} coefficients, over the guard of "
+            f"{guard}; raise the guard to proceed")
+
+
 def cmd_table(args) -> int:
     from . import stirling as st
 
+    _check_coefficients(args, args.k if args.kind in ("T", "t") else 1, args.n_max)
     if args.kind == "bell":
         values = st.bell_row(args.n_max)
         lines, records = [values], enumerate(values)
@@ -169,6 +181,7 @@ def cmd_table(args) -> int:
 def cmd_series(args) -> int:
     from . import series as ser
 
+    _check_coefficients(args, args.k, args.order)
     fn = ser.exp_k_xy if args.which == "exp" else ser.log_k_xy
     rows = fn(args.k, args.order).rows_int()
     _emit(args,
@@ -183,12 +196,16 @@ def cmd_mobius(args) -> int:
     from . import lattice as lat
 
     n, k = args.n, args.k
+    # the guard runs before any route: the build's, or its own for the closed form
+    recursive = args.method in ("recursive", "all")  # the recursion reads the closures
+    if args.method == "closed":
+        lat.check_guard(n, k, args.guard)
+    else:
+        poset = lat.build_poset(n, k, guard=args.guard, closures=recursive)
     values = {}
     if args.method in ("closed", "all"):
         values["closed"] = lat.mobius_closed_form(n, k)
     if args.method != "closed":
-        recursive = args.method in ("recursive", "all")  # the recursion reads the closures
-        poset = lat.build_poset(n, k, guard=args.guard, closures=recursive)
         if recursive:
             values["recursive"] = poset.mobius_recursive(
                 poset.bottom_idx, poset.top_idx)
@@ -226,8 +243,9 @@ def cmd_charpoly(args) -> int:
     from . import lattice as lat
 
     n, k = args.n, args.k
+    poset = lat.build_poset(n, k, guard=args.guard)  # the guard runs before any route
     coeffs = lat.char_poly_product(n, k)
-    summed = lat.char_poly_summation(n, k, lat.build_poset(n, k, guard=args.guard))
+    summed = lat.char_poly_summation(n, k, poset)
     if summed != coeffs:
         raise RouteMismatch(f"characteristic polynomial routes disagree: "
                             f"summation {summed}, product {coeffs}")
@@ -335,16 +353,19 @@ def _verify_bijections(poset) -> list[dict]:
     n, k = poset.n, poset.k
     checks = []
 
-    bad = []
-    for pi in poset.elements:
-        if pi is lat.TOP:
-            continue
-        if wp.from_rooted_tree(wp.to_rooted_tree(pi)) != pi:
-            bad.append({"pi": wp.one_line_print(pi), "issue": "rooted-tree round trip"})
-        if wp.edge_set_inverse(wp.edge_set(pi), n, k) != pi:
-            bad.append({"pi": wp.one_line_print(pi), "issue": "edge-set round trip"})
-        if wp.one_line_parse(wp.one_line_print(pi), n, k) != pi:
-            bad.append({"pi": wp.one_line_print(pi), "issue": "one-line round trip"})
+    # each round trip is one pass over the elements that keeps the indices
+    # of the elements it fails; the witnesses then list them in element
+    # order, and within an element in the order of the routes
+    to_tree, from_tree = wp.to_rooted_tree, wp.from_rooted_tree
+    to_edges, from_edges = wp.edge_set, wp.edge_set_inverse
+    to_name, from_name = wp.one_line_print, wp.one_line_parse
+    elements = [pi for pi in poset.elements if pi is not lat.TOP]
+    failed = ([i for i, pi in enumerate(elements) if from_tree(to_tree(pi)) != pi],
+              [i for i, pi in enumerate(elements) if from_edges(to_edges(pi), n, k) != pi],
+              [i for i, pi in enumerate(elements) if from_name(to_name(pi), n, k) != pi])
+    routes = ("rooted-tree round trip", "edge-set round trip", "one-line round trip")
+    bad = [{"pi": to_name(elements[i]), "issue": routes[r]}
+           for i, r in sorted([(i, r) for r, found in enumerate(failed) for i in found])]
     # each inverse refuses an input that no element maps to: a tree with an
     # empty node, a name that holds every element twice, an edge outside [n]
     pi = wp.bottom(n, k)
@@ -380,9 +401,9 @@ def _verify_bijections(poset) -> list[dict]:
             bad.append({"issue": "tree count != decreasing chain count",
                         "trees": len(trees), "chains": len(chains_list)})
         generated, imaged = set(trees), set(images)
-        for issue, missing in (
+        for issue, missing in (() if generated == imaged else (
                 ("chain image not generated", [t for t in images if t not in generated]),
-                ("generated tree not a chain image", [t for t in trees if t not in imaged])):
+                ("generated tree not a chain image", [t for t in trees if t not in imaged]))):
             if missing:
                 bad.append({"issue": issue, "count": len(missing),
                             "trees": [t.to_nested() for t in missing[:lat.MAX_WITNESSES]]})

@@ -18,16 +18,16 @@ refinement order, not of this one.
 
 from __future__ import annotations
 
-import os
 from bisect import bisect_right
 from functools import cached_property, reduce
 from itertools import chain, combinations, islice
-from math import factorial
+from math import comb, factorial
 from operator import and_, gt, le, mul
 from typing import Iterator, NamedTuple, Sequence
 
-# defined in the package, so that the CLI can catch them without this module
-from . import GuardExceeded, RouteMismatch
+# defined in the package, so that the CLI can catch the errors, and the
+# numbers commands read the guard, without this module
+from . import DEFAULT_GUARD, GuardExceeded, RouteMismatch, _guard_limit
 from .wpartition import (
     WeightedPartition,
     _code,
@@ -58,7 +58,6 @@ __all__ = [
     "hasse_dot",
 ]
 
-DEFAULT_GUARD = 200_000
 # the closures may take one 4 KiB page per unit of the guard: 781 MiB at the
 # default, which admits (6,4) (474 MiB) and refuses (8,2) (6,720 MiB)
 CLOSURE_BYTES_PER_GUARD = 4096
@@ -75,31 +74,61 @@ def check_guard(n: int, k: int, guard: int | None = None, chains: int = 0,
     elements N (with the adjoined top), its decreasing chains, which are as
     many as the labeled binary trees, and any other chains the caller is
     about to list.  Every guarded command enumerates one or more of them.
-    A caller that will build the order's two closures (``closures``), N^2/8
-    bytes each, is also refused when they need more than
-    CLOSURE_BYTES_PER_GUARD bytes per unit of the guard; the structure
-    report holds two cover-mask lists beside them, at most as large.
+    Memory may take CLOSURE_BYTES_PER_GUARD bytes per unit of the guard: a
+    request is also refused when the elements' layers, one 8-byte pointer
+    per layer, need more, and a caller that will build the order's two
+    closures (``closures``), N^2/8 bytes each, when they need more; the
+    structure report holds two cover-mask lists beside them, at most as
+    large.
     The limit is ``guard``, else WPLAT_GUARD (an integer), else DEFAULT_GUARD.
+
+    Lower bounds that cost nothing are tested first, so that no size is too
+    large to refuse at once: N is at least 2^(n-1) (the set partitions
+    whose one block of two or more holds 1) and at least C(n+k-1, n-1)
+    (the elements whose one block of two or more at each layer is {1..m}),
+    and each element holds k layers.  Past them n - 1 is under the guard's
+    bit length, and the exact count (:func:`_element_count`) loops in n
+    only.
     """
-    if guard is None:
-        setting = os.environ.get("WPLAT_GUARD", str(DEFAULT_GUARD))
-        try:
-            guard = int(setting)
-        except ValueError:
-            raise GuardExceeded(
-                f"WPLAT_GUARD must be an integer, got {setting!r}") from None
-    size = sum(T_def(n, k, r) for r in range(n + 1)) + 1
+    guard = _guard_limit(guard)
+    if n - 1 >= guard.bit_length() or k > guard or comb(n + k - 1, n - 1) + 1 > guard:
+        raise GuardExceeded(
+            f"(n={n}, k={k}) needs more than {guard} elements or layers, "
+            f"over the guard of {guard}; raise the guard to proceed")
+    size = _element_count(n, k) + 1
     estimate = max(size, abs(mobius_closed_form(n, k)), chains)
     if estimate > guard:
         raise GuardExceeded(
             f"(n={n}, k={k}) needs about {estimate} elements or chains, "
             f"over the guard of {guard}; raise the guard to proceed")
+    # each element holds a pointer to each of its k layers
+    if (need := 8 * size * k) > guard * CLOSURE_BYTES_PER_GUARD:
+        raise GuardExceeded(
+            f"(n={n}, k={k}) needs about {need >> 20} MiB for the elements' layers, "
+            f"over the {guard * CLOSURE_BYTES_PER_GUARD >> 20} MiB that the guard of "
+            f"{guard} allows; raise the guard to proceed")
     # each closure is one bitmask of up to N bits per element
     if closures and (need := 2 * size * size // 8) > guard * CLOSURE_BYTES_PER_GUARD:
         raise GuardExceeded(
             f"(n={n}, k={k}) needs about {need >> 20} MiB for the order's closures, "
             f"over the {guard * CLOSURE_BYTES_PER_GUARD >> 20} MiB that the guard of "
             f"{guard} allows; raise the guard to proceed")
+
+
+def _element_count(n: int, k: int) -> int:
+    """sum_r T(n, k, r), the weighted partitions of [n] with k layers.
+    They are the multichains p_1 >= ... >= p_k of set partitions of [n], so
+    their count is a polynomial in k of degree n - 1 (the zeta polynomial
+    of the partition lattice); for k > n it is read off the counts at
+    k = 1..n by Newton's forward differences, with no loop in k."""
+    if k <= n:
+        return sum(T_def(n, k, r) for r in range(n + 1))
+    values = [_element_count(n, j) for j in range(1, n + 1)]
+    total = 0
+    for i in range(n):
+        total += comb(k - 1, i) * values[0]
+        values = [b - a for a, b in zip(values, values[1:])]
+    return total
 
 
 class CoverLabel(NamedTuple):
@@ -180,15 +209,20 @@ def _admissible(code: bytes, n: int, k: int) -> list[tuple[int, int, int]]:
                                 for j in range(0, k * n, n)])
 
 
+_BYTES = [bytes((i,)) for i in range(256)]  # each byte value as a bytes object
+
+
 def _raise(code: bytes, n: int, alpha: int, beta: int, layer: int) -> bytes:
     """The code of the cover (alpha, beta)_layer: the alpha- and beta-blocks
     merge at every layer <= ``layer``.  beta is the minimum of its block at
     every layer, so each byte beta of f_l becomes f_l(alpha) < beta.  Each
     layer is replaced apart, so the first l layers of the raise at a layer
     above l are those of the raise at l."""
-    b = bytes((beta,))
-    return b"".join([code[j:j + n].replace(b, code[j + alpha - 1:j + alpha])
-                     for j in range(0, layer * n, n)]) + code[layer * n:]
+    b = _BYTES[beta]
+    head = b""
+    for j in range(0, layer * n, n):
+        head += code[j:j + n].replace(b, _BYTES[code[j + alpha - 1]])
+    return head + code[layer * n:]
 
 
 def admissible_covers(pi: WeightedPartition) -> list[tuple[CoverLabel, WeightedPartition]]:

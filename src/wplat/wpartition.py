@@ -10,7 +10,6 @@ elements ascending and every layer's blocks by minimum element.
 
 from __future__ import annotations
 
-import re
 from functools import lru_cache
 from itertools import combinations, product, repeat
 from math import factorial
@@ -226,28 +225,31 @@ def edge_set_inverse(edges: Iterable[tuple[int, int, int]], n: int, k: int) -> W
     if n < 0 or k < 1:
         validate(n, k, ())  # raises its "malformed" violation
     edges.sort(key=itemgetter(2), reverse=True)
-    # one sweep from layer k down, joining the classes of the edges labeled
-    # l before layer l is read off; ``root`` maps each element to the
-    # minimum of its class, whose sorted members ``members`` holds
-    root = {e: e for e in range(1, n + 1)}
-    members = {e: [e] for e in range(1, n + 1)}
     edges.append((0, 0, 0))  # a sentinel, labeled below every layer
-    at = 0
+    # one sweep from layer k down: the edges labeled l are joined before
+    # layer l is read off; ``root`` maps each element to the minimum of its
+    # class, whose sorted members ``members`` holds, and ``joined`` holds
+    # the minima of the classes of two or more
+    root = list(range(n + 1))
+    members = [[e] for e in root]
+    joined: set[int] = set()
     layers: list[Layer] = []
-    for l in range(k, 0, -1):
-        i, j, label = edges[at]
-        while label >= l:
-            a, b = root[i], root[j]
-            if a != b:
-                if b < a:
-                    a, b = b, a
-                for e in members[b]:
-                    root[e] = a
-                members[a] = sorted(members[a] + members[b])
-            at += 1
-            i, j, label = edges[at]
-        layers.append(tuple([tuple(members[e]) for e in range(1, n + 1)
-                             if root[e] == e and (l == 1 or len(members[e]) > 1)]))
+    l = k
+    for i, j, label in edges:
+        while label < l:
+            layers.append(tuple([tuple(members[a]) for a in sorted(joined)]))
+            l -= 1
+        a, b = root[i], root[j]
+        if a != b:
+            if b < a:
+                a, b = b, a
+            for e in members[b]:
+                root[e] = a
+            members[a] = sorted(members[a] + members[b])
+            joined.discard(b)
+            joined.add(a)
+    # the sentinel read layers k..1; layer 1 keeps its singletons
+    layers[-1] = tuple([tuple(members[e]) for e in range(1, n + 1) if root[e] == e])
     layers.reverse()
     return WeightedPartition(n, k, tuple(layers))
 
@@ -270,6 +272,9 @@ def one_line_print(pi: WeightedPartition) -> str:
     sep = "," if _wide(pi.n, pi.k) else ""
     pieces = []
     for b in pi.layers[0]:
+        if len(b) == 1:  # no deeper block holds a singleton's element
+            pieces.append(str(b[0]))
+            continue
         inner, depth = _render(pi.layers, sep, b, 1)
         pieces.append(f"({inner})^{depth}" if depth >= 2 else inner)
     return "/".join(pieces)
@@ -300,12 +305,15 @@ def _render(layers: tuple[Layer, ...], sep: str, b: Block, l: int) -> tuple[str,
     return out, l
 
 
-# per width (:func:`_wide`): an element, an exponent (its digits may be
-# missing), a symbol, or any other character but a separator
-_TOKEN = {
-    False: re.compile(r"(?P<num>\d)|\^(?P<exp>\d?)|(?P<sym>[()/])|(?P<bad>[^\s,])"),
-    True: re.compile(r"(?P<num>\d+)|\^(?P<exp>\d*)|(?P<sym>[()/])|(?P<bad>[^\s,])"),
-}
+@lru_cache(maxsize=None)
+def _token_pattern(wide: bool):
+    """The tokens of a name of the width ``wide`` (:func:`_wide`): an
+    element, an exponent (its digits may be missing), a symbol, or any
+    other character but a separator; a token's first character tells its
+    kind.  Compiled on first use, so a request that parses no name
+    compiles none."""
+    import re
+    return re.compile(r"\d+|\^\d*|[()/]|[^\s,]" if wide else r"\d|\^\d?|[()/]|[^\s,]")
 
 
 def one_line_parse(text: str, n: int, k: int) -> WeightedPartition:
@@ -328,83 +336,101 @@ def one_line_parse(text: str, n: int, k: int) -> WeightedPartition:
     return _nested_partition(n, k, _one_line_layers(text, n, k))
 
 
+class _Fault(Exception):
+    """A text that is no name: the index of the token at fault, the offset
+    of the fault from the token's start, and what was expected there
+    (:func:`_one_line_layers` turns it into :class:`OneLineParseError`)."""
+
+
 def _one_line_layers(text: str, n: int, k: int) -> list[list[Block]]:
     """The blocks that a one-line name collects at each layer, sorted, each
     element once per occurrence (:func:`one_line_parse`); raises
-    :class:`OneLineParseError` on a text that is no name."""
-    toks = [(m.lastgroup, m[0], m.start()) for m in _TOKEN[_wide(n, k)].finditer(text)]
-    toks.append(("end", "", len(text)))  # errors at the end point past the text
+    :class:`OneLineParseError` on a text that is no name.  Tokens are read
+    as strings; their positions are found only to report a fault."""
+    pattern = _token_pattern(_wide(n, k))
+    try:
+        layers = _collect(pattern.findall(text), k)
+    except _Fault as fault:
+        index, offset, expected = fault.args
+        starts = [m.start() for m in pattern.finditer(text)]
+        starts.append(len(text))  # errors at the end point past the text
+        raise OneLineParseError(text, starts[index] + offset, expected) from None
+    return [[tuple(sorted(b)) for b in layer] for layer in layers]
+
+
+def _collect(toks: list[str], k: int) -> list[list[list[int]]]:
+    """The unsorted blocks of the tokens ``toks`` at each of k layers
+    (:func:`_one_line_layers`); raises :class:`_Fault`."""
+    toks.append("")  # the end
     layers: list[list[list[int]]] = [[] for _ in range(k)]
     # the items list being read: the units of its groups and aliased
-    # elements, (exponent, elements, position, is_group), and all its
+    # elements, (exponent, elements, token index, is_group), and all its
     # elements, in lists so that a repeated element stays; ``outer`` holds
-    # the lists around each open group, with the position of its '('
+    # the lists around each open group, with the index of its '('
     units: list = []
     elements: list[int] = []
     outer: list = []
     i = 0
     while True:
-        kind, value, at = toks[i]
+        tok = toks[i]
         i += 1
-        if kind == "num":
-            elements.append(int(value))
-            if toks[i][0] == "exp":
-                expo, i = _exponent(text, toks, i)
-                units.append((expo, [int(value)], at, False))
-        elif value == "(":
-            outer.append((units, elements, at))
+        if tok.isdecimal():
+            elements.append(int(tok))
+            if toks[i][:1] == "^":
+                units.append((_exponent(toks, i), [int(tok)], i - 1, False))
+                i += 1
+        elif tok == "(":
+            outer.append((units, elements, i - 1))
             units, elements = [], []
-        elif kind == "bad":
-            raise OneLineParseError(text, at, "element, '(', ')', '^', '/' or ','")
-        elif kind == "exp":
-            raise OneLineParseError(text, at, "element or '('")
+        elif tok[:1] == "^":
+            raise _Fault(i - 1, 0, "element or '('")
+        elif tok not in (")", "/", ""):
+            raise _Fault(i - 1, 0, "element, '(', ')', '^', '/' or ','")
         elif outer:  # ')', '/' or the end, inside a group
-            if value != ")":
-                raise OneLineParseError(text, at, "')'")
-            expo, i = _exponent(text, toks, i)
+            if tok != ")":
+                raise _Fault(i - 1, 0, "')'")
+            if toks[i][:1] != "^":
+                raise _Fault(i, 0, "'^'")
+            expo = _exponent(toks, i)
+            i += 1
             inner, inner_elements = units, elements
             units, elements, opened = outer.pop()
             if not inner_elements:
-                raise OneLineParseError(text, opened + 1, "items inside '(...)'")
+                raise _Fault(opened, 1, "items inside '(...)'")
             # a group's inner blocks are emitted as soon as its exponent is read
-            _emit(text, layers, inner, expo)
+            if inner:
+                _emit(layers, inner, expo)
             units.append((expo, inner_elements, opened, True))
             elements += inner_elements
         else:  # '/', ')' or the end, after a block of layer 1
             if not elements:
-                raise OneLineParseError(text, at, "block items")
+                raise _Fault(i - 1, 0, "block items")
             layers[0].append(elements)
-            _emit(text, layers, units, 1)
-            if kind == "end":
-                break
-            if value != "/":
-                raise OneLineParseError(text, at, "'/' or end of input")
+            if units:
+                _emit(layers, units, 1)
+            if not tok:
+                return layers
+            if tok != "/":
+                raise _Fault(i - 1, 0, "'/' or end of input")
             units, elements = [], []
-    return [[tuple(sorted(b)) for b in layer] for layer in layers]
 
 
-def _exponent(text: str, toks: list, i: int) -> tuple[int, int]:
-    """The exponent at token i, whose '^' must be there, and the index of
-    the token after it (:func:`one_line_parse`)."""
-    kind, token, at = toks[i]
-    if kind != "exp":
-        raise OneLineParseError(text, at, "'^'")
-    if len(token) == 1:
-        raise OneLineParseError(text, at + 1, "exponent digit after '^'")
-    return int(token[1:]), i + 1
+def _exponent(toks: list[str], i: int) -> int:
+    """The exponent of the token i, a '^' (:func:`_collect`)."""
+    if len(toks[i]) == 1:
+        raise _Fault(i, 1, "exponent digit after '^'")
+    return int(toks[i][1:])
 
 
-def _emit(text: str, layers: list[list[list[int]]], units: list, outer: int) -> None:
+def _emit(layers: list[list[list[int]]], units: list, outer: int) -> None:
     """Record the blocks that the units of an items list, inside a block
     that persists through layer ``outer``, make at the deeper layers: at
     each layer, the units that reach it are one block each, or one block
-    together when an aliased element is among them (:func:`one_line_parse`)."""
-    if not units:
-        return
+    together when an aliased element is among them (:func:`_collect`)."""
     k = len(layers)
     for expo, _, at, _ in units:
         if not outer < expo <= k:
-            raise OneLineParseError(text, at, f"exponent in {outer + 1}..{k}")
+            raise _Fault(at, 0, f"exponent in {outer + 1}..{k}")
     for l in range(outer + 1, max([u[0] for u in units]) + 1):
         reach = [u for u in units if u[0] >= l]
         if all([u[3] for u in reach]):
@@ -535,23 +561,38 @@ Tree = frozenset
 
 def to_rooted_tree(pi: WeightedPartition):
     """The k-level rooted tree: depth-d nodes are the layer-d blocks
-    (singletons included), leaves at depth k+1 carry the elements."""
-    return frozenset([_subtree(pi.layers, b, 1) for b in pi.layers[0]])
+    (singletons included), leaves at depth k+1 carry the elements.  The
+    subtree of a singleton block is the same for every tree, so it is built
+    once (:func:`_tower`) and shared."""
+    layers = pi.layers
+    k = len(layers)
+    return frozenset([_subtree(layers, b, 1, k) if len(b) > 1 else _tower(b[0], k)
+                      for b in layers[0]])
 
 
-def _subtree(layers: tuple[Layer, ...], block: Block, depth: int):
-    """The node of ``block`` at ``depth`` (:func:`to_rooted_tree`)."""
-    if depth == len(layers):
+def _subtree(layers: tuple[Layer, ...], block: Block, depth: int, k: int):
+    """The node of the block ``block``, of two or more elements, at
+    ``depth`` (:func:`to_rooted_tree`)."""
+    if depth == k:
         return frozenset(block)  # children are the leaf elements
     kids = []
     rest = set(block)
     for c in layers[depth]:  # layer depth+1 blocks, each inside one block
         if c[0] in rest:
-            kids.append(_subtree(layers, c, depth + 1))
+            kids.append(_subtree(layers, c, depth + 1, k))
             rest.difference_update(c)
+    height = k - depth
     for e in rest:
-        kids.append(_subtree(layers, (e,), depth + 1))
+        kids.append(_tower(e, height))
     return frozenset(kids)
+
+
+@lru_cache(maxsize=None)
+def _tower(e: int, height: int) -> frozenset:
+    """The subtree of the singleton block (e,) at depth k + 1 - ``height``:
+    ``height`` nested one-child nodes above the leaf e, built once per
+    (e, height) and shared by every tree (:func:`to_rooted_tree`)."""
+    return frozenset((e,) if height == 1 else (_tower(e, height - 1),))
 
 
 def from_rooted_tree(tree) -> WeightedPartition:

@@ -236,6 +236,24 @@ def oracle_edge_set_inverse(edges, n, k):
     return validate(n, k, layers)
 
 
+def oracle_rooted_tree(pi):
+    """``to_rooted_tree`` straight from the layers, with nothing shared: the
+    node of a layer-d block (singletons of deeper layers included) holds the
+    nodes of the layer-(d+1) blocks inside it, and at depth k its elements."""
+    k = len(pi.layers)
+    full = [list(pi.layers[0])]
+    for layer in pi.layers[1:]:  # a deeper layer, with its singletons put back
+        covered = {e for b in layer for e in b}
+        full.append(list(layer) + [(e,) for e in range(1, pi.n + 1) if e not in covered])
+
+    def node(block, depth):
+        if depth == k:
+            return frozenset(block)
+        return frozenset(node(c, depth + 1) for c in full[depth] if set(c) <= set(block))
+
+    return frozenset(node(b, 1) for b in full[0])
+
+
 def oracle_tree_layers(tree):
     """The (n, k, layers) that ``from_rooted_tree`` collects from a tree, by
     one recursive walk: the sorted leaves under each node, grouped by the

@@ -6,8 +6,10 @@ import hashlib
 import io
 import json
 import os
+import resource
 import subprocess
 import sys
+from collections import Counter
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 from pathlib import Path
@@ -308,6 +310,67 @@ class TestVerify:
         assert check["witnesses"] == [
             {"pi": "1/2/3", "issue": "one-line inverse accepts a repeated element"}]
 
+    def test_round_trip_witnesses_in_element_order(self, capsys, monkeypatch):
+        # the rooted-tree inverse fails at two elements and the edge-set
+        # inverse at two, one of them shared: the witnesses list them in
+        # element order, the rooted tree before the edge set
+        wp = wplat.wpartition
+        fails = {wp.from_rooted_tree: {"(12)^2 3", "13/2"},
+                 wp.edge_set_inverse: {"12/3", "13/2"}}
+
+        def failing(inverse):
+            def wrong(*args):
+                got = inverse(*args)
+                return wp.bottom(got.n, got.k) if str(got) in fails[inverse] else got
+            return wrong
+
+        for inverse in fails:
+            monkeypatch.setattr(wp, inverse.__name__, failing(inverse))
+        code, out, _ = run(capsys, "verify", "--suite", "bijections", "--n", "3", "--k", "2")
+        assert code == 1
+        check, = [c for c in json.loads(out)["checks"]
+                  if c["check"] == "partition_round_trips"]
+        assert check["witnesses"] == [
+            {"pi": "(12)^2 3", "issue": "rooted-tree round trip"},
+            {"pi": "12/3", "issue": "edge-set round trip"},
+            {"pi": "13/2", "issue": "rooted-tree round trip"},
+            {"pi": "13/2", "issue": "edge-set round trip"}]
+
+    @pytest.mark.parametrize("n,k,fail", [(4, 2, False), (3, 3, True)])
+    def test_round_trips_call_each_map_once_per_element(self, capsys, monkeypatch,
+                                                        n, k, fail):
+        # each forward map and inverse runs once per element, and once more
+        # in the refusal checks; one_line_print also names each witness and
+        # the refusal checks' element
+        wp = wplat.wpartition
+        calls = Counter()
+
+        def counted(fn):
+            def wrapper(*args):
+                calls[fn.__name__] += 1
+                return fn(*args)
+            return wrapper
+
+        if fail:  # the one-line round trip fails at each name of one block
+            parse = wp.one_line_parse
+
+            def one_line_parse(text, n, k):
+                return wp.bottom(n, k) if "/" not in text else parse(text, n, k)
+            monkeypatch.setattr(wp, "one_line_parse", one_line_parse)
+        names = ("to_rooted_tree", "from_rooted_tree", "edge_set", "edge_set_inverse",
+                 "one_line_print", "one_line_parse")
+        for name in names:
+            monkeypatch.setattr(wp, name, counted(getattr(wp, name)))
+        code, out, _ = run(capsys, "verify", "--suite", "bijections",
+                           "--n", str(n), "--k", str(k))
+        check, = [c for c in json.loads(out)["checks"]
+                  if c["check"] == "partition_round_trips"]
+        elements = len(build_poset(n, k).elements) - 1  # less the adjoined top
+        witnesses = len(check["witnesses"])
+        assert (code, witnesses > 0) == ((1, True) if fail else (0, False))
+        assert calls == {**dict.fromkeys(names, elements + 1),
+                         "one_line_print": elements + witnesses + 1}
+
     def test_bijections_with_two_digit_exponents(self, capsys):
         code, out, _ = run(capsys, "verify", "--suite", "bijections", "--n", "2", "--k", "10")
         assert code == 0
@@ -434,6 +497,73 @@ class TestGuardAndOut:
         code, out, _ = run(capsys, "charpoly", "--n", "4", "--k", "2", "--force")
         assert code == 0
         assert out.strip() == "x(x-2)(x-4)(x-6) = x^4-12x^3+44x^2-48x"
+
+
+def _capped_memory():
+    """Run in the child before exec: its address space is capped at 1 GiB, so
+    a request that grows without bound fails at once."""
+    resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+
+HUGE = "100000000000000000000"
+
+
+class TestHugeSizes:
+    """Every size too large for the guard is refused at once, exit 2 with one
+    stderr line, however large: no traceback, no unbounded loop or memory.
+    Each request runs in a fresh process with 1 GiB of address space and a
+    few seconds, so a regression fails instead of exhausting the host."""
+
+    @pytest.mark.parametrize("argv", [
+        f"count --n {HUGE} --k 2", f"verify --n {HUGE} --k 2", f"trees --n {HUGE} --k 2",
+        f"count --n 40 --k {HUGE}", f"count --n 1 --k {HUGE}", "count --n 2 --k 150000",
+        f"charpoly --n {HUGE} --k 2", f"mobius --method closed --n {HUGE} --k 2",
+        f"table --kind T --n-max {HUGE}", f"table --kind T --n-max 3 --k {HUGE}",
+        f"series --which exp --k 2 --order {HUGE}",
+    ])
+    def test_refused_by_the_guard(self, argv):
+        proc = subprocess.run(
+            [sys.executable, "-m", "wplat.cli", *argv.split()], capture_output=True,
+            text=True, timeout=10, preexec_fn=_capped_memory,
+            env={**{k: v for k, v in os.environ.items() if k != "WPLAT_GUARD"},
+                 "PYTHONPATH": str(Path(wplat.__file__).parents[1])})
+        assert (proc.returncode, proc.stdout) == (2, "")
+        line, = proc.stderr.splitlines()
+        assert "over the guard of 200000; raise the guard to proceed" in line \
+            or "that the guard of 200000 allows; raise the guard to proceed" in line
+
+    def test_numbers_guard(self, capsys, monkeypatch):
+        # levels times (order + 1)^2 coefficients: the benchmark's largest
+        # numbers requests hold 3,844, and --force overrides the guard
+        assert run(capsys, "series", "--which", "exp", "--k", "4", "--order", "30")[0] == 0
+        monkeypatch.setenv("WPLAT_GUARD", "3843")
+        code, out, err = run(capsys, "series", "--which", "exp", "--k", "4", "--order", "30")
+        assert (code, out) == (2, "")
+        assert err == ("series needs about 3844 coefficients, over the guard of 3843; "
+                       "raise the guard to proceed\n")
+        assert run(capsys, "series", "--which", "exp", "--k", "4", "--order", "30",
+                   "--force")[0] == 0
+        code, _, err = run(capsys, "table", "--kind", "t", "--n-max", "61", "--k", "1")
+        assert (code, err) == (2, "table needs about 3844 coefficients, over the guard of "
+                                  "3843; raise the guard to proceed\n")
+
+    @pytest.mark.parametrize("argv", [
+        "mobius --n 4 --k 2 --method closed", "mobius --n 4 --k 2 --method all",
+        "charpoly --n 4 --k 2"])
+    def test_guard_runs_before_any_route(self, capsys, monkeypatch, argv):
+        events = []
+
+        def logged(name, fn):
+            def wrapper(*args, **kwargs):
+                events.append(name)
+                return fn(*args, **kwargs)
+            return wrapper
+
+        for name in ("check_guard", "mobius_closed_form", "char_poly_product",
+                     "char_poly_roots"):
+            monkeypatch.setattr(lattice, name, logged(name, getattr(lattice, name)))
+        assert run(capsys, *argv.split())[0] == 0
+        assert events[0] == "check_guard"
 
 
 class TestProcessExit:

@@ -106,6 +106,13 @@ class TestPosetShape:
         with pytest.raises(GuardExceeded):
             build_poset(5, 2, guard=10)
 
+    def test_element_count_is_a_polynomial_in_k(self):
+        # the guard reads the count at k > n off its values at k = 1..n
+        for n in range(1, 6):
+            for k in range(1, 13):
+                assert lattice._element_count(n, k) == sum(T_def(n, k, r)
+                                                           for r in range(n + 1)), (n, k)
+
     def test_guard_env(self, monkeypatch):
         monkeypatch.setenv("WPLAT_GUARD", "10")
         with pytest.raises(GuardExceeded):

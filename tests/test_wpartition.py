@@ -12,6 +12,7 @@ import pytest
 from conftest import (
     oracle_edge_set_inverse,
     oracle_enumerate_all,
+    oracle_rooted_tree,
     oracle_tree_layers,
     order_atoms,
 )
@@ -238,6 +239,12 @@ class TestJsonRoundTrip:
 
 
 class TestTreesAndEdges:
+    @pytest.mark.parametrize("n,k", [(n, k) for n in range(1, 5) for k in range(1, 4)]
+                             + [(5, 3)])
+    def test_rooted_tree_matches_oracle(self, n, k):
+        for pi in enumerate_all(n, k):
+            assert to_rooted_tree(pi) == oracle_rooted_tree(pi)
+
     def test_rooted_tree_round_trip(self):
         for n, k in [(3, 1), (3, 2), (4, 2), (4, 3)]:
             for pi in enumerate_all(n, k):
