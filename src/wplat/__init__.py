@@ -28,7 +28,7 @@ DEFAULT_GUARD = 200_000
 
 def _guard_limit(guard: int | None) -> int:
     """The size guard's limit: ``guard``, else WPLAT_GUARD (an integer), else
-    DEFAULT_GUARD; a WPLAT_GUARD that is no integer raises
+    DEFAULT_GUARD; a WPLAT_GUARD that is no integer, or is negative, raises
     :class:`GuardExceeded`."""
     if guard is not None:
         return guard
@@ -36,9 +36,12 @@ def _guard_limit(guard: int | None) -> int:
 
     setting = os.environ.get("WPLAT_GUARD", str(DEFAULT_GUARD))
     try:
-        return int(setting)
+        limit = int(setting)
     except ValueError:
         raise GuardExceeded(f"WPLAT_GUARD must be an integer, got {setting!r}") from None
+    if limit < 0:
+        raise GuardExceeded(f"WPLAT_GUARD must be a non-negative integer, got {setting!r}")
+    return limit
 
 
 # module -> the names it exports through the package

@@ -97,10 +97,7 @@ def cmd_count(args) -> int:
 
     n, k = args.n, args.k
     lat.check_guard(n, k, args.guard)
-    counts = {}
-    for pi in wp.enumerate_all(n, k):
-        r = len(pi.layers[0])
-        counts[r] = counts.get(r, 0) + 1
+    counts = wp._count_by_blocks(n, k)
     rs = [args.r] if args.r is not None else sorted(counts)
     bad = [f"mismatch at r={r}: enumerated {counts.get(r, 0)}, T(n,k,r) {want}"
            for r in rs if counts.get(r, 0) != (want := st.T_def(n, k, r))]

@@ -20,9 +20,9 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from functools import cached_property, reduce
-from itertools import chain, combinations, islice
+from itertools import chain, combinations, islice, repeat
 from math import comb, factorial
-from operator import and_, gt, le, mul
+from operator import add, and_, getitem, gt, le, mul
 from typing import Iterator, NamedTuple, Sequence
 
 # defined in the package, so that the CLI can catch the errors, and the
@@ -33,9 +33,9 @@ from .wpartition import (
     _code,
     _components,
     _decode,
+    _decode_chains,
+    _id_chains,
     _set_partitions,
-    bottom,
-    enumerate_all,
 )
 from .stirling import T_def
 
@@ -76,10 +76,10 @@ def check_guard(n: int, k: int, guard: int | None = None, chains: int = 0,
     about to list.  Every guarded command enumerates one or more of them.
     Memory may take CLOSURE_BYTES_PER_GUARD bytes per unit of the guard: a
     request is also refused when the elements' layers, one 8-byte pointer
-    per layer, need more, and a caller that will build the order's two
-    closures (``closures``), N^2/8 bytes each, when they need more; the
-    structure report holds two cover-mask lists beside them, at most as
-    large.
+    per layer (to its id in the element's chain), need more, and a caller
+    that will build the order's two closures (``closures``), N^2/8 bytes
+    each, when they need more; the structure report holds two cover-mask
+    lists beside them, at most as large.
     The limit is ``guard``, else WPLAT_GUARD (an integer), else DEFAULT_GUARD.
 
     Lower bounds that cost nothing are tested first, so that no size is too
@@ -101,7 +101,7 @@ def check_guard(n: int, k: int, guard: int | None = None, chains: int = 0,
         raise GuardExceeded(
             f"(n={n}, k={k}) needs about {estimate} elements or chains, "
             f"over the guard of {guard}; raise the guard to proceed")
-    # each element holds a pointer to each of its k layers
+    # each element's chain holds a pointer to one id per layer
     if (need := 8 * size * k) > guard * CLOSURE_BYTES_PER_GUARD:
         raise GuardExceeded(
             f"(n={n}, k={k}) needs about {need >> 20} MiB for the elements' layers, "
@@ -254,29 +254,42 @@ class Poset:
     for k >= 2 and n >= 3, not a lattice: indexed elements, labeled covers,
     rank function, order queries, chains, Möbius values.
 
-    ``labels`` lists the labels in label order, and a label's code is its
-    index there.  ``up[x]``, the one stored form of the order, holds the
-    pairs (upper cover, label code) of the covers from x in the order that
-    chains are listed in (:func:`build_poset` emits them in label order).
-    ``down``, ``covers``, the closures ``_anc`` and ``_desc`` (each holding
-    its element) and the element names are derived on first use."""
+    ``id_chains`` holds, per element but an adjoined top, the ids (p_1,
+    ..., p_k) of its chain of set partitions (``wpartition._id_chains``); an
+    adjoined top comes last and has no chain.  The rank of an element is n
+    less the number of blocks of p_1, and n for the top.  ``labels`` lists
+    the labels in label order, and a label's code is its index there.
+    ``up[x]``, the one stored form of the order, holds the pairs (upper
+    cover, label code) of the covers from x in the order that chains are
+    listed in (:func:`build_poset` emits them in label order).  The weighted
+    partitions ``elements`` and their names, ``down``, ``covers`` and the
+    closures ``_anc`` and ``_desc`` (each holding its element) are derived
+    on first use."""
 
-    def __init__(self, n: int, k: int, elements: list, labels: list,
+    def __init__(self, n: int, k: int, id_chains: list, labels: list,
                  up: list, bottom_idx: int, top_idx: int):
         self.n = n
         self.k = k
-        self.elements = elements  # WeightedPartition values, possibly TOP last
+        self.id_chains = id_chains  # set-partition ids per element, bar an adjoined top
         self.labels = labels      # CoverLabel per code
         self.up = up              # per element, (upper cover, label code) pairs
         self.bottom_idx = bottom_idx
         self.top_idx = top_idx
-        self.rank = [n if el is TOP else el.rank for el in elements]
-        self._rank_order = sorted(range(len(elements)), key=self.rank.__getitem__)
+        first = _set_partitions(n)[1]  # each id's layer with its singletons
+        self.rank = [n - len(first[ids[0]]) for ids in id_chains] + [n] * (len(up) - len(id_chains))
+        self._rank_order = sorted(range(len(up)), key=self.rank.__getitem__)
+
+    @cached_property
+    def elements(self) -> list:
+        """The weighted partitions, decoded from ``id_chains``, then the
+        adjoined top (TOP), if any."""
+        tops = [TOP] * (len(self.up) - len(self.id_chains))
+        return _decode_chains(self.n, self.k, self.id_chains) + tops
 
     @cached_property
     def down(self) -> list[list[tuple[int, int]]]:
         """Per element, the pairs (lower cover, label code) of its covers."""
-        down: list[list[tuple[int, int]]] = [[] for _ in self.elements]
+        down: list[list[tuple[int, int]]] = [[] for _ in self.up]
         for lo, adj in enumerate(self.up):
             for hi, c in adj:
                 down[hi].append((lo, c))
@@ -300,7 +313,7 @@ class Poset:
     # -- basic queries ------------------------------------------------------
 
     def __len__(self) -> int:
-        return len(self.elements)
+        return len(self.up)
 
     @cached_property
     def _names(self) -> list[str]:
@@ -372,7 +385,7 @@ class Poset:
     def chain_count(self) -> int:
         """The number of maximal chains from the bottom to the top, counted
         up the covers in rank order without listing them."""
-        count = [0] * len(self.elements)
+        count = [0] * len(self.up)
         count[self.bottom_idx] = 1
         for x in self._rank_order:
             for z, _ in self.up[x]:
@@ -397,7 +410,7 @@ class Poset:
         """
         witnesses = []
         up = self.up
-        for x in range(len(self.elements)):
+        for x in range(len(up)):
             failing = [y for y, (rising, _, carriers, rises) in self._el_pass(x, up).items()
                        if not (rising == 1 and carriers == 1 and rises)]
             for y in sorted(failing):
@@ -500,7 +513,7 @@ class Poset:
         The sum is taken by value: ``found[v]`` is the mask of the w >= x
         already found with mu(x, w) = v, so each z costs one mask and per
         value, not one step per w below it."""
-        mu = [0] * len(self.elements)
+        mu = [0] * len(self.up)
         mu[x] = 1
         found = {1: 1 << x}
         above, anc = self._desc[x] ^ 1 << x, self._anc
@@ -532,7 +545,7 @@ class Poset:
         decreasing chains counted by the code of their last label; the
         chains that a cover with code c extends are those whose last code is
         above c.  It reads only ``up``, not the closures."""
-        size = len(self.elements)
+        size = len(self.up)
         up, rank, base = self.up, self.rank, self.rank[self.bottom_idx]
         ends: list[dict[int, int] | None] = [None] * size  # last code -> chains
         ends[self.bottom_idx] = {len(self.labels): 1}  # the empty chain: any label follows
@@ -570,15 +583,17 @@ def build_poset(n: int, k: int, guard: int | None = None, closures: bool = False
     labels are all k n(n-1)/2 of them, since each is admissible at the bottom.
 
     Each element is a chain p_1 >= ... >= p_k of set partitions of [n], read
-    as their ids (``wpartition._set_partitions``, B of them) and keyed by the
-    integer sum_j p_j B^(j-1).  The cover rule reads only which bytes of the
-    element's block-minimum code are fixed points, so the labels are listed
-    once per fixed-point pattern, by :func:`_labels_from_minima` on its
-    per-layer minima.  The cover (alpha, beta)_l
-    replaces p_1, ..., p_l by their merges of the alpha- and beta-blocks,
-    read from a row per partition that :func:`_raise` fills once on the
-    partition's one-layer code, so no partition and no code is built per
-    cover.
+    from ``wpartition._id_chains`` as its ids (``wpartition._set_partitions``,
+    B of them) and its key, the integer sum_j p_j B^(j-1); no partition is
+    built (``Poset.elements`` decodes them on first read).  The cover
+    (alpha, beta)_l replaces p_1, ..., p_l by their merges of the alpha- and
+    beta-blocks, read from a row per partition that :func:`_raise` fills
+    once on the partition's one-layer code, so a cover's key is the
+    element's plus a few row entries, and no partition and no code is built
+    per cover.  The cover rule reads only which bytes of the element's
+    block-minimum code are fixed points, the minima of each p_j, so
+    :func:`_labels_from_minima` lists the labels once per fixed-point
+    pattern, and those at layers < k once per prefix p_1, ..., p_(k-1).
 
     :func:`check_guard` (with ``guard``, and with ``closures`` for a caller
     that will read the closures) aborts with :class:`GuardExceeded` before
@@ -588,15 +603,11 @@ def build_poset(n: int, k: int, guard: int | None = None, closures: bool = False
         raise ValueError("need n >= 1 and k >= 1")
     check_guard(n, k, guard, closures=closures)
 
-    elements: list = enumerate_all(n, k)
-    codes, full, deep = _set_partitions(n)
+    listed = list(_id_chains(n, k))
+    index = {key: i for i, (_, key) in enumerate(listed)}
+    codes, full, _ = _set_partitions(n)
     size = len(codes)
-    pid = dict(zip(full, range(size)))  # each distinct layer -> its partition id
-    pid.update(zip(deep, range(size)))
     weights = [size ** j for j in range(k)]
-    chains = [list(map(pid.__getitem__, el.layers)) for el in elements]
-    keys = [sum(map(mul, ps, weights)) for ps in chains]
-    index = dict(zip(keys, range(len(keys))))
 
     # merges[p][alpha n + beta]: the id of p with the alpha- and beta-blocks
     # merged, less p, for each block minimum beta of p and alpha < beta
@@ -614,45 +625,64 @@ def build_poset(n: int, k: int, guard: int | None = None, closures: bool = False
     labels = [CoverLabel(*step) for step in _admissible(bytes(range(1, n + 1)) * k, n, k)]
     label_code = {lab: c for c, lab in enumerate(labels)}  # also keyed by plain tuples
 
-    # per fixed-point pattern: the label codes, their distinct (alpha, beta)
-    # pairs, and per label the place of its cover's key in ``raised``, the
-    # keys of every pair merged at layer 1, then at layers 1..2, and so on
-    plans: dict[tuple, tuple[tuple[int, ...], list[int], list[int]]] = {}
+    # The cover (alpha, beta)_l adds to the element's key the merges of
+    # p_1..p_l, each weighted: entry alpha n + beta of ``sums[l]``, their
+    # rows added up.  ``sums`` and the offsets ``tail`` of the covers at
+    # layers < k are the same for every element of one prefix p_1..p_(k-1),
+    # which the canonical order lists together, so they are read once per
+    # prefix.  The labels are listed once per fixed-point pattern, keyed by
+    # the integer whose bits n(j-1)..nj-1 mark the minima of p_j: those at
+    # layers < k per prefix pattern (``lower_plans``), the codes of all of
+    # them and the pairs at layer k per element pattern (``plans``).
+    fixed = [sum([1 << e - 1 for e in mins]) for mins in minima]
+    fixed = [[m << n * j for m in fixed] for j in range(k)]
+    lower_plans: dict[int, tuple[list, list[tuple[int, int]]]] = {}
+    plans: dict[int, tuple[tuple[int, ...], list[int]]] = {}
     up: list = []
-    for i, ps in enumerate(chains):
-        pattern = tuple(map(minima.__getitem__, ps))
-        plan = plans.get(pattern)
+    prefix = None
+    last = weights[-1]
+    for ids, key in listed:
+        if ids[:-1] != prefix:
+            prefix = ids[:-1]
+            head = sum(map(getitem, fixed, prefix))
+            if head not in lower_plans:
+                mins = list(map(minima.__getitem__, prefix))
+                lower_plans[head] = mins, [(l, a * n + b) for a, b, l in _labels_from_minima(mins)]
+            mins, lower = lower_plans[head]
+            sums = [[0] * (n * n + 1)]
+            for p, weight in zip(prefix, weights):
+                sums.append(list(map(add, sums[-1], map(mul, merges[p], repeat(weight)))))
+            above = sums[-1]
+            tail = [sums[l][t] for l, t in lower]
+        q = ids[-1]
+        plan = plans.get(head + fixed[-1][q])
         if plan is None:
-            steps = _labels_from_minima(pattern)
-            place = {t: j for j, t in enumerate(dict.fromkeys([a * n + b for a, b, _ in steps]))}
-            plan = plans[pattern] = (
-                tuple(map(label_code.__getitem__, steps)), list(place),
-                [(l - 1) * len(place) + place[a * n + b] for a, b, l in steps])
-        label_codes, pairs, cuts = plan
-        level = [keys[i]] * len(pairs)
-        raised: list[int] = []
-        for p, weight in zip(ps, weights):
-            row = merges[p]
-            level = [key + row[t] * weight for key, t in zip(level, pairs)]
-            raised += level
-        up.append(list(zip([index[raised[c]] for c in cuts], label_codes)))
+            steps = _labels_from_minima(mins + [minima[q]])
+            plan = plans[head + fixed[-1][q]] = (
+                tuple(map(label_code.__getitem__, steps)),
+                [a * n + b for a, b, l in steps if l == k])
+        label_codes, pairs = plan
+        row = merges[q]
+        keys = [key + above[t] + row[t] * last for t in pairs]
+        keys += [key + d for d in tail]
+        up.append(list(zip(map(index.__getitem__, keys), label_codes)))
 
+    id_chains = [ids for ids, _ in listed]
+    whole = [len(layer) for layer in full].index(1)  # the one-block partition
     if k >= 2 and n >= 2:
-        top_idx = len(elements)
+        top_idx = len(id_chains)
         top_cover = (top_idx, label_code[1, n, k])
-        for i, el in enumerate(elements):
-            if el.rank == n - 1:  # no cover inside P
-                up[i].append(top_cover)
-        elements.append(TOP)
+        for adj, ids in zip(up, id_chains):
+            if ids[0] == whole:  # rank n - 1: no cover inside P
+                adj.append(top_cover)
         up.append([])
     else:
-        top_rank = max(el.rank for el in elements)
-        tops = [i for i, el in enumerate(elements) if el.rank == top_rank]
+        tops = [i for i, ids in enumerate(id_chains) if ids[0] == whole]
         assert len(tops) == 1
         top_idx = tops[0]
 
-    bottom_idx = index[sum(map(mul, map(pid.__getitem__, bottom(n, k).layers), weights))]
-    poset = Poset(n, k, elements, labels, up, bottom_idx, top_idx)
+    bottom_idx = index[code_id[bytes(range(1, n + 1))] * sum(weights)]
+    poset = Poset(n, k, id_chains, labels, up, bottom_idx, top_idx)
 
     # sanity: grading and reachability.  In a graded order every element is
     # reachable from the bottom when each element of rank >= 1 has a lower
@@ -661,7 +691,7 @@ def build_poset(n: int, k: int, guard: int | None = None, closures: bool = False
     rank = poset.rank
     assert all(rank[hi] == rank[lo] + 1 for lo, adj in enumerate(up) for hi, _ in adj), \
         "cover must raise rank by 1"
-    assert len({hi for adj in up for hi, _ in adj}) == len(elements) - 1, \
+    assert len({hi for adj in up for hi, _ in adj}) == len(up) - 1, \
         "every element must be reachable from the bottom"
     return poset
 
@@ -729,9 +759,8 @@ def char_poly_summation(n: int, k: int, poset: Poset | None = None) -> list[int]
         poset = build_poset(n, k)
     coeffs = [0] * (n + 1)
     mu = poset.mobius_row_via_chains()
-    for i, el in enumerate(poset.elements):
-        if isinstance(el, WeightedPartition):
-            coeffs[len(el.layers[0])] += mu[i]
+    for r, m in zip(poset.rank[:len(poset.id_chains)], mu):  # the adjoined top has none
+        coeffs[n - r] += m
     return coeffs
 
 

@@ -10,11 +10,12 @@ elements ascending and every layer's blocks by minimum element.
 
 from __future__ import annotations
 
+from collections import Counter
 from functools import lru_cache
 from itertools import combinations, product, repeat
 from math import factorial
-from operator import itemgetter
-from typing import Iterable, NamedTuple
+from operator import getitem, itemgetter
+from typing import Iterable, Iterator, NamedTuple
 
 __all__ = [
     "InvalidPartition",
@@ -513,6 +514,73 @@ def _set_partitions(n: int) -> tuple[tuple[bytes, ...], tuple[Layer, ...], tuple
     return codes, full, deep
 
 
+def _id_chains(n: int, k: int) -> Iterator[tuple[tuple[int, ...], int]]:
+    """Every weighted partition of [n] with k layers, in the canonical order
+    of :func:`enumerate_all`, as the ids (p_1, ..., p_k) of its chain of set
+    partitions (:func:`_set_partitions`, B of them) and its key, the integer
+    sum_j p_j B^(j-1).
+
+    One depth-first walk: p_1 runs over the set partitions in order of
+    their text, and each deeper id over the refinements of the one above in
+    order of their ids.  A chain's prefix is held once, in the path being
+    extended, so each element costs its k ids and the walk holds one path
+    at a time."""
+    codes, full, _ = _set_partitions(n)
+    size = len(codes)
+    first = sorted(range(size), key=lambda p: _layer_text(full[p]))
+    if k == 1:
+        for p in first:
+            yield (p,), p
+        return
+    # the refinements of p: one set partition of each of p's blocks
+    ids = {int.from_bytes(code, "big"): p for p, code in enumerate(codes)}
+    within: dict[Block, list[int]] = {}
+    finer = [sorted(map(ids.__getitem__, map(sum, product(*[
+        within.get(b) or within.setdefault(b, _block_codes(n, b)) for b in layer]))))
+        for layer in full]
+    weights = [size ** j for j in range(k)]
+    path = [0] * k
+    keys = [0] * k  # keys[j]: the key of the path's first j ids
+    stack = [iter(first)]  # per layer of the path, the ids left to try
+    while stack:
+        j = len(stack) - 1
+        for p in stack[-1]:
+            path[j] = p
+            key = keys[j] + p * weights[j]
+            if j == k - 2:  # each refinement of p ends a chain
+                for q in finer[p]:
+                    path[-1] = q
+                    yield tuple(path), key + q * weights[-1]
+            else:
+                keys[j + 1] = key
+                stack.append(iter(finer[p]))
+                break
+        else:
+            stack.pop()
+
+
+def _decode_chains(n: int, k: int, chains: Iterable[tuple[int, ...]]) -> list[WeightedPartition]:
+    """The weighted partitions of the id chains ``chains``: layer 1 is p_1
+    with its singletons, each deeper layer p_j without them, all canonical
+    as :func:`_set_partitions` stores them."""
+    _, full, deep = _set_partitions(n)
+    tables = (full,) + (deep,) * (k - 1)
+    new = tuple.__new__
+    return [new(WeightedPartition, (n, k, tuple(map(getitem, tables, ids))))
+            for ids in chains]
+
+
+def _count_by_blocks(n: int, k: int) -> dict[int, int]:
+    """The number of weighted partitions of [n] with k layers per number of
+    first-layer blocks, tallied from the first ids of :func:`_id_chains`;
+    no partition is built."""
+    _, full, _ = _set_partitions(n)
+    counts: dict[int, int] = {}
+    for p, c in Counter(ids[0] for ids, _ in _id_chains(n, k)).items():
+        counts[len(full[p])] = counts.get(len(full[p]), 0) + c
+    return counts
+
+
 def enumerate_all(n: int, k: int) -> list[WeightedPartition]:
     """Every weighted partition of [n] with k layers, in the canonical
     deterministic order (lexicographic on the canonical JSON form).
@@ -524,22 +592,11 @@ def enumerate_all(n: int, k: int) -> list[WeightedPartition]:
     So the chains are emitted in that order with no sort: p_1 runs over the
     set partitions in order of their text, and each deeper layer over the
     refinements of the layer above in order of their text without
-    singletons, which is the order of their ids (:func:`_set_partitions`)."""
+    singletons, which is the order of their ids (:func:`_set_partitions`).
+    The chains come from :func:`_id_chains` and are decoded here."""
     if n < 1 or k < 1:
         raise ValueError("need n >= 1 and k >= 1")
-    codes, full, deep = _set_partitions(n)
-    first = sorted(range(len(full)), key=lambda p: _layer_text(full[p]))
-    stacks = [((full[p],), p) for p in first]
-    if k > 1:
-        # the refinements of p: one set partition of each of p's blocks
-        ids = {int.from_bytes(code, "big"): p for p, code in enumerate(codes)}
-        within: dict[Block, list[int]] = {}
-        finer = [sorted(map(ids.__getitem__, map(sum, product(*[
-            within.get(b) or within.setdefault(b, _block_codes(n, b)) for b in layer]))))
-            for layer in full]
-        for _ in range(k - 1):
-            stacks = [(layers + (deep[q],), q) for layers, p in stacks for q in finer[p]]
-    return [WeightedPartition(n, k, layers) for layers, _ in stacks]
+    return _decode_chains(n, k, (ids for ids, _ in _id_chains(n, k)))
 
 
 def enumerate_by_blocks(n: int, k: int, r: int) -> list[WeightedPartition]:

@@ -317,10 +317,10 @@ def poset_from_covers(poset, covers):
 
     labels = sorted({lab for _, _, lab in covers}, key=lambda lab: lab.sort_key)
     code = {lab: c for c, lab in enumerate(labels)}
-    up = [[] for _ in poset.elements]
+    up = [[] for _ in poset.up]
     for lo, hi, lab in covers:
         up[lo].append((hi, code[lab]))
-    return Poset(poset.n, poset.k, poset.elements, labels, up,
+    return Poset(poset.n, poset.k, poset.id_chains, labels, up,
                  poset.bottom_idx, poset.top_idx)
 
 

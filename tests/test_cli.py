@@ -66,6 +66,16 @@ class TestCount:
         b = run(capsys, "count", "--n", "4", "--k", "2")
         assert a == b
 
+    @pytest.mark.parametrize("n,k", [(2, 1000), (3, 40)])
+    def test_many_layers(self, capsys, n, k):
+        # the enumeration costs each element its k ids once, so many layers
+        # are cheap; each count is the definition's
+        code, out, _ = run(capsys, "count", "--n", str(n), "--k", str(k), "--format", "json")
+        assert code == 0
+        data = json.loads(out)
+        assert data["counts"] == {str(r): stirling.T_def(n, k, r) for r in range(1, n + 1)}
+        assert data["total"] == sum(stirling.T_def(n, k, r) for r in range(1, n + 1))
+
     def test_mismatch_names_both_counts(self, capsys, monkeypatch):
         T_def = stirling.T_def
         monkeypatch.setattr(stirling, "T_def",
@@ -417,6 +427,13 @@ class TestGuardAndOut:
         assert out == ""
         assert err == "WPLAT_GUARD must be an integer, got 'abc'\n"
 
+    @pytest.mark.parametrize("argv", ["count --n 3 --k 2", "table --kind T --n-max 4"])
+    def test_negative_guard_setting_is_a_usage_error(self, capsys, monkeypatch, argv):
+        monkeypatch.setenv("WPLAT_GUARD", "-5")
+        code, out, err = run(capsys, *argv.split())
+        assert (code, out) == (2, "")
+        assert err == "WPLAT_GUARD must be a non-negative integer, got '-5'\n"
+
     def test_guard_exit_code(self, capsys, monkeypatch):
         monkeypatch.setenv("WPLAT_GUARD", "5")
         code, out, err = run(capsys, "mobius", "--n", "5", "--k", "2",
@@ -716,7 +733,7 @@ class TestClosures:
             raise AssertionError("the guard must refuse before the build")
 
         monkeypatch.delenv("WPLAT_GUARD", raising=False)
-        monkeypatch.setattr(lattice, "enumerate_all", refuse)
+        monkeypatch.setattr(lattice, "_id_chains", refuse)
         code, out, err = run(capsys, *argv.split())
         assert (code, out) == (2, "")
         assert err == ("(n=8, k=2) needs about 6720 MiB for the order's closures, "

@@ -126,7 +126,7 @@ class TestPosetShape:
         def refuse(*_):
             raise AssertionError("the guard must not enumerate")
 
-        monkeypatch.setattr(lattice, "enumerate_all", refuse)
+        monkeypatch.setattr(lattice, "_id_chains", refuse)
         with pytest.raises(GuardExceeded, match="209440"):
             lattice.check_guard(7, 3, guard=200_000)
 
@@ -136,7 +136,7 @@ class TestPosetShape:
         def refuse(*_):
             raise AssertionError("the guard must not enumerate")
 
-        monkeypatch.setattr(lattice, "enumerate_all", refuse)
+        monkeypatch.setattr(lattice, "_id_chains", refuse)
         size = sum(T_def(8, 2, r) for r in range(9)) + 1
         assert size == 167_895 and 2 * size * size // 8 >> 20 == 6_720
         lattice.check_guard(8, 2)
@@ -158,19 +158,42 @@ class TestPosetShape:
             with pytest.raises(GuardExceeded, match="for the order's closures"):
                 lattice.check_guard(n, k, guard=800_000, closures=True)
 
-    def test_build_enumerates_through_enumerate_all(self, monkeypatch):
-        # the guard tests patch lattice.enumerate_all to refuse, which shows
-        # the guard refusing first only while the build enumerates through it
+    def test_build_and_count_enumerate_through_id_chains(self, capsys, monkeypatch):
+        # the guard tests patch lattice._id_chains to refuse, which shows the
+        # guard refusing first only while the build enumerates through it;
+        # count reads the same enumerator, and each enumerates once
+        from wplat.cli import main
+
         calls = []
+        enumerate_ids = wpartition._id_chains
 
         def counted(n, k):
             calls.append((n, k))
-            return enumerate_all(n, k)
+            return enumerate_ids(n, k)
 
-        monkeypatch.setattr(lattice, "enumerate_all", counted)
+        monkeypatch.setattr(lattice, "_id_chains", counted)
+        monkeypatch.setattr(wpartition, "_id_chains", counted)
         P = build_poset(4, 2)
         assert calls == [(4, 2)]
+        assert main(["count", "--n", "4", "--k", "2"]) == 0
+        assert capsys.readouterr().out == "r=1:15, r=2:32, r=3:12, r=4:1, total 60\n"
+        assert calls == [(4, 2)] * 2
+        monkeypatch.undo()
         assert P.elements[:-1] == enumerate_all(4, 2)
+
+
+    def test_queries_decode_no_element(self):
+        # the order's queries read the id chains and the covers; the
+        # weighted partitions and their names are decoded only when read
+        P = build_poset(5, 3)
+        P.mobius_via_chains()
+        P.mobius_recursive(P.bottom_idx, P.top_idx)
+        list(P.decreasing_chains(P.bottom_idx, P.top_idx))
+        char_poly_summation(5, 3, P)
+        P.verify_el()
+        assert "elements" not in vars(P) and "_names" not in vars(P)
+        hasse_dot(P)
+        assert P.elements == enumerate_all(5, 3) + [lattice.TOP]
 
 
 class TestEL:

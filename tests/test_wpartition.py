@@ -19,6 +19,7 @@ from conftest import (
 from hypothesis import given, settings
 from hypothesis import strategies as st_
 
+from wplat import wpartition
 from wplat import (
     InvalidPartition,
     OneLineParseError,
@@ -223,6 +224,24 @@ class TestEnumeration:
                              + [(4, 4), (3, 5), (2, 6), (7, 1)])
     def test_matches_oracle(self, n, k):
         assert enumerate_all(n, k) == oracle_enumerate_all(n, k)
+
+    @pytest.mark.parametrize("n,k", [(n, k) for n in range(1, 6) for k in range(1, 5)])
+    def test_block_tallies_match_enumeration(self, n, k):
+        # count tallies the first ids of the id chains and builds no partition
+        assert wpartition._count_by_blocks(n, k) \
+            == Counter(len(pi.layers[0]) for pi in enumerate_all(n, k)) \
+            == Counter(len(pi.layers[0]) for pi in oracle_enumerate_all(n, k))
+
+    @pytest.mark.parametrize("n,k", [(n, k) for n in range(1, 5) for k in range(1, 4)]
+                             + [(5, 3), (6, 2)])
+    def test_id_chains_key_their_ids(self, n, k):
+        # each chain of ids decodes to its element, and its key is
+        # sum_j p_j B^(j-1)
+        size = len(wpartition._set_partitions(n)[0])
+        chains = list(wpartition._id_chains(n, k))
+        assert wpartition._decode_chains(n, k, [ids for ids, _ in chains]) == enumerate_all(n, k)
+        assert [key for _, key in chains] == [
+            sum(p * size ** j for j, p in enumerate(ids)) for ids, _ in chains]
 
     @pytest.mark.parametrize("n,k", [(n, k) for n in range(1, 7) for k in range(1, 4)]
                              + [(7, 2)])
