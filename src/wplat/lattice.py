@@ -78,8 +78,10 @@ def check_guard(n: int, k: int, guard: int | None = None, chains: int = 0,
     request is also refused when the elements' layers, one 8-byte pointer
     per layer (to its id in the element's chain), need more, and a caller
     that will build the order's two closures (``closures``), N^2/8 bytes
-    each, when they need more; the structure report holds two cover-mask
-    lists beside them, at most as large.
+    each, when they need more.  That estimate counts the closures only, not
+    the cover masks and bounds that the structure report builds beside
+    them: at (6,4) it is 474 MiB, and ``verify --suite structure`` peaks
+    near 930 MB.
     The limit is ``guard``, else WPLAT_GUARD (an integer), else DEFAULT_GUARD.
 
     Lower bounds that cost nothing are tested first, so that no size is too
@@ -236,16 +238,28 @@ def admissible_covers(pi: WeightedPartition) -> list[tuple[CoverLabel, WeightedP
             for step in _admissible(code, n, k)]
 
 
-def _closure(order: list[int], adj: list[list[tuple[int, int]]]) -> list[int]:
-    """Per element, the mask of itself and the elements reachable from it
-    through ``adj``, filled along ``order``, in which every element comes
-    after its neighbours."""
-    masks = [0] * len(adj)
-    for y in order:
+def _closure_above(order: list[int], up: list[list[int]]) -> list[int]:
+    """Per element, the mask of itself and the elements above it, pulled
+    from its upper covers ``up`` along ``order`` reversed; ``order`` lists
+    every element before its upper covers."""
+    masks = [0] * len(up)
+    for y in reversed(order):
         m = 1 << y
-        for z, _ in adj[y]:
+        for z in up[y]:
             m |= masks[z]
         masks[y] = m
+    return masks
+
+
+def _closure_below(order: list[int], up: list[list[int]]) -> list[int]:
+    """Per element, the mask of itself and the elements below it, pushed
+    from each element to its upper covers ``up`` along ``order``, which
+    lists every element before its upper covers."""
+    masks = [0] * len(up)
+    for y in order:
+        m = masks[y] = masks[y] | 1 << y
+        for z in up[y]:
+            masks[z] |= m
     return masks
 
 
@@ -258,21 +272,24 @@ class Poset:
     ..., p_k) of its chain of set partitions (``wpartition._id_chains``); an
     adjoined top comes last and has no chain.  The rank of an element is n
     less the number of blocks of p_1, and n for the top.  ``labels`` lists
-    the labels in label order, and a label's code is its index there.
-    ``up[x]``, the one stored form of the order, holds the pairs (upper
-    cover, label code) of the covers from x in the order that chains are
-    listed in (:func:`build_poset` emits them in label order).  The weighted
-    partitions ``elements`` and their names, ``down``, ``covers`` and the
-    closures ``_anc`` and ``_desc`` (each holding its element) are derived
-    on first use."""
+    the labels in label order, and a label's code is its index there.  The
+    one stored form of the order is ``up[x]``, the list of x's upper
+    covers in the order that chains are listed in (:func:`build_poset`
+    emits them in label order), beside ``up_codes[x]``, the tuple of their
+    label codes in step with it; elements with the same labels may share
+    one tuple.  The weighted partitions ``elements`` and their names,
+    ``covers`` and the closures ``_anc`` and ``_desc`` (each holding its
+    element) are derived on first use; :meth:`verify_el` pairs each cover
+    with its code once, for its pass."""
 
     def __init__(self, n: int, k: int, id_chains: list, labels: list,
-                 up: list, bottom_idx: int, top_idx: int):
+                 up: list, up_codes: list, bottom_idx: int, top_idx: int):
         self.n = n
         self.k = k
         self.id_chains = id_chains  # set-partition ids per element, bar an adjoined top
         self.labels = labels      # CoverLabel per code
-        self.up = up              # per element, (upper cover, label code) pairs
+        self.up = up              # per element, its upper covers
+        self.up_codes = up_codes  # per element, the label codes of its upper covers
         self.bottom_idx = bottom_idx
         self.top_idx = top_idx
         first = _set_partitions(n)[1]  # each id's layer with its singletons
@@ -287,28 +304,21 @@ class Poset:
         return _decode_chains(self.n, self.k, self.id_chains) + tops
 
     @cached_property
-    def down(self) -> list[list[tuple[int, int]]]:
-        """Per element, the pairs (lower cover, label code) of its covers."""
-        down: list[list[tuple[int, int]]] = [[] for _ in self.up]
-        for lo, adj in enumerate(self.up):
-            for hi, c in adj:
-                down[hi].append((lo, c))
-        return down
-
-    @cached_property
     def covers(self) -> list[tuple[int, int, CoverLabel]]:
         """The covers (lower index, upper index, label), by lower index."""
-        return [(lo, hi, self.labels[c]) for lo, adj in enumerate(self.up) for hi, c in adj]
+        labels = self.labels
+        return [(lo, hi, labels[c]) for lo, (adj, codes) in enumerate(zip(self.up, self.up_codes))
+                for hi, c in zip(adj, codes)]
 
     @cached_property
     def _anc(self) -> list[int]:
         """Per element, the bitmask of the elements below it, itself included."""
-        return _closure(self._rank_order, self.down)
+        return _closure_below(self._rank_order, self.up)
 
     @cached_property
     def _desc(self) -> list[int]:
         """Per element, the bitmask of the elements above it, itself included."""
-        return _closure(self._rank_order[::-1], self.up)
+        return _closure_above(self._rank_order, self.up)
 
     # -- basic queries ------------------------------------------------------
 
@@ -349,9 +359,9 @@ class Poset:
         if x == y:
             yield ()
             return
-        labels, up = self.labels, self.up
+        labels, up, codes = self.labels, self.up, self.up_codes
         prefix: list[int] = []  # the codes of the steps taken
-        stack = [iter(up[x])]   # per step taken and x, the covers left to try
+        stack = [zip(up[x], codes[x])]  # per step taken and x, the covers left to try
         while stack:
             for nxt, c in stack[-1]:
                 if below_y >> nxt & 1 and (step is None or not prefix or step(prefix[-1], c)):
@@ -359,7 +369,7 @@ class Poset:
                         yield tuple([labels[d] for d in prefix] + [labels[c]])
                     else:
                         prefix.append(c)
-                        stack.append(iter(up[nxt]))
+                        stack.append(zip(up[nxt], codes[nxt]))
                         break
             else:
                 stack.pop()
@@ -388,7 +398,7 @@ class Poset:
         count = [0] * len(self.up)
         count[self.bottom_idx] = 1
         for x in self._rank_order:
-            for z, _ in self.up[x]:
+            for z in self.up[x]:
                 count[z] += count[x]
         return count[self.top_idx]
 
@@ -409,9 +419,11 @@ class Poset:
         disagree and :class:`wplat.RouteMismatch` names the interval.
         """
         witnesses = []
-        up = self.up
-        for x in range(len(up)):
-            failing = [y for y, (rising, _, carriers, rises) in self._el_pass(x, up).items()
+        # each element's (upper cover, label code) pairs, read once per
+        # element below it
+        pairs = [tuple(zip(adj, codes)) for adj, codes in zip(self.up, self.up_codes)]
+        for x in range(len(pairs)):
+            failing = [y for y, rising, _, carriers, rises in self._el_pass(x, pairs)
                        if not (rising == 1 and carriers == 1 and rises)]
             for y in sorted(failing):
                 witness = self._el_witness(x, y)
@@ -425,12 +437,13 @@ class Poset:
                 "witnesses": witnesses}
 
     @staticmethod
-    def _el_pass(x: int, up: list[list[tuple[int, int]]]
-                 ) -> dict[int, tuple[int, tuple[int, ...], int, bool]]:
-        """Per element y >= x: the number of weakly rising chains from x to
-        y, the lex-first label-code sequence from x to y, the number of
-        chains that carry it, and whether it is weakly rising; ``up`` holds
-        covers with label codes.
+    def _el_pass(x: int, pairs: Sequence[Sequence[tuple[int, int]]]
+                 ) -> Iterator[tuple[int, int, tuple[int, ...], int, bool]]:
+        """Per element y >= x, as the pass reaches it: y, the number of
+        weakly rising chains from x to y, the lex-first label-code sequence
+        from x to y, the number of chains that carry it, and whether it is
+        weakly rising; ``pairs`` holds per element its (upper cover, label
+        code) pairs.
 
         One pass up from x, a level at a time, with constant work per cover
         but for one rare case.  Every chain from x to y has the same length,
@@ -447,7 +460,6 @@ class Poset:
         from x, its rising chains end in one code, and the sum never runs;
         it runs on orders with relabeled covers.
         """
-        found = {}
         # element -> [rising chains by last code, their total, least and
         # greatest last code, best pair (lex to a lower cover, its code),
         # carriers, whether that lex rises]
@@ -459,8 +471,8 @@ class Poset:
                 if code is not None:  # z > x: extend the lower cover's sequence
                     rises = rises and (not lex or lex[-1] <= code)
                     lex += (code,)
-                found[z] = (total, lex, carriers, rises)
-                for w, c in up[z]:
+                yield z, total, lex, carriers, rises
+                for w, c in pairs[z]:
                     if c >= greatest:
                         chains = total
                     elif c < least:
@@ -484,7 +496,6 @@ class Poset:
                         if c > node[3]:
                             node[3] = c
             level = above
-        return found
 
     def _el_witness(self, x: int, y: int) -> dict | None:
         """The EL finding for [x, y] by enumerating its maximal chains, or
@@ -544,9 +555,9 @@ class Poset:
         One pass up the covers in rank order carries, per element, its
         decreasing chains counted by the code of their last label; the
         chains that a cover with code c extends are those whose last code is
-        above c.  It reads only ``up``, not the closures."""
+        above c.  It reads only ``up`` and ``up_codes``, not the closures."""
         size = len(self.up)
-        up, rank, base = self.up, self.rank, self.rank[self.bottom_idx]
+        up, up_codes, rank, base = self.up, self.up_codes, self.rank, self.rank[self.bottom_idx]
         ends: list[dict[int, int] | None] = [None] * size  # last code -> chains
         ends[self.bottom_idx] = {len(self.labels): 1}  # the empty chain: any label follows
         mu = [0] * size
@@ -560,7 +571,7 @@ class Poset:
             for i in range(len(codes) - 1, -1, -1):
                 above[i] = above[i + 1] + last[codes[i]]
             mu[w] = -above[0] if (rank[w] - base) & 1 else above[0]
-            for z, c in up[w]:
+            for z, c in zip(up[w], up_codes[w]):
                 chains = above[bisect_right(codes, c)]
                 if chains:
                     after = ends[z]
@@ -579,7 +590,8 @@ class Poset:
 def build_poset(n: int, k: int, guard: int | None = None, closures: bool = False) -> Poset:
     """Construct the poset for (n, k) explicitly: the elements of
     :func:`enumerate_all` in that order, each with its upper covers in label
-    order (``Poset.up``); then for k >= 2 and n >= 2 the adjoined top.  The
+    order (``Poset.up``) beside their codes (``Poset.up_codes``); then for
+    k >= 2 and n >= 2 the adjoined top.  The
     labels are all k n(n-1)/2 of them, since each is admissible at the bottom.
 
     Each element is a chain p_1 >= ... >= p_k of set partitions of [n], read
@@ -633,12 +645,20 @@ def build_poset(n: int, k: int, guard: int | None = None, closures: bool = False
     # prefix.  The labels are listed once per fixed-point pattern, keyed by
     # the integer whose bits n(j-1)..nj-1 mark the minima of p_j: those at
     # layers < k per prefix pattern (``lower_plans``), the codes of all of
-    # them and the pairs at layer k per element pattern (``plans``).
+    # them and the pairs at layer k per element pattern (``plans``).  Every
+    # element of a pattern shares its tuple of codes, one object per
+    # distinct tuple; an element of rank n - 1, whose p_1 is one block, has
+    # no label but the adjoined top's.
+    adjoined = k >= 2 and n >= 2
+    whole = [len(layer) for layer in full].index(1)  # the one-block partition
+    top_codes = (label_code[1, n, k],) if adjoined else ()
     fixed = [sum([1 << e - 1 for e in mins]) for mins in minima]
     fixed = [[m << n * j for m in fixed] for j in range(k)]
     lower_plans: dict[int, tuple[list, list[tuple[int, int]]]] = {}
     plans: dict[int, tuple[tuple[int, ...], list[int]]] = {}
-    up: list = []
+    shared: dict[tuple[int, ...], tuple[int, ...]] = {}
+    up: list[list[int]] = []
+    up_codes: list[tuple[int, ...]] = []
     prefix = None
     last = weights[-1]
     for ids, key in listed:
@@ -658,40 +678,42 @@ def build_poset(n: int, k: int, guard: int | None = None, closures: bool = False
         plan = plans.get(head + fixed[-1][q])
         if plan is None:
             steps = _labels_from_minima(mins + [minima[q]])
+            codes = tuple(map(label_code.__getitem__, steps))
+            if ids[0] == whole:
+                codes += top_codes
             plan = plans[head + fixed[-1][q]] = (
-                tuple(map(label_code.__getitem__, steps)),
-                [a * n + b for a, b, l in steps if l == k])
+                shared.setdefault(codes, codes), [a * n + b for a, b, l in steps if l == k])
         label_codes, pairs = plan
         row = merges[q]
-        keys = [key + above[t] + row[t] * last for t in pairs]
-        keys += [key + d for d in tail]
-        up.append(list(zip(map(index.__getitem__, keys), label_codes)))
+        # one concatenation, so that the list holds no spare slots
+        up.append([index[key + above[t] + row[t] * last] for t in pairs]
+                  + [index[key + d] for d in tail])
+        up_codes.append(label_codes)
 
     id_chains = [ids for ids, _ in listed]
-    whole = [len(layer) for layer in full].index(1)  # the one-block partition
-    if k >= 2 and n >= 2:
+    if adjoined:
         top_idx = len(id_chains)
-        top_cover = (top_idx, label_code[1, n, k])
-        for adj, ids in zip(up, id_chains):
+        for x, ids in enumerate(id_chains):
             if ids[0] == whole:  # rank n - 1: no cover inside P
-                adj.append(top_cover)
+                up[x] = up[x] + [top_idx]  # a new list, again without spare slots
         up.append([])
+        up_codes.append(())
     else:
         tops = [i for i, ids in enumerate(id_chains) if ids[0] == whole]
         assert len(tops) == 1
         top_idx = tops[0]
 
     bottom_idx = index[code_id[bytes(range(1, n + 1))] * sum(weights)]
-    poset = Poset(n, k, id_chains, labels, up, bottom_idx, top_idx)
+    poset = Poset(n, k, id_chains, labels, up, up_codes, bottom_idx, top_idx)
 
     # sanity: grading and reachability.  In a graded order every element is
     # reachable from the bottom when each element of rank >= 1 has a lower
     # cover and the bottom is the only one of rank 0: then the upper ends of
     # the covers are all elements but one.
     rank = poset.rank
-    assert all(rank[hi] == rank[lo] + 1 for lo, adj in enumerate(up) for hi, _ in adj), \
+    assert all(rank[hi] == rank[lo] + 1 for lo, adj in enumerate(up) for hi in adj), \
         "cover must raise rank by 1"
-    assert len({hi for adj in up for hi, _ in adj}) == len(up) - 1, \
+    assert len(set().union(*up)) == len(up) - 1, \
         "every element must be reachable from the bottom"
     return poset
 
@@ -812,8 +834,12 @@ def structural_checks(poset: Poset) -> list[dict]:
     size = len(poset)
     every = (1 << size) - 1
     anc, desc = poset._anc, poset._desc  # the z <= x, the z >= x
-    lower = [sum(1 << w for w, _ in adj) for adj in poset.down]
-    upper = [sum(1 << z for z, _ in adj) for adj in poset.up]
+    lower = [0] * size  # pushed up each cover, as ``_anc`` is
+    for x, adj in enumerate(poset.up):
+        bit = 1 << x
+        for z in adj:
+            lower[z] |= bit
+    upper = [sum(1 << z for z in adj) for adj in poset.up]
 
     def report(check: str, count: int, of: int, witnesses: Iterator[dict]) -> dict:
         return {"check": check, "status": "warn" if count else "pass", "count": count,
@@ -863,8 +889,8 @@ def _hasse_lines(poset: Poset) -> Iterator[str]:
         ids = "; ".join(f"e{i}" for i in by_rank[r])
         yield f"  {{ rank=same; {ids}; }}\n"
     text = [str(lab) for lab in poset.labels]
-    for lo, adj in enumerate(poset.up):
-        for hi, c in sorted(adj):
+    for lo, (adj, codes) in enumerate(zip(poset.up, poset.up_codes)):
+        for hi, c in sorted(zip(adj, codes)):
             yield f'  e{lo} -> e{hi} [label="{text[c]}"];\n'
     yield "}\n"
 

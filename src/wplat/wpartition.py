@@ -10,7 +10,6 @@ elements ascending and every layer's blocks by minimum element.
 
 from __future__ import annotations
 
-from collections import Counter
 from functools import lru_cache
 from itertools import combinations, product, repeat
 from math import factorial
@@ -514,6 +513,18 @@ def _set_partitions(n: int) -> tuple[tuple[bytes, ...], tuple[Layer, ...], tuple
     return codes, full, deep
 
 
+def _refinements(n: int) -> list[list[int]]:
+    """Per set partition id (:func:`_set_partitions`), the ids of its
+    refinements, itself included, ascending: one set partition of each of
+    its blocks."""
+    codes, full, _ = _set_partitions(n)
+    ids = {int.from_bytes(code, "big"): p for p, code in enumerate(codes)}
+    within: dict[Block, list[int]] = {}
+    return [sorted(map(ids.__getitem__, map(sum, product(*[
+        within.get(b) or within.setdefault(b, _block_codes(n, b)) for b in layer]))))
+        for layer in full]
+
+
 def _id_chains(n: int, k: int) -> Iterator[tuple[tuple[int, ...], int]]:
     """Every weighted partition of [n] with k layers, in the canonical order
     of :func:`enumerate_all`, as the ids (p_1, ..., p_k) of its chain of set
@@ -532,12 +543,7 @@ def _id_chains(n: int, k: int) -> Iterator[tuple[tuple[int, ...], int]]:
         for p in first:
             yield (p,), p
         return
-    # the refinements of p: one set partition of each of p's blocks
-    ids = {int.from_bytes(code, "big"): p for p, code in enumerate(codes)}
-    within: dict[Block, list[int]] = {}
-    finer = [sorted(map(ids.__getitem__, map(sum, product(*[
-        within.get(b) or within.setdefault(b, _block_codes(n, b)) for b in layer]))))
-        for layer in full]
+    finer = _refinements(n)
     weights = [size ** j for j in range(k)]
     path = [0] * k
     keys = [0] * k  # keys[j]: the key of the path's first j ids
@@ -572,12 +578,20 @@ def _decode_chains(n: int, k: int, chains: Iterable[tuple[int, ...]]) -> list[We
 
 def _count_by_blocks(n: int, k: int) -> dict[int, int]:
     """The number of weighted partitions of [n] with k layers per number of
-    first-layer blocks, tallied from the first ids of :func:`_id_chains`;
-    no partition is built."""
+    first-layer blocks, counted without listing them: the chains
+    p_1 >= ... >= p_j that start at p number 1 for j = 1, and for each
+    deeper layer the sum, over the refinements q of p
+    (:func:`_refinements`, which :func:`_id_chains` walks), of the chains
+    one layer shorter that start at q."""
     _, full, _ = _set_partitions(n)
+    below = [1] * len(full)
+    if k > 1:
+        finer = _refinements(n)
+        for _ in range(k - 1):
+            below = [sum(map(below.__getitem__, qs)) for qs in finer]
     counts: dict[int, int] = {}
-    for p, c in Counter(ids[0] for ids, _ in _id_chains(n, k)).items():
-        counts[len(full[p])] = counts.get(len(full[p]), 0) + c
+    for layer, c in zip(full, below):
+        counts[len(layer)] = counts.get(len(layer), 0) + c
     return counts
 
 

@@ -305,22 +305,24 @@ def order_atoms(poset, x):
     """The atoms of the built order below element x: the upper covers of
     the bottom that lie in x's ancestor mask, which holds x itself."""
     below = poset._anc[x]
-    return [a for a, _ in poset.up[poset.bottom_idx] if below >> a & 1]
+    return [a for a in poset.up[poset.bottom_idx] if below >> a & 1]
 
 
 def poset_from_covers(poset, covers):
     """A ``Poset`` on the elements, bottom and top of ``poset`` whose covers
     are ``covers``, triples (lower, upper, label): its labels are the
-    distinct ones in label order, and each element's up list keeps the
-    order of ``covers``."""
+    distinct ones in label order, and each element's up list and its codes
+    keep the order of ``covers``."""
     from wplat.lattice import Poset
 
     labels = sorted({lab for _, _, lab in covers}, key=lambda lab: lab.sort_key)
     code = {lab: c for c, lab in enumerate(labels)}
     up = [[] for _ in poset.up]
+    codes = [[] for _ in poset.up]
     for lo, hi, lab in covers:
-        up[lo].append((hi, code[lab]))
-    return Poset(poset.n, poset.k, poset.id_chains, labels, up,
+        up[lo].append(hi)
+        codes[lo].append(code[lab])
+    return Poset(poset.n, poset.k, poset.id_chains, labels, up, list(map(tuple, codes)),
                  poset.bottom_idx, poset.top_idx)
 
 

@@ -66,10 +66,10 @@ class TestCount:
         b = run(capsys, "count", "--n", "4", "--k", "2")
         assert a == b
 
-    @pytest.mark.parametrize("n,k", [(2, 1000), (3, 40)])
+    @pytest.mark.parametrize("n,k", [(2, 1000), (3, 40), (2, 5000)])
     def test_many_layers(self, capsys, n, k):
-        # the enumeration costs each element its k ids once, so many layers
-        # are cheap; each count is the definition's
+        # the count sums over the refinement lists once per layer and lists
+        # no element, so many layers are cheap; each count is the definition's
         code, out, _ = run(capsys, "count", "--n", str(n), "--k", str(k), "--format", "json")
         assert code == 0
         data = json.loads(out)
@@ -399,11 +399,11 @@ class TestVerify:
         P = build_poset(3, 2)
         level_pass = lattice.Poset._el_pass
 
-        def flagged(x, up):
-            found = level_pass(x, up)
-            if x == P.bottom_idx:
-                found[P.top_idx] = (2, *found[P.top_idx][1:])
-            return found
+        def flagged(x, pairs):
+            for y, rising, *values in level_pass(x, pairs):
+                if (x, y) == (P.bottom_idx, P.top_idx):
+                    rising = 2
+                yield y, rising, *values
 
         monkeypatch.setattr(lattice.Poset, "_el_pass", staticmethod(flagged))
         code, out, err = run(capsys, "verify", "--suite", "el", "--n", "3", "--k", "2")
@@ -703,7 +703,8 @@ class TestClosures:
         def refuse(*_):
             raise AssertionError("a closure was built")
 
-        monkeypatch.setattr(lattice, "_closure", refuse)
+        monkeypatch.setattr(lattice, "_closure_above", refuse)
+        monkeypatch.setattr(lattice, "_closure_below", refuse)
 
     @pytest.mark.parametrize("argv", [
         "hasse --n 4 --k 2", "charpoly --n 4 --k 2", "chains --filter decreasing --n 4 --k 2",
@@ -723,6 +724,14 @@ class TestClosures:
         self._refuse_closures(monkeypatch)
         with pytest.raises(AssertionError, match="a closure was built"):
             main(argv.split())
+
+    @pytest.mark.parametrize("closure", ["_anc", "_desc"])
+    def test_each_closure_is_refused(self, monkeypatch, closure):
+        # each closure goes through a helper that the tests above refuse
+        self._refuse_closures(monkeypatch)
+        P = build_poset(4, 2)
+        with pytest.raises(AssertionError, match="a closure was built"):
+            getattr(P, closure)
 
     @pytest.mark.parametrize("argv", [
         "mobius --method recursive --n 8 --k 2", "mobius --n 8 --k 2",

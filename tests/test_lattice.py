@@ -158,26 +158,30 @@ class TestPosetShape:
             with pytest.raises(GuardExceeded, match="for the order's closures"):
                 lattice.check_guard(n, k, guard=800_000, closures=True)
 
-    def test_build_and_count_enumerate_through_id_chains(self, capsys, monkeypatch):
+    def test_build_walks_id_chains_and_count_reads_refinements(self, capsys, monkeypatch):
         # the guard tests patch lattice._id_chains to refuse, which shows the
         # guard refusing first only while the build enumerates through it;
-        # count reads the same enumerator, and each enumerates once
+        # the build enumerates once, and count reads the refinement lists
+        # that the walk reads, without walking the chains
         from wplat.cli import main
 
         calls = []
-        enumerate_ids = wpartition._id_chains
 
-        def counted(n, k):
-            calls.append((n, k))
-            return enumerate_ids(n, k)
+        def counted(fn):
+            def wrapper(*args):
+                calls.append((fn.__name__, *args))
+                return fn(*args)
+            return wrapper
 
-        monkeypatch.setattr(lattice, "_id_chains", counted)
-        monkeypatch.setattr(wpartition, "_id_chains", counted)
+        chains = counted(wpartition._id_chains)
+        monkeypatch.setattr(lattice, "_id_chains", chains)
+        monkeypatch.setattr(wpartition, "_id_chains", chains)
+        monkeypatch.setattr(wpartition, "_refinements", counted(wpartition._refinements))
         P = build_poset(4, 2)
-        assert calls == [(4, 2)]
+        assert calls == [("_id_chains", 4, 2), ("_refinements", 4)]
         assert main(["count", "--n", "4", "--k", "2"]) == 0
         assert capsys.readouterr().out == "r=1:15, r=2:32, r=3:12, r=4:1, total 60\n"
-        assert calls == [(4, 2)] * 2
+        assert calls == [("_id_chains", 4, 2), ("_refinements", 4), ("_refinements", 4)]
         monkeypatch.undo()
         assert P.elements[:-1] == enumerate_all(4, 2)
 
@@ -434,8 +438,10 @@ class TestBoundsAndAudit:
         names = [P.element_name(i) for i in range(len(P))]
         x, y = names.index("(1234)^2"), names.index("(123)^2 4")
         le, ge = P._anc, P._desc
-        lower_covers = [sum(1 << w for w, _ in adj) for adj in P.down]
-        upper_covers = [sum(1 << z for z, _ in adj) for adj in P.up]
+        lower_covers, upper_covers = [0] * len(P), [0] * len(P)
+        for lo, hi, _ in P.covers:
+            lower_covers[hi] |= 1 << lo
+            upper_covers[lo] |= 1 << hi
         assert list(lattice._unique_bounds(ge, le, lower_covers))[x] >> y & 1
         assert list(lattice._unique_bounds(le, ge, upper_covers))[x] >> y & 1
         assert ge[x] & ge[y] == 1 << P.top_idx
@@ -569,6 +575,37 @@ class TestOrderKernel:
         P = poset_cache(n, k)
         assert json.dumps(P.verify_el()) == json.dumps(oracle_verify_el(P))
 
+    def test_covers_are_held_packed(self, poset_cache):
+        # each element's upper covers are a plain list of indices beside a
+        # tuple of their label codes; the elements of one fixed-point
+        # pattern share that tuple (123 patterns at (6,2)), so no object is
+        # built per cover, and no list of lower covers is kept
+        P = poset_cache(6, 2)
+        assert all(type(adj) is list and all(type(z) is int for z in adj) for adj in P.up)
+        assert all(type(codes) is tuple and len(codes) == len(adj)
+                   for adj, codes in zip(P.up, P.up_codes))
+        assert sum(map(len, P.up)) == 13_574
+        assert len({id(codes) for codes in P.up_codes}) <= 123
+        assert not hasattr(P, "down")
+
+    @staticmethod
+    def _check_closures(P):
+        leq = oracle_leq(P)
+        every = range(len(P))
+        assert P._anc == [sum(1 << x for x in every if leq(x, y)) for y in every]
+        assert P._desc == [sum(1 << y for y in every if leq(x, y)) for x in every]
+
+    @pytest.mark.parametrize("n,k", SMALL)
+    def test_closures_match_oracle(self, n, k, poset_cache):
+        self._check_closures(poset_cache(n, k))
+
+    @pytest.mark.parametrize("n,k", [(3, 2), (3, 3), (4, 2)])
+    def test_closures_match_oracle_on_changed_posets(self, n, k, poset_cache):
+        # relabeled orders keep the order, cut ones lose some of it
+        for seed in range(10):
+            self._check_closures(_relabeled(poset_cache(n, k), seed))
+            self._check_closures(_cover_dropped(poset_cache(n, k), seed))
+
     @staticmethod
     def _check_el_pass(P):
         """Poset._el_pass from every x against the chain enumeration; the
@@ -577,9 +614,10 @@ class TestOrderKernel:
         up = [[] for _ in range(len(P))]
         for lo, hi, lab in P.covers:
             up[lo].append((hi, code[lab.sort_key]))
-        got = {(x, y): values for x in range(len(P))
-               for y, values in P._el_pass(x, up).items()}
-        assert {xy: values[:3] for xy, values in got.items()} == oracle_el_values(P)
+        passed = [(x, values) for x in range(len(P)) for values in P._el_pass(x, up)]
+        got = {(x, y): values for x, (y, *values) in passed}
+        assert len(got) == len(passed)  # each y once per pass
+        assert {xy: tuple(values[:3]) for xy, values in got.items()} == oracle_el_values(P)
         assert all(rises is _oracle_rises(lex) for _, lex, _, rises in got.values())
         return {carriers for _, _, carriers, _ in got.values()}
 
@@ -716,8 +754,8 @@ class TestOrderKernel:
             assert P.elements == parts
         assert P.covers == sorted(want, key=lambda cover: cover[0])
         assert (P.bottom_idx, P.top_idx) == (index[bottom(n, k)], top)
-        for adj in P.up:
-            keys = [P.labels[c].sort_key for _, c in adj]
+        for codes in P.up_codes:
+            keys = [P.labels[c].sort_key for c in codes]
             assert all(a < b for a, b in zip(keys, keys[1:]))
 
     @pytest.mark.parametrize("n,k", [(n, k) for n in range(1, 6) for k in range(1, 4)]
@@ -810,20 +848,24 @@ class TestOrderKernel:
 
     def test_closures_are_built_on_first_use(self, monkeypatch):
         calls = []
-        real = lattice._closure
 
-        def counting(*args):
-            calls.append(args)
-            return real(*args)
+        def counting(real):
+            def wrapper(*args):
+                calls.append(args)
+                return real(*args)
+            return wrapper
 
-        monkeypatch.setattr(lattice, "_closure", counting)
+        for name in ("_closure_above", "_closure_below"):
+            monkeypatch.setattr(lattice, name, counting(getattr(lattice, name)))
         P = build_poset(4, 2)
-        # the order is stored once, as the up lists; the pass and the DOT
-        # text read them without deriving the cover list or the down lists
-        assert "up" in vars(P) and not {"covers", "down"} & vars(P).keys()
+        # the order is stored once, as the up lists beside their label
+        # codes; the pass and the DOT text read them without deriving the
+        # cover list, and no list of lower covers is kept
+        assert {"up", "up_codes"} <= vars(P).keys() and "covers" not in vars(P)
+        assert not hasattr(P, "down")
         P.mobius_row_via_chains()
         hasse_dot(P)
-        assert not {"covers", "down"} & vars(P).keys()
+        assert "covers" not in vars(P)
         list(P.decreasing_chains(P.bottom_idx, P.top_idx))
         assert calls == []
         assert P.leq(P.bottom_idx, P.top_idx) and P.leq(P.bottom_idx, P.top_idx)

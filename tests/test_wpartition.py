@@ -225,9 +225,11 @@ class TestEnumeration:
     def test_matches_oracle(self, n, k):
         assert enumerate_all(n, k) == oracle_enumerate_all(n, k)
 
-    @pytest.mark.parametrize("n,k", [(n, k) for n in range(1, 6) for k in range(1, 5)])
+    @pytest.mark.parametrize("n,k", [(n, k) for n in range(1, 6) for k in range(1, 5)]
+                             + [(7, 2), (2, 40)])
     def test_block_tallies_match_enumeration(self, n, k):
-        # count tallies the first ids of the id chains and builds no partition
+        # count sums over the refinement lists, and lists no chain and
+        # builds no partition
         assert wpartition._count_by_blocks(n, k) \
             == Counter(len(pi.layers[0]) for pi in enumerate_all(n, k)) \
             == Counter(len(pi.layers[0]) for pi in oracle_enumerate_all(n, k))
