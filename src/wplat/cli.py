@@ -194,11 +194,11 @@ def cmd_mobius(args) -> int:
 
     n, k = args.n, args.k
     # the guard runs before any route: the build's, or its own for the closed form
-    recursive = args.method in ("recursive", "all")  # the recursion reads the closures
+    recursive = args.method in ("recursive", "all")  # the recursion reads the lower closure
     if args.method == "closed":
         lat.check_guard(n, k, args.guard)
     else:
-        poset = lat.build_poset(n, k, guard=args.guard, closures=recursive)
+        poset = lat.build_poset(n, k, guard=args.guard, closures=int(recursive))
     values = {}
     if args.method in ("closed", "all"):
         values["closed"] = lat.mobius_closed_form(n, k)
@@ -274,11 +274,14 @@ def cmd_chains(args) -> int:
     walk = {"all": poset.maximal_chains, "rising": poset.rising_chains,
             "decreasing": poset.decreasing_chains}[args.filter]
     listing = list(walk(poset.bottom_idx, poset.top_idx))
+    # each label's text, rendered once
+    label_text = dict(zip(poset.labels, map(str, poset.labels))).__getitem__
     _emit(args,
-          text=lambda: _grid(listing + [("total", len(listing))], " "),
+          text=lambda: "\n".join([" ".join(map(label_text, c)) for c in listing]
+                                 + [f"total {len(listing)}"]),
           json=lambda: {"n": args.n, "k": args.k, "filter": args.filter,
                         "count": len(listing),
-                        "chains": [[str(l) for l in c] for c in listing]})
+                        "chains": [list(map(label_text, c)) for c in listing]})
     return 0
 
 
@@ -412,9 +415,9 @@ def _verify_bijections(poset) -> list[dict]:
 def cmd_verify(args) -> int:
     from . import lattice as lat
 
-    # the structure report reads the closures
+    # the structure report reads both closures
     poset = lat.build_poset(args.n, args.k, guard=args.guard,
-                            closures=args.suite in ("structure", "all"))
+                            closures=2 if args.suite in ("structure", "all") else 0)
     checks: list[dict] = []
     if args.suite in ("el", "all"):
         checks.append(poset.verify_el())

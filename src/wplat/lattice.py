@@ -22,7 +22,7 @@ from bisect import bisect_right
 from functools import cached_property, reduce
 from itertools import chain, combinations, islice, repeat
 from math import comb, factorial
-from operator import add, and_, getitem, gt, le, mul
+from operator import add, and_, getitem, mul
 from typing import Iterator, NamedTuple, Sequence
 
 # defined in the package, so that the CLI can catch the errors, and the
@@ -59,14 +59,15 @@ __all__ = [
 ]
 
 # the closures may take one 4 KiB page per unit of the guard: 781 MiB at the
-# default, which admits (6,4) (474 MiB) and refuses (8,2) (6,720 MiB)
+# default, which admits both closures of (6,4) (474 MiB) and refuses one of
+# (8,2) (3,360 MiB)
 CLOSURE_BYTES_PER_GUARD = 4096
 MAX_WITNESSES = 10  # witnesses listed per check; counts cover every case
 DOT_CHUNK_LINES = 4096  # lines per write when hasse_dot streams its text
 
 
 def check_guard(n: int, k: int, guard: int | None = None, chains: int = 0,
-                closures: bool = False) -> None:
+                closures: int = 0) -> None:
     """Raise :class:`GuardExceeded` before any enumeration when (n, k) is
     too large.
 
@@ -76,12 +77,13 @@ def check_guard(n: int, k: int, guard: int | None = None, chains: int = 0,
     about to list.  Every guarded command enumerates one or more of them.
     Memory may take CLOSURE_BYTES_PER_GUARD bytes per unit of the guard: a
     request is also refused when the elements' layers, one 8-byte pointer
-    per layer (to its id in the element's chain), need more, and a caller
-    that will build the order's two closures (``closures``), N^2/8 bytes
-    each, when they need more.  That estimate counts the closures only, not
-    the cover masks and bounds that the structure report builds beside
-    them: at (6,4) it is 474 MiB, and ``verify --suite structure`` peaks
-    near 930 MB.
+    per layer (to its id in the element's chain), need more, and when the
+    ``closures`` of the order that the caller will build, N^2/8 bytes each,
+    need more: one (the lower closure) for the Möbius recursion, two for
+    the structure report.  That estimate counts the closures only, not the
+    cover masks and bounds that the structure report builds beside them:
+    at (6,4) it is 474 MiB, and ``verify --suite structure`` peaks near
+    930 MB.
     The limit is ``guard``, else WPLAT_GUARD (an integer), else DEFAULT_GUARD.
 
     Lower bounds that cost nothing are tested first, so that no size is too
@@ -110,7 +112,7 @@ def check_guard(n: int, k: int, guard: int | None = None, chains: int = 0,
             f"over the {guard * CLOSURE_BYTES_PER_GUARD >> 20} MiB that the guard of "
             f"{guard} allows; raise the guard to proceed")
     # each closure is one bitmask of up to N bits per element
-    if closures and (need := 2 * size * size // 8) > guard * CLOSURE_BYTES_PER_GUARD:
+    if closures and (need := closures * size * size // 8) > guard * CLOSURE_BYTES_PER_GUARD:
         raise GuardExceeded(
             f"(n={n}, k={k}) needs about {need >> 20} MiB for the order's closures, "
             f"over the {guard * CLOSURE_BYTES_PER_GUARD >> 20} MiB that the guard of "
@@ -263,6 +265,36 @@ def _closure_below(order: list[int], up: list[list[int]]) -> list[int]:
     return masks
 
 
+def _least_first_code(least: dict[int, int], w: int, context: tuple) -> int:
+    """The least label code that starts a strictly decreasing chain from w
+    to y, or the number of labels, above every code, when there is none.
+    ``least`` is the decreasing walk's table: it holds -1 at y, whose empty
+    chain may follow any code, and every value found so far, and the value
+    is stored in it.  ``context`` is (up, up_codes, rank, rank of y less 1,
+    y, the mask of the elements below y, the number of labels).
+
+    The value is the least code c of a cover w < v inside the mask whose
+    own value is below c.  Every such cover is read, so the codes of an up
+    list need not ascend; a cover whose code is not below the least found
+    so far cannot lower it, and its upper end is not looked up.  An element
+    one rank below y lies below y only by its cover to y, whose code is its
+    value.  So the table holds only elements that the walk reaches below y,
+    and of those only the ones that the walk or a value asks for.
+    """
+    up, codes, rank, beneath, y, below_y, first = context
+    adj = up[w]
+    if rank[w] == beneath:
+        if y in adj:  # a cut order's top may miss an element of that rank
+            first = codes[w][adj.index(y)]
+    else:
+        for v, c in zip(adj, codes[w]):
+            if c < first and below_y >> v & 1 and (
+                    least[v] if v in least else _least_first_code(least, v, context)) < c:
+                first = c
+    least[w] = first
+    return first
+
+
 class Poset:
     """The explicit order for given (n, k), graded, bounded, EL-labeled and,
     for k >= 2 and n >= 3, not a lattice: indexed elements, labeled covers,
@@ -344,15 +376,22 @@ class Poset:
 
     # -- chains -------------------------------------------------------------
 
-    def _walk(self, x: int, y: int, step=None) -> Iterator[tuple[CoverLabel, ...]]:
-        """Label sequences of the saturated chains from x to y in which
-        ``step(previous, next)`` holds for every two consecutive label codes
-        (every chain when ``step`` is None), in cover order; a prefix that
-        breaks it is not extended.
+    def _walk(self, x: int, y: int, order: str | None = None
+              ) -> Iterator[tuple[CoverLabel, ...]]:
+        """Label sequences of the saturated chains from x to y, in cover
+        order: all of them (``order`` None), or those whose label codes
+        weakly rise ("rising") or strictly fall ("decreasing").  Each step
+        tries only the codes in [lo, hi) that may follow the step before
+        it, so a prefix that breaks the order is not extended.
 
         The mask of the elements below y only prunes steps that cannot reach
         y.  Every element of a built order lies below its top, so a walk to
-        the top reads no closure: -1 has every bit set."""
+        the top reads no closure: -1 has every bit set.  The decreasing walk
+        also enters a cover with code c only when some decreasing chain from
+        its upper end to y starts below c, as its table of least first codes
+        tells (:func:`_least_first_code`), so every prefix that it extends
+        ends in a chain; it lists the same chains in the same order.  A walk
+        of one step needs no table."""
         below_y = -1 if y == self.top_idx else self._anc[y]
         if not below_y >> x & 1:
             return
@@ -360,21 +399,32 @@ class Poset:
             yield ()
             return
         labels, up, codes = self.labels, self.up, self.up_codes
-        prefix: list[int] = []  # the codes of the steps taken
-        stack = [zip(up[x], codes[x])]  # per step taken and x, the covers left to try
+        rising, falling = order == "rising", order == "decreasing"
+        none = len(labels)  # above every code
+        least = context = None
+        if falling and self.rank[y] - self.rank[x] > 1:
+            least = {y: -1}
+            context = (up, codes, self.rank, self.rank[y] - 1, y, below_y, none)
+        path: list[CoverLabel] = []  # the labels of the steps taken
+        # per step taken and x: the covers left to try, and the codes
+        # [lo, hi) that may come next
+        stack = [(zip(up[x], codes[x]), 0, none)]
         while stack:
-            for nxt, c in stack[-1]:
-                if below_y >> nxt & 1 and (step is None or not prefix or step(prefix[-1], c)):
+            covers, lo, hi = stack[-1]
+            for nxt, c in covers:
+                if lo <= c < hi and below_y >> nxt & 1:
                     if nxt == y:
-                        yield tuple([labels[d] for d in prefix] + [labels[c]])
-                    else:
-                        prefix.append(c)
-                        stack.append(zip(up[nxt], codes[nxt]))
+                        yield (*path, labels[c])
+                    elif least is None or (least[nxt] if nxt in least else
+                                           _least_first_code(least, nxt, context)) < c:
+                        path.append(labels[c])
+                        stack.append((zip(up[nxt], codes[nxt]),
+                                      c if rising else 0, c if falling else none))
                         break
             else:
                 stack.pop()
-                if prefix:
-                    prefix.pop()
+                if path:
+                    path.pop()
 
     def maximal_chains(self, x: int, y: int) -> Iterator[tuple[CoverLabel, ...]]:
         """Label sequences of every saturated chain from x to y."""
@@ -382,11 +432,11 @@ class Poset:
 
     def rising_chains(self, x: int, y: int) -> Iterator[tuple[CoverLabel, ...]]:
         """Maximal chains with weakly rising labels."""
-        return self._walk(x, y, le)
+        return self._walk(x, y, "rising")
 
     def decreasing_chains(self, x: int, y: int) -> Iterator[tuple[CoverLabel, ...]]:
         """Maximal chains with strictly decreasing labels."""
-        return self._walk(x, y, gt)
+        return self._walk(x, y, "decreasing")
 
     @staticmethod
     def is_rising(labels: Sequence[CoverLabel]) -> bool:
@@ -521,16 +571,18 @@ class Poset:
         """mu(x, z) for every element z (0 unless x <= z), by the defining
         recursion mu(x, z) = -sum_{x <= w < z} mu(x, w), in rank order.
 
-        The sum is taken by value: ``found[v]`` is the mask of the w >= x
-        already found with mu(x, w) = v, so each z costs one mask and per
-        value, not one step per w below it."""
+        It reads the lower closure only: z > x when z lies above x's rank
+        and x is in the mask of the elements below z.  The sum is taken by
+        value: ``found[v]`` is the mask of the w >= x already found with
+        mu(x, w) = v, so each z costs one mask and per value, not one step
+        per w below it."""
         mu = [0] * len(self.up)
         mu[x] = 1
         found = {1: 1 << x}
-        above, anc = self._desc[x] ^ 1 << x, self._anc
-        for z in self._rank_order:
-            if above >> z & 1:
-                below = anc[z]
+        order, anc, rank = self._rank_order, self._anc, self.rank
+        for z in islice(order, bisect_right(order, rank[x], key=rank.__getitem__), None):
+            below = anc[z]
+            if below >> x & 1:
                 m = mu[z] = -sum([v * (below & mask).bit_count() for v, mask in found.items()])
                 if m:
                     found[m] = found.get(m, 0) | 1 << z
@@ -541,7 +593,9 @@ class Poset:
         return self._mobius_from(self.bottom_idx)
 
     def mobius_recursive(self, x: int, y: int) -> int:
-        """mu(x, y) by the defining recursion (see :meth:`_mobius_from`)."""
+        """mu(x, y) by the defining recursion (see :meth:`_mobius_from`),
+        which, like the test x <= y, reads the lower closure ``_anc`` and
+        never the upper one."""
         if not self.leq(x, y):
             raise ValueError("mobius requires x <= y")
         return self._mobius_from(x)[y]
@@ -587,7 +641,7 @@ class Poset:
         return self.mobius_row_via_chains()[self.top_idx]
 
 
-def build_poset(n: int, k: int, guard: int | None = None, closures: bool = False) -> Poset:
+def build_poset(n: int, k: int, guard: int | None = None, closures: int = 0) -> Poset:
     """Construct the poset for (n, k) explicitly: the elements of
     :func:`enumerate_all` in that order, each with its upper covers in label
     order (``Poset.up``) beside their codes (``Poset.up_codes``); then for
@@ -607,9 +661,9 @@ def build_poset(n: int, k: int, guard: int | None = None, closures: bool = False
     :func:`_labels_from_minima` lists the labels once per fixed-point
     pattern, and those at layers < k once per prefix p_1, ..., p_(k-1).
 
-    :func:`check_guard` (with ``guard``, and with ``closures`` for a caller
-    that will read the closures) aborts with :class:`GuardExceeded` before
-    any enumeration.
+    :func:`check_guard` (with ``guard``, and with the number of closures
+    ``closures`` that the caller will read) aborts with
+    :class:`GuardExceeded` before any enumeration.
     """
     if n < 1 or k < 1:
         raise ValueError("need n >= 1 and k >= 1")

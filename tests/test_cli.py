@@ -725,6 +725,28 @@ class TestClosures:
         with pytest.raises(AssertionError, match="a closure was built"):
             main(argv.split())
 
+    @pytest.mark.parametrize("argv", [
+        "mobius --method recursive --n 4 --k 2", "mobius --n 4 --k 2",
+    ])
+    def test_recursion_builds_the_lower_closure_only(self, capsys, monkeypatch, argv):
+        # the recursion finds the z >= x in the lower closure, so the upper
+        # one, which the structure report reads, is never built
+        def refuse(*_):
+            raise AssertionError("the upper closure was built")
+
+        calls = []
+        real = lattice._closure_below
+
+        def counting(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(lattice, "_closure_above", refuse)
+        monkeypatch.setattr(lattice, "_closure_below", counting)
+        code, out, _ = run(capsys, *argv.split())
+        assert code == 0 and out.splitlines()[-1].endswith("15")
+        assert len(calls) == 1
+
     @pytest.mark.parametrize("closure", ["_anc", "_desc"])
     def test_each_closure_is_refused(self, monkeypatch, closure):
         # each closure goes through a helper that the tests above refuse
@@ -738,14 +760,17 @@ class TestClosures:
         "verify --suite structure --n 8 --k 2", "verify --n 8 --k 2",
     ])
     def test_closure_guard_refuses_before_building(self, capsys, monkeypatch, argv):
+        # the estimate counts the closures that the request builds: the
+        # lower one for the recursion, both for the structure report
         def refuse(*_):
             raise AssertionError("the guard must refuse before the build")
 
         monkeypatch.delenv("WPLAT_GUARD", raising=False)
         monkeypatch.setattr(lattice, "_id_chains", refuse)
         code, out, err = run(capsys, *argv.split())
+        mib = 3360 if argv.startswith("mobius") else 6720
         assert (code, out) == (2, "")
-        assert err == ("(n=8, k=2) needs about 6720 MiB for the order's closures, "
+        assert err == (f"(n=8, k=2) needs about {mib} MiB for the order's closures, "
                        "over the 781 MiB that the guard of 200000 allows; "
                        "raise the guard to proceed\n")
 

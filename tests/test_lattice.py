@@ -132,7 +132,7 @@ class TestPosetShape:
 
     def test_guard_estimates_closures(self, monkeypatch):
         # (8,2) has 167,895 elements with the top and |mu| = 135,135, both
-        # under the default guard, but its closures need about 6.9 GB
+        # under the default guard, but its two closures need about 6.9 GB
         def refuse(*_):
             raise AssertionError("the guard must not enumerate")
 
@@ -142,21 +142,26 @@ class TestPosetShape:
         lattice.check_guard(8, 2)
         with pytest.raises(GuardExceeded, match="6720 MiB for the order's closures, "
                                                 "over the 781 MiB"):
-            lattice.check_guard(8, 2, closures=True)
-        lattice.check_guard(8, 2, guard=10 ** 12, closures=True)
+            lattice.check_guard(8, 2, closures=2)
+        # the estimate counts the closures that the caller builds: the
+        # Möbius recursion builds one
+        with pytest.raises(GuardExceeded, match="3360 MiB for the order's closures, "
+                                                "over the 781 MiB"):
+            lattice.check_guard(8, 2, closures=1)
+        lattice.check_guard(8, 2, guard=10 ** 12, closures=2)
         # the closure requests that the unguarded build finished stay
         # admitted: (6,3), (7,2) and (6,4) need 39, 88 and 474 MiB
         for n, k in (6, 3), (7, 2), (6, 4):
-            lattice.check_guard(n, k, closures=True)
+            lattice.check_guard(n, k, closures=2)
         # (7,2) needs 93,151,452 bytes, 22,742.05 pages of 4 KiB
-        lattice.check_guard(7, 2, guard=22_743, closures=True)
+        lattice.check_guard(7, 2, guard=22_743, closures=2)
         with pytest.raises(GuardExceeded, match="88 MiB"):
-            lattice.check_guard(7, 2, guard=22_742, closures=True)
+            lattice.check_guard(7, 2, guard=22_742, closures=2)
         # the closures of (6,5) and (10,1) need over 3 GB
         for n, k in (6, 5), (10, 1):
             lattice.check_guard(n, k, guard=800_000)
             with pytest.raises(GuardExceeded, match="for the order's closures"):
-                lattice.check_guard(n, k, guard=800_000, closures=True)
+                lattice.check_guard(n, k, guard=800_000, closures=2)
 
     def test_build_walks_id_chains_and_count_reads_refinements(self, capsys, monkeypatch):
         # the guard tests patch lattice._id_chains to refuse, which shows the
@@ -547,6 +552,11 @@ class TestHasse:
         assert "".join(chunks) == hasse_dot(P)
 
 
+def _falls(labels):
+    """Whether a label sequence strictly falls."""
+    return all(a.sort_key > b.sort_key for a, b in zip(labels, labels[1:]))
+
+
 def _relabeled(P, seed):
     """A copy of P with one to three cover labels replaced by labels drawn
     from P's own label set."""
@@ -815,11 +825,17 @@ class TestOrderKernel:
                 chains = len(list(P.decreasing_chains(x, y)))
                 assert mu == (-1) ** (P.rank[y] - P.rank[x]) * chains, (x, y)
 
-    def _check_rising_chains(self, P):
+    @staticmethod
+    def _check_filtered_walk(P, walk, keeps):
+        """``walk`` against the maximal chains that ``keeps``, on every
+        interval of P."""
         for x in range(len(P)):
             for y in range(len(P)):
-                assert list(P.rising_chains(x, y)) == \
-                    [ch for ch in P.maximal_chains(x, y) if P.is_rising(ch)], (x, y)
+                assert list(walk(x, y)) == \
+                    [ch for ch in P.maximal_chains(x, y) if keeps(ch)], (x, y)
+
+    def _check_rising_chains(self, P):
+        self._check_filtered_walk(P, P.rising_chains, P.is_rising)
 
     @pytest.mark.parametrize("n,k", SMALL)
     def test_rising_chains_match_filter(self, n, k, poset_cache):
@@ -845,6 +861,135 @@ class TestOrderKernel:
                     assert list(Q.maximal_chains(x, y)) == \
                         (list(chains(x, y)) if leq(x, y) else []), (seed, x, y)
         assert cut_off > 0
+
+    def _check_decreasing_chains(self, P):
+        self._check_filtered_walk(P, P.decreasing_chains, _falls)
+
+    @pytest.mark.parametrize("n,k", SMALL)
+    def test_decreasing_chains_match_filter(self, n, k, poset_cache):
+        self._check_decreasing_chains(poset_cache(n, k))
+
+    @pytest.mark.parametrize("n,k", [(3, 2), (3, 3), (4, 2)])
+    def test_decreasing_chains_match_filter_on_relabeled_posets(self, n, k, poset_cache):
+        # relabeled up lists need not list their codes in rising order
+        for seed in range(70):
+            self._check_decreasing_chains(_relabeled(poset_cache(n, k), seed))
+
+    @pytest.mark.parametrize("n,k", [(3, 2), (3, 3)])
+    def test_decreasing_chains_match_oracle_on_cut_orders(self, n, k, poset_cache):
+        # in a cut order some elements lie below no path to the top, and
+        # the decreasing walk to the top, which reads no closure, still
+        # lists exactly its decreasing chains
+        cut_off = 0
+        for seed in range(10):
+            Q = _cover_dropped(poset_cache(n, k), seed)
+            leq, chains = _oracle_chains(Q)
+            cut_off += sum(not leq(z, Q.top_idx) for z in range(len(Q)))
+            for x in range(len(Q)):
+                for y in range(len(Q)):
+                    want = [ch for ch in chains(x, y) if _falls(ch)] if leq(x, y) else []
+                    assert list(Q.decreasing_chains(x, y)) == want, (seed, x, y)
+        assert cut_off > 0
+
+    @staticmethod
+    def _dead_prefixes(P, intervals) -> int:
+        """The steps that the decreasing walks over ``intervals`` take
+        beyond the distinct proper prefixes of their chains, as paths of
+        elements found by a search up the cover list: 0 when no step enters
+        a dead end.  The walk reads a label once per step and once per
+        nonempty chain that it yields."""
+        leq = oracle_leq(P)
+        succ = {}
+        for lo, hi, lab in P.covers:
+            succ.setdefault(lo, []).append((hi, lab.sort_key))
+
+        def paths(x, y, last):
+            if x == y:
+                yield ()
+                return
+            for z, key in succ.get(x, ()):
+                if key < last and leq(z, y):
+                    yield from ((z,) + rest for rest in paths(z, y, key))
+
+        reads = 0
+
+        class Counting(list):
+            def __getitem__(self, i):
+                nonlocal reads
+                reads += 1
+                return super().__getitem__(i)
+
+        P.labels = Counting(P.labels)
+        dead = 0
+        for x, y in intervals:
+            reads = 0
+            listed = list(P.decreasing_chains(x, y))
+            found = list(paths(x, y, (1, 0, 0))) if leq(x, y) else []  # above every key
+            assert len(found) == len(listed)
+            prefixes = {path[:i] for path in found for i in range(1, len(path))}
+            dead += reads - len(prefixes) - sum(1 for path in found if path)
+        P.labels = list(P.labels)
+        return dead
+
+    @pytest.mark.parametrize("n,k", [(3, 3), (4, 2), (6, 2)])
+    def test_decreasing_walk_takes_no_dead_step(self, n, k):
+        P = build_poset(n, k)
+        every = [(x, y) for x in range(len(P)) for y in range(len(P))] if n < 6 else []
+        assert self._dead_prefixes(P, every + [(P.bottom_idx, P.top_idx)]) == 0
+
+    def test_decreasing_walk_takes_no_dead_step_on_relabeled_posets(self, poset_cache):
+        for seed in range(70):
+            Q = _relabeled(poset_cache(4, 2), seed)
+            every = [(x, y) for x in range(len(Q)) for y in range(len(Q))]
+            assert self._dead_prefixes(Q, every) == 0, seed
+
+    @staticmethod
+    def _check_least_first_codes(P, monkeypatch) -> set[str]:
+        """Every table of least first codes that a decreasing walk on P
+        builds, against the first label codes of the oracle's decreasing
+        chains; which kinds of value the tables held."""
+        leq, chains = _oracle_chains(P)
+        code = {lab: c for c, lab in enumerate(P.labels)}
+        none = len(P.labels)
+        tables = []
+        real = lattice._least_first_code
+
+        def recording(least, w, context):
+            if not any(table is least for table in tables):
+                tables.append(least)
+            return real(least, w, context)
+
+        monkeypatch.setattr(lattice, "_least_first_code", recording)
+        kinds = set()
+        for x in range(len(P)):
+            for y in range(len(P)):
+                tables.clear()
+                list(P.decreasing_chains(x, y))
+                assert len(tables) <= 1  # one table per walk, if any
+                for least in tables:
+                    for w, value in least.items():
+                        # only elements that the walk reaches below y
+                        assert leq(x, w) and leq(w, y), (x, y, w)
+                        firsts = [code[ch[0]] for ch in chains(w, y) if ch and _falls(ch)]
+                        assert value == (-1 if w == y else min(firsts, default=none)), (x, y, w)
+                        kinds.add("y" if w == y else "chain" if firsts else "none")
+        monkeypatch.undo()
+        return kinds
+
+    @pytest.mark.parametrize("n,k", [(3, 2), (3, 3), (4, 2)])
+    def test_least_first_codes_match_oracle(self, n, k, poset_cache, monkeypatch):
+        kinds = self._check_least_first_codes(poset_cache(n, k), monkeypatch)
+        assert kinds == {"y", "chain"}
+
+    @pytest.mark.parametrize("n,k", [(3, 2), (3, 3), (4, 2)])
+    def test_least_first_codes_match_oracle_on_relabeled_posets(self, n, k, poset_cache,
+                                                                monkeypatch):
+        # a built order's tables hold no dead end; relabeled ones do
+        kinds = set()
+        for seed in range(70):
+            kinds |= self._check_least_first_codes(_relabeled(poset_cache(n, k), seed),
+                                                   monkeypatch)
+        assert kinds == {"y", "chain", "none"}
 
     def test_closures_are_built_on_first_use(self, monkeypatch):
         calls = []
