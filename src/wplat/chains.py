@@ -339,52 +339,82 @@ def _check_node(node: LBT, is_root: bool, n: int, k: int, leaves: list[int],
     return below, inside
 
 
-def _gen_subtrees(shape, ints: tuple[int, ...], is_right: bool, k: int,
-                  memo: dict) -> tuple[tuple[LBT, int], ...]:
+def _gen_subtrees(shape, ints: tuple[int, ...], is_right: bool, n: int, k: int,
+                  memo: dict) -> tuple[tuple[LBT, ...], tuple[int, ...]]:
     """Labeled subtrees of the given shape over the given (ascending) leaf
     integers, with the subtree root labeled according to its child
-    position, each with the bitmask of the integers used as a right-child
-    label in it (its root included when it is a right child).
+    position, as two tuples in step: the subtrees, and the bitmask of the
+    integers used as a right-child label in each (its root included when
+    it is a right child).
 
     S5 draws a node's integer from the integers of its subtree, which are
     its leaf integers, as every node below draws from its own; a right
-    child leaves out the right-child labels strictly inside it.  Each
-    (shape, ints, is_right) is built once and kept in ``memo``, which lives
-    for one :func:`enumerate_lbt` call."""
+    child leaves out the right-child labels strictly inside it.
+
+    No internal node is built that S2 or S4 refuses at every parent, the
+    root included.  The node's sibling draws its integer from outside
+    ``ints`` (S1 and S5), and the parent's merge key is (-s, v, w) with
+    v < w (S2), v the left child's integer and w the right child's.
+    - A right child (x = w) needs some v outside ``ints`` below w: the
+      least integer outside ``ints`` must be below w.
+    - A left child v_s with children a_t and b_t (t <= s by S3) needs
+      some w outside ``ints`` above v, and at t = s also (v, w) < (a, b),
+      as S4 needs its merge key (-t, a, b) above the parent's: v < a, or
+      v = a and a < w < b.
+
+    Each (shape, ints, is_right) is built once and kept in ``memo``, which
+    lives for one :func:`enumerate_lbt` call."""
     key = (shape, ints, is_right)
     if key in memo:
         return memo[key]
     if shape == ():
-        bit = 1 << ints[0] if is_right else 0
-        out = [(_new_lbt((ints[0], s, None, None)), bit) for s in range(1, k + 1)]
+        nodes = [_new_lbt((ints[0], s, None, None)) for s in range(1, k + 1)]
+        masks = [1 << ints[0] if is_right else 0] * k
     else:
-        out = []
-        for lc, rc, inside in _child_pairs(shape, ints, k, memo):
-            allowed = [v for v in ints if not inside >> v & 1] if is_right else ints
-            for s in range(lc.sub, k + 1):
-                for v in allowed:
-                    out.append((_new_lbt((v, s, lc, rc)),
-                                inside | 1 << v if is_right else inside))
-    memo[key] = out = tuple(out)
+        nodes, masks = [], []
+        outside = [u for u in range(1, n + 1) if u not in ints]  # the sibling's integers
+        above = [w for w in ints if w > outside[0]]  # a right child's integers by S2
+        below = [v for v in ints if v < outside[-1]]  # a left child's integers by S2
+        for lc, rc, inside in _child_pairs(shape, ints, n, k, memo):
+            if is_right:
+                allowed = [w for w in above if not inside >> w & 1]
+                for s in range(lc.sub, k + 1):
+                    for w in allowed:
+                        nodes.append(_new_lbt((w, s, lc, rc)))
+                        masks.append(inside | 1 << w)
+            else:
+                a, b = lc.value, rc.value
+                at_t = [v for v in below if v < a or v == a and any(a < u < b for u in outside)]
+                for s in range(lc.sub, k + 1):
+                    for v in below if s > lc.sub else at_t:
+                        nodes.append(_new_lbt((v, s, lc, rc)))
+                masks += [inside] * (len(nodes) - len(masks))
+    memo[key] = out = (tuple(nodes), tuple(masks))
     return out
 
 
-def _child_pairs(shape, ints: tuple[int, ...], k: int, memo: dict
+def _child_pairs(shape, ints: tuple[int, ...], n: int, k: int, memo: dict
                  ) -> Iterator[tuple[LBT, LBT, int]]:
     """The (left, right) children of a node of the given (non-leaf) shape
     over the given leaf integers that satisfy S2 and S4 at the node, in
     generation order, each with the bitmask of the right-child labels
     strictly inside the node.  S4 is hereditary, so no subtree that fails
-    it is ever built."""
+    it is ever built; the left subtrees of a split are not built when it
+    has no right subtree."""
     ls, rs = shape
     for left_ints, right_ints in _splits(ints, _count_leaves(ls)):
-        rights: dict[int, list[tuple[LBT, int]]] = {}  # by subscript, in generation order
-        for rc, in_rc in _gen_subtrees(rs, right_ints, True, k, memo):
-            rights.setdefault(rc.sub, []).append((rc, in_rc))
-        for lc, in_lc in _gen_subtrees(ls, left_ints, False, k, memo):
-            for rc, in_rc in rights.get(lc.sub, ()):
+        rights: dict[int, list[int]] = {}  # positions by subscript, in generation order
+        r_nodes, r_masks = _gen_subtrees(rs, right_ints, True, n, k, memo)
+        for i, rc in enumerate(r_nodes):
+            rights.setdefault(rc.sub, []).append(i)
+        if not rights:
+            continue
+        l_nodes, l_masks = _gen_subtrees(ls, left_ints, False, n, k, memo)
+        for lc, in_lc in zip(l_nodes, l_masks):
+            for i in rights.get(lc.sub, ()):
+                rc = r_nodes[i]
                 if lc.value < rc.value and _heap_ordered(lc, rc):
-                    yield lc, rc, in_lc | in_rc
+                    yield lc, rc, in_lc | r_masks[i]
 
 
 def _splits(ints: tuple[int, ...], nl: int
@@ -411,13 +441,17 @@ def enumerate_lbt(n: int, k: int) -> list[LBT]:
 
     Only trees that satisfy :func:`lbt_check` are built, so no filter and
     no lattice code runs.  Labeled subtrees are memoised per call: each
-    (shape, leaf integers, child position) is built once."""
+    (shape, leaf integers, child position) is built once, as a tuple of
+    subtrees beside a tuple of their right-label masks, and holds no
+    subtree that S2 or S4 refuses under every parent (:func:`_gen_subtrees`).
+    At (6, 2) the memo holds 3,170 internal nodes, of which the 945 trees
+    keep 909."""
     if n < 2 or k < 1:
         raise ValueError("need n >= 2 and k >= 1")
     memo: dict = {}
     return [_new_lbt((None, None, lc, rc))
             for shape in _shapes(n)
-            for lc, rc, _ in _child_pairs(shape, tuple(range(1, n + 1)), k, memo)
+            for lc, rc, _ in _child_pairs(shape, tuple(range(1, n + 1)), n, k, memo)
             if k == 1 or (lc.value, lc.sub) != (1, k)]
 
 

@@ -32,6 +32,7 @@ import errno
 import os
 import sys
 from types import SimpleNamespace
+from typing import Iterator
 
 from . import GuardExceeded, RouteMismatch, _guard_limit
 
@@ -285,33 +286,36 @@ def cmd_chains(args) -> int:
     return 0
 
 
-def _lbt_dot(trees: list) -> str:
-    lines = ["digraph trees {", "  node [shape=circle];"]
+def _lbt_dot_lines(trees: list) -> Iterator[str]:
+    """The lines of the trees' DOT text, each with its newline: one cluster
+    per tree, its nodes named and listed in pre-order."""
+    yield "digraph trees {\n"
+    yield "  node [shape=circle];\n"
     for t_idx, tree in enumerate(trees):
-        counter = [0]
-
-        def walk(node, parent_name):
-            name = f"t{t_idx}n{counter[0]}"
-            counter[0] += 1
+        yield f"  subgraph cluster_{t_idx} {{\n"
+        stack = [(tree, "")]
+        count = 0
+        while stack:
+            node, parent_name = stack.pop()
+            name = f"t{t_idx}n{count}"
+            count += 1
             label = "*" if node.value is None else f"{node.value}_{node.sub}"
-            lines.append(f'  {name} [label="{label}"];')
+            yield f'  {name} [label="{label}"];\n'
             if parent_name:
-                lines.append(f"  {parent_name} -> {name};")
+                yield f"  {parent_name} -> {name};\n"
             if not node.is_leaf:
-                walk(node.left, name)
-                walk(node.right, name)
-
-        lines.append(f"  subgraph cluster_{t_idx} {{")
-        walk(tree, "")
-        lines.append("  }")
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+                stack += ((node.right, name), (node.left, name))
+        yield "  }\n"
+    yield "}\n"
 
 
-def _json_lines(trees: list) -> str:
+def _json_lines(trees: list) -> Iterator[str]:
+    """The lines of the trees' text: each tree's nested form as JSON, then
+    the total."""
     import json
-    return "\n".join([json.dumps(t.to_nested()) for t in trees]
-                     + [f"total {len(trees)}"])
+    for t in trees:
+        yield json.dumps(t.to_nested()) + "\n"
+    yield f"total {len(trees)}\n"
 
 
 def cmd_trees(args) -> int:
@@ -320,11 +324,12 @@ def cmd_trees(args) -> int:
 
     lat.check_guard(args.n, args.k, args.guard)
     trees = ch.enumerate_lbt(args.n, args.k)
-    _emit(args,
-          json=lambda: {"n": args.n, "k": args.k, "count": len(trees),
-                        "trees": [t.to_nested() for t in trees]},
-          dot=lambda: _lbt_dot(trees),
-          text=lambda: _json_lines(trees))
+    if args.format == "json":
+        _emit(args, json=lambda: {"n": args.n, "k": args.k, "count": len(trees),
+                                  "trees": [t.to_nested() for t in trees]})
+    else:  # written in chunks, so the whole text is never held
+        lines = (_lbt_dot_lines if args.format == "dot" else _json_lines)(trees)
+        _write(args.out, lambda write: lat._write_chunks(lines, write))
     return 0
 
 
@@ -346,12 +351,13 @@ def _verify_structure(poset) -> list[dict]:
 
 
 def _verify_bijections(poset) -> list[dict]:
-    from . import chains as ch
     from . import lattice as lat
     from . import wpartition as wp
 
     n, k = poset.n, poset.k
-    checks = []
+    # the chain-tree check runs first, so that the tree generator's memo is
+    # gone before the partition round trips decode the elements
+    tree_checks = [_chain_tree_check(poset)] if n >= 2 else []
 
     # each round trip is one pass over the elements that keeps the indices
     # of the elements it fails; the witnesses then list them in element
@@ -382,34 +388,55 @@ def _verify_bijections(poset) -> list[dict]:
         except wp.InvalidPartition:
             continue
         bad.append({"pi": name, "issue": issue})
-    checks.append({"check": "partition_round_trips",
-                   "status": "pass" if not bad else "fail", "witnesses": bad})
+    return [{"check": "partition_round_trips",
+             "status": "pass" if not bad else "fail", "witnesses": bad}] + tree_checks
 
-    if n >= 2:
-        chains_list = list(poset.decreasing_chains(poset.bottom_idx, poset.top_idx))
-        bad = []
-        images = [ch.chain_to_lbt(labels, n, k) for labels in chains_list]
-        for labels, tree in zip(chains_list, images):
-            if ch.lbt_to_chain(tree, k) != labels:
-                bad.append({"chain": [str(l) for l in labels],
-                            "issue": "chain/tree round trip"})
-            elif problem := ch.lbt_check(tree, n, k):
-                bad.append({"chain": [str(l) for l in labels],
-                            "issue": f"invalid tree: {problem}"})
-        trees = ch.enumerate_lbt(n, k)
-        if len(trees) != len(chains_list):
-            bad.append({"issue": "tree count != decreasing chain count",
-                        "trees": len(trees), "chains": len(chains_list)})
-        generated, imaged = set(trees), set(images)
-        for issue, missing in (() if generated == imaged else (
-                ("chain image not generated", [t for t in images if t not in generated]),
-                ("generated tree not a chain image", [t for t in trees if t not in imaged]))):
-            if missing:
-                bad.append({"issue": issue, "count": len(missing),
-                            "trees": [t.to_nested() for t in missing[:lat.MAX_WITNESSES]]})
-        checks.append({"check": "chain_tree_round_trips",
-                       "status": "pass" if not bad else "fail", "witnesses": bad})
-    return checks
+
+def _chain_tree_check(poset) -> dict:
+    """The chain-tree round trips: each maximal decreasing chain from the
+    bottom to the top is read as it is produced, mapped to its tree, read
+    back and checked, and marks the generated tree it equals; neither the
+    chains nor their trees are held.  Equal generated trees share one mark,
+    the one of the first, so a tree the generator repeats is an image when
+    any copy is."""
+    from . import chains as ch
+    from . import lattice as lat
+
+    n, k = poset.n, poset.k
+    trees = ch.enumerate_lbt(n, k)
+    first: dict = {}  # each generated tree to the position of its first copy
+    marks = [first.setdefault(tree, i) for i, tree in enumerate(trees)]
+    imaged = bytearray(len(trees))
+    bad, strays = [], []
+    chain_count = stray_count = 0
+    for labels in poset.decreasing_chains(poset.bottom_idx, poset.top_idx):
+        chain_count += 1
+        tree = ch.chain_to_lbt(labels, n, k)
+        if ch.lbt_to_chain(tree, k) != labels:
+            bad.append({"chain": [str(l) for l in labels],
+                        "issue": "chain/tree round trip"})
+        elif problem := ch.lbt_check(tree, n, k):
+            bad.append({"chain": [str(l) for l in labels],
+                        "issue": f"invalid tree: {problem}"})
+        i = first.get(tree)
+        if i is not None:
+            imaged[i] = 1
+        else:
+            stray_count += 1
+            if len(strays) < lat.MAX_WITNESSES:
+                strays.append(tree)
+    if len(trees) != chain_count:
+        bad.append({"issue": "tree count != decreasing chain count",
+                    "trees": len(trees), "chains": chain_count})
+    unimaged = [tree for tree, i in zip(trees, marks) if not imaged[i]]
+    for issue, count, missing in (("chain image not generated", stray_count, strays),
+                                  ("generated tree not a chain image", len(unimaged),
+                                   unimaged)):
+        if count:
+            bad.append({"issue": issue, "count": count,
+                        "trees": [t.to_nested() for t in missing[:lat.MAX_WITNESSES]]})
+    return {"check": "chain_tree_round_trips",
+            "status": "pass" if not bad else "fail", "witnesses": bad}
 
 
 def cmd_verify(args) -> int:

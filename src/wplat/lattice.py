@@ -63,7 +63,7 @@ __all__ = [
 # (8,2) (3,360 MiB)
 CLOSURE_BYTES_PER_GUARD = 4096
 MAX_WITNESSES = 10  # witnesses listed per check; counts cover every case
-DOT_CHUNK_LINES = 4096  # lines per write when hasse_dot streams its text
+DOT_CHUNK_LINES = 4096  # lines per write when a text is streamed (_write_chunks)
 
 
 def check_guard(n: int, k: int, guard: int | None = None, chains: int = 0,
@@ -959,6 +959,12 @@ def hasse_dot(poset: Poset, write=None) -> str | None:
     lines = _hasse_lines(poset)
     if write is None:
         return "".join(lines)
+    _write_chunks(lines, write)
+    return None
+
+
+def _write_chunks(lines: Iterator[str], write) -> None:
+    """Pass ``lines``, each with its newline, to ``write`` in chunks of
+    ``DOT_CHUNK_LINES`` lines."""
     while chunk := "".join(islice(lines, DOT_CHUNK_LINES)):
         write(chunk)
-    return None

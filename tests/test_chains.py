@@ -275,6 +275,45 @@ class TestLBT:
         for t in enumerate_lbt(4, 2):
             assert sorted(lbt_leaves(t)) == [1, 2, 3, 4]
 
+    @pytest.mark.parametrize("n,k,bound", [(5, 3, 1691), (6, 2, 3170)])
+    def test_generator_builds_few_nodes(self, monkeypatch, n, k, bound):
+        # the labeled internal nodes built through _new_lbt: the trees keep
+        # 819 and 909 of them, and without the sibling rules of
+        # _gen_subtrees the generator built 6,700 and 19,673
+        new, built = wplat.chains._new_lbt, []
+
+        def counting(fields):
+            if fields[0] is not None and fields[2] is not None:
+                built.append(fields)
+            return new(fields)
+
+        monkeypatch.setattr(wplat.chains, "_new_lbt", counting)
+        enumerate_lbt(n, k)
+        assert len(built) <= bound
+
+    @pytest.mark.parametrize("n,k", [(4, 3), (5, 2), (5, 3)])
+    def test_generator_builds_no_node_every_parent_refuses(self, monkeypatch, n, k):
+        # each labeled internal node built is a child in some (left, right)
+        # pair that passes S2 and S4 at its parent
+        new, pairs = wplat.chains._new_lbt, wplat.chains._child_pairs
+        built, paired = [], set()
+
+        def building(fields):
+            node = new(fields)
+            if node.value is not None and node.left is not None:
+                built.append(node)
+            return node
+
+        def pairing(*args):
+            for lc, rc, inside in pairs(*args):
+                paired.update((id(lc), id(rc)))
+                yield lc, rc, inside
+
+        monkeypatch.setattr(wplat.chains, "_new_lbt", building)
+        monkeypatch.setattr(wplat.chains, "_child_pairs", pairing)
+        enumerate_lbt(n, k)
+        assert built and all(id(node) in paired for node in built)
+
     @pytest.mark.parametrize("n,k", [(n, k) for n in range(2, 5) for k in range(1, 4)]
                              + [(5, 1), (5, 2), (5, 3)])
     def test_generation_order_matches_oracle(self, n, k):

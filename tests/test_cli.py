@@ -9,10 +9,12 @@ import os
 import resource
 import subprocess
 import sys
+import tracemalloc
 from collections import Counter
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 from conftest import poset_from_covers
@@ -267,6 +269,19 @@ class TestChainsTreesHasse:
         assert data["count"] == 3
         assert len(data["trees"]) == 3
 
+    @pytest.mark.parametrize("fmt,lines,digest", [
+        ("dot", 1203, "e5885507e36ea5b5db8f3d098b7b1ccf58931b8aa78d1e78e06e2f740366ad24"),
+        ("text", 81, "03d9d10b4b6ce741a0402fde2de9344d22a8acf9ece81eb52652bf201100a887"),
+    ])
+    def test_trees_text_is_written_in_chunks(self, monkeypatch, fmt, lines, digest):
+        monkeypatch.setattr(lattice, "DOT_CHUNK_LINES", 50)
+        chunks = []
+        monkeypatch.setattr(sys, "stdout", SimpleNamespace(write=chunks.append, flush=lambda: None))
+        assert main(["trees", "--n", "4", "--k", "3", "--format", fmt]) == 0
+        assert [c.count("\n") for c in chunks] == [50] * (lines // 50) + [lines % 50]
+        text = "".join(chunks)
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
+
     def test_hasse_dot(self, capsys):
         code, out, _ = run(capsys, "hasse", "--n", "3", "--k", "1")
         assert code == 0
@@ -298,9 +313,141 @@ class TestVerify:
         assert code == 1
         check, = [c for c in json.loads(out)["checks"]
                   if c["check"] == "chain_tree_round_trips"]
+        # the repeated tree is a chain image at both of its positions
         missing = generate(4, 2)[0].to_nested()
-        assert {"issue": "chain image not generated", "count": 1,
-                "trees": [missing]} in check["witnesses"]
+        assert missing == [None, [1, 1], [[2, 1], [2, 1], [[3, 1], [3, 1], [4, 1]]]]
+        assert check["witnesses"] == [{"issue": "chain image not generated", "count": 1,
+                                       "trees": [missing]}]
+
+    # a tree that reads off but is no image at (4, 2), its leaf 4 raised to 5,
+    # and a tree of (4, 3) that no chain at (4, 2) maps to
+    STRAY = chains.LBT(None, None, chains.LBT(1, 1, chains.LBT(1, 1), chains.LBT(3, 1)),
+                       chains.LBT(2, 1, chains.LBT(2, 1), chains.LBT(5, 1)))
+    FOREIGN = chains.LBT(None, None, chains.LBT(1, 2, chains.LBT(1, 2, chains.LBT(1, 2),
+                                                                chains.LBT(4, 2)),
+                                                chains.LBT(3, 2)), chains.LBT(2, 2))
+    TREE_COUNT = "tree count != decreasing chain count"
+    NOT_GENERATED = "chain image not generated"
+    NOT_IMAGE = "generated tree not a chain image"
+
+    # the witnesses of each fault at (4, 2), as the set comparison of every
+    # chain image with every generated tree listed them
+    CHAIN_TREE_FAULTS = {
+        "generator repeats a tree": [{"issue": TREE_COUNT, "trees": 16, "chains": 15}],
+        "generator drops a tree": [
+            {"issue": TREE_COUNT, "trees": 14, "chains": 15},
+            {"issue": NOT_GENERATED, "count": 1,
+             "trees": [[None, [[1, 1], [1, 1], [4, 1]], [[2, 1], [2, 1], [3, 1]]]]}],
+        "generator adds a foreign tree": [
+            {"issue": TREE_COUNT, "trees": 16, "chains": 15},
+            {"issue": NOT_IMAGE, "count": 1,
+             "trees": [[None, [[1, 2], [[1, 2], [1, 2], [4, 2]], [3, 2]], [2, 2]]]}],
+        "two chains to one tree": [
+            {"chain": ["(1,3)_1", "(1,2)_1", "(3,4)_2", "(1,4)_2"],
+             "issue": "chain/tree round trip"},
+            {"issue": NOT_IMAGE, "count": 1,
+             "trees": [[None, [[3, 2], [[1, 1], [1, 1], [3, 1]], [2, 1]], [4, 2]]]}],
+        "three chains to a stray tree": [
+            {"chain": ["(1,3)_1", "(1,2)_1", "(2,4)_2", "(1,4)_2"],
+             "issue": "chain/tree round trip"},
+            {"chain": ["(1,4)_1", "(1,3)_1", "(1,2)_1", "(1,4)_2"],
+             "issue": "chain/tree round trip"},
+            {"chain": ["(2,4)_1", "(1,2)_1", "(2,3)_2", "(1,4)_2"],
+             "issue": "chain/tree round trip"},
+            {"issue": NOT_GENERATED, "count": 3,
+             "trees": [[None, [[1, 1], [1, 1], [3, 1]], [[2, 1], [2, 1], [5, 1]]]] * 3},
+            {"issue": NOT_IMAGE, "count": 3,
+             "trees": [[None, [[2, 2], [1, 1], [[2, 1], [2, 1], [4, 1]]], [3, 2]],
+                       [None, [[2, 2], [[1, 1], [1, 1], [3, 1]], [2, 1]], [4, 2]],
+                       [None, [[1, 1], [[1, 1], [1, 1], [4, 1]], [3, 1]], [2, 1]]]}],
+    }
+
+    def _chain_tree_witnesses(self, capsys, monkeypatch, fault):
+        generate, to_lbt = chains.enumerate_lbt, chains.chain_to_lbt
+        edits = {"generator repeats a tree": lambda t: t + [t[3]],
+                 "generator drops a tree": lambda t: t[:5] + t[6:],
+                 "generator adds a foreign tree": lambda t: t[:7] + [self.FOREIGN] + t[7:]}
+        seen = []
+
+        def image(labels, n, k):
+            seen.append(labels)
+            if fault == "two chains to one tree" and len(seen) == 4:
+                return to_lbt(seen[2], n, k)
+            if fault == "three chains to a stray tree" and len(seen) in (3, 6, 10):
+                return self.STRAY
+            if fault == "every chain to a stray tree":
+                return self.STRAY
+            return to_lbt(labels, n, k)
+
+        if fault in edits:
+            monkeypatch.setattr(chains, "enumerate_lbt", lambda n, k: edits[fault](generate(n, k)))
+        else:
+            monkeypatch.setattr(chains, "chain_to_lbt", image)
+        code, out, _ = run(capsys, "verify", "--suite", "bijections", "--n", "4", "--k", "2")
+        check, = [c for c in json.loads(out)["checks"]
+                  if c["check"] == "chain_tree_round_trips"]
+        assert (code, check["status"]) == (1, "fail")
+        return check["witnesses"]
+
+    @pytest.mark.parametrize("fault", list(CHAIN_TREE_FAULTS))
+    def test_chain_tree_witnesses_are_pinned(self, capsys, monkeypatch, fault):
+        assert self._chain_tree_witnesses(capsys, monkeypatch, fault) == \
+            self.CHAIN_TREE_FAULTS[fault]
+
+    def test_chain_tree_witnesses_are_capped(self, capsys, monkeypatch):
+        trees = [t.to_nested() for t in chains.enumerate_lbt(4, 2)]
+        witnesses = self._chain_tree_witnesses(capsys, monkeypatch,
+                                               "every chain to a stray tree")
+        assert [w["issue"] for w in witnesses] == \
+            ["chain/tree round trip"] * 15 + [self.NOT_GENERATED, self.NOT_IMAGE]
+        assert witnesses[-2:] == [
+            {"issue": self.NOT_GENERATED, "count": 15,
+             "trees": [self.STRAY.to_nested()] * lattice.MAX_WITNESSES},
+            {"issue": self.NOT_IMAGE, "count": 15, "trees": trees[:lattice.MAX_WITNESSES]}]
+
+    def test_chain_tree_check_streams_after_generating(self, monkeypatch):
+        # the trees are generated before the elements are decoded, and each
+        # chain's tree is built before the next chain is produced
+        P = build_poset(4, 3)
+        generate, to_lbt, walk = chains.enumerate_lbt, chains.chain_to_lbt, P.decreasing_chains
+        events = []
+
+        def generating(n, k):
+            events.append(("generate", "elements" in vars(P)))
+            return generate(n, k)
+
+        def walking(x, y):
+            for labels in walk(x, y):
+                events.append(("chain", labels))
+                yield labels
+
+        def imaging(labels, n, k):
+            events.append(("image", labels))
+            return to_lbt(labels, n, k)
+
+        monkeypatch.setattr(chains, "enumerate_lbt", generating)
+        monkeypatch.setattr(chains, "chain_to_lbt", imaging)
+        monkeypatch.setattr(P, "decreasing_chains", walking)
+        assert all(c["status"] == "pass" for c in cli._verify_bijections(P))
+        assert "elements" in vars(P)
+        want = [e for labels in walk(P.bottom_idx, P.top_idx)
+                for e in (("chain", labels), ("image", labels))]
+        assert len(want) == 2 * 80
+        assert events == [("generate", False)] + want
+
+    def test_bijections_suite_holds_little(self):
+        # neither the chains nor their trees are held, and the generator's
+        # memo is gone before the elements are decoded: the suite's traced
+        # peak at (6, 2) was 4.00 MiB when all of them were held at once
+        cli._verify_bijections(build_poset(2, 1))  # loads the modules it runs
+        P = build_poset(6, 2)
+        tracemalloc.start()
+        try:
+            cli._verify_bijections(P)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1 << 20
 
     def test_inverse_that_accepts_a_non_image_fails(self, capsys, monkeypatch):
         parse = wplat.wpartition.one_line_parse
