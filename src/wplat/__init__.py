@@ -49,8 +49,8 @@ _EXPORTS = {
     "series": ("BivariateSeries", "SeriesError", "exp_k_xy", "log_k_xy",
                "series_exp", "series_log", "series_pow_y"),
     "stirling": ("T_def", "T_rec_split", "bell", "bell_row", "elem_sym_spec",
-                 "f_lambda", "g_lambda", "partitions", "stirling1", "stirling2",
-                 "t_def", "t_rec_elem_sym", "t_rec_first_column", "t_rec_split"),
+                 "stirling1", "stirling2", "t_def", "t_rec_elem_sym",
+                 "t_rec_first_column", "t_rec_split"),
     "wpartition": ("InvalidPartition", "OneLineParseError", "WeightedPartition",
                    "bottom", "edge_set", "edge_set_inverse", "enumerate_all",
                    "enumerate_by_blocks", "enumerate_tree_shapes",
@@ -63,7 +63,7 @@ _EXPORTS = {
     "chains": ("LBT", "CycleDiagram", "apply_chain", "chain_to_lbt",
                "diagram_to_decreasing_chain", "enumerate_colorings",
                "enumerate_cycle_diagrams", "enumerate_lbt", "i_of_sigma",
-               "lbt_check", "lbt_leaves", "lbt_to_chain", "t_via_diagrams", "wt_k"),
+               "lbt_check", "lbt_to_chain", "t_via_diagrams", "wt_k"),
 }
 _HOMES = {name: module for module, names in _EXPORTS.items() for name in names}
 _MODULES = (*_EXPORTS, "cli")

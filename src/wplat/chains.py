@@ -24,7 +24,6 @@ __all__ = [
     "diagram_to_decreasing_chain",
     "apply_chain",
     "LBT",
-    "lbt_leaves",
     "lbt_check",
     "enumerate_lbt",
     "lbt_to_chain",
@@ -234,23 +233,6 @@ def _heap_ordered(lc: LBT, rc: LBT) -> bool:
         if c.left is not None and not key < (-c.left.sub, c.left.value, c.right.value):
             return False
     return True
-
-
-def lbt_leaves(tree: LBT) -> list[int]:
-    """The leaf integers from left to right; a node with one child raises
-    the ``ValueError`` of :func:`lbt_to_chain`."""
-    leaves = []
-    stack = [tree]
-    while stack:
-        node = stack.pop()
-        lc, rc = node.left, node.right
-        if lc is None or rc is None:
-            if lc is not None or rc is not None:
-                raise ValueError(f"{_node_name(node, node is tree)} has one child")
-            leaves.append(node.value)
-        else:
-            stack += (rc, lc)
-    return leaves
 
 
 def lbt_check(tree: LBT, n: int, k: int) -> list[str]:

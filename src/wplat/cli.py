@@ -309,7 +309,7 @@ def _lbt_dot_lines(trees: list) -> Iterator[str]:
     yield "}\n"
 
 
-def _json_lines(trees: list) -> Iterator[str]:
+def _lbt_text_lines(trees: list) -> Iterator[str]:
     """The lines of the trees' text: each tree's nested form as JSON, then
     the total."""
     import json
@@ -318,18 +318,32 @@ def _json_lines(trees: list) -> Iterator[str]:
     yield f"total {len(trees)}\n"
 
 
+def _lbt_json_lines(n: int, k: int, trees: list) -> Iterator[str]:
+    """The lines of the indented JSON object {n, k, count, trees}, each tree
+    its nested form, as ``json.dumps(..., indent=2)`` prints the whole."""
+    import json
+    yield from ("{\n", f'  "n": {n},\n', f'  "k": {k},\n', f'  "count": {len(trees)},\n',
+                '  "trees": [\n')
+    last = len(trees) - 1
+    for i, t in enumerate(trees):
+        *body, end = json.dumps(t.to_nested(), indent=2).split("\n")
+        yield from (f"    {line}\n" for line in body)
+        yield f"    {end},\n" if i < last else f"    {end}\n"
+    yield from ("  ]\n", "}\n")
+
+
 def cmd_trees(args) -> int:
     from . import chains as ch
     from . import lattice as lat
 
     lat.check_guard(args.n, args.k, args.guard)
     trees = ch.enumerate_lbt(args.n, args.k)
+    # written in chunks, so the whole text is never held
     if args.format == "json":
-        _emit(args, json=lambda: {"n": args.n, "k": args.k, "count": len(trees),
-                                  "trees": [t.to_nested() for t in trees]})
-    else:  # written in chunks, so the whole text is never held
-        lines = (_lbt_dot_lines if args.format == "dot" else _json_lines)(trees)
-        _write(args.out, lambda write: lat._write_chunks(lines, write))
+        lines = _lbt_json_lines(args.n, args.k, trees)
+    else:
+        lines = (_lbt_dot_lines if args.format == "dot" else _lbt_text_lines)(trees)
+    _write(args.out, lambda write: lat._write_chunks(lines, write))
     return 0
 
 

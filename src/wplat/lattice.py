@@ -12,8 +12,9 @@ The built order is graded, bounded, EL-labeled and atomistic, with the
 paper's mu and characteristic polynomial.  For k >= 2 and n >= 3 it is not a
 lattice and not upper semimodular: at (3,2), 13/2 and 1/23 have two minimal
 upper bounds, (12)^2 3 and 123.  ``paper_join``/``paper_meet`` are the
-layerwise block union and intersection: the bounds of the layerwise
-refinement order, not of this one.
+layerwise block union and intersection, read off ``edge_set_inverse`` from
+the union and the label-wise minimum of two edge sets: the bounds of the
+layerwise refinement order, not of this one.
 """
 
 from __future__ import annotations
@@ -31,11 +32,12 @@ from . import DEFAULT_GUARD, GuardExceeded, RouteMismatch, _guard_limit
 from .wpartition import (
     WeightedPartition,
     _code,
-    _components,
     _decode,
     _decode_chains,
     _id_chains,
     _set_partitions,
+    edge_set,
+    edge_set_inverse,
 )
 from .stirling import T_def
 
@@ -792,37 +794,22 @@ def mobius_closed_form(n: int, k: int) -> int:
 
 def paper_join(x: WeightedPartition, y: WeightedPartition) -> WeightedPartition:
     """Layerwise join: the blocks of layer l are the connected components of
-    the union of both partitions' layer-l blocks.
-
-    Layer 1 of each argument already covers [n], and below it a singleton
-    would add nothing to a component of size >= 2, so the stored layers need
-    no singleton padding; the components are sorted and disjoint, so the
-    result is canonical without ``validate``.
-    """
+    the pairs labeled >= l in either partition's edge set."""
     if (x.n, x.k) != (y.n, y.k):
         raise ValueError("join requires matching (n, k)")
-    return WeightedPartition(x.n, x.k, tuple(
-        tuple(sorted(_components(xl + yl))) for xl, yl in zip(x.layers, y.layers)))
+    return edge_set_inverse(edge_set(x) | edge_set(y), x.n, x.k)
 
 
 def paper_meet(x: WeightedPartition, y: WeightedPartition) -> WeightedPartition:
-    """Layerwise meet: the blocks of layer l are the non-empty pairwise
-    intersections of both partitions' layer-l blocks, of size >= 2 below
-    layer 1.
-
-    A singleton meets any block in at most one element, so below layer 1 the
-    stored blocks (all of size >= 2) suffice without singleton padding; the
-    intersections are sorted and disjoint, so the result is canonical without
-    ``validate``.
-    """
+    """Layerwise meet: each pair in both edge sets keeps the smaller of its
+    two labels.  The pairs labeled >= l in both partitions form the
+    intersection of two equivalences, so they are already the classes of
+    layer l."""
     if (x.n, x.k) != (y.n, y.k):
         raise ValueError("meet requires matching (n, k)")
-    layers = []
-    for l, (xl, yl) in enumerate(zip(x.layers, y.layers), start=1):
-        least = 1 if l == 1 else 2
-        cuts = (a.intersection(b) for a in map(set, xl) for b in yl)
-        layers.append(tuple(sorted(tuple(sorted(c)) for c in cuts if len(c) >= least)))
-    return WeightedPartition(x.n, x.k, tuple(layers))
+    x_label = {(i, j): l for i, j, l in edge_set(x)}
+    return edge_set_inverse([(i, j, min(l, x_label[i, j])) for i, j, l in edge_set(y)
+                             if (i, j) in x_label], x.n, x.k)
 
 
 def char_poly_summation(n: int, k: int, poset: Poset | None = None) -> list[int]:

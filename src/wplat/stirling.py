@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from functools import lru_cache
 from math import comb, factorial
-from typing import Iterator, Sequence
 
 from . import RouteMismatch
 
@@ -20,9 +19,6 @@ __all__ = [
     "stirling2",
     "bell",
     "bell_row",
-    "partitions",
-    "f_lambda",
-    "g_lambda",
     "elem_sym_spec",
     "T_def",
     "t_def",
@@ -100,49 +96,6 @@ def bell_row(n_max: int) -> list[int]:
 def bell(n: int) -> int:
     """Bell number B_n, checked by both routes of :func:`bell_row`."""
     return bell_row(n)[n]
-
-
-def partitions(n: int) -> Iterator[tuple[int, ...]]:
-    """Integer partitions of n as weakly decreasing tuples, in
-    reverse-lexicographic order.  partitions(0) yields the empty tuple."""
-    if n < 0:
-        return
-    if n == 0:
-        yield ()
-        return
-
-    def rec(remaining: int, largest: int, prefix: tuple[int, ...]):
-        if remaining == 0:
-            yield prefix
-            return
-        for part in range(min(largest, remaining), 0, -1):
-            yield from rec(remaining - part, part, prefix + (part,))
-
-    yield from rec(n, n, ())
-
-
-def _multiplicities(lam: Sequence[int]) -> dict[int, int]:
-    m: dict[int, int] = {}
-    for part in lam:
-        m[part] = m.get(part, 0) + 1
-    return m
-
-
-def f_lambda(lam: Sequence[int]) -> int:
-    """f_lambda = n! / prod_j (j!)^{m_j} m_j! — the number of ways to split
-    [n] into an unordered family of blocks with part sizes lambda."""
-    n = sum(lam)
-    denom = 1
-    for j, mj in _multiplicities(lam).items():
-        denom *= factorial(j) ** mj * factorial(mj)
-    q, rem = divmod(factorial(n), denom)
-    assert rem == 0
-    return q
-
-
-def g_lambda(lam: Sequence[int]) -> int:
-    """g_lambda = (l(lambda) - 1)! * f_lambda."""
-    return factorial(len(lam) - 1) * f_lambda(lam)
 
 
 def elem_sym_spec(m: int, j: int) -> int:

@@ -186,27 +186,6 @@ def edge_set(pi: WeightedPartition) -> frozenset[tuple[int, int, int]]:
     return frozenset([(i, j, l) for (i, j), l in deepest.items()])
 
 
-def _components(blocks: list[tuple[int, ...]]) -> list[tuple[int, ...]]:
-    """Connected components of the union graph of the given blocks."""
-    parent: dict[int, int] = {}
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for b in blocks:
-        for e in b:
-            parent.setdefault(e, e)
-        for e in b[1:]:
-            parent[find(b[0])] = find(e)
-    comps: dict[int, list[int]] = {}
-    for e in parent:
-        comps.setdefault(find(e), []).append(e)
-    return [tuple(sorted(c)) for c in comps.values()]
-
-
 def edge_set_inverse(edges: Iterable[tuple[int, int, int]], n: int, k: int) -> WeightedPartition:
     """Rebuild the weighted partition whose deepest-common-layer edge set is
     ``edges``: layer l blocks are the size >= 2 connected components of the

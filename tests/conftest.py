@@ -88,12 +88,53 @@ def oracle_transform_def(n: int, k: int, r: int, kernel) -> int:
     return total
 
 
+def partitions(n: int):
+    """Integer partitions of n as weakly decreasing tuples, in
+    reverse-lexicographic order.  partitions(0) yields the empty tuple."""
+    if n < 0:
+        return
+    if n == 0:
+        yield ()
+        return
+
+    def rec(remaining: int, largest: int, prefix: tuple[int, ...]):
+        if remaining == 0:
+            yield prefix
+            return
+        for part in range(min(largest, remaining), 0, -1):
+            yield from rec(remaining - part, part, prefix + (part,))
+
+    yield from rec(n, n, ())
+
+
+def _multiplicities(lam) -> dict[int, int]:
+    m: dict[int, int] = {}
+    for part in lam:
+        m[part] = m.get(part, 0) + 1
+    return m
+
+
+def f_lambda(lam) -> int:
+    """f_lambda = n! / prod_j (j!)^{m_j} m_j! — the number of ways to split
+    [n] into an unordered family of blocks with part sizes lambda."""
+    n = sum(lam)
+    denom = 1
+    for j, mj in _multiplicities(lam).items():
+        denom *= factorial(j) ** mj * factorial(mj)
+    q, rem = divmod(factorial(n), denom)
+    assert rem == 0
+    return q
+
+
+def g_lambda(lam) -> int:
+    """g_lambda = (l(lambda) - 1)! * f_lambda."""
+    return factorial(len(lam) - 1) * f_lambda(lam)
+
+
 def oracle_partition_sum(n: int, length: int | None, coeff, weight) -> int:
     """The literal per-partition sum: over the integer partitions lambda of
     n (of length ``length`` only, unless it is None), one term
     coeff(lambda) * prod_j weight(lambda_j) per partition."""
-    from wplat.stirling import partitions
-
     total = 0
     for lam in partitions(n):
         if length is None or len(lam) == length:
@@ -109,8 +150,6 @@ def oracle_t_first_column(n: int, k: int) -> int:
     """t(n, k, 1) by the paper's recurrence, one integer partition at a
     time: sum_{lambda |- n} (-1)^{l(lambda)+1} g_lambda prod_i t(lambda_i, k-1, 1),
     from the identity column delta_{n,1} at k = 0."""
-    from wplat.stirling import g_lambda
-
     if n < 1:
         return 0
     if k == 0:
@@ -222,17 +261,15 @@ def oracle_enumerate_all(n, k):
 
 def oracle_edge_set_inverse(edges, n, k):
     """``edge_set_inverse`` one layer at a time: the layer-l blocks are the
-    components, by ``wpartition._components``, of the singletons and the
-    edges labeled >= l."""
+    unions, by ``_merged``, of the singletons and the edges labeled >= l."""
     from wplat import validate
-    from wplat.wpartition import _components
 
     edges = list(edges)
     singletons = [(e,) for e in range(1, n + 1)]
     layers = []
     for l in range(1, k + 1):
-        comps = _components(singletons + [(i, j) for i, j, lab in edges if lab >= l])
-        layers.append([c for c in comps if len(c) >= 2 or l == 1])
+        groups = _merged(singletons + [(i, j) for i, j, lab in edges if lab >= l])
+        layers.append([g for g in groups if len(g) >= 2 or l == 1])
     return validate(n, k, layers)
 
 
@@ -673,13 +710,12 @@ def oracle_lbt_check(tree, n, k):
     descent bound, and a greedy read-off that must be a strictly decreasing
     admissible chain reconstructing the tree (through the lattice's cover
     step)."""
-    from wplat import chain_to_lbt, lbt_leaves, lbt_to_chain
+    from wplat import chain_to_lbt, lbt_to_chain
 
     problems = []
     if tree.value is not None or tree.sub is not None:
         problems.append("root must be unlabeled")
-    if sorted(lbt_leaves(tree)) != list(range(1, n + 1)):
-        problems.append("S1: leaf integers must be a bijection with [n]")
+    leaves = []
 
     def walk(node):
         if node is not tree:
@@ -688,6 +724,7 @@ def oracle_lbt_check(tree, n, k):
             if node.sub is None or not 1 <= node.sub <= k:
                 problems.append("label subscript out of range")
         if node.is_leaf:
+            leaves.append(node.value)
             return
         lc, rc = node.left, node.right
         if not (lc.value < rc.value and lc.sub == rc.sub):
@@ -709,6 +746,8 @@ def oracle_lbt_check(tree, n, k):
         walk(rc)
 
     walk(tree)
+    if sorted(leaves) != list(range(1, n + 1)):
+        problems.append("S1: leaf integers must be a bijection with [n]")
     if k >= 2:
         if oracle_count_descents(tree) > n - 2:
             problems.append("more than n-2 descents")

@@ -35,7 +35,6 @@ from wplat import (
     from_rooted_tree,
     i_of_sigma,
     lbt_check,
-    lbt_leaves,
     lbt_to_chain,
     mobius_closed_form,
     one_line_parse,
@@ -177,14 +176,6 @@ class TestLBT:
         with pytest.raises(ValueError, match="has one child"):
             lbt_to_chain(tree, k)
 
-    @pytest.mark.parametrize("tree,n,k", ONE_CHILD)
-    def test_leaves_refuse_one_child_node(self, tree, n, k):
-        with pytest.raises(ValueError) as read_off:
-            lbt_to_chain(tree, k)
-        with pytest.raises(ValueError) as leaves:
-            lbt_leaves(tree)
-        assert str(leaves.value) == str(read_off.value)
-
     @pytest.mark.parametrize("n,k", [(2, 1), (3, 1), (4, 1), (5, 1),
                                      (2, 2), (3, 2), (4, 2),
                                      (2, 3), (3, 3), (4, 3)])
@@ -272,8 +263,13 @@ class TestLBT:
         assert outcomes == {True, False}
 
     def test_leaves_biject(self):
+        def leaves(node):
+            if node.is_leaf:
+                return [node.value]
+            return leaves(node.left) + leaves(node.right)
+
         for t in enumerate_lbt(4, 2):
-            assert sorted(lbt_leaves(t)) == [1, 2, 3, 4]
+            assert sorted(leaves(t)) == [1, 2, 3, 4]
 
     @pytest.mark.parametrize("n,k,bound", [(5, 3, 1691), (6, 2, 3170)])
     def test_generator_builds_few_nodes(self, monkeypatch, n, k, bound):

@@ -272,6 +272,7 @@ class TestChainsTreesHasse:
     @pytest.mark.parametrize("fmt,lines,digest", [
         ("dot", 1203, "e5885507e36ea5b5db8f3d098b7b1ccf58931b8aa78d1e78e06e2f740366ad24"),
         ("text", 81, "03d9d10b4b6ce741a0402fde2de9344d22a8acf9ece81eb52652bf201100a887"),
+        ("json", 2487, "ad8f41ff1ed907319a6422499f92c76382f17927771306c6401875ebe68bfcda"),
     ])
     def test_trees_text_is_written_in_chunks(self, monkeypatch, fmt, lines, digest):
         monkeypatch.setattr(lattice, "DOT_CHUNK_LINES", 50)

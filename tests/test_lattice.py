@@ -522,15 +522,13 @@ class TestStructureFacts:
             [("pass", 0, [])] * 4
 
     def test_reads_only_the_order(self, monkeypatch):
-        from wplat import wpartition
-
         P = build_poset(4, 2)
 
         def refuse(*_):
             raise AssertionError("the structure report must read only the order")
 
         for module, attr in [(lattice, "paper_join"), (lattice, "paper_meet"),
-                             (lattice, "_components"), (wpartition, "_components")]:
+                             (lattice, "edge_set"), (lattice, "edge_set_inverse")]:
             monkeypatch.setattr(module, attr, refuse)
         monkeypatch.setattr(lattice.Poset, "leq", refuse)
         report = structural_checks(P)

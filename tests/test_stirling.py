@@ -13,6 +13,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st_
 
 from conftest import (
+    f_lambda,
+    g_lambda,
     oracle_partition_sum,
     oracle_set_partitions,
     oracle_stirling1,
@@ -20,6 +22,7 @@ from conftest import (
     oracle_stirling2_sum,
     oracle_t_first_column,
     oracle_transform_def,
+    partitions,
 )
 from wplat import stirling
 from wplat import (
@@ -28,9 +31,6 @@ from wplat import (
     bell,
     bell_row,
     elem_sym_spec,
-    f_lambda,
-    g_lambda,
-    partitions,
     stirling1,
     stirling2,
     t_def,

@@ -139,7 +139,7 @@ def test_request_loads_only_what_it_runs(argv, loaded):
 EXPORTED = """
 RouteMismatch
 BivariateSeries SeriesError exp_k_xy log_k_xy series_exp series_log series_pow_y
-T_def T_rec_split bell bell_row elem_sym_spec f_lambda g_lambda partitions stirling1
+T_def T_rec_split bell bell_row elem_sym_spec stirling1
 stirling2 t_def t_rec_elem_sym t_rec_first_column t_rec_split InvalidPartition
 OneLineParseError WeightedPartition bottom edge_set edge_set_inverse enumerate_all
 enumerate_by_blocks enumerate_tree_shapes from_rooted_tree one_line_parse
@@ -148,7 +148,7 @@ GuardExceeded Poset admissible_covers build_poset char_poly_product char_poly_ro
 char_poly_summation hasse_dot mobius_closed_form paper_join paper_meet
 structural_checks LBT CycleDiagram apply_chain chain_to_lbt
 diagram_to_decreasing_chain enumerate_colorings enumerate_cycle_diagrams
-enumerate_lbt i_of_sigma lbt_check lbt_leaves lbt_to_chain t_via_diagrams wt_k
+enumerate_lbt i_of_sigma lbt_check lbt_to_chain t_via_diagrams wt_k
 """.split()
 
 
