@@ -195,11 +195,11 @@ def cmd_mobius(args) -> int:
 
     n, k = args.n, args.k
     # the guard runs before any route: the build's, or its own for the closed form
-    recursive = args.method in ("recursive", "all")  # the recursion reads the lower closure
+    recursive = args.method in ("recursive", "all")  # the recursion holds interval masks
     if args.method == "closed":
         lat.check_guard(n, k, args.guard)
     else:
-        poset = lat.build_poset(n, k, guard=args.guard, closures=int(recursive))
+        poset = lat.build_poset(n, k, guard=args.guard, interval_masks=recursive)
     values = {}
     if args.method in ("closed", "all"):
         values["closed"] = lat.mobius_closed_form(n, k)
@@ -318,17 +318,32 @@ def _lbt_text_lines(trees: list) -> Iterator[str]:
     yield f"total {len(trees)}\n"
 
 
+def _nested_json(node, pad: str) -> str:
+    """``json.dumps(node.to_nested(), indent=2)`` for a tree node, with
+    every line but the first indented by ``pad`` more, written directly:
+    the standard library encodes an indented text in pure Python."""
+    inner = pad + "  "
+    if node.is_leaf:
+        return f"[\n{inner}{_json_int(node.value)},\n{inner}{_json_int(node.sub)}\n{pad}]"
+    label = "null" if node.value is None else \
+        f"[\n{inner}  {node.value},\n{inner}  {node.sub}\n{inner}]"
+    return (f"[\n{inner}{label},\n{inner}{_nested_json(node.left, inner)},\n"
+            f"{inner}{_nested_json(node.right, inner)}\n{pad}]")
+
+
+def _json_int(value: int | None) -> str:
+    return "null" if value is None else str(value)
+
+
 def _lbt_json_lines(n: int, k: int, trees: list) -> Iterator[str]:
     """The lines of the indented JSON object {n, k, count, trees}, each tree
     its nested form, as ``json.dumps(..., indent=2)`` prints the whole."""
-    import json
     yield from ("{\n", f'  "n": {n},\n', f'  "k": {k},\n', f'  "count": {len(trees)},\n',
                 '  "trees": [\n')
     last = len(trees) - 1
     for i, t in enumerate(trees):
-        *body, end = json.dumps(t.to_nested(), indent=2).split("\n")
-        yield from (f"    {line}\n" for line in body)
-        yield f"    {end},\n" if i < last else f"    {end}\n"
+        text = f"    {_nested_json(t, '    ')}{',' if i < last else ''}\n"
+        yield from text.splitlines(keepends=True)
     yield from ("  ]\n", "}\n")
 
 

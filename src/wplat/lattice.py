@@ -21,10 +21,10 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from functools import cached_property, reduce
-from itertools import chain, combinations, islice, repeat
+from itertools import accumulate, chain, combinations, islice, repeat
 from math import comb, factorial
 from operator import add, and_, getitem, mul
-from typing import Iterator, NamedTuple, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 # defined in the package, so that the CLI can catch the errors, and the
 # numbers commands read the guard, without this module
@@ -60,16 +60,16 @@ __all__ = [
     "hasse_dot",
 ]
 
-# the closures may take one 4 KiB page per unit of the guard: 781 MiB at the
-# default, which admits both closures of (6,4) (474 MiB) and refuses one of
-# (8,2) (3,360 MiB)
+# the closures and masks may take one 4 KiB page per unit of the guard: 781
+# MiB at the default, which admits both closures of (6,4) (474 MiB) and
+# refuses the Möbius recursion's masks at (8,2) (2,178 MiB)
 CLOSURE_BYTES_PER_GUARD = 4096
 MAX_WITNESSES = 10  # witnesses listed per check; counts cover every case
 DOT_CHUNK_LINES = 4096  # lines per write when a text is streamed (_write_chunks)
 
 
 def check_guard(n: int, k: int, guard: int | None = None, chains: int = 0,
-                closures: int = 0) -> None:
+                closures: int = 0, interval_masks: bool = False) -> None:
     """Raise :class:`GuardExceeded` before any enumeration when (n, k) is
     too large.
 
@@ -79,13 +79,16 @@ def check_guard(n: int, k: int, guard: int | None = None, chains: int = 0,
     about to list.  Every guarded command enumerates one or more of them.
     Memory may take CLOSURE_BYTES_PER_GUARD bytes per unit of the guard: a
     request is also refused when the elements' layers, one 8-byte pointer
-    per layer (to its id in the element's chain), need more, and when the
+    per layer (to its id in the element's chain), need more; when the
     ``closures`` of the order that the caller will build, N^2/8 bytes each,
-    need more: one (the lower closure) for the Möbius recursion, two for
-    the structure report.  That estimate counts the closures only, not the
-    cover masks and bounds that the structure report builds beside them:
-    at (6,4) it is 474 MiB, and ``verify --suite structure`` peaks near
-    930 MB.
+    need more (the structure report builds two); and, for a caller that
+    runs the Möbius recursion (``interval_masks``), when its masks need
+    more: those of two adjacent rank levels, each as wide as the elements
+    through the upper level (:meth:`Poset._mobius_up`), at the pair of
+    levels where that is most, from the per-rank counts.  The closure
+    estimate counts the closures only, not the cover masks and bounds that
+    the structure report builds beside them: at (6,4) it is 474 MiB, and
+    ``verify --suite structure`` peaks near 930 MB.
     The limit is ``guard``, else WPLAT_GUARD (an integer), else DEFAULT_GUARD.
 
     Lower bounds that cost nothing are tested first, so that no size is too
@@ -93,7 +96,7 @@ def check_guard(n: int, k: int, guard: int | None = None, chains: int = 0,
     whose one block of two or more holds 1) and at least C(n+k-1, n-1)
     (the elements whose one block of two or more at each layer is {1..m}),
     and each element holds k layers.  Past them n - 1 is under the guard's
-    bit length, and the exact count (:func:`_element_count`) loops in n
+    bit length, and the exact counts (:func:`_rank_counts`) loop in n
     only.
     """
     guard = _guard_limit(guard)
@@ -101,39 +104,44 @@ def check_guard(n: int, k: int, guard: int | None = None, chains: int = 0,
         raise GuardExceeded(
             f"(n={n}, k={k}) needs more than {guard} elements or layers, "
             f"over the guard of {guard}; raise the guard to proceed")
-    size = _element_count(n, k) + 1
+    levels = _rank_counts(n, k) + [1]  # with the adjoined top
+    size = sum(levels)
     estimate = max(size, abs(mobius_closed_form(n, k)), chains)
     if estimate > guard:
         raise GuardExceeded(
             f"(n={n}, k={k}) needs about {estimate} elements or chains, "
             f"over the guard of {guard}; raise the guard to proceed")
-    # each element's chain holds a pointer to one id per layer
-    if (need := 8 * size * k) > guard * CLOSURE_BYTES_PER_GUARD:
-        raise GuardExceeded(
-            f"(n={n}, k={k}) needs about {need >> 20} MiB for the elements' layers, "
-            f"over the {guard * CLOSURE_BYTES_PER_GUARD >> 20} MiB that the guard of "
-            f"{guard} allows; raise the guard to proceed")
-    # each closure is one bitmask of up to N bits per element
-    if closures and (need := closures * size * size // 8) > guard * CLOSURE_BYTES_PER_GUARD:
-        raise GuardExceeded(
-            f"(n={n}, k={k}) needs about {need >> 20} MiB for the order's closures, "
-            f"over the {guard * CLOSURE_BYTES_PER_GUARD >> 20} MiB that the guard of "
-            f"{guard} allows; raise the guard to proceed")
+    masks = 0
+    if interval_masks:  # one bit per element found through the upper level
+        through = list(accumulate(levels))
+        masks = max([(levels[r] + levels[r + 1]) * through[r + 1] // 8 for r in range(n)])
+    limit = guard * CLOSURE_BYTES_PER_GUARD
+    for need, what in (
+            (8 * size * k, "the elements' layers"),  # one pointer per layer per element
+            (closures * size * size // 8, "the order's closures"),  # N bits per element each
+            (masks, "the Möbius recursion's interval masks")):
+        if need > limit:
+            raise GuardExceeded(
+                f"(n={n}, k={k}) needs about {need >> 20} MiB for {what}, over the "
+                f"{limit >> 20} MiB that the guard of {guard} allows; raise the guard "
+                f"to proceed")
 
 
-def _element_count(n: int, k: int) -> int:
-    """sum_r T(n, k, r), the weighted partitions of [n] with k layers.
-    They are the multichains p_1 >= ... >= p_k of set partitions of [n], so
-    their count is a polynomial in k of degree n - 1 (the zeta polynomial
-    of the partition lattice); for k > n it is read off the counts at
-    k = 1..n by Newton's forward differences, with no loop in k."""
+def _rank_counts(n: int, k: int) -> list[int]:
+    """The weighted partitions of [n] with k layers per rank r = 0..n-1,
+    T(n, k, n - r) (n - r first-layer blocks).  Those of rank r are the
+    multichains p_1 >= ... >= p_k of set partitions of [n] whose p_1 has
+    rank r, so their count is a polynomial in k of degree r (a sum of zeta
+    polynomials of partition lattices); for k > n it is read off the counts
+    at k = 1..n by Newton's forward differences, with no loop in k."""
     if k <= n:
-        return sum(T_def(n, k, r) for r in range(n + 1))
-    values = [_element_count(n, j) for j in range(1, n + 1)]
-    total = 0
+        return [T_def(n, k, n - r) for r in range(n)]
+    values = [_rank_counts(n, j) for j in range(1, n + 1)]
+    total = [0] * n
     for i in range(n):
-        total += comb(k - 1, i) * values[0]
-        values = [b - a for a, b in zip(values, values[1:])]
+        step = comb(k - 1, i)
+        total = [t + step * v for t, v in zip(total, values[0])]
+        values = [[b - a for a, b in zip(low, high)] for low, high in zip(values, values[1:])]
     return total
 
 
@@ -302,10 +310,11 @@ class Poset:
     for k >= 2 and n >= 3, not a lattice: indexed elements, labeled covers,
     rank function, order queries, chains, Möbius values.
 
-    ``id_chains`` holds, per element but an adjoined top, the ids (p_1,
-    ..., p_k) of its chain of set partitions (``wpartition._id_chains``); an
-    adjoined top comes last and has no chain.  The rank of an element is n
-    less the number of blocks of p_1, and n for the top.  ``labels`` lists
+    ``id_chains`` is one flat list that holds, per element but an adjoined
+    top and in element order, the ids p_1, ..., p_k of its chain of set
+    partitions (``wpartition._id_chains``); an adjoined top comes last and
+    has no chain.  The rank of an element is n less the number of blocks of
+    p_1, and n for the top.  ``labels`` lists
     the labels in label order, and a label's code is its index there.  The
     one stored form of the order is ``up[x]``, the list of x's upper
     covers in the order that chains are listed in (:func:`build_poset`
@@ -314,28 +323,40 @@ class Poset:
     one tuple.  The weighted partitions ``elements`` and their names,
     ``covers`` and the closures ``_anc`` and ``_desc`` (each holding its
     element) are derived on first use; :meth:`verify_el` pairs each cover
-    with its code once, for its pass."""
+    with its code once, for its pass.  ``_rank_order`` lists the int
+    objects of ``indices`` (default: new ones), so that a caller that holds
+    the indices already (:func:`build_poset`) makes no second int per
+    element."""
 
     def __init__(self, n: int, k: int, id_chains: list, labels: list,
-                 up: list, up_codes: list, bottom_idx: int, top_idx: int):
+                 up: list, up_codes: list, bottom_idx: int, top_idx: int,
+                 indices: Iterable[int] | None = None):
         self.n = n
         self.k = k
-        self.id_chains = id_chains  # set-partition ids per element, bar an adjoined top
+        self.id_chains = id_chains  # p_1..p_k per element in turn, bar an adjoined top
         self.labels = labels      # CoverLabel per code
         self.up = up              # per element, its upper covers
         self.up_codes = up_codes  # per element, the label codes of its upper covers
         self.bottom_idx = bottom_idx
         self.top_idx = top_idx
-        first = _set_partitions(n)[1]  # each id's layer with its singletons
-        self.rank = [n - len(first[ids[0]]) for ids in id_chains] + [n] * (len(up) - len(id_chains))
-        self._rank_order = sorted(range(len(up)), key=self.rank.__getitem__)
+        # each first id's rank: n less the blocks of its layer
+        ranks = [n - len(layer) for layer in _set_partitions(n)[1]]
+        self.rank = list(map(ranks.__getitem__, islice(id_chains, 0, None, k)))
+        self.rank += [n] * (len(up) - len(self.rank))
+        self._rank_order = sorted(range(len(up)) if indices is None else indices,
+                                  key=self.rank.__getitem__)
+
+    def _decoded(self) -> Iterator:
+        """The weighted partitions, decoded afresh from ``id_chains`` one at
+        a time, then the adjoined top (TOP), if any."""
+        chained = _decode_chains(self.n, self.k, self.id_chains)
+        return chain(chained, repeat(TOP, len(self.up) - len(self.id_chains) // self.k))
 
     @cached_property
     def elements(self) -> list:
         """The weighted partitions, decoded from ``id_chains``, then the
         adjoined top (TOP), if any."""
-        tops = [TOP] * (len(self.up) - len(self.id_chains))
-        return _decode_chains(self.n, self.k, self.id_chains) + tops
+        return list(self._decoded())
 
     @cached_property
     def covers(self) -> list[tuple[int, int, CoverLabel]]:
@@ -569,25 +590,46 @@ class Poset:
 
     # -- Möbius -------------------------------------------------------------
 
-    def _mobius_from(self, x: int) -> list[int]:
-        """mu(x, z) for every element z (0 unless x <= z), by the defining
-        recursion mu(x, z) = -sum_{x <= w < z} mu(x, w), in rank order.
+    def _mobius_up(self, x: int, last: int) -> Iterator[tuple[int, int]]:
+        """(z, mu(x, z)) for every z >= x of rank up to ``last``, by the
+        defining recursion mu(x, z) = -sum_{x <= w < z} mu(x, w), a rank
+        level at a time.
 
-        It reads the lower closure only: z > x when z lies above x's rank
-        and x is in the mask of the elements below z.  The sum is taken by
-        value: ``found[v]`` is the mask of the w >= x already found with
-        mu(x, w) = v, so each z costs one mask and per value, not one step
-        per w below it."""
-        mu = [0] * len(self.up)
-        mu[x] = 1
-        found = {1: 1 << x}
-        order, anc, rank = self._rank_order, self._anc, self.rank
-        for z in islice(order, bisect_right(order, rank[x], key=rank.__getitem__), None):
-            below = anc[z]
-            if below >> x & 1:
-                m = mu[z] = -sum([v * (below & mask).bit_count() for v, mask in found.items()])
+        No closure is read: the mask of [x, z] is pushed up the covers, the
+        OR of the masks of z's lower covers that lie above x with z's own
+        bit.  A bit is a position in the pass's own rank order, given to
+        each z in turn as its level is reached, so a mask is as wide as the
+        elements >= x found through z's rank, and only the masks of the
+        current level and the next are held.  The sum is taken by value:
+        ``found[v]`` is the mask of the w >= x found so far with mu(x, w) =
+        v, so each z costs one AND and count per value, not one step per w
+        below it."""
+        up = self.up
+        found = {1: 1}  # mu value -> the mask of the w found with it
+        level = {x: 1}  # each z >= x of the current rank -> the mask of [x, z]
+        bit = 1
+        yield x, 1
+        for _ in range(self.rank[x], last):
+            above: dict[int, int] = {}
+            for w, mask in level.items():
+                for z in up[w]:
+                    below = above.get(z)
+                    above[z] = mask if below is None else below | mask
+            for z, below in above.items():
+                m = -sum([v * (below & seen).bit_count() for v, seen in found.items()])
+                bit <<= 1
+                above[z] = below | bit
                 if m:
-                    found[m] = found.get(m, 0) | 1 << z
+                    found[m] = found.get(m, 0) | bit
+                yield z, m
+            level = above
+
+    def _mobius_from(self, x: int) -> list[int]:
+        """mu(x, z) for every element z (0 unless x <= z), by the recursion
+        of :meth:`_mobius_up`."""
+        mu = [0] * len(self.up)
+        for z, m in self._mobius_up(x, self.rank[self.top_idx]):
+            mu[z] = m
         return mu
 
     def mobius_from_bottom(self) -> list[int]:
@@ -595,12 +637,13 @@ class Poset:
         return self._mobius_from(self.bottom_idx)
 
     def mobius_recursive(self, x: int, y: int) -> int:
-        """mu(x, y) by the defining recursion (see :meth:`_mobius_from`),
-        which, like the test x <= y, reads the lower closure ``_anc`` and
-        never the upper one."""
-        if not self.leq(x, y):
-            raise ValueError("mobius requires x <= y")
-        return self._mobius_from(x)[y]
+        """mu(x, y) by the defining recursion (:meth:`_mobius_up`), pushed
+        up from x through y's rank; x <= y when the pass reaches y.  It
+        reads neither closure."""
+        for z, m in self._mobius_up(x, self.rank[y]):
+            if z == y:
+                return m
+        raise ValueError("mobius requires x <= y")
 
     def mobius_row_via_chains(self) -> list[int]:
         """mu(0^, z) for every element z by the falling-chain formula:
@@ -643,7 +686,8 @@ class Poset:
         return self.mobius_row_via_chains()[self.top_idx]
 
 
-def build_poset(n: int, k: int, guard: int | None = None, closures: int = 0) -> Poset:
+def build_poset(n: int, k: int, guard: int | None = None, closures: int = 0,
+                interval_masks: bool = False) -> Poset:
     """Construct the poset for (n, k) explicitly: the elements of
     :func:`enumerate_all` in that order, each with its upper covers in label
     order (``Poset.up``) beside their codes (``Poset.up_codes``); then for
@@ -653,7 +697,12 @@ def build_poset(n: int, k: int, guard: int | None = None, closures: int = 0) -> 
     Each element is a chain p_1 >= ... >= p_k of set partitions of [n], read
     from ``wpartition._id_chains`` as its ids (``wpartition._set_partitions``,
     B of them) and its key, the integer sum_j p_j B^(j-1); no partition is
-    built (``Poset.elements`` decodes them on first read).  The cover
+    built (``Poset.elements`` decodes them on first read).  One walk of the
+    chains fills the flat list of their ids (``Poset.id_chains``) and the
+    dict from each key to its element's index; the keys are then read back
+    in the dict's order, and no (ids, key) pair or id tuple is kept.  The
+    index ints are the ones that the up lists and ``Poset._rank_order``
+    hold.  The cover
     (alpha, beta)_l replaces p_1, ..., p_l by their merges of the alpha- and
     beta-blocks, read from a row per partition that :func:`_raise` fills
     once on the partition's one-layer code, so a cover's key is the
@@ -663,16 +712,22 @@ def build_poset(n: int, k: int, guard: int | None = None, closures: int = 0) -> 
     :func:`_labels_from_minima` lists the labels once per fixed-point
     pattern, and those at layers < k once per prefix p_1, ..., p_(k-1).
 
-    :func:`check_guard` (with ``guard``, and with the number of closures
-    ``closures`` that the caller will read) aborts with
+    :func:`check_guard` (with ``guard``, the number of closures
+    ``closures`` that the caller will read, and whether it will run the
+    Möbius recursion on ``interval_masks``) aborts with
     :class:`GuardExceeded` before any enumeration.
     """
     if n < 1 or k < 1:
         raise ValueError("need n >= 1 and k >= 1")
-    check_guard(n, k, guard, closures=closures)
+    check_guard(n, k, guard, closures=closures, interval_masks=interval_masks)
 
-    listed = list(_id_chains(n, k))
-    index = {key: i for i, (_, key) in enumerate(listed)}
+    # one walk of the chains: their ids, flat, and each key to its index;
+    # the keys are read back in the dict's order, which is the elements'
+    chains: list[int] = []
+    index: dict[int, int] = {}
+    for ids, key in _id_chains(n, k):
+        index[key] = len(index)
+        chains += ids
     codes, full, _ = _set_partitions(n)
     size = len(codes)
     weights = [size ** j for j in range(k)]
@@ -715,9 +770,10 @@ def build_poset(n: int, k: int, guard: int | None = None, closures: int = 0) -> 
     shared: dict[tuple[int, ...], tuple[int, ...]] = {}
     up: list[list[int]] = []
     up_codes: list[tuple[int, ...]] = []
+    top_idx = len(index)  # the adjoined top's index, if there is one
     prefix = None
     last = weights[-1]
-    for ids, key in listed:
+    for (key, x), ids in zip(index.items(), zip(*[iter(chains)] * k)):
         if ids[:-1] != prefix:
             prefix = ids[:-1]
             head = sum(map(getitem, fixed, prefix))
@@ -740,27 +796,24 @@ def build_poset(n: int, k: int, guard: int | None = None, closures: int = 0) -> 
             plan = plans[head + fixed[-1][q]] = (
                 shared.setdefault(codes, codes), [a * n + b for a, b, l in steps if l == k])
         label_codes, pairs = plan
+        up_codes.append(label_codes)
+        if ids[0] == whole:  # rank n - 1: no cover inside P, only the adjoined top
+            if adjoined:
+                up.append([top_idx])
+                continue
+            top_idx = x
         row = merges[q]
         # one concatenation, so that the list holds no spare slots
         up.append([index[key + above[t] + row[t] * last] for t in pairs]
                   + [index[key + d] for d in tail])
-        up_codes.append(label_codes)
-
-    id_chains = [ids for ids, _ in listed]
     if adjoined:
-        top_idx = len(id_chains)
-        for x, ids in enumerate(id_chains):
-            if ids[0] == whole:  # rank n - 1: no cover inside P
-                up[x] = up[x] + [top_idx]  # a new list, again without spare slots
         up.append([])
         up_codes.append(())
-    else:
-        tops = [i for i, ids in enumerate(id_chains) if ids[0] == whole]
-        assert len(tops) == 1
-        top_idx = tops[0]
 
     bottom_idx = index[code_id[bytes(range(1, n + 1))] * sum(weights)]
-    poset = Poset(n, k, id_chains, labels, up, up_codes, bottom_idx, top_idx)
+    indices = chain(index.values(), [top_idx] if adjoined else [])
+    poset = Poset(n, k, chains, labels, up, up_codes, bottom_idx, top_idx, indices)
+    del index  # before the checks below build their set
 
     # sanity: grading and reachability.  In a graded order every element is
     # reachable from the bottom when each element of rank >= 1 has a lower
@@ -822,7 +875,7 @@ def char_poly_summation(n: int, k: int, poset: Poset | None = None) -> list[int]
         poset = build_poset(n, k)
     coeffs = [0] * (n + 1)
     mu = poset.mobius_row_via_chains()
-    for r, m in zip(poset.rank[:len(poset.id_chains)], mu):  # the adjoined top has none
+    for r, m in zip(poset.rank[:len(poset.id_chains) // poset.k], mu):  # the adjoined top has none
         coeffs[n - r] += m
     return coeffs
 
@@ -921,8 +974,9 @@ def _hasse_lines(poset: Poset) -> Iterator[str]:
     yield "digraph hasse {\n"
     yield "  rankdir=BT;\n"
     yield "  node [shape=box];\n"
-    for i, name in enumerate(poset._names):
-        yield f'  e{i} [label="{name}"];\n'
+    # each name is rendered as its element is decoded; neither is kept
+    for i, el in enumerate(poset._decoded()):
+        yield f'  e{i} [label="{el}"];\n'
     by_rank: dict[int, list[int]] = {}
     for i, r in enumerate(poset.rank):
         by_rank.setdefault(r, []).append(i)

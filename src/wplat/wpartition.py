@@ -11,7 +11,7 @@ elements ascending and every layer's blocks by minimum element.
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import combinations, product, repeat
+from itertools import chain, combinations, cycle, product, repeat
 from math import factorial
 from operator import getitem, itemgetter
 from typing import Iterable, Iterator, NamedTuple
@@ -544,15 +544,15 @@ def _id_chains(n: int, k: int) -> Iterator[tuple[tuple[int, ...], int]]:
             stack.pop()
 
 
-def _decode_chains(n: int, k: int, chains: Iterable[tuple[int, ...]]) -> list[WeightedPartition]:
-    """The weighted partitions of the id chains ``chains``: layer 1 is p_1
-    with its singletons, each deeper layer p_j without them, all canonical
-    as :func:`_set_partitions` stores them."""
+def _decode_chains(n: int, k: int, chains: Iterable[int]) -> Iterator[WeightedPartition]:
+    """The weighted partitions of the flat id chains ``chains`` (p_1, ...,
+    p_k of each element in turn), decoded one at a time as they are read:
+    layer 1 is p_1 with its singletons, each deeper layer p_j without them,
+    all canonical as :func:`_set_partitions` stores them."""
     _, full, deep = _set_partitions(n)
-    tables = (full,) + (deep,) * (k - 1)
+    layers = map(getitem, cycle((full,) + (deep,) * (k - 1)), chains)
     new = tuple.__new__
-    return [new(WeightedPartition, (n, k, tuple(map(getitem, tables, ids))))
-            for ids in chains]
+    return (new(WeightedPartition, (n, k, element)) for element in zip(*[layers] * k))
 
 
 def _count_by_blocks(n: int, k: int) -> dict[int, int]:
@@ -589,7 +589,7 @@ def enumerate_all(n: int, k: int) -> list[WeightedPartition]:
     The chains come from :func:`_id_chains` and are decoded here."""
     if n < 1 or k < 1:
         raise ValueError("need n >= 1 and k >= 1")
-    return _decode_chains(n, k, (ids for ids, _ in _id_chains(n, k)))
+    return list(_decode_chains(n, k, chain.from_iterable(ids for ids, _ in _id_chains(n, k))))
 
 
 def enumerate_by_blocks(n: int, k: int, r: int) -> list[WeightedPartition]:

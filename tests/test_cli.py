@@ -283,6 +283,15 @@ class TestChainsTreesHasse:
         text = "".join(chunks)
         assert hashlib.sha256(text.encode()).hexdigest() == digest
 
+    @pytest.mark.parametrize("n,k", [(2, 1), (3, 2), (5, 2)])
+    def test_trees_json_is_the_indented_dump(self, capsys, n, k):
+        # the indented text is written directly, not by json's pure-Python
+        # encoder, and equals its dump of the whole object
+        code, out, _ = run(capsys, "trees", "--n", str(n), "--k", str(k), "--format", "json")
+        trees = chains.enumerate_lbt(n, k)
+        doc = {"n": n, "k": k, "count": len(trees), "trees": [t.to_nested() for t in trees]}
+        assert code == 0 and out == json.dumps(doc, indent=2) + "\n"
+
     def test_hasse_dot(self, capsys):
         code, out, _ = run(capsys, "hasse", "--n", "3", "--k", "1")
         assert code == 0
@@ -842,9 +851,9 @@ class TestProcessExit:
 
 
 class TestClosures:
-    """Only the recursion and the structure report read the order's
-    closures; the guard refuses their requests when the closures would not
-    fit."""
+    """Only the structure report reads the order's closures, and the Möbius
+    recursion reads interval masks instead; the guard refuses their
+    requests when the closures or the masks would not fit."""
 
     @staticmethod
     def _refuse_closures(monkeypatch):
@@ -857,6 +866,7 @@ class TestClosures:
     @pytest.mark.parametrize("argv", [
         "hasse --n 4 --k 2", "charpoly --n 4 --k 2", "chains --filter decreasing --n 4 --k 2",
         "chains --n 4 --k 2", "mobius --method chains --n 4 --k 2",
+        "mobius --method recursive --n 4 --k 2", "mobius --n 4 --k 2",
         "verify --suite el --n 4 --k 2", "verify --suite bijections --n 4 --k 2",
     ])
     def test_command_builds_no_closure(self, capsys, monkeypatch, argv):
@@ -865,7 +875,6 @@ class TestClosures:
         assert code == 0 and out
 
     @pytest.mark.parametrize("argv", [
-        "mobius --method recursive --n 4 --k 2", "mobius --n 4 --k 2",
         "verify --suite structure --n 4 --k 2", "verify --n 4 --k 2",
     ])
     def test_command_builds_closures(self, monkeypatch, argv):
@@ -876,24 +885,25 @@ class TestClosures:
     @pytest.mark.parametrize("argv", [
         "mobius --method recursive --n 4 --k 2", "mobius --n 4 --k 2",
     ])
-    def test_recursion_builds_the_lower_closure_only(self, capsys, monkeypatch, argv):
-        # the recursion finds the z >= x in the lower closure, so the upper
-        # one, which the structure report reads, is never built
-        def refuse(*_):
-            raise AssertionError("the upper closure was built")
+    def test_recursion_builds_no_closure(self, capsys, monkeypatch, argv):
+        # the recursion pushes the masks of its intervals up the covers, a
+        # rank level at a time, and reads neither closure; the walk to the
+        # top that lists the decreasing chains reads none either
+        self._refuse_closures(monkeypatch)
+        built = []
+        real = build_poset
 
-        calls = []
-        real = lattice._closure_below
+        def keep(*args, **kwargs):
+            built.append(real(*args, **kwargs))
+            return built[-1]
 
-        def counting(*args):
-            calls.append(args)
-            return real(*args)
-
-        monkeypatch.setattr(lattice, "_closure_above", refuse)
-        monkeypatch.setattr(lattice, "_closure_below", counting)
+        monkeypatch.setattr(lattice, "build_poset", keep)
         code, out, _ = run(capsys, *argv.split())
         assert code == 0 and out.splitlines()[-1].endswith("15")
-        assert len(calls) == 1
+        [P] = built
+        assert not {"_anc", "_desc"} & set(vars(P))
+        assert [P.mobius_recursive(x, P.top_idx) for x in range(len(P))] \
+            == [row[P.top_idx] for row in map(P._mobius_from, range(len(P)))]
 
     @pytest.mark.parametrize("closure", ["_anc", "_desc"])
     def test_each_closure_is_refused(self, monkeypatch, closure):
@@ -908,17 +918,19 @@ class TestClosures:
         "verify --suite structure --n 8 --k 2", "verify --n 8 --k 2",
     ])
     def test_closure_guard_refuses_before_building(self, capsys, monkeypatch, argv):
-        # the estimate counts the closures that the request builds: the
-        # lower one for the recursion, both for the structure report
+        # the estimate counts what the request holds: the interval masks of
+        # two rank levels for the recursion, both closures for the
+        # structure report
         def refuse(*_):
             raise AssertionError("the guard must refuse before the build")
 
         monkeypatch.delenv("WPLAT_GUARD", raising=False)
         monkeypatch.setattr(lattice, "_id_chains", refuse)
         code, out, err = run(capsys, *argv.split())
-        mib = 3360 if argv.startswith("mobius") else 6720
+        what = ("2178 MiB for the Möbius recursion's interval masks" if argv.startswith("mobius")
+                else "6720 MiB for the order's closures")
         assert (code, out) == (2, "")
-        assert err == (f"(n=8, k=2) needs about {mib} MiB for the order's closures, "
+        assert err == (f"(n=8, k=2) needs about {what}, "
                        "over the 781 MiB that the guard of 200000 allows; "
                        "raise the guard to proceed\n")
 

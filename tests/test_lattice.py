@@ -107,11 +107,12 @@ class TestPosetShape:
             build_poset(5, 2, guard=10)
 
     def test_element_count_is_a_polynomial_in_k(self):
-        # the guard reads the count at k > n off its values at k = 1..n
+        # the guard reads the counts per rank at k > n off their values at
+        # k = 1..n
         for n in range(1, 6):
             for k in range(1, 13):
-                assert lattice._element_count(n, k) == sum(T_def(n, k, r)
-                                                           for r in range(n + 1)), (n, k)
+                assert lattice._rank_counts(n, k) == [T_def(n, k, n - r)
+                                                      for r in range(n)], (n, k)
 
     def test_guard_env(self, monkeypatch):
         monkeypatch.setenv("WPLAT_GUARD", "10")
@@ -143,8 +144,8 @@ class TestPosetShape:
         with pytest.raises(GuardExceeded, match="6720 MiB for the order's closures, "
                                                 "over the 781 MiB"):
             lattice.check_guard(8, 2, closures=2)
-        # the estimate counts the closures that the caller builds: the
-        # Möbius recursion builds one
+        # the estimate counts the closures that the caller builds: one
+        # closure alone takes 3360 MiB
         with pytest.raises(GuardExceeded, match="3360 MiB for the order's closures, "
                                                 "over the 781 MiB"):
             lattice.check_guard(8, 2, closures=1)
@@ -162,6 +163,28 @@ class TestPosetShape:
             lattice.check_guard(n, k, guard=800_000)
             with pytest.raises(GuardExceeded, match="for the order's closures"):
                 lattice.check_guard(n, k, guard=800_000, closures=2)
+
+    def test_guard_estimates_interval_masks(self, monkeypatch):
+        # the Möbius recursion holds the masks of two adjacent rank levels,
+        # each as wide as the elements through the upper level: at (8,2)
+        # the most is at ranks 5 and 6 (70,756 and 40,819 elements, 163,754
+        # through rank 6), 2178 MiB, where one closure takes 3360 MiB
+        def refuse(*_):
+            raise AssertionError("the guard must not enumerate")
+
+        monkeypatch.setattr(lattice, "_id_chains", refuse)
+        assert lattice._rank_counts(8, 2) == [1, 56, 1120, 10010, 40992, 70756, 40819, 4140]
+        need = (70_756 + 40_819) * 163_754 // 8
+        assert need == 2_283_856_568 and need >> 20 == 2178
+        with pytest.raises(GuardExceeded, match="2178 MiB for the Möbius recursion's "
+                                                "interval masks, over the 781 MiB"):
+            lattice.check_guard(8, 2, interval_masks=True)
+        # 557,582.2 pages of 4 KiB
+        lattice.check_guard(8, 2, guard=557_583, interval_masks=True)
+        with pytest.raises(GuardExceeded, match="2178 MiB for the Möbius"):
+            lattice.check_guard(8, 2, guard=557_582, interval_masks=True)
+        # the other bounds are the same with or without the masks
+        lattice.check_guard(8, 2, guard=557_582)
 
     def test_build_walks_id_chains_and_count_reads_refinements(self, capsys, monkeypatch):
         # the guard tests patch lattice._id_chains to refuse, which shows the
@@ -203,6 +226,17 @@ class TestPosetShape:
         assert "elements" not in vars(P) and "_names" not in vars(P)
         hasse_dot(P)
         assert P.elements == enumerate_all(5, 3) + [lattice.TOP]
+
+    @pytest.mark.parametrize("n,k", [(3, 1), (4, 2), (3, 3)])
+    def test_hasse_streams_the_names(self, n, k):
+        # hasse_dot renders each name as it decodes that element, by the
+        # decoder that fills elements, and keeps neither the elements nor
+        # the names; its node lines name the elements in order
+        P = build_poset(n, k)
+        text = hasse_dot(P)
+        assert "elements" not in vars(P) and "_names" not in vars(P)
+        nodes = [line for line in text.splitlines() if "[label=" in line and "->" not in line]
+        assert nodes == [f'  e{i} [label="{el}"];' for i, el in enumerate(P.elements)]
 
 
 class TestEL:
@@ -304,6 +338,19 @@ class TestMobius:
             failed["chains"] += bool(_not_products(Q, Q.mobius_row_via_chains()))
         assert (len(P.covers), failed["recursion"], failed["chains"]) == \
             (cuts, by_recursion, by_chains)
+
+    def test_recursion_refuses_x_not_below_y(self, poset_cache):
+        # x <= y when the pass up from x reaches y: below, beside and above
+        # y's rank, each pair that is not in order is refused, and no
+        # closure is built to decide it
+        P = build_poset(4, 2)
+        leq = oracle_leq(poset_cache(4, 2))
+        apart = [(x, y) for x in range(len(P)) for y in range(len(P)) if not leq(x, y)]
+        assert {P.rank[y] - P.rank[x] > 0 for x, y in apart} == {True, False}
+        for x, y in apart[::7]:
+            with pytest.raises(ValueError, match=r"^mobius requires x <= y$"):
+                P.mobius_recursive(x, y)
+        assert "_anc" not in vars(P) and "_desc" not in vars(P)
 
     def test_upper_intervals_are_not_products(self, poset_cache):
         # at (4,2), mu(pi, 1^) over the elements with two first-layer blocks

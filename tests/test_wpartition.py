@@ -237,11 +237,12 @@ class TestEnumeration:
     @pytest.mark.parametrize("n,k", [(n, k) for n in range(1, 5) for k in range(1, 4)]
                              + [(5, 3), (6, 2)])
     def test_id_chains_key_their_ids(self, n, k):
-        # each chain of ids decodes to its element, and its key is
+        # the chains' ids, flat, decode to the elements, and each key is
         # sum_j p_j B^(j-1)
         size = len(wpartition._set_partitions(n)[0])
         chains = list(wpartition._id_chains(n, k))
-        assert wpartition._decode_chains(n, k, [ids for ids, _ in chains]) == enumerate_all(n, k)
+        flat = [p for ids, _ in chains for p in ids]
+        assert list(wpartition._decode_chains(n, k, flat)) == enumerate_all(n, k)
         assert [key for _, key in chains] == [
             sum(p * size ** j for j, p in enumerate(ids)) for ids, _ in chains]
 
