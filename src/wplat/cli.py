@@ -319,20 +319,17 @@ def _lbt_text_lines(trees: list) -> Iterator[str]:
 
 
 def _nested_json(node, pad: str) -> str:
-    """``json.dumps(node.to_nested(), indent=2)`` for a tree node, with
-    every line but the first indented by ``pad`` more, written directly:
-    the standard library encodes an indented text in pure Python."""
+    """``json.dumps(node.to_nested(), indent=2)`` for a tree node whose
+    leaves carry integers, with every line but the first indented by
+    ``pad`` more, written directly: the standard library encodes an
+    indented text in pure Python.  Only the root's label is None."""
     inner = pad + "  "
     if node.is_leaf:
-        return f"[\n{inner}{_json_int(node.value)},\n{inner}{_json_int(node.sub)}\n{pad}]"
+        return f"[\n{inner}{node.value},\n{inner}{node.sub}\n{pad}]"
     label = "null" if node.value is None else \
         f"[\n{inner}  {node.value},\n{inner}  {node.sub}\n{inner}]"
     return (f"[\n{inner}{label},\n{inner}{_nested_json(node.left, inner)},\n"
             f"{inner}{_nested_json(node.right, inner)}\n{pad}]")
-
-
-def _json_int(value: int | None) -> str:
-    return "null" if value is None else str(value)
 
 
 def _lbt_json_lines(n: int, k: int, trees: list) -> Iterator[str]:

@@ -314,19 +314,18 @@ class Poset:
     top and in element order, the ids p_1, ..., p_k of its chain of set
     partitions (``wpartition._id_chains``); an adjoined top comes last and
     has no chain.  The rank of an element is n less the number of blocks of
-    p_1, and n for the top.  ``labels`` lists
-    the labels in label order, and a label's code is its index there.  The
-    one stored form of the order is ``up[x]``, the list of x's upper
-    covers in the order that chains are listed in (:func:`build_poset`
-    emits them in label order), beside ``up_codes[x]``, the tuple of their
-    label codes in step with it; elements with the same labels may share
-    one tuple.  The weighted partitions ``elements`` and their names,
-    ``covers`` and the closures ``_anc`` and ``_desc`` (each holding its
-    element) are derived on first use; :meth:`verify_el` pairs each cover
-    with its code once, for its pass.  ``_rank_order`` lists the int
-    objects of ``indices`` (default: new ones), so that a caller that holds
-    the indices already (:func:`build_poset`) makes no second int per
-    element."""
+    p_1, and n for the top.  ``labels`` lists the labels in label order,
+    and a label's code is its index there.  The one stored form of the
+    order is ``up[x]``, the list of x's upper covers in the order that
+    chains are listed in (:func:`build_poset` emits them in label order),
+    beside ``up_codes[x]``, the tuple of their label codes in step with it;
+    elements with the same labels may share one tuple.  The weighted
+    partitions ``elements`` and their names, ``covers`` and the closures
+    ``_anc`` and ``_desc`` (each holding its element) are derived on first
+    use; :meth:`verify_el` pairs each cover with its code once, for its
+    pass.  ``_rank_order`` lists the int objects of ``indices`` (default:
+    new ones), so that a caller that holds the indices already
+    (:func:`build_poset`) makes no second int per element."""
 
     def __init__(self, n: int, k: int, id_chains: list, labels: list,
                  up: list, up_codes: list, bottom_idx: int, top_idx: int,
@@ -702,15 +701,15 @@ def build_poset(n: int, k: int, guard: int | None = None, closures: int = 0,
     dict from each key to its element's index; the keys are then read back
     in the dict's order, and no (ids, key) pair or id tuple is kept.  The
     index ints are the ones that the up lists and ``Poset._rank_order``
-    hold.  The cover
-    (alpha, beta)_l replaces p_1, ..., p_l by their merges of the alpha- and
-    beta-blocks, read from a row per partition that :func:`_raise` fills
-    once on the partition's one-layer code, so a cover's key is the
-    element's plus a few row entries, and no partition and no code is built
-    per cover.  The cover rule reads only which bytes of the element's
-    block-minimum code are fixed points, the minima of each p_j, so
-    :func:`_labels_from_minima` lists the labels once per fixed-point
-    pattern, and those at layers < k once per prefix p_1, ..., p_(k-1).
+    hold.  The cover (alpha, beta)_l replaces p_1, ..., p_l by their
+    merges of the alpha- and beta-blocks, read from a row per partition that
+    :func:`_raise` fills once on the partition's one-layer code, so a
+    cover's key is the element's plus a few row entries, and no partition
+    and no code is built per cover.  The cover rule reads only which bytes
+    of the element's block-minimum code are fixed points, the minima of each
+    p_j, so :func:`_labels_from_minima` lists the labels once per
+    fixed-point pattern, and those at layers < k once per prefix p_1, ...,
+    p_(k-1).
 
     :func:`check_guard` (with ``guard``, the number of closures
     ``closures`` that the caller will read, and whether it will run the
