@@ -468,9 +468,11 @@ def _chain_tree_check(poset) -> dict:
 def cmd_verify(args) -> int:
     from . import lattice as lat
 
-    # the structure report reads both closures
+    # the structure report reads both closures and the masks of the lower
+    # and of the upper covers
+    structure = 2 if args.suite in ("structure", "all") else 0
     poset = lat.build_poset(args.n, args.k, guard=args.guard,
-                            closures=2 if args.suite in ("structure", "all") else 0)
+                            closures=structure, cover_masks=structure)
     checks: list[dict] = []
     if args.suite in ("el", "all"):
         checks.append(poset.verify_el())

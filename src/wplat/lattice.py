@@ -61,15 +61,17 @@ __all__ = [
 ]
 
 # the closures and masks may take one 4 KiB page per unit of the guard: 781
-# MiB at the default, which admits both closures of (6,4) (474 MiB) and
-# refuses the Möbius recursion's masks at (8,2) (2,178 MiB)
+# MiB at the default, which admits the structure report at (7,2) (177 MiB)
+# and refuses it at (6,4) (948 MiB), and refuses the Möbius recursion's
+# masks at (8,2) (2,178 MiB)
 CLOSURE_BYTES_PER_GUARD = 4096
 MAX_WITNESSES = 10  # witnesses listed per check; counts cover every case
 DOT_CHUNK_LINES = 4096  # lines per write when a text is streamed (_write_chunks)
 
 
 def check_guard(n: int, k: int, guard: int | None = None, chains: int = 0,
-                closures: int = 0, interval_masks: bool = False) -> None:
+                closures: int = 0, cover_masks: int = 0, interval_masks: bool = False
+                ) -> None:
     """Raise :class:`GuardExceeded` before any enumeration when (n, k) is
     too large.
 
@@ -80,15 +82,14 @@ def check_guard(n: int, k: int, guard: int | None = None, chains: int = 0,
     Memory may take CLOSURE_BYTES_PER_GUARD bytes per unit of the guard: a
     request is also refused when the elements' layers, one 8-byte pointer
     per layer (to its id in the element's chain), need more; when the
-    ``closures`` of the order that the caller will build, N^2/8 bytes each,
-    need more (the structure report builds two); and, for a caller that
-    runs the Möbius recursion (``interval_masks``), when its masks need
-    more: those of two adjacent rank levels, each as wide as the elements
-    through the upper level (:meth:`Poset._mobius_up`), at the pair of
-    levels where that is most, from the per-rank counts.  The closure
-    estimate counts the closures only, not the cover masks and bounds that
-    the structure report builds beside them: at (6,4) it is 474 MiB, and
-    ``verify --suite structure`` peaks near 930 MB.
+    ``closures`` of the order and the lists of ``cover_masks`` that the
+    caller will build, N^2/8 bytes each, need more (the structure report
+    builds two of each: at (6,3) a closure takes 21.5 MiB, the masks of
+    the lower covers 19.5 MiB and of the upper covers 10.4 MiB); and, for
+    a caller that runs the Möbius recursion (``interval_masks``), when its
+    masks need more: those of two adjacent rank levels, each as wide as the
+    elements through the upper level (:meth:`Poset._mobius_up`), at the
+    pair of levels where that is most, from the per-rank counts.
     The limit is ``guard``, else WPLAT_GUARD (an integer), else DEFAULT_GUARD.
 
     Lower bounds that cost nothing are tested first, so that no size is too
@@ -118,7 +119,8 @@ def check_guard(n: int, k: int, guard: int | None = None, chains: int = 0,
     limit = guard * CLOSURE_BYTES_PER_GUARD
     for need, what in (
             (8 * size * k, "the elements' layers"),  # one pointer per layer per element
-            (closures * size * size // 8, "the order's closures"),  # N bits per element each
+            ((closures + cover_masks) * size * size // 8,  # N bits per element each
+             "the order's closures and cover masks" if cover_masks else "the order's closures"),
             (masks, "the Möbius recursion's interval masks")):
         if need > limit:
             raise GuardExceeded(
@@ -322,8 +324,7 @@ class Poset:
     elements with the same labels may share one tuple.  The weighted
     partitions ``elements`` and their names, ``covers`` and the closures
     ``_anc`` and ``_desc`` (each holding its element) are derived on first
-    use; :meth:`verify_el` pairs each cover with its code once, for its
-    pass.  ``_rank_order`` lists the int objects of ``indices`` (default:
+    use.  ``_rank_order`` lists the int objects of ``indices`` (default:
     new ones), so that a caller that holds the indices already
     (:func:`build_poset`) makes no second int per element."""
 
@@ -460,10 +461,6 @@ class Poset:
         """Maximal chains with strictly decreasing labels."""
         return self._walk(x, y, "decreasing")
 
-    @staticmethod
-    def is_rising(labels: Sequence[CoverLabel]) -> bool:
-        return all(a.sort_key <= b.sort_key for a, b in zip(labels, labels[1:]))
-
     def chain_count(self) -> int:
         """The number of maximal chains from the bottom to the top, counted
         up the covers in rank order without listing them."""
@@ -491,11 +488,9 @@ class Poset:
         disagree and :class:`wplat.RouteMismatch` names the interval.
         """
         witnesses = []
-        # each element's (upper cover, label code) pairs, read once per
-        # element below it
-        pairs = [tuple(zip(adj, codes)) for adj, codes in zip(self.up, self.up_codes)]
-        for x in range(len(pairs)):
-            failing = [y for y, rising, _, carriers, rises in self._el_pass(x, pairs)
+        up, codes = self.up, self.up_codes
+        for x in range(len(up)):
+            failing = [y for y, rising, _, carriers, rises in self._el_pass(x, up, codes)
                        if not (rising == 1 and carriers == 1 and rises)]
             for y in sorted(failing):
                 witness = self._el_witness(x, y)
@@ -509,13 +504,13 @@ class Poset:
                 "witnesses": witnesses}
 
     @staticmethod
-    def _el_pass(x: int, pairs: Sequence[Sequence[tuple[int, int]]]
+    def _el_pass(x: int, up: Sequence[Sequence[int]], codes: Sequence[Sequence[int]]
                  ) -> Iterator[tuple[int, int, tuple[int, ...], int, bool]]:
         """Per element y >= x, as the pass reaches it: y, the number of
         weakly rising chains from x to y, the lex-first label-code sequence
         from x to y, the number of chains that carry it, and whether it is
-        weakly rising; ``pairs`` holds per element its (upper cover, label
-        code) pairs.
+        weakly rising; ``up`` holds per element its upper covers and
+        ``codes`` their label codes, in step.
 
         One pass up from x, a level at a time, with constant work per cover
         but for one rare case.  Every chain from x to y has the same length,
@@ -524,46 +519,61 @@ class Poset:
         (sequence to z, c), extended once, when the pass reaches y; it rises
         when z's does and z's last code is at most c.  Its carriers are
         those of the lower covers that reach it; this holds when labels
-        collide too.  The rising chains to y are kept by last code, with
-        their total and their least and greatest code: a cover whose code is
-        at or above the greatest extends all of them, one below the least
-        none, and only a code strictly between sums the codes at or below
-        it.  A built order is EL-labeled, so each y has one rising chain
-        from x, its rising chains end in one code, and the sum never runs;
-        it runs on orders with relabeled covers.
+        collide too.  The rising chains to y are kept with their total and
+        their least and greatest last code: a cover whose code is at or
+        above the greatest extends all of them, one below the least none,
+        and only a code strictly between sums the chains by last code at or
+        below it.  While the rising chains end in one code, least and
+        greatest are that code and no chains are kept by code; a second
+        code starts a {last code: chains} dict.  A built order is
+        EL-labeled, so each y has one rising chain from x, no dict is made
+        and the sum never runs; both happen on orders with relabeled covers.
         """
-        # element -> [rising chains by last code, their total, least and
-        # greatest last code, best pair (lex to a lower cover, its code),
-        # carriers, whether that lex rises]
-        level = {x: [{-1: 1}, 1, -1, -1, ((), None), 1, True]}
+        # element -> [rising chains by last code (None while they end in
+        # one code), their total, least and greatest last code, lex to a
+        # lower cover, its code (the best pair), carriers, whether that lex
+        # rises]
+        level = {x: [None, 1, -1, -1, (), None, 1, True]}
         unset = float("inf")  # the least last code while there is none
         while level:
             above: dict[int, list] = {}
-            for z, (last, total, least, greatest, (lex, code), carriers, rises) in level.items():
+            for z, (ends, total, least, greatest, lex, code, carriers, rises) in level.items():
                 if code is not None:  # z > x: extend the lower cover's sequence
                     rises = rises and (not lex or lex[-1] <= code)
                     lex += (code,)
                 yield z, total, lex, carriers, rises
-                for w, c in pairs[z]:
+                for w, c in zip(up[z], codes[z]):
                     if c >= greatest:
                         chains = total
                     elif c < least:
                         chains = 0
                     else:
-                        chains = sum(m for l, m in last.items() if l <= c)
-                    pair = (lex, c)
+                        chains = sum(m for l, m in ends.items() if l <= c)
                     node = above.get(w)
                     if node is None:
-                        node = above[w] = [{}, 0, unset, -1, pair, carriers, rises]
-                    elif pair < node[4]:
-                        node[4:] = pair, carriers, rises
-                    elif pair == node[4]:
-                        node[5] += carriers
+                        if chains:
+                            above[w] = [None, chains, c, c, lex, c, carriers, rises]
+                        else:
+                            above[w] = [None, 0, unset, -1, lex, c, carriers, rises]
+                        continue
+                    best = node[4]
+                    if lex < best or lex == best and c < node[5]:
+                        node[4:] = lex, c, carriers, rises
+                    elif lex == best and c == node[5]:
+                        node[6] += carriers
                     if chains:
-                        ends = node[0]
-                        ends[c] = ends.get(c, 0) + chains
+                        low = node[2]
+                        if node[1] == 0:  # the first rising chains
+                            node[1:4] = chains, c, c
+                            continue
                         node[1] += chains
-                        if c < node[2]:
+                        by_code = node[0]
+                        if by_code is None:
+                            if c == low:  # still one last code
+                                continue
+                            by_code = node[0] = {low: node[1] - chains}
+                        by_code[c] = by_code.get(c, 0) + chains
+                        if c < low:
                             node[2] = c
                         if c > node[3]:
                             node[3] = c
@@ -574,7 +584,8 @@ class Poset:
         None when the interval passes."""
         chains = sorted(self.maximal_chains(x, y),
                         key=lambda ch: [lab.sort_key for lab in ch])
-        rising = [ch for ch in chains if self.is_rising(ch)]
+        rising = [ch for ch in chains
+                  if all(a.sort_key <= b.sort_key for a, b in zip(ch, ch[1:]))]
         interval = [self.element_name(x), self.element_name(y)]
         if len(rising) != 1:
             return {"interval": interval,
@@ -686,7 +697,7 @@ class Poset:
 
 
 def build_poset(n: int, k: int, guard: int | None = None, closures: int = 0,
-                interval_masks: bool = False) -> Poset:
+                cover_masks: int = 0, interval_masks: bool = False) -> Poset:
     """Construct the poset for (n, k) explicitly: the elements of
     :func:`enumerate_all` in that order, each with its upper covers in label
     order (``Poset.up``) beside their codes (``Poset.up_codes``); then for
@@ -711,14 +722,16 @@ def build_poset(n: int, k: int, guard: int | None = None, closures: int = 0,
     fixed-point pattern, and those at layers < k once per prefix p_1, ...,
     p_(k-1).
 
-    :func:`check_guard` (with ``guard``, the number of closures
-    ``closures`` that the caller will read, and whether it will run the
-    Möbius recursion on ``interval_masks``) aborts with
+    :func:`check_guard` (with ``guard``, the numbers of closures
+    ``closures`` and of cover-mask lists ``cover_masks`` that the caller
+    will read, and whether it will run the Möbius recursion on
+    ``interval_masks``) aborts with
     :class:`GuardExceeded` before any enumeration.
     """
     if n < 1 or k < 1:
         raise ValueError("need n >= 1 and k >= 1")
-    check_guard(n, k, guard, closures=closures, interval_masks=interval_masks)
+    check_guard(n, k, guard, closures=closures, cover_masks=cover_masks,
+                interval_masks=interval_masks)
 
     # one walk of the chains: their ids, flat, and each key to its index;
     # the keys are read back in the dict's order, which is the elements'
@@ -814,15 +827,16 @@ def build_poset(n: int, k: int, guard: int | None = None, closures: int = 0,
     poset = Poset(n, k, chains, labels, up, up_codes, bottom_idx, top_idx, indices)
     del index  # before the checks below build their set
 
-    # sanity: grading and reachability.  In a graded order every element is
+    # sanity: grading and reachability, raised rather than asserted so that
+    # ``python -O`` keeps them.  In a graded order every element is
     # reachable from the bottom when each element of rank >= 1 has a lower
     # cover and the bottom is the only one of rank 0: then the upper ends of
     # the covers are all elements but one.
     rank = poset.rank
-    assert all(rank[hi] == rank[lo] + 1 for lo, adj in enumerate(up) for hi in adj), \
-        "cover must raise rank by 1"
-    assert len(set().union(*up)) == len(up) - 1, \
-        "every element must be reachable from the bottom"
+    if not all(rank[hi] == rank[lo] + 1 for lo, adj in enumerate(up) for hi in adj):
+        raise RouteMismatch("cover must raise rank by 1")
+    if len(set().union(*up)) != len(up) - 1:
+        raise RouteMismatch("every element must be reachable from the bottom")
     return poset
 
 

@@ -459,6 +459,22 @@ class TestVerify:
             tracemalloc.stop()
         assert peak <= 1 << 20
 
+    def test_el_check_holds_little(self):
+        # the level pass reads the covers and their codes in place and keeps
+        # no dict per element while its rising chains end in one code: the
+        # check's traced peak at (6, 2) was 1.69 MiB with a table of
+        # (cover, code) pairs and a dict per element
+        build_poset(2, 1).verify_el()  # loads the modules it runs
+        P = build_poset(6, 2)
+        tracemalloc.start()
+        try:
+            report = P.verify_el()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report["status"] == "pass"
+        assert peak <= 512 << 10
+
     def test_inverse_that_accepts_a_non_image_fails(self, capsys, monkeypatch):
         parse = wplat.wpartition.one_line_parse
 
@@ -556,8 +572,8 @@ class TestVerify:
         P = build_poset(3, 2)
         level_pass = lattice.Poset._el_pass
 
-        def flagged(x, pairs):
-            for y, rising, *values in level_pass(x, pairs):
+        def flagged(x, up, codes):
+            for y, rising, *values in level_pass(x, up, codes):
                 if (x, y) == (P.bottom_idx, P.top_idx):
                     rising = 2
                 yield y, rising, *values
@@ -913,26 +929,36 @@ class TestClosures:
         with pytest.raises(AssertionError, match="a closure was built"):
             getattr(P, closure)
 
-    @pytest.mark.parametrize("argv", [
-        "mobius --method recursive --n 8 --k 2", "mobius --n 8 --k 2",
-        "verify --suite structure --n 8 --k 2", "verify --n 8 --k 2",
-    ])
+    # what each refused request is charged: the interval masks of two rank
+    # levels for the recursion, both closures and both lists of cover masks
+    # for the structure report.  (6,4)'s closures alone take 474 MiB, under
+    # the 781 MiB allowed, but its report peaked near 930 MB.
+    REFUSED = {
+        "mobius --method recursive --n 8 --k 2":
+            "(n=8, k=2) needs about 2178 MiB for the Möbius recursion's interval masks",
+        "mobius --n 8 --k 2":
+            "(n=8, k=2) needs about 2178 MiB for the Möbius recursion's interval masks",
+        "verify --suite structure --n 8 --k 2":
+            "(n=8, k=2) needs about 13441 MiB for the order's closures and cover masks",
+        "verify --n 8 --k 2":
+            "(n=8, k=2) needs about 13441 MiB for the order's closures and cover masks",
+        "verify --suite structure --n 6 --k 4":
+            "(n=6, k=4) needs about 948 MiB for the order's closures and cover masks",
+        "verify --suite all --n 6 --k 4":
+            "(n=6, k=4) needs about 948 MiB for the order's closures and cover masks",
+    }
+
+    @pytest.mark.parametrize("argv", list(REFUSED))
     def test_closure_guard_refuses_before_building(self, capsys, monkeypatch, argv):
-        # the estimate counts what the request holds: the interval masks of
-        # two rank levels for the recursion, both closures for the
-        # structure report
         def refuse(*_):
             raise AssertionError("the guard must refuse before the build")
 
         monkeypatch.delenv("WPLAT_GUARD", raising=False)
         monkeypatch.setattr(lattice, "_id_chains", refuse)
         code, out, err = run(capsys, *argv.split())
-        what = ("2178 MiB for the Möbius recursion's interval masks" if argv.startswith("mobius")
-                else "6720 MiB for the order's closures")
         assert (code, out) == (2, "")
-        assert err == (f"(n=8, k=2) needs about {what}, "
-                       "over the 781 MiB that the guard of 200000 allows; "
-                       "raise the guard to proceed\n")
+        assert err == (f"{self.REFUSED[argv]}, over the 781 MiB that the guard of 200000 "
+                       "allows; raise the guard to proceed\n")
 
 
 # usage errors and help texts, pinned from the parser that spelled out every

@@ -5,7 +5,10 @@ import hashlib
 import json
 import os
 import random
+import subprocess
+import sys
 from collections import Counter
+from pathlib import Path
 
 import pytest
 from conftest import (
@@ -28,6 +31,7 @@ from wplat import chains, lattice, wpartition
 from wplat import (
     CoverLabel,
     GuardExceeded,
+    RouteMismatch,
     T_def,
     admissible_covers,
     apply_chain,
@@ -83,7 +87,55 @@ class TestCovers:
             assert label.beta == min(next(b for b in pi.layers[0] if label.beta in b))
 
 
+# faults planted in the up lists that build_poset hands to Poset, with the
+# build check that must catch each: the bottom's first cover dropped (its
+# atom is then the upper end of no cover), or a cover from the bottom to
+# the top added
+BUILD_FAULTS = {
+    "dropped": "every element must be reachable from the bottom",
+    "rank-skipping": "cover must raise rank by 1",
+}
+
+
+def faulty_poset(fault):
+    """A Poset class whose build plants ``fault`` in the up lists first."""
+    class Faulty(lattice.Poset):
+        def __init__(self, n, k, id_chains, labels, up, up_codes, bottom_idx, top_idx,
+                     indices=None):
+            if fault == "dropped":
+                up[bottom_idx].pop(0)
+                up_codes[bottom_idx] = up_codes[bottom_idx][1:]
+            else:
+                up[bottom_idx].append(top_idx)
+                up_codes[bottom_idx] += (0,)
+            super().__init__(n, k, id_chains, labels, up, up_codes, bottom_idx, top_idx,
+                             indices)
+    return Faulty
+
+
 class TestPosetShape:
+    @pytest.mark.parametrize("fault", sorted(BUILD_FAULTS))
+    def test_build_check_is_a_mismatch(self, monkeypatch, fault):
+        monkeypatch.setattr(lattice, "Poset", faulty_poset(fault))
+        with pytest.raises(RouteMismatch, match=BUILD_FAULTS[fault]):
+            build_poset(3, 2)
+
+    @pytest.mark.parametrize("fault", sorted(BUILD_FAULTS))
+    def test_build_check_survives_optimize(self, fault):
+        # under python -O, which strips asserts, the command still exits 1
+        # with the check's message and no traceback
+        script = ("import sys\n"
+                  "if __debug__: sys.exit(3)\n"
+                  "from test_lattice import faulty_poset\n"
+                  "from wplat import cli, lattice\n"
+                  f"lattice.Poset = faulty_poset({fault!r})\n"
+                  "sys.exit(cli.main(['mobius', '--n', '3', '--k', '2']))\n")
+        path = os.pathsep.join([str(Path(lattice.__file__).parents[1]),
+                                str(Path(__file__).parent)])
+        proc = subprocess.run([sys.executable, "-O", "-c", script], capture_output=True,
+                              text=True, env=dict(os.environ, PYTHONPATH=path))
+        assert (proc.returncode, proc.stdout, proc.stderr) == (1, "", BUILD_FAULTS[fault] + "\n")
+
     def test_element_counts(self, poset_cache):
         # |P| = sum_r T(n,k,r), plus the adjoined top for k >= 2
         from wplat import T_def
@@ -163,6 +215,18 @@ class TestPosetShape:
             lattice.check_guard(n, k, guard=800_000)
             with pytest.raises(GuardExceeded, match="for the order's closures"):
                 lattice.check_guard(n, k, guard=800_000, closures=2)
+        # the structure report holds two lists of cover masks beside the two
+        # closures, charged N^2/8 bytes each: (6,4) needs 948 MiB with them,
+        # over the 781 MiB allowed
+        with pytest.raises(GuardExceeded, match="948 MiB for the order's closures and "
+                                                "cover masks, over the 781 MiB"):
+            lattice.check_guard(6, 4, closures=2, cover_masks=2)
+        # (6,3) and (7,2) need 79 and 177 MiB and stay admitted
+        for n, k in (6, 3), (7, 2):
+            lattice.check_guard(n, k, closures=2, cover_masks=2)
+        with pytest.raises(GuardExceeded, match="177 MiB for the order's closures and "
+                                                "cover masks"):
+            lattice.check_guard(7, 2, guard=40_000, closures=2, cover_masks=2)
 
     def test_guard_estimates_interval_masks(self, monkeypatch):
         # the Möbius recursion holds the masks of two adjacent rank levels,
@@ -249,7 +313,7 @@ class TestEL:
     def test_rising_chain_of_full_interval(self, poset_cache):
         P = poset_cache(3, 2)
         rising = [ch for ch in P.maximal_chains(P.bottom_idx, P.top_idx)
-                  if P.is_rising(ch)]
+                  if _oracle_rises([lab.sort_key for lab in ch])]
         assert len(rising) == 1
         assert [str(l) for l in rising[0]] == ["(1,2)_2", "(1,3)_2", "(1,3)_2"]
 
@@ -667,9 +731,11 @@ class TestOrderKernel:
         carrier counts seen."""
         code = oracle_label_codes(P)
         up = [[] for _ in range(len(P))]
+        codes = [[] for _ in range(len(P))]
         for lo, hi, lab in P.covers:
-            up[lo].append((hi, code[lab.sort_key]))
-        passed = [(x, values) for x in range(len(P)) for values in P._el_pass(x, up)]
+            up[lo].append(hi)
+            codes[lo].append(code[lab.sort_key])
+        passed = [(x, values) for x in range(len(P)) for values in P._el_pass(x, up, codes)]
         got = {(x, y): values for x, (y, *values) in passed}
         assert len(got) == len(passed)  # each y once per pass
         assert {xy: tuple(values[:3]) for xy, values in got.items()} == oracle_el_values(P)
@@ -880,7 +946,8 @@ class TestOrderKernel:
                     [ch for ch in P.maximal_chains(x, y) if keeps(ch)], (x, y)
 
     def _check_rising_chains(self, P):
-        self._check_filtered_walk(P, P.rising_chains, P.is_rising)
+        self._check_filtered_walk(P, P.rising_chains,
+                                  lambda ch: _oracle_rises([lab.sort_key for lab in ch]))
 
     @pytest.mark.parametrize("n,k", SMALL)
     def test_rising_chains_match_filter(self, n, k, poset_cache):
