@@ -70,8 +70,7 @@ DOT_CHUNK_LINES = 4096  # lines per write when a text is streamed (_write_chunks
 
 
 def check_guard(n: int, k: int, guard: int | None = None, chains: int = 0,
-                closures: int = 0, cover_masks: int = 0, interval_masks: bool = False
-                ) -> None:
+                closures: int = 0, interval_masks: bool = False) -> None:
     """Raise :class:`GuardExceeded` before any enumeration when (n, k) is
     too large.
 
@@ -82,10 +81,12 @@ def check_guard(n: int, k: int, guard: int | None = None, chains: int = 0,
     Memory may take CLOSURE_BYTES_PER_GUARD bytes per unit of the guard: a
     request is also refused when the elements' layers, one 8-byte pointer
     per layer (to its id in the element's chain), need more; when the
-    ``closures`` of the order and the lists of ``cover_masks`` that the
-    caller will build, N^2/8 bytes each, need more (the structure report
-    builds two of each: at (6,3) a closure takes 21.5 MiB, the masks of
-    the lower covers 19.5 MiB and of the upper covers 10.4 MiB); and, for
+    ``closures`` of the order that the caller will build, each with a list
+    of cover masks beside it, N^2/8 bytes each, need more (the structure
+    report, the only reader of the closures, builds two closures and the
+    masks of the lower and of the upper covers: at (6,3) a closure takes
+    21.5 MiB, the lower-cover masks 19.5 MiB and the upper-cover masks
+    10.4 MiB); and, for
     a caller that runs the Möbius recursion (``interval_masks``), when its
     masks need more: those of two adjacent rank levels, each as wide as the
     elements through the upper level (:meth:`Poset._mobius_up`), at the
@@ -119,8 +120,8 @@ def check_guard(n: int, k: int, guard: int | None = None, chains: int = 0,
     limit = guard * CLOSURE_BYTES_PER_GUARD
     for need, what in (
             (8 * size * k, "the elements' layers"),  # one pointer per layer per element
-            ((closures + cover_masks) * size * size // 8,  # N bits per element each
-             "the order's closures and cover masks" if cover_masks else "the order's closures"),
+            # a closure and a list of cover masks, N bits per element each
+            (2 * closures * size * size // 8, "the order's closures and cover masks"),
             (masks, "the Möbius recursion's interval masks")):
         if need > limit:
             raise GuardExceeded(
@@ -697,7 +698,7 @@ class Poset:
 
 
 def build_poset(n: int, k: int, guard: int | None = None, closures: int = 0,
-                cover_masks: int = 0, interval_masks: bool = False) -> Poset:
+                interval_masks: bool = False) -> Poset:
     """Construct the poset for (n, k) explicitly: the elements of
     :func:`enumerate_all` in that order, each with its upper covers in label
     order (``Poset.up``) beside their codes (``Poset.up_codes``); then for
@@ -722,16 +723,14 @@ def build_poset(n: int, k: int, guard: int | None = None, closures: int = 0,
     fixed-point pattern, and those at layers < k once per prefix p_1, ...,
     p_(k-1).
 
-    :func:`check_guard` (with ``guard``, the numbers of closures
-    ``closures`` and of cover-mask lists ``cover_masks`` that the caller
-    will read, and whether it will run the Möbius recursion on
-    ``interval_masks``) aborts with
-    :class:`GuardExceeded` before any enumeration.
+    :func:`check_guard` (with ``guard``, the number of closures
+    ``closures`` that the caller will read, each with its cover masks, and
+    whether it will run the Möbius recursion on ``interval_masks``) aborts
+    with :class:`GuardExceeded` before any enumeration.
     """
     if n < 1 or k < 1:
         raise ValueError("need n >= 1 and k >= 1")
-    check_guard(n, k, guard, closures=closures, cover_masks=cover_masks,
-                interval_masks=interval_masks)
+    check_guard(n, k, guard, closures=closures, interval_masks=interval_masks)
 
     # one walk of the chains: their ids, flat, and each key to its index;
     # the keys are read back in the dict's order, which is the elements'

@@ -185,48 +185,43 @@ class TestPosetShape:
 
     def test_guard_estimates_closures(self, monkeypatch):
         # (8,2) has 167,895 elements with the top and |mu| = 135,135, both
-        # under the default guard, but its two closures need about 6.9 GB
+        # under the default guard, but the structure report's two closures
+        # and two lists of cover masks need about 13.8 GB
         def refuse(*_):
             raise AssertionError("the guard must not enumerate")
 
         monkeypatch.setattr(lattice, "_id_chains", refuse)
         size = sum(T_def(8, 2, r) for r in range(9)) + 1
-        assert size == 167_895 and 2 * size * size // 8 >> 20 == 6_720
+        assert size == 167_895 and 4 * size * size // 8 >> 20 == 13_441
         lattice.check_guard(8, 2)
-        with pytest.raises(GuardExceeded, match="6720 MiB for the order's closures, "
-                                                "over the 781 MiB"):
+        with pytest.raises(GuardExceeded, match="13441 MiB for the order's closures and "
+                                                "cover masks, over the 781 MiB"):
             lattice.check_guard(8, 2, closures=2)
-        # the estimate counts the closures that the caller builds: one
-        # closure alone takes 3360 MiB
-        with pytest.raises(GuardExceeded, match="3360 MiB for the order's closures, "
-                                                "over the 781 MiB"):
+        # the estimate counts the closures that the caller builds, each with
+        # a list of cover masks beside it: one of each takes 6720 MiB
+        with pytest.raises(GuardExceeded, match="6720 MiB for the order's closures and "
+                                                "cover masks, over the 781 MiB"):
             lattice.check_guard(8, 2, closures=1)
         lattice.check_guard(8, 2, guard=10 ** 12, closures=2)
-        # the closure requests that the unguarded build finished stay
-        # admitted: (6,3), (7,2) and (6,4) need 39, 88 and 474 MiB
-        for n, k in (6, 3), (7, 2), (6, 4):
+        # (6,4)'s closures alone take 474 MiB, but its structure report
+        # peaks near 930 MB: with the cover masks it needs 948 MiB, over the
+        # 781 MiB allowed
+        with pytest.raises(GuardExceeded, match="948 MiB for the order's closures and "
+                                                "cover masks, over the 781 MiB"):
+            lattice.check_guard(6, 4, closures=2)
+        # (6,3) and (7,2) need 79 and 177 MiB and stay admitted
+        for n, k in (6, 3), (7, 2):
             lattice.check_guard(n, k, closures=2)
-        # (7,2) needs 93,151,452 bytes, 22,742.05 pages of 4 KiB
-        lattice.check_guard(7, 2, guard=22_743, closures=2)
-        with pytest.raises(GuardExceeded, match="88 MiB"):
-            lattice.check_guard(7, 2, guard=22_742, closures=2)
+        # (7,2) needs 186,302,904 bytes, 45,484.1 pages of 4 KiB
+        lattice.check_guard(7, 2, guard=45_485, closures=2)
+        with pytest.raises(GuardExceeded, match="177 MiB for the order's closures and "
+                                                "cover masks"):
+            lattice.check_guard(7, 2, guard=45_484, closures=2)
         # the closures of (6,5) and (10,1) need over 3 GB
         for n, k in (6, 5), (10, 1):
             lattice.check_guard(n, k, guard=800_000)
             with pytest.raises(GuardExceeded, match="for the order's closures"):
                 lattice.check_guard(n, k, guard=800_000, closures=2)
-        # the structure report holds two lists of cover masks beside the two
-        # closures, charged N^2/8 bytes each: (6,4) needs 948 MiB with them,
-        # over the 781 MiB allowed
-        with pytest.raises(GuardExceeded, match="948 MiB for the order's closures and "
-                                                "cover masks, over the 781 MiB"):
-            lattice.check_guard(6, 4, closures=2, cover_masks=2)
-        # (6,3) and (7,2) need 79 and 177 MiB and stay admitted
-        for n, k in (6, 3), (7, 2):
-            lattice.check_guard(n, k, closures=2, cover_masks=2)
-        with pytest.raises(GuardExceeded, match="177 MiB for the order's closures and "
-                                                "cover masks"):
-            lattice.check_guard(7, 2, guard=40_000, closures=2, cover_masks=2)
 
     def test_guard_estimates_interval_masks(self, monkeypatch):
         # the Möbius recursion holds the masks of two adjacent rank levels,
